@@ -3,9 +3,9 @@
  * Race-detection benchmark: the streaming vector-clock checker against
  * the historical dense-bitset happens-before closure.
  *
- *   $ race_detect [--quick] [--json=FILE] [--corpus=DIR] [--no-corpus]
+ *   $ race_detect [--quick] [--json=FILE]
  *
- * Three sections, each printed as a table and recorded in a StatSet that
+ * Two sections, each printed as a table and recorded in a StatSet that
  * is dumped as JSON (default file: BENCH_race_detect.json):
  *
  *  1. per-trace checking on synthetic traces of 100..10k accesses,
@@ -13,18 +13,18 @@
  *     tentpole O(n^2/64) -> O(n*P) comparison;
  *  2. the sampled program check, online early-exit vs an offline
  *     reference that runs every schedule to completion and race-checks
- *     the full trace with the bitset oracle;
- *  3. end-to-end wo-litmus corpus wall time with the DRF0 verdict memo
- *     on and off (single-threaded, so the delta is the checker's).
+ *     the full trace with the bitset oracle.
+ *
+ * End-to-end corpus time, DRF0 stage included, is bench/e2e's
+ * corpus-default workload.
  *
  * All timings are best-of-N std::chrono::steady_clock measurements.
- * --quick shrinks repetitions and corpus seeds for CI smoke runs; the
- * measured shape (and the JSON schema) is identical.
+ * --quick shrinks repetitions for CI smoke runs; the measured shape (and
+ * the JSON schema) is identical.
  */
 
 #include <chrono>
 #include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -35,8 +35,6 @@
 #include "core/drf0_checker.hh"
 #include "core/idealized.hh"
 #include "core/race_detector.hh"
-#include "litmus/compiler.hh"
-#include "litmus/runner.hh"
 #include "sim/rng.hh"
 #include "sim/stats.hh"
 #include "workload/random_gen.hh"
@@ -259,62 +257,21 @@ benchSampledCheck(StatSet &stats, bool quick)
                  "checked identical before timing)\n";
 }
 
-void
-benchCorpus(StatSet &stats, const std::string &dir, bool quick)
-{
-    benchutil::banner("wo-litmus corpus wall time (threads=1)");
-    std::vector<litmus_dsl::CompiledLitmus> tests;
-    for (const std::string &f : litmus_dsl::findLitmusFiles({dir}))
-        tests.push_back(litmus_dsl::compileLitmusFile(f));
-
-    litmus_dsl::RunnerOptions options;
-    options.seeds = quick ? 1 : 3;
-    options.threads = 1;
-    options.drf0Schedules = quick ? 50 : 200;
-
-    auto run = [&](bool memo) {
-        options.drf0Memo = memo;
-        litmus_dsl::CorpusReport r = litmus_dsl::runCorpus(tests, options);
-        return r.tests.size();
-    };
-    run(true); // warm-up (page cache, allocator)
-    std::uint64_t memo_ns = bestNs(1, [&] { run(true); });
-    std::uint64_t nomemo_ns = bestNs(1, [&] { run(false); });
-    stats.set("corpus.tests", tests.size());
-    stats.set("corpus.seeds", static_cast<std::uint64_t>(options.seeds));
-    stats.set("corpus.memo_ns", memo_ns);
-    stats.set("corpus.nomemo_ns", nomemo_ns);
-    benchutil::Table table({"config", "wall"});
-    table.addRow({"drf0 memo on", fmtNs(memo_ns)});
-    table.addRow({"drf0 memo off", fmtNs(nomemo_ns)});
-    table.print();
-    std::cout << "\n(" << tests.size() << " tests, " << options.seeds
-              << " seeds per cell; full simulation included, so the "
-                 "delta bounds the memo's share)\n";
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
     bool quick = false;
-    bool corpus = true;
     std::string json_file = "BENCH_race_detect.json";
-    std::string corpus_dir = "tests/litmus";
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
         if (arg == "--quick") {
             quick = true;
         } else if (arg.rfind("--json=", 0) == 0) {
             json_file = arg.substr(7);
-        } else if (arg.rfind("--corpus=", 0) == 0) {
-            corpus_dir = arg.substr(9);
-        } else if (arg == "--no-corpus") {
-            corpus = false;
         } else {
-            std::cerr << "usage: race_detect [--quick] [--json=FILE] "
-                         "[--corpus=DIR] [--no-corpus]\n";
+            std::cerr << "usage: race_detect [--quick] [--json=FILE]\n";
             return 2;
         }
     }
@@ -323,12 +280,6 @@ main(int argc, char **argv)
     stats.set("quick", quick ? 1 : 0);
     benchTraceChecks(stats, quick);
     benchSampledCheck(stats, quick);
-    if (corpus && std::filesystem::is_directory(corpus_dir)) {
-        benchCorpus(stats, corpus_dir, quick);
-    } else if (corpus) {
-        std::cout << "\n(corpus section skipped: no directory "
-                  << corpus_dir << ")\n";
-    }
 
     std::ofstream out(json_file);
     if (!out) {

@@ -3,10 +3,9 @@
  * System lifecycle benchmark: what a campaign job costs when the
  * simulated machine is reset and reused instead of rebuilt.
  *
- *   $ system_pool [--quick] [--json=FILE] [--corpus=DIR]
- *                 [--threads=N] [--seed=S]
+ *   $ system_pool [--quick] [--json=FILE] [--corpus=DIR] [--seed=S]
  *
- * Three sections, each printed as a table and recorded in a StatSet
+ * Two sections, each printed as a table and recorded in a StatSet
  * dumped as JSON (default file: BENCH_system_pool.json):
  *
  *  1. the litmus-corpus job fan — every (test, machine, policy, seed)
@@ -14,14 +13,15 @@
  *     job and once acquiring from a SystemPool — the tentpole jobs/sec
  *     comparison (key corpus.speedup_milli);
  *  2. construction vs reset microcost per machine/policy cell, isolating
- *     what the pool saves before any simulation happens;
- *  3. end-to-end runCorpus wall time with pooling on and off, single
- *     worker and the --threads fan.
+ *     what the pool saves before any simulation happens.
+ *
+ * End-to-end runCorpus time, which always pools, is bench/e2e's
+ * corpus-default workload.
  *
  * Outcomes are verified before timing: every job's verdict, finish tick,
  * final state and stats dump must be identical between the fresh and
- * pooled paths (and the full corpus reports byte-identical), so the
- * timings compare two ways of computing the same bytes.
+ * pooled paths, so the timings compare two ways of computing the same
+ * bytes.
  *
  * All timings are best-of-N std::chrono::steady_clock measurements.
  * --quick shrinks seeds and repetitions for CI smoke runs; the measured
@@ -286,63 +286,6 @@ benchResetMicro(StatSet &stats,
               << " iterations; reset = System::reset + loadProgram)\n";
 }
 
-void
-benchRunCorpus(StatSet &stats,
-               const std::vector<litmus_dsl::CompiledLitmus> &tests)
-{
-    benchutil::banner("End-to-end runCorpus wall time (reports verified "
-                      "byte-identical)");
-    litmus_dsl::RunnerOptions options;
-    options.seeds = g_opts.quick ? 2 : 5;
-    options.baseSeed = g_opts.baseSeed;
-
-    auto render = [&](const litmus_dsl::CorpusReport &r) {
-        std::ostringstream text, json;
-        litmus_dsl::printReport(text, r);
-        litmus_dsl::writeJsonReport(json, r);
-        return text.str() + json.str();
-    };
-    benchutil::Table table({"threads", "fresh", "pooled", "speedup"});
-    std::vector<int> thread_points = {1};
-    if (int t = campaignThreads(g_opts.threads); t != 1)
-        thread_points.push_back(t);
-    for (int threads : thread_points) {
-        options.threads = threads;
-        options.systemPool = false;
-        std::string fresh_bytes =
-            render(litmus_dsl::runCorpus(tests, options));
-        options.systemPool = true;
-        std::string pooled_bytes =
-            render(litmus_dsl::runCorpus(tests, options));
-        if (fresh_bytes != pooled_bytes) {
-            std::cerr << "BUG: corpus reports differ with pooling at "
-                      << threads << " threads\n";
-            std::exit(1);
-        }
-        options.systemPool = false;
-        std::uint64_t fresh_ns = bestNs(1, [&] {
-            litmus_dsl::runCorpus(tests, options);
-        });
-        options.systemPool = true;
-        std::uint64_t pooled_ns = bestNs(1, [&] {
-            litmus_dsl::runCorpus(tests, options);
-        });
-        std::uint64_t speedup_milli =
-            pooled_ns ? fresh_ns * 1000 / pooled_ns : 0;
-        std::string key =
-            "runcorpus.t" + std::to_string(threads);
-        stats.set(key + ".fresh_ns", fresh_ns);
-        stats.set(key + ".pooled_ns", pooled_ns);
-        stats.set(key + ".speedup_milli", speedup_milli);
-        table.addRow({std::to_string(threads), fmtNs(fresh_ns),
-                      fmtNs(pooled_ns), fmtSpeedup(speedup_milli)});
-    }
-    table.print();
-    std::cout << "\n(includes per-test DRF0 checking and report "
-                 "aggregation, which pooling\ndoes not touch — the "
-                 "job-fan table above isolates the simulation jobs)\n";
-}
-
 } // namespace
 
 int
@@ -356,7 +299,7 @@ main(int argc, char **argv)
             corpus_dir = arg.substr(9);
         } else {
             std::cerr << "usage: system_pool [--quick] [--json=FILE] "
-                         "[--corpus=DIR] [--threads=N] [--seed=S]\n";
+                         "[--corpus=DIR] [--seed=S]\n";
             return 2;
         }
     }
@@ -378,7 +321,6 @@ main(int argc, char **argv)
     stats.set("corpus.tests", tests.size());
     benchJobFan(stats, tests);
     benchResetMicro(stats, tests);
-    benchRunCorpus(stats, tests);
 
     benchutil::dumpJsonFile(stats, g_opts.jsonFile);
     return 0;

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <map>
-#include <queue>
 #include <sstream>
 
 #include "core/idealized.hh"
+#include "core/stream_checker.hh"
 #include "sim/rng.hh"
 
 namespace wo {
@@ -28,98 +28,15 @@ normalizeRaces(const ExecutionTrace &trace, std::vector<Race> &races)
               });
 }
 
-/**
- * True iff trace order already linearizes (po U so): every processor's
- * accesses appear in program order and every sync location's operations
- * in commit order. Holds for every idealized-machine trace (accesses are
- * recorded at execution, atomically), letting checkTrace feed the
- * detector with no sorting or graph work at all.
- */
-bool
-traceOrderIsLinearExtension(const ExecutionTrace &trace)
-{
-    for (ProcId p = 0; p < trace.numProcs(); ++p) {
-        const std::vector<int> &ids = trace.accessesOf(p);
-        for (std::size_t k = 1; k < ids.size(); ++k) {
-            if (ids[k - 1] > ids[k])
-                return false;
-        }
-    }
-    for (Addr s : trace.syncAddrs()) {
-        const std::vector<int> &ids = trace.syncsAt(s);
-        for (std::size_t k = 1; k < ids.size(); ++k) {
-            if (ids[k - 1] > ids[k])
-                return false;
-        }
-    }
-    return true;
-}
-
-/** Kahn topological sort of the direct (po U so) edges. Returns false
- * (leaving @p order short) if the edge relation is cyclic. */
-bool
-topoOrder(const ExecutionTrace &trace, std::vector<int> &order)
-{
-    const int n = trace.size();
-    std::vector<std::vector<int>> succ(static_cast<std::size_t>(n));
-    std::vector<int> indeg(static_cast<std::size_t>(n), 0);
-    auto addEdge = [&](int u, int v) {
-        succ[static_cast<std::size_t>(u)].push_back(v);
-        ++indeg[static_cast<std::size_t>(v)];
-    };
-    for (ProcId p = 0; p < trace.numProcs(); ++p) {
-        const std::vector<int> &ids = trace.accessesOf(p);
-        for (std::size_t k = 1; k < ids.size(); ++k)
-            addEdge(ids[k - 1], ids[k]);
-    }
-    for (Addr s : trace.syncAddrs()) {
-        const std::vector<int> &ids = trace.syncsAt(s);
-        for (std::size_t k = 1; k < ids.size(); ++k)
-            addEdge(ids[k - 1], ids[k]);
-    }
-    order.clear();
-    order.reserve(static_cast<std::size_t>(n));
-    std::queue<int> ready;
-    for (int i = 0; i < n; ++i) {
-        if (indeg[static_cast<std::size_t>(i)] == 0)
-            ready.push(i);
-    }
-    while (!ready.empty()) {
-        int u = ready.front();
-        ready.pop();
-        order.push_back(u);
-        for (int v : succ[static_cast<std::size_t>(u)]) {
-            if (--indeg[static_cast<std::size_t>(v)] == 0)
-                ready.push(v);
-        }
-    }
-    return static_cast<int>(order.size()) == n;
-}
-
 } // namespace
 
 Drf0TraceReport
 checkTrace(const ExecutionTrace &trace)
 {
+    StreamingDrf0Checker checker(trace.numProcs(), RaceDetectMode::AllRaces);
+    checker.finish(trace);
     Drf0TraceReport report;
-    if (trace.size() == 0)
-        return report;
-
-    RaceDetector det(trace.numProcs(), RaceDetectMode::AllRaces);
-    if (traceOrderIsLinearExtension(trace)) {
-        for (const Access &a : trace.accesses())
-            det.onAccess(a);
-    } else {
-        std::vector<int> order;
-        if (!topoOrder(trace, order)) {
-            // Cyclic (po U so): fall back to the closure, which leaves
-            // cycle members mutually unordered and flags the report.
-            return checkTraceBitset(trace);
-        }
-        for (int id : order)
-            det.onAccess(trace.at(id));
-    }
-    report.races = det.races();
+    report.races = checker.races();
     report.raceFree = report.races.empty();
     normalizeRaces(trace, report.races);
     return report;
@@ -130,7 +47,6 @@ checkTraceBitset(const ExecutionTrace &trace)
 {
     Drf0TraceReport report;
     HappensBefore hb(trace);
-    report.hbCyclic = !hb.acyclic();
 
     // Group accesses by address; only same-address pairs can conflict.
     std::map<Addr, std::vector<int>> by_addr;
@@ -238,8 +154,7 @@ Drf0TraceReport::toString(const ExecutionTrace &trace) const
         oss << "race-free (DRF0)";
         return oss.str();
     }
-    oss << races.size() << " race(s)" << (hbCyclic ? " [cyclic hb]" : "")
-        << ":\n";
+    oss << races.size() << " race(s):\n";
     for (const auto &r : races) {
         oss << "  " << trace.at(r.first).toString() << "  ||  "
             << trace.at(r.second).toString() << '\n';

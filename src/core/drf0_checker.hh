@@ -14,12 +14,13 @@
  *  - checkProgram(): exhaustively enumerate idealized executions of a
  *    program and classify each (the literal Definition 3 quantifier).
  *
- * Race detection runs on the streaming vector-clock engine
- * (core/race_detector.hh): O(n * P) per trace instead of the
- * O(n^2/64) dense happens-before closure, and — for the sampled program
- * check — online, aborting an execution at its first race. The closure
- * (core/happens_before.hh) survives as checkTraceBitset(), the
- * differential oracle and the fallback for artificially cyclic traces.
+ * Race detection runs on one vector-clock engine
+ * (core/race_detector.hh): checkTrace() is the StreamingDrf0Checker
+ * (core/stream_checker.hh) fed the whole trace, O(n * P) per trace
+ * instead of the O(n^2/64) dense happens-before closure; the sampled
+ * program check attaches a detector online, aborting an execution at its
+ * first race. The closure (core/happens_before.hh) survives as
+ * checkTraceBitset(), the differential oracle.
  */
 
 #ifndef WO_CORE_DRF0_CHECKER_HH
@@ -40,13 +41,6 @@ namespace wo {
 struct Drf0TraceReport
 {
     bool raceFree = true;
-
-    /** True if (po U so) was cyclic — impossible for executions of the
-     * idealized or simulated machines, but constructible artificially.
-     * Accesses on a cycle are treated as unordered (so conflicting ones
-     * race), and this flag marks the verdict as degenerate. */
-    bool hbCyclic = false;
-
     std::vector<Race> races;
 
     /** Render races against @p trace for human consumption. */
@@ -85,14 +79,15 @@ struct Drf0CheckLimits
 };
 
 /** Classify one execution: find every conflicting pair not ordered by the
- * happens-before relation of the trace. Runs the vector-clock engine;
- * falls back to the bitset closure for cyclic (po U so). */
+ * happens-before relation of the trace, sorted by address, then by id
+ * pair. Runs the vector-clock engine; throws std::invalid_argument if
+ * (po U so) is cyclic, which only a hand-built trace can be. */
 Drf0TraceReport checkTrace(const ExecutionTrace &trace);
 
 /** The pre-vector-clock implementation: dense bitset happens-before
  * closure plus an all-pairs conflict scan. O(n^2/64) time and memory —
- * kept as the differential oracle, for small-trace queries, and as the
- * cyclic-trace fallback. Reports the same races as checkTrace(). */
+ * kept as the differential oracle and for small-trace queries. Reports
+ * the same races as checkTrace() on every acyclic trace. */
 Drf0TraceReport checkTraceBitset(const ExecutionTrace &trace);
 
 /** Exhaustively check a program over idealized executions

@@ -1,19 +1,17 @@
 /**
  * @file
- * Streaming DRF0 checking over a bounded trace window.
+ * The DRF0 race-check engine: one vector-clock RaceDetector fed a
+ * linear extension of (po U so), whole-trace or over a bounded window.
  *
- * checkTrace() needs the whole ExecutionTrace resident: it sorts the
- * complete per-proc/per-sync index lists, topologically orders (po U so)
- * and only then feeds the vector-clock detector. This header provides the
- * online replacement used by the trace-replay pipeline: accesses are fed
- * to one long-lived RaceDetector as they become final, the detector's
- * per-proc clocks and per-sync-location release clocks carry happens-
- * before state across window boundaries, and the trace owner retires the
- * consumed prefix with ExecutionTrace::popFront() so resident memory
- * stays O(window) while the verdict stays byte-identical to the
- * whole-trace oracle.
+ * checkTrace() is this checker in AllRaces mode plus finish() on the
+ * complete trace. The trace-replay pipeline instead feeds accesses as
+ * they become final: the detector's per-proc clocks and per-sync-location
+ * release clocks carry happens-before state across window boundaries,
+ * and the trace owner retires the consumed prefix with
+ * ExecutionTrace::popFront() so resident memory stays O(window) while
+ * the verdict stays identical to the whole-trace check.
  *
- * Two feeding disciplines:
+ * Three feeding disciplines:
  *  - onAccess(): the caller guarantees it emits a linear extension of
  *    (po U so) — true for the replay engine and the idealized
  *    interpreter, whose execution order is such an extension by
@@ -24,6 +22,12 @@
  *    patched) and safely below every still-pending commit, then feeds
  *    each batch in a local topological order of (po U so). See the
  *    implementation notes for the admission horizon.
+ *  - finish(): everything still unfed, in trace order when that already
+ *    linearizes (po U so), else in a topological order.
+ *
+ * A cyclic (po U so) — constructible only by hand, never by a machine —
+ * has no happens-before order to check: feeding one throws
+ * std::invalid_argument.
  */
 
 #ifndef WO_CORE_STREAM_CHECKER_HH
@@ -74,9 +78,8 @@ class StreamingDrf0Checker
     /**
      * Consume everything still resident and unfed (end of run: all ticks
      * final). Accesses that never committed sort after every committed
-     * one, matching the whole-trace oracle's syncsAt order. Sets
-     * hbCyclic() instead of ordering if the leftover (po U so) edges are
-     * cyclic (impossible for machine traces, constructible artificially).
+     * one, matching the trace's syncsAt order. Throws
+     * std::invalid_argument if the leftover (po U so) edges are cyclic.
      */
     void finish(const ExecutionTrace &trace);
 
@@ -90,8 +93,6 @@ class StreamingDrf0Checker
      * needs retired accesses to recompute). */
     std::vector<Race> sortedRaces() const;
 
-    bool hbCyclic() const { return hb_cyclic_; }
-
     /** First trace id not yet consumed. */
     int frontier() const { return next_; }
 
@@ -104,14 +105,13 @@ class StreamingDrf0Checker
     bool isFed(int id) const;
     void markFed(int id);
     /** Feed @p batch (resident trace ids, ascending) in a topological
-     * order of its internal (po U so) edges. Returns false on a cycle. */
-    bool feedTopo(const ExecutionTrace &trace, const std::vector<int> &batch);
+     * order of its internal (po U so) edges; throws on a cycle. */
+    void feedTopo(const ExecutionTrace &trace, const std::vector<int> &batch);
 
     RaceDetector det_;
     int nprocs_ = 0;
     int next_ = 0;              ///< ids below this are all consumed
     std::vector<int> fedAhead_; ///< consumed ids >= next_, ascending
-    bool hb_cyclic_ = false;
 };
 
 } // namespace wo

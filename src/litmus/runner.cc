@@ -4,7 +4,6 @@
 #include <filesystem>
 #include <fstream>
 #include <iomanip>
-#include <optional>
 #include <ostream>
 #include <sstream>
 
@@ -13,6 +12,7 @@
 #include "litmus/expect.hh"
 #include "obs/trace_export.hh"
 #include "obs/trace_sink.hh"
+#include "sim/json.hh"
 #include "workload/campaign.hh"
 
 namespace wo {
@@ -58,32 +58,6 @@ scPromised(PolicyKind policy, bool drf0)
     return false;
 }
 
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            out += c;
-        }
-    }
-    return out;
-}
-
 /** Keep file names portable: anything exotic becomes '_'. */
 std::string
 sanitizeForFile(const std::string &s)
@@ -108,6 +82,82 @@ traceFileName(const std::string &stem, const std::string &test,
            sanitizeForFile(toString(policy)) + "." +
            sanitizeForFile(variant) + ".s" + std::to_string(seed_idx) +
            ".json";
+}
+
+/** Cells of one test that share a policy (or a single cell). */
+using CellGroup = std::vector<const CellReport *>;
+
+/** Allowed outcome keys split by whether a cell histogram counted them. */
+struct OutcomeSplit
+{
+    std::vector<std::string> observed;
+    std::vector<std::string> unobserved;
+};
+
+/**
+ * Outcome coverage of @p cells (one policy's variants, or one cell),
+ * derived from the report: the allowed keys of the cells' bounding model
+ * (TestReport::axiomAllowed) split by whether any of the cells'
+ * histograms counted them. The text and JSON coverage sections and the
+ * CoverageMap outcome seeding all read coverage through here.
+ */
+OutcomeSplit
+splitOutcomes(const TestReport &tr, const CellGroup &cells)
+{
+    OutcomeSplit split;
+    for (const ModelAllowedReport &mar : tr.axiomAllowed) {
+        if (mar.model != cells.front()->axiomModel)
+            continue;
+        for (const std::string &key : mar.outcomes) {
+            bool seen = std::any_of(cells.begin(), cells.end(),
+                                    [&](const CellReport *c) {
+                                        return c->histogram.count(key) > 0;
+                                    });
+            (seen ? split.observed : split.unobserved).push_back(key);
+        }
+    }
+    return split;
+}
+
+/** @p tr's cells grouped by policy, in options order. Empty unless the
+ * axiom stage ran: coverage is measured against its allowed sets. */
+std::vector<CellGroup>
+cellsByPolicy(const TestReport &tr)
+{
+    std::vector<CellGroup> groups;
+    if (!tr.axiomChecked)
+        return groups;
+    for (const CellReport &cell : tr.cells) {
+        auto it = std::find_if(groups.begin(), groups.end(),
+                               [&](const CellGroup &g) {
+                                   return g.front()->policy == cell.policy;
+                               });
+        if (it == groups.end())
+            groups.push_back({&cell});
+        else
+            it->push_back(&cell);
+    }
+    return groups;
+}
+
+/** @p items as a one-line JSON array of strings. */
+void
+writeJsonList(std::ostream &os, const std::vector<std::string> &items)
+{
+    os << "[";
+    for (std::size_t k = 0; k < items.size(); ++k)
+        os << (k ? ", " : "") << "\"" << jsonEscape(items[k]) << "\"";
+    os << "]";
+}
+
+/** The "observed"/"unobserved" JSON members of @p split. */
+void
+writeJsonSplit(std::ostream &os, const OutcomeSplit &split)
+{
+    os << "\"observed\": ";
+    writeJsonList(os, split.observed);
+    os << ", \"unobserved\": ";
+    writeJsonList(os, split.unobserved);
 }
 
 } // namespace
@@ -163,7 +213,6 @@ runCorpus(const std::vector<CompiledLitmus> &tests,
     }
 
     Campaign campaign({options.threads, options.baseSeed});
-    Drf0Memo drf0_memo;
 
     for (const CompiledLitmus &test : tests) {
         TestReport tr;
@@ -173,14 +222,8 @@ runCorpus(const std::vector<CompiledLitmus> &tests,
 
         // Sampled DRF0 verdict gates which policies promise SC results
         // for this program (spin loops rule out exhaustive enumeration).
-        // The memo dedupes identical program bodies across the corpus.
-        Drf0ProgramReport drf0 =
-            options.drf0Memo
-                ? drf0_memo.check(test.program, options.drf0Schedules,
-                                  options.baseSeed)
-                : checkProgramSampled(test.program,
-                                      options.drf0Schedules,
-                                      options.baseSeed);
+        Drf0ProgramReport drf0 = checkProgramSampled(
+            test.program, options.drf0Schedules, options.baseSeed);
         tr.drf0 = drf0.obeysDrf0;
         tr.drf0Bounded = drf0.bounded;
 
@@ -209,22 +252,11 @@ runCorpus(const std::vector<CompiledLitmus> &tests,
                 if (options.coverage)
                     cfg.coverage = &out.cov;
                 try {
-                    // Pooled path: reuse this worker thread's System
-                    // for the cell (a reset replays bit-identically);
-                    // fall back to a stack-local fresh construction
-                    // when pooling is off.
-                    std::optional<System> local;
-                    System *sys_p;
-                    if (options.systemPool) {
-                        sys_p = &workerSystemPool().acquire(
-                            plan.machine->name + "/" +
-                                toString(plan.policy),
-                            test.program, cfg);
-                    } else {
-                        local.emplace(test.program, cfg);
-                        sys_p = &*local;
-                    }
-                    System &sys = *sys_p;
+                    // Reuse this worker thread's System for the cell: a
+                    // reset replays bit-identically, a miss builds one.
+                    System &sys = workerSystemPool().acquire(
+                        plan.machine->name + "/" + toString(plan.policy),
+                        test.program, cfg);
                     out.ran = true;
                     out.finished = sys.run();
                     if (out.finished) {
@@ -251,11 +283,11 @@ runCorpus(const std::vector<CompiledLitmus> &tests,
                         }
                     }
                     out.stats = sys.stats();
-                    // A pooled instance outlives this job; the trace
+                    // The pooled instance outlives this job; the trace
                     // buffer and coverage map it may point at do not.
-                    if (options.systemPool && cfg.traceSink)
+                    if (cfg.traceSink)
                         sys.setTraceSink(nullptr);
-                    if (options.systemPool && cfg.coverage)
+                    if (cfg.coverage)
                         sys.setCoverage(nullptr);
                 } catch (const std::invalid_argument &) {
                     out.ran = false; // illegal config for this policy
@@ -405,63 +437,27 @@ runCorpus(const std::vector<CompiledLitmus> &tests,
                     model->name() + " — " + why);
             }
 
-            // Coverage: observed vs allowed per policy over its whole
-            // variant fan (allowed-but-never-observed outcomes flag
-            // behaviors the machines cannot or did not produce).
-            for (PolicyKind pk : options.policies) {
-                PolicyCoverage cov;
-                cov.policy = pk;
-                const axiom::AxiomaticModel *model =
-                    axiom::modelForPolicy(pk);
-                cov.model = model->name();
-                std::set<std::string> seen;
-                for (const CellReport &cell : tr.cells) {
-                    if (cell.policy != pk)
-                        continue;
-                    for (const auto &[key, count] : cell.histogram)
-                        seen.insert(key);
-                    // Per-machine slice: which allowed outcomes this
-                    // variant itself produced.
-                    MachineCoverage mc;
-                    mc.variant = cell.variant;
-                    for (const std::string &key :
-                         allowed_keys[model->name()]) {
-                        if (cell.histogram.count(key))
-                            mc.observed.push_back(key);
-                        else
-                            mc.unobserved.push_back(key);
-                    }
-                    // Outcome coverage: seed every allowed key for
-                    // this cell (count 0 = allowed but unobserved),
-                    // bump the observed ones by their histogram
-                    // count. Cells the policy cannot run on (runs 0)
-                    // are not seeded — those are impossibilities, not
-                    // gaps.
-                    if (options.coverage && cell.runs > 0) {
-                        const std::string stem =
-                            tr.name + "\t" + toString(pk) + "\t" +
-                            cell.variant + "\t";
-                        for (const auto &[key, count] :
-                             cell.histogram) {
-                            report.coverage.hitKey(
-                                CoverageMap::Dim::Outcome, stem + key,
-                                static_cast<std::uint64_t>(count));
-                        }
-                        for (const std::string &key : mc.unobserved) {
-                            report.coverage.internKey(
-                                CoverageMap::Dim::Outcome, stem + key);
-                        }
-                    }
-                    cov.machines.push_back(std::move(mc));
+            // Outcome coverage: seed every allowed key for each cell
+            // (count 0 = allowed but unobserved), bump the observed ones
+            // by their histogram count. Cells the policy cannot run on
+            // (runs 0) are not seeded — those are impossibilities, not
+            // gaps.
+            for (const CellReport &cell : tr.cells) {
+                if (!options.coverage || cell.runs == 0)
+                    continue;
+                const std::string stem = tr.name + "\t" +
+                                         toString(cell.policy) + "\t" +
+                                         cell.variant + "\t";
+                for (const auto &[key, count] : cell.histogram) {
+                    report.coverage.hitKey(
+                        CoverageMap::Dim::Outcome, stem + key,
+                        static_cast<std::uint64_t>(count));
                 }
                 for (const std::string &key :
-                     allowed_keys[model->name()]) {
-                    if (seen.count(key))
-                        cov.observed.push_back(key);
-                    else
-                        cov.unobserved.push_back(key);
+                     splitOutcomes(tr, {&cell}).unobserved) {
+                    report.coverage.internKey(CoverageMap::Dim::Outcome,
+                                              stem + key);
                 }
-                tr.coverage.push_back(std::move(cov));
             }
         }
 
@@ -537,40 +533,39 @@ printReport(std::ostream &os, const CorpusReport &report, bool histograms,
                 os << "\n";
             }
         }
-        if (coverage) {
-            for (const PolicyCoverage &cov : tr.coverage) {
-                os << "   coverage [" << toString(cov.policy) << " via "
-                   << cov.model << "]: observed " << cov.observed.size()
-                   << "/" << (cov.observed.size() + cov.unobserved.size());
-                if (!cov.unobserved.empty()) {
-                    os << "; unobserved:";
-                    for (const std::string &key : cov.unobserved)
+        for (const CellGroup &cells :
+             coverage ? cellsByPolicy(tr) : std::vector<CellGroup>()) {
+            OutcomeSplit all = splitOutcomes(tr, cells);
+            os << "   coverage [" << toString(cells.front()->policy)
+               << " via " << cells.front()->axiomModel << "]: observed "
+               << all.observed.size() << "/"
+               << (all.observed.size() + all.unobserved.size());
+            if (!all.unobserved.empty()) {
+                os << "; unobserved:";
+                for (const std::string &key : all.unobserved)
+                    os << " {" << key << "}";
+            }
+            os << "\n";
+            for (const CellReport *cell : cells) {
+                OutcomeSplit here = splitOutcomes(tr, {cell});
+                os << "     " << std::left << std::setw(9) << cell->variant
+                   << std::right << here.observed.size() << "/"
+                   << (here.observed.size() + here.unobserved.size());
+                // Flag only the gaps a sibling machine closed: an
+                // outcome nobody produced is already reported on the
+                // aggregate line above.
+                std::vector<std::string> lag;
+                for (const std::string &key : here.unobserved) {
+                    if (std::find(all.observed.begin(), all.observed.end(),
+                                  key) != all.observed.end())
+                        lag.push_back(key);
+                }
+                if (!lag.empty()) {
+                    os << "; missing here:";
+                    for (const std::string &key : lag)
                         os << " {" << key << "}";
                 }
                 os << "\n";
-                for (const MachineCoverage &mc : cov.machines) {
-                    os << "     " << std::left << std::setw(9)
-                       << mc.variant << std::right << mc.observed.size()
-                       << "/"
-                       << (mc.observed.size() + mc.unobserved.size());
-                    // Flag only the gaps a sibling machine closed: an
-                    // outcome nobody produced is already reported on
-                    // the aggregate line above.
-                    std::vector<std::string> lag;
-                    for (const std::string &key : mc.unobserved) {
-                        bool somewhere = false;
-                        for (const std::string &o : cov.observed)
-                            somewhere = somewhere || o == key;
-                        if (somewhere)
-                            lag.push_back(key);
-                    }
-                    if (!lag.empty()) {
-                        os << "; missing here:";
-                        for (const std::string &key : lag)
-                            os << " {" << key << "}";
-                    }
-                    os << "\n";
-                }
             }
         }
         os << "   " << (tr.pass ? "PASS" : "FAIL") << "\n";
@@ -616,54 +611,31 @@ writeJsonReport(std::ostream &os, const CorpusReport &report)
         for (std::size_t i = 0; i < tr.axiomAllowed.size(); ++i) {
             const ModelAllowedReport &mar = tr.axiomAllowed[i];
             os << (i ? ", " : "") << "\"" << jsonEscape(mar.model)
-               << "\": [";
-            for (std::size_t k = 0; k < mar.outcomes.size(); ++k) {
-                os << (k ? ", " : "") << "\""
-                   << jsonEscape(mar.outcomes[k]) << "\"";
-            }
-            os << "]";
+               << "\": ";
+            writeJsonList(os, mar.outcomes);
         }
         os << "}, \"coverage\": [";
-        for (std::size_t i = 0; i < tr.coverage.size(); ++i) {
-            const PolicyCoverage &cov = tr.coverage[i];
+        const std::vector<CellGroup> groups = cellsByPolicy(tr);
+        for (std::size_t i = 0; i < groups.size(); ++i) {
+            const CellGroup &cells = groups[i];
             os << (i ? ", " : "") << "{\"policy\": \""
-               << toString(cov.policy) << "\", \"model\": \""
-               << jsonEscape(cov.model) << "\", \"observed\": [";
-            for (std::size_t k = 0; k < cov.observed.size(); ++k) {
-                os << (k ? ", " : "") << "\""
-                   << jsonEscape(cov.observed[k]) << "\"";
-            }
-            os << "], \"unobserved\": [";
-            for (std::size_t k = 0; k < cov.unobserved.size(); ++k) {
-                os << (k ? ", " : "") << "\""
-                   << jsonEscape(cov.unobserved[k]) << "\"";
-            }
-            os << "], \"machines\": [";
-            for (std::size_t m = 0; m < cov.machines.size(); ++m) {
-                const MachineCoverage &mc = cov.machines[m];
+               << toString(cells.front()->policy) << "\", \"model\": \""
+               << jsonEscape(cells.front()->axiomModel) << "\", ";
+            writeJsonSplit(os, splitOutcomes(tr, cells));
+            os << ", \"machines\": [";
+            for (std::size_t m = 0; m < cells.size(); ++m) {
                 os << (m ? ", " : "") << "{\"variant\": \""
-                   << jsonEscape(mc.variant) << "\", \"observed\": [";
-                for (std::size_t k = 0; k < mc.observed.size(); ++k) {
-                    os << (k ? ", " : "") << "\""
-                       << jsonEscape(mc.observed[k]) << "\"";
-                }
-                os << "], \"unobserved\": [";
-                for (std::size_t k = 0; k < mc.unobserved.size(); ++k) {
-                    os << (k ? ", " : "") << "\""
-                       << jsonEscape(mc.unobserved[k]) << "\"";
-                }
-                os << "]}";
+                   << jsonEscape(cells[m]->variant) << "\", ";
+                writeJsonSplit(os, splitOutcomes(tr, {cells[m]}));
+                os << "}";
             }
             os << "]}";
         }
         os << "]},\n";
         os << "      \"pass\": " << (tr.pass ? "true" : "false") << ",\n";
-        os << "      \"failures\": [";
-        for (std::size_t i = 0; i < tr.failures.size(); ++i) {
-            os << (i ? ", " : "") << "\"" << jsonEscape(tr.failures[i])
-               << "\"";
-        }
-        os << "],\n";
+        os << "      \"failures\": ";
+        writeJsonList(os, tr.failures);
+        os << ",\n";
         os << "      \"cells\": [\n";
         for (std::size_t c = 0; c < tr.cells.size(); ++c) {
             const CellReport &cell = tr.cells[c];
@@ -678,12 +650,9 @@ writeJsonReport(std::ostream &os, const CorpusReport &report)
                << ", \"enforced\": " << (cell.enforced ? "true" : "false")
                << ", \"pass\": " << (cell.pass ? "true" : "false")
                << ", \"axiomModel\": \"" << jsonEscape(cell.axiomModel)
-               << "\", \"axiomForbidden\": [";
-            for (std::size_t k = 0; k < cell.axiomForbidden.size(); ++k) {
-                os << (k ? ", " : "") << "\""
-                   << jsonEscape(cell.axiomForbidden[k]) << "\"";
-            }
-            os << "], \"histogram\": {";
+               << "\", \"axiomForbidden\": ";
+            writeJsonList(os, cell.axiomForbidden);
+            os << ", \"histogram\": {";
             bool first = true;
             for (const auto &[key, count] : cell.histogram) {
                 os << (first ? "" : ", ") << "\"" << jsonEscape(key)

@@ -68,21 +68,6 @@ struct RunnerOptions
     std::uint64_t maxVerifyStates = 1000000;
     int drf0Schedules = 200;     ///< sampled DRF0 check per test
 
-    /** Memoize sampled DRF0 verdicts by program content hash, so
-     * duplicate program bodies (and repeated corpus passes sharing a
-     * runner) are checked once. Verdicts are unchanged — the memo
-     * returns the identical report. */
-    bool drf0Memo = true;
-
-    /**
-     * Serve each job's System from the worker thread's SystemPool
-     * (keyed by machine/policy cell) instead of constructing fresh.
-     * A reset System replays a job bit-identically, so reports do not
-     * depend on this flag — it exists for differential testing and as
-     * an escape hatch (`wo-litmus --no-pool`).
-     */
-    bool systemPool = true;
-
     /**
      * Structured-trace output stem; empty disables tracing (the
      * default, with zero effect on reports). When set, every job runs
@@ -168,30 +153,6 @@ struct ModelAllowedReport
     std::vector<std::string> outcomes; ///< sorted outcome keys
 };
 
-/** Observed vs allowed outcomes of one policy on one machine variant.
- * An outcome unobserved on a machine but observed on a sibling points
- * at that machine (topology, buffering), not at the policy. */
-struct MachineCoverage
-{
-    std::string variant; ///< machine-registry name
-
-    std::vector<std::string> observed;   ///< allowed and seen here
-    std::vector<std::string> unobserved; ///< allowed, never seen here
-};
-
-/** Observed vs allowed outcomes of one policy over all its variants. */
-struct PolicyCoverage
-{
-    PolicyKind policy = PolicyKind::Sc;
-    std::string model; ///< bounding model
-
-    std::vector<std::string> observed;   ///< allowed and seen
-    std::vector<std::string> unobserved; ///< allowed, never seen
-
-    /** Per-machine breakdown, cell order (union equals the aggregate). */
-    std::vector<MachineCoverage> machines;
-};
-
 /** Aggregate of one test over the whole fan. */
 struct TestReport
 {
@@ -207,7 +168,6 @@ struct TestReport
     bool axiomChecked = false; ///< the axiomatic stage ran
     bool axiomComplete = true; ///< enumeration was not truncated
     std::vector<ModelAllowedReport> axiomAllowed; ///< per model, sorted
-    std::vector<PolicyCoverage> coverage; ///< per policy, options order
 
     bool pass = true;
     std::vector<std::string> failures; ///< human-readable reasons
@@ -258,11 +218,14 @@ CorpusReport runCorpus(const std::vector<CompiledLitmus> &tests,
 
 /** Human-readable report: per-test tables, histograms, final summary.
  * @p coverage adds the per-policy observed/unobserved outcome lines
- * (wo-litmus --coverage-report). */
+ * (wo-litmus --coverage-report), derived from each cell's histogram and
+ * the axiom stage's allowed sets. */
 void printReport(std::ostream &os, const CorpusReport &report,
                  bool histograms = true, bool coverage = false);
 
-/** Machine-readable JSON report (stable key order). */
+/** Machine-readable JSON report (stable key order). Each test's
+ * "coverage" block holds the same observed/unobserved outcome split as
+ * printReport's coverage lines, per policy and per machine. */
 void writeJsonReport(std::ostream &os, const CorpusReport &report);
 
 /** Build a one-run StandingCoverage (runs = 1, seeds/baseSeed meta,

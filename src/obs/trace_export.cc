@@ -1,6 +1,5 @@
 #include "obs/trace_export.hh"
 
-#include <cstdio>
 #include <iomanip>
 #include <map>
 #include <ostream>
@@ -9,41 +8,11 @@
 #include <string>
 #include <utility>
 
+#include "sim/json.hh"
+
 namespace wo {
 
 namespace {
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
 
 /** Stable small thread id for one (component, index) pair. */
 int

@@ -148,7 +148,6 @@ replayOnSystem(ReplayTraceReader &reader, const SystemReplayOptions &opt)
         if (!completed)
             res.error = "replay run did not complete (tick limit?)";
         res.raceFree = checker.raceFree();
-        res.hbCyclic = checker.hbCyclic();
         res.races = checker.sortedRaces();
         res.accesses = checker.consumed();
         res.eventsRetired = sys.trace().retired();

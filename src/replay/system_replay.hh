@@ -77,7 +77,6 @@ struct SystemReplayResult
     std::string error;
 
     bool raceFree = true;
-    bool hbCyclic = false;
     std::vector<Race> races; ///< sorted by id pair
 
     std::uint64_t accesses = 0; ///< accesses fed to the checker

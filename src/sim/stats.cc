@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <iomanip>
 
+#include "sim/json.hh"
+
 namespace wo {
 
 StatHandle
@@ -128,25 +130,13 @@ StatSet::dumpJson(std::ostream &os, const std::string &prefix_filter,
                   int indent) const
 {
     syncValues();
-    // Names are "component.stat" identifiers; escape the JSON string
-    // metacharacters anyway so arbitrary names stay well-formed.
-    auto escape = [](const std::string &s) {
-        std::string out;
-        out.reserve(s.size());
-        for (char c : s) {
-            if (c == '"' || c == '\\')
-                out += '\\';
-            out += c;
-        }
-        return out;
-    };
     const std::string pad(static_cast<std::size_t>(indent), ' ');
     bool any = false;
     os << "{";
     for (const auto &[k, v] : values_) {
         if (k.rfind(prefix_filter, 0) != 0)
             continue;
-        os << (any ? ",\n" : "\n") << pad << "  \"" << escape(k)
+        os << (any ? ",\n" : "\n") << pad << "  \"" << jsonEscape(k)
            << "\": " << v;
         any = true;
     }

@@ -408,22 +408,16 @@ TEST(CoverageRunner, PoolAndThreadCountDoNotChangeCoverage)
     opt.coverage = true;
     opt.policies = {PolicyKind::Sc, PolicyKind::Relaxed};
 
-    struct Cfg
-    {
-        int threads;
-        bool pool;
-    };
+    // Each thread count spreads the jobs over different pooled Systems.
     std::vector<std::string> docs;
-    for (Cfg c : {Cfg{1, true}, Cfg{4, true}, Cfg{2, false}}) {
-        opt.threads = c.threads;
-        opt.systemPool = c.pool;
+    for (int threads : {1, 4}) {
+        opt.threads = threads;
         CorpusReport rep = runCorpus(corpus, opt);
         std::ostringstream os;
         writeCoverageReport(os, rep);
         docs.push_back(os.str());
     }
     EXPECT_EQ(docs[0], docs[1]);
-    EXPECT_EQ(docs[0], docs[2]);
     EXPECT_NE(docs[0].find("trans\tmsi\t"), std::string::npos);
     EXPECT_NE(docs[0].find("outcome\tsb\t"), std::string::npos);
 }

@@ -34,7 +34,6 @@ expectEquivalent(const ExecutionTrace &trace, const std::string &what)
     Drf0TraceReport bitset = checkTraceBitset(trace);
     EXPECT_EQ(vc.raceFree, bitset.raceFree) << what;
     EXPECT_EQ(vc.races, bitset.races) << what;
-    EXPECT_EQ(vc.hbCyclic, bitset.hbCyclic) << what;
 }
 
 /** One random-schedule trace of @p mp. */

@@ -136,8 +136,7 @@ TEST(HappensBefore, ArtificialCycleIsReportedNotSilent)
     int tb = t.add(mk(1, 1, AccessKind::SyncWrite, 100, 2));
     HappensBefore hb(t);
     // On cyclic input the closure is only partial (even direct edges may
-    // be missing), so the one reliable signal is the cycle report —
-    // checkTrace() keys its degenerate-verdict flag off it.
+    // be missing), so the one reliable signal is the cycle report.
     EXPECT_FALSE(hb.acyclic());
     EXPECT_FALSE(hb.ordered(sa, sa));
     (void)sb;

@@ -8,12 +8,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <iomanip>
 #include <set>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <sys/wait.h>
 
@@ -388,25 +391,59 @@ TEST(LitmusRunner, CoverageBreaksDownPerMachine)
     ASSERT_EQ(rep.tests.size(), 1u);
     const TestReport &tr = rep.tests[0];
     ASSERT_TRUE(tr.axiomChecked);
-    ASSERT_EQ(tr.coverage.size(), 2u);
 
-    std::size_t machine_count = defaultMachines().size();
-    for (const PolicyCoverage &pc : tr.coverage) {
-        ASSERT_EQ(pc.machines.size(), machine_count);
-        std::size_t allowed =
-            pc.observed.size() + pc.unobserved.size();
-        std::set<std::string> union_observed;
-        for (const MachineCoverage &mc : pc.machines) {
-            // Every machine slice partitions the same allowed set.
-            EXPECT_EQ(mc.observed.size() + mc.unobserved.size(),
-                      allowed);
-            union_observed.insert(mc.observed.begin(),
-                                  mc.observed.end());
+    // Each policy's "observed N/M" coverage line is followed by one
+    // "<machine> n/M" line per cell. Recompute every count from the
+    // cells' histograms and the axiom stage's allowed sets: each slice
+    // partitions the same allowed set, and the aggregate observed set is
+    // the per-machine union.
+    std::ostringstream os;
+    printReport(os, rep, /*histograms=*/false, /*coverage=*/true);
+    std::vector<std::string> lines;
+    std::istringstream in(os.str());
+    for (std::string l; std::getline(in, l);)
+        lines.push_back(l.substr(0, l.find(';'))); // drop the gap lists
+    for (PolicyKind pk : opt.policies) {
+        std::vector<const CellReport *> cells;
+        for (const CellReport &cell : tr.cells) {
+            if (cell.policy == pk)
+                cells.push_back(&cell);
         }
-        // The aggregate observed set is exactly the per-machine union.
-        EXPECT_EQ(union_observed,
-                  std::set<std::string>(pc.observed.begin(),
-                                        pc.observed.end()));
+        ASSERT_EQ(cells.size(), defaultMachines().size());
+        std::vector<std::string> allowed;
+        for (const ModelAllowedReport &mar : tr.axiomAllowed) {
+            if (mar.model == cells[0]->axiomModel)
+                allowed = mar.outcomes;
+        }
+        ASSERT_FALSE(allowed.empty());
+
+        std::vector<std::string> want(1);
+        std::set<std::string> union_observed;
+        for (const CellReport *cell : cells) {
+            int here = 0;
+            for (const std::string &key : allowed) {
+                if (cell->histogram.count(key)) {
+                    ++here;
+                    union_observed.insert(key);
+                }
+            }
+            std::ostringstream line;
+            line << "     " << std::left << std::setw(9) << cell->variant
+                 << here << "/" << allowed.size();
+            want.push_back(line.str());
+        }
+        std::ostringstream agg;
+        agg << "   coverage [" << toString(pk) << " via "
+            << cells[0]->axiomModel << "]: observed "
+            << union_observed.size() << "/" << allowed.size();
+        want[0] = agg.str();
+
+        auto at = std::find(lines.begin(), lines.end(), want[0]);
+        ASSERT_LE(want.size(), static_cast<std::size_t>(lines.end() - at))
+            << want[0];
+        EXPECT_EQ(std::vector<std::string>(
+                      at, at + static_cast<std::ptrdiff_t>(want.size())),
+                  want);
     }
 
     // The standing wocover rendering carries machine metadata, the
@@ -420,6 +457,27 @@ TEST(LitmusRunner, CoverageBreaksDownPerMachine)
     EXPECT_NE(doc.find("machine\tnet-u\tnone\t0"), std::string::npos);
     EXPECT_NE(doc.find("trans\tmsi\t"), std::string::npos);
     EXPECT_NE(doc.find("outcome\tsb\t"), std::string::npos);
+}
+
+TEST(LitmusRunner, JsonReportEscapesControlCharacters)
+{
+    // A file path is user input: control characters in it must come out
+    // as JSON escapes, never as raw bytes that break the document.
+    std::vector<CompiledLitmus> corpus;
+    corpus.push_back(compileLitmus(parseLitmus(kMp, "a\rb\x01.litmus")));
+    RunnerOptions opt;
+    opt.seeds = 1;
+    opt.drf0Schedules = 10;
+    opt.policies = {PolicyKind::Sc};
+    std::ostringstream js;
+    writeJsonReport(js, runCorpus(corpus, opt));
+    const std::string doc = js.str();
+    EXPECT_NE(doc.find("\"file\": \"a\\rb\\u0001.litmus\""),
+              std::string::npos);
+    for (char c : doc) {
+        EXPECT_FALSE(static_cast<unsigned char>(c) < 0x20 && c != '\n')
+            << "raw control byte " << static_cast<int>(c);
+    }
 }
 
 TEST(LitmusRunner, FindLitmusFilesRejectsMissingPath)
@@ -466,6 +524,20 @@ TEST(WoLitmusTool, BadUsageExitsTwo)
     EXPECT_EQ(woLitmusExit("--no-such-flag"), 2);
     EXPECT_EQ(woLitmusExit(""), 2); // no corpus paths
     EXPECT_EQ(woLitmusExit("--coverage-report="), 2); // empty file
+
+    // Malformed --seeds values, next to a corpus that would otherwise
+    // run and pass.
+    const std::string corpus = ::testing::TempDir() + "/wo_seeds_mp.litmus";
+    {
+        std::ofstream out(corpus);
+        ASSERT_TRUE(out);
+        out << kMp;
+    }
+    for (const char *bad : {"--seeds=20abc", "--seeds=", "--seeds=0",
+                            "--seeds=-3", "--seeds=0x10",
+                            "--seeds=99999999999999999999"}) {
+        EXPECT_EQ(woLitmusExit(std::string(bad) + " " + corpus), 2) << bad;
+    }
 }
 
 TEST(WoLitmusTool, CoverageReportFileIsWritten)

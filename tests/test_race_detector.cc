@@ -262,23 +262,20 @@ TEST(RaceDetector, OnlineAttachmentMatchesOfflineCheck)
     EXPECT_EQ(det.hasRace(), !offline.raceFree);
 }
 
-TEST(Drf0Trace, CyclicHbFallsBackAndIsFlagged)
+TEST(Drf0Trace, CyclicHbIsRejected)
 {
-    // Artificial (po U so) cycle — no machine can produce one, but the
-    // checker must flag it instead of silently reporting a partial
-    // order: po gives sa->sb and ta->tb while commit ticks give the so
-    // edges tb->sa (location 100) and sb->ta (location 101).
+    // Artificial (po U so) cycle — no machine can produce one, and it
+    // has no happens-before order to check, so the checker must reject
+    // it instead of reporting races against a partial order: po gives
+    // sa->sb and ta->tb while commit ticks give the so edges tb->sa
+    // (location 100) and sb->ta (location 101).
     ExecutionTrace t;
     t.add(mk(0, 0, AccessKind::SyncWrite, 100, 10));
     t.add(mk(0, 1, AccessKind::SyncWrite, 101, 1));
     t.add(mk(1, 0, AccessKind::SyncWrite, 101, 5));
     t.add(mk(1, 1, AccessKind::SyncWrite, 100, 2));
-    Drf0TraceReport vc = checkTrace(t);
-    Drf0TraceReport bitset = checkTraceBitset(t);
-    EXPECT_TRUE(vc.hbCyclic);
-    EXPECT_TRUE(bitset.hbCyclic);
-    EXPECT_EQ(vc.raceFree, bitset.raceFree);
-    EXPECT_EQ(vc.races, bitset.races);
+    EXPECT_THROW(checkTrace(t), std::invalid_argument);
+    EXPECT_FALSE(HappensBefore(t).acyclic());
 }
 
 } // namespace

@@ -9,9 +9,9 @@
  *  - lifecycle unit tests (replay identity, seed changes, program swaps,
  *    the guards that reject incompatible reuse);
  *  - pool behaviour (hit/miss accounting, incompatible configs rebuild);
- *  - corpus differentials (the full litmus fan with pooling on vs off at
- *    1 and 4 worker threads, and a fuzz sweep of random DRF0/racy
- *    programs replayed through one pooled instance).
+ *  - pooled-vs-fresh differentials (a fuzz sweep of random DRF0/racy
+ *    programs and the shipped litmus corpus, replayed through pooled
+ *    instances), plus corpus reports identical at 1 and 4 workers.
  */
 
 #include <gtest/gtest.h>
@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "consistency/policy.hh"
 #include "litmus/runner.hh"
 #include "system/machine_spec.hh"
 #include "system/system.hh"
@@ -51,6 +52,18 @@ freshRun(const MultiProgram &prog, const SystemConfig &cfg)
     System sys(prog, cfg);
     bool finished = sys.run();
     return snapshot(sys, finished);
+}
+
+/** Run @p prog on @p pool's System for @p key and on a fresh
+ * construction: the two must be indistinguishable. */
+void
+expectPooledMatchesFresh(SystemPool &pool, const std::string &key,
+                         const MultiProgram &prog, const SystemConfig &cfg,
+                         const std::string &what)
+{
+    System &sys = pool.acquire(key, prog, cfg);
+    std::string pooled = snapshot(sys, sys.run());
+    EXPECT_EQ(pooled, freshRun(prog, cfg)) << what;
 }
 
 RandomWorkloadConfig
@@ -248,11 +261,10 @@ TEST(SystemPool, PooledRunsMatchFreshRunsAcrossManyRandomPrograms)
                                         : randomRacyProgram(w, 1);
                 SystemConfig cfg =
                     m.config(pk, campaignJobSeed(99, i));
-                System &sys = pool.acquire(
-                    m.name + "/" + toString(pk), prog, cfg);
-                std::string pooled = snapshot(sys, sys.run());
-                ASSERT_EQ(pooled, freshRun(prog, cfg))
-                    << machine << "/" << toString(pk) << " program " << i;
+                expectPooledMatchesFresh(
+                    pool, m.name + "/" + toString(pk), prog, cfg,
+                    m.name + "/" + toString(pk) + " program " +
+                        std::to_string(i));
                 ++checked;
             }
         }
@@ -277,33 +289,64 @@ corpusBytes(const std::vector<litmus_dsl::CompiledLitmus> &tests,
     return oss.str();
 }
 
-TEST(SystemPool, CorpusReportsIdenticalWithAndWithoutPooling)
+std::vector<litmus_dsl::CompiledLitmus>
+litmusCorpus()
 {
-    // The tentpole differential: the shipped litmus corpus, pooling on
-    // vs off, single-threaded and 4 workers — all four report strings
-    // (verdicts, histograms, JSON, merged stats) must be byte-identical.
     std::vector<litmus_dsl::CompiledLitmus> tests;
     for (const std::string &f :
          litmus_dsl::findLitmusFiles({WO_LITMUS_DIR}))
         tests.push_back(litmus_dsl::compileLitmusFile(f));
-    ASSERT_GE(tests.size(), 15u);
+    return tests;
+}
 
-    litmus_dsl::RunnerOptions options;
-    options.seeds = 3; // keep the 4-way product test-suite fast
-    std::string golden; // pool off, threads 1
-    for (int threads : {1, 4}) {
-        for (bool pooled : {false, true}) {
-            options.threads = threads;
-            options.systemPool = pooled;
-            std::string bytes = corpusBytes(tests, options);
-            if (golden.empty()) {
-                golden = bytes;
-                continue;
+TEST(SystemPool, PooledRunsMatchFreshRunsAcrossLitmusCorpus)
+{
+    // The shipped litmus corpus on the default machines under every
+    // runner policy, 3 seeds each, exactly as wo-litmus acquires its
+    // Systems: every pooled run must match a fresh construction.
+    std::vector<litmus_dsl::CompiledLitmus> tests = litmusCorpus();
+    ASSERT_GE(tests.size(), 15u);
+    const std::vector<PolicyKind> policies =
+        litmus_dsl::RunnerOptions().policies;
+    SystemPool pool;
+    int checked = 0;
+    for (const litmus_dsl::CompiledLitmus &test : tests) {
+        for (const MachineSpec *m : litmus_dsl::defaultMachines()) {
+            for (PolicyKind pk : policies) {
+                const std::string key = m->name + "/" + toString(pk);
+                for (int seed = 0; seed < 3; ++seed) {
+                    SystemConfig cfg =
+                        m->config(pk, campaignJobSeed(7, seed));
+                    if (!cfg.cached && makePolicy(pk)->requiresCache()) {
+                        // Illegal pair: the pool must refuse it too.
+                        EXPECT_THROW(pool.acquire(key, test.program, cfg),
+                                     std::invalid_argument);
+                        continue;
+                    }
+                    expectPooledMatchesFresh(pool, key, test.program, cfg,
+                                             test.name + " " + key +
+                                                 " seed " +
+                                                 std::to_string(seed));
+                    ++checked;
+                }
             }
-            EXPECT_EQ(bytes, golden)
-                << "threads=" << threads << " pooled=" << pooled;
         }
     }
+    EXPECT_GE(checked, 500);
+    EXPECT_GT(pool.reuses(), 0u);
+}
+
+TEST(SystemPool, CorpusReportsIdenticalAcrossThreadCounts)
+{
+    // The whole corpus report (verdicts, histograms, JSON, merged stats)
+    // from pooled runs must not depend on how jobs spread over workers.
+    std::vector<litmus_dsl::CompiledLitmus> tests = litmusCorpus();
+    litmus_dsl::RunnerOptions options;
+    options.seeds = 3; // keep the test suite fast
+    options.threads = 1;
+    std::string golden = corpusBytes(tests, options);
+    options.threads = 4;
+    EXPECT_EQ(corpusBytes(tests, options), golden);
 }
 
 #endif // WO_LITMUS_DIR

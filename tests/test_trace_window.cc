@@ -247,7 +247,7 @@ TEST(TraceWindow, DrainWindowRespectsHorizon)
     EXPECT_EQ(chk.frontier(), 1);
 }
 
-TEST(TraceWindow, FinishFlagsCyclicLeftovers)
+TEST(TraceWindow, FinishRejectsCyclicLeftovers)
 {
     // Artificial (po U so) cycle: po a->b, c->d with so d->a and b->c
     // (sync commit order at each location opposes program order).
@@ -257,12 +257,10 @@ TEST(TraceWindow, FinishFlagsCyclicLeftovers)
     t.add(mk(1, 0, AccessKind::SyncRmw, 20, 5));  // c, id 2
     t.add(mk(1, 1, AccessKind::SyncRmw, 10, 5));  // d, id 3
 
-    Drf0TraceReport oracle = checkTraceBitset(t);
-    EXPECT_TRUE(oracle.hbCyclic);
+    EXPECT_FALSE(HappensBefore(t).acyclic());
 
     StreamingDrf0Checker chk(2, RaceDetectMode::AllRaces);
-    chk.finish(t);
-    EXPECT_TRUE(chk.hbCyclic());
+    EXPECT_THROW(chk.finish(t), std::invalid_argument);
 }
 
 } // namespace

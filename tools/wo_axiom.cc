@@ -37,6 +37,7 @@
 #include "litmus/compiler.hh"
 #include "litmus/expect.hh"
 #include "litmus/runner.hh"
+#include "sim/json.hh"
 
 namespace {
 
@@ -51,18 +52,6 @@ usage(std::ostream &os)
           "[--drf0=auto|yes|no]\n"
           "                [--stats] [--json[=FILE]] <file-or-dir>...\n";
     return 2;
-}
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        out += c;
-    }
-    return out;
 }
 
 /** Outcome key of @p r with untouched clause locations filled from the

@@ -7,11 +7,13 @@
  * Loads every .litmus file named (directories scanned for *.litmus),
  * compiles them, fans runs across seeds x consistency policies x system
  * variants on the parallel campaign engine, and prints a per-test
- * outcome histogram plus a PASS/FAIL table. Output is byte-identical
- * for any --threads value.
+ * outcome histogram plus a PASS/FAIL table. Each worker thread resets a
+ * pooled System per (machine, policy) cell rather than building one per
+ * run. Output is byte-identical for any --threads value.
  *
  * Options:
- *   --seeds=N        seeds per (policy, machine) cell        [20]
+ *   --seeds=N        seeds per (policy, machine) cell, a positive
+ *                    integer                                 [20]
  *   --threads=N      worker threads (or WO_THREADS)          [hardware]
  *   --seed=S         base of the deterministic seed stream   [1]
  *   --policies=a,b   subset of sc,def1,def2drf0,def2drf1,relaxed
@@ -19,14 +21,6 @@
  *   --list-machines  print the machine registry and exit
  *   --json[=FILE]    write a JSON report (to FILE, else stdout)
  *   --no-verify      skip per-run SC verification
- *   --no-drf0-memo   re-run the sampled DRF0 check for every test
- *                    instead of memoizing verdicts by program content
- *                    (the memo never changes a verdict — this flag
- *                    exists for timing comparisons and debugging)
- *   --no-pool        construct a fresh System per run instead of
- *                    resetting a pooled per-worker instance (reports
- *                    are byte-identical either way — this flag exists
- *                    for timing comparisons and differential testing)
  *   --axiom-check    differential axiomatic stage (default): fail any
  *                    cell whose observed outcome the policy's bounding
  *                    axiomatic model forbids (witness cycle in the
@@ -57,6 +51,7 @@
  * Exit status: 0 all tests pass, 1 failures, 2 bad usage or parse error.
  */
 
+#include <charconv>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -80,8 +75,7 @@ usage(std::ostream &os)
           "relaxed]\n"
           "                 [--machines=LIST] [--list-machines]\n"
           "                 [--json[=FILE]] [--no-verify] "
-          "[--no-drf0-memo]\n"
-          "                 [--no-pool] [--no-histograms] [--list]\n"
+          "[--no-histograms] [--list]\n"
           "                 [--axiom-check] [--no-axiom-check]\n"
           "                 [--coverage-report[=FILE]]\n"
           "                 [--trace=STEM] [--trace-filter=LIST]\n"
@@ -147,8 +141,10 @@ main(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
         if (arg.rfind("--seeds=", 0) == 0) {
-            options.seeds = std::atoi(arg.c_str() + 8);
-            if (options.seeds <= 0) {
+            const char *first = arg.c_str() + 8;
+            const char *last = arg.c_str() + arg.size();
+            auto [end, ec] = std::from_chars(first, last, options.seeds);
+            if (ec != std::errc() || end != last || options.seeds <= 0) {
                 std::cerr << "wo-litmus: bad --seeds value\n";
                 return 2;
             }
@@ -175,10 +171,6 @@ main(int argc, char **argv)
             json_file = arg.substr(7);
         } else if (arg == "--no-verify") {
             options.verify = false;
-        } else if (arg == "--no-drf0-memo") {
-            options.drf0Memo = false;
-        } else if (arg == "--no-pool") {
-            options.systemPool = false;
         } else if (arg == "--axiom-check") {
             options.axiomCheck = true;
         } else if (arg == "--no-axiom-check") {
