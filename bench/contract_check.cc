@@ -14,9 +14,10 @@
 
 #include "bench_util.hh"
 #include "core/sc_verifier.hh"
+#include "litmus/compiler.hh"
+#include "litmus/expect.hh"
 #include "system/system.hh"
 #include "workload/campaign.hh"
-#include "workload/litmus.hh"
 #include "workload/random_gen.hh"
 
 namespace {
@@ -82,7 +83,10 @@ printContractTable(const MachineSpec &m, bool named)
     }
     t.print();
 
-    // The negative control: racy code on the relaxed machine.
+    // The negative control: racy code on the relaxed machine. The
+    // clause of sb.litmus is Dekker's SC-forbidden both-zero outcome.
+    const litmus_dsl::CompiledLitmus sb = litmus_dsl::compileLitmusFile(
+        std::string(WO_LITMUS_DIR) + "/sb.litmus");
     const int neg_runs = 100;
     int violations = campaign.reduce<int, int>(
         neg_runs,
@@ -90,10 +94,13 @@ printContractTable(const MachineSpec &m, bool named)
             SystemConfig cfg = machineOrThrow("net-u").config(
                 PolicyKind::Relaxed, jb.index + 1);
             cfg.net.jitter = 8; // the control's historical jitter
-            System sys(dekkerLitmus(), cfg);
+            System sys(sb.program, cfg);
             if (!sys.run())
                 return 0;
-            return dekkerViolatesSc(sys.result()) ? 1 : 0;
+            return litmus_dsl::evalCond(sb.clause.cond, sys.result(),
+                                        sb.addrOf)
+                       ? 1
+                       : 0;
         },
         0, [](int &acc, const int &one) { acc += one; });
     std::cout << "\nNegative control: Dekker (racy) on the relaxed "

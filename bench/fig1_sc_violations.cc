@@ -15,15 +15,26 @@
 
 #include "bench_util.hh"
 #include "core/sc_verifier.hh"
+#include "litmus/compiler.hh"
+#include "litmus/expect.hh"
 #include "system/system.hh"
 #include "workload/campaign.hh"
-#include "workload/litmus.hh"
 
 namespace {
 
 using namespace wo;
 
 wo::benchutil::BenchOptions g_opts; // resolved in main() from --threads/--seed
+
+/** The Dekker litmus (sb.litmus); its clause is the both-zero outcome. */
+const litmus_dsl::CompiledLitmus &
+dekker()
+{
+    static const litmus_dsl::CompiledLitmus c =
+        litmus_dsl::compileLitmusFile(std::string(WO_LITMUS_DIR) +
+                                      "/sb.litmus");
+    return c;
+}
 
 struct Fig1Config
 {
@@ -68,10 +79,12 @@ countViolations(const Fig1Config &fc, PolicyKind pk, int runs,
         runs,
         [&](const CampaignJob &jb) {
             int s = jb.index + 1;
-            System sys(dekkerLitmus(), buildConfig(fc, pk, s));
+            const litmus_dsl::CompiledLitmus &sb = dekker();
+            System sys(sb.program, buildConfig(fc, pk, s));
             if (!sys.run())
                 return 0;
-            if (!dekkerViolatesSc(sys.result()))
+            if (!litmus_dsl::evalCond(sb.clause.cond, sys.result(),
+                                      sb.addrOf))
                 return 0;
             if (verify_sc && verifySc(sys.trace()).sc()) {
                 std::cerr << "BUG: flagged outcome verified SC!\n";
@@ -110,7 +123,7 @@ BM_DekkerRun(benchmark::State &state)
     const auto &fc = fig1Configs()[state.range(0)];
     std::uint64_t seed = 1;
     for (auto _ : state) {
-        System sys(dekkerLitmus(),
+        System sys(dekker().program,
                    buildConfig(fc, PolicyKind::Relaxed, seed++));
         sys.run();
         benchmark::DoNotOptimize(sys.result());

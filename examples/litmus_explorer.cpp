@@ -12,11 +12,11 @@
 #include <iomanip>
 #include <iostream>
 
-#include "core/sc_verifier.hh"
+#include "litmus/compiler.hh"
+#include "litmus/expect.hh"
 #include "system/machine_spec.hh"
 #include "system/system.hh"
 #include "workload/campaign.hh"
-#include "workload/litmus.hh"
 
 namespace {
 
@@ -31,9 +31,11 @@ struct Config
     bool cached;
 };
 
+/** Runs of @p t whose outcome satisfies its clause: the SC-forbidden
+ * outcome, for both litmus files shown here. */
 int
-violations(const MultiProgram &mp, const Config &c, PolicyKind pk,
-           int seeds, bool (*bad)(const RunResult &))
+violations(const litmus_dsl::CompiledLitmus &t, const Config &c,
+           PolicyKind pk, int seeds)
 {
     // Every seed is an independent campaign job; the count is merged
     // in seed order, so any --threads value prints identical numbers.
@@ -44,10 +46,13 @@ violations(const MultiProgram &mp, const Config &c, PolicyKind pk,
             SystemConfig cfg =
                 machineOrThrow(c.machine).config(pk, jb.index + 1);
             cfg.net.jitter = 8; // every config at the default jitter
-            System sys(mp, cfg);
+            System sys(t.program, cfg);
             if (!sys.run())
                 return 0;
-            return bad(sys.result()) ? 1 : 0;
+            return litmus_dsl::evalCond(t.clause.cond, sys.result(),
+                                        t.addrOf)
+                       ? 1
+                       : 0;
         },
         0, [](int &acc, const int &one) { acc += one; });
 }
@@ -68,21 +73,25 @@ main(int argc, char **argv)
         {"net/cache  (warm)", "net", true},
     };
 
+    using litmus_dsl::compileLitmusFile;
+    const std::string dir = WO_LITMUS_DIR;
+    const litmus_dsl::CompiledLitmus dekker =
+        compileLitmusFile(dir + "/sb.litmus");
+    const litmus_dsl::CompiledLitmus iriw =
+        compileLitmusFile(dir + "/iriw.litmus");
+
     std::cout << "Dekker litmus (" << seeds
               << " seeds): SC-forbidden both-zero outcomes\n\n";
     std::cout << std::left << std::setw(22) << "configuration"
               << std::setw(12) << "Relaxed" << std::setw(12) << "SC"
               << std::setw(14) << "WO-Def2-DRF0" << "\n";
     for (const Config &c : configs) {
-        int relaxed = violations(dekkerLitmus(), c, PolicyKind::Relaxed,
-                                 seeds, dekkerViolatesSc);
-        int sc = violations(dekkerLitmus(), c, PolicyKind::Sc, seeds,
-                            dekkerViolatesSc);
+        int relaxed = violations(dekker, c, PolicyKind::Relaxed, seeds);
+        int sc = violations(dekker, c, PolicyKind::Sc, seeds);
         std::cout << std::setw(22) << c.label << std::setw(12) << relaxed
                   << std::setw(12) << sc;
         if (c.cached) {
-            int def2 = violations(dekkerLitmus(), c, PolicyKind::Def2Drf0,
-                                  seeds, dekkerViolatesSc);
+            int def2 = violations(dekker, c, PolicyKind::Def2Drf0, seeds);
             std::cout << std::setw(14) << def2;
         } else {
             std::cout << std::setw(14) << "n/a";
@@ -96,10 +105,8 @@ main(int argc, char **argv)
     std::cout << "\nIRIW litmus (" << seeds
               << " seeds): opposite write orders observed\n\n";
     for (const Config &c : configs) {
-        int relaxed = violations(iriwLitmus(), c, PolicyKind::Relaxed,
-                                 seeds, iriwViolatesSc);
-        int sc = violations(iriwLitmus(), c, PolicyKind::Sc, seeds,
-                            iriwViolatesSc);
+        int relaxed = violations(iriw, c, PolicyKind::Relaxed, seeds);
+        int sc = violations(iriw, c, PolicyKind::Sc, seeds);
         std::cout << std::setw(22) << c.label << "Relaxed: " << std::setw(6)
                   << relaxed << "SC: " << sc << "\n";
     }

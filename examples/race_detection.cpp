@@ -8,10 +8,11 @@
  */
 
 #include <iostream>
+#include <string>
 
 #include "core/drf0_checker.hh"
 #include "core/trace_render.hh"
-#include "cpu/program_builder.hh"
+#include "litmus/compiler.hh"
 #include "workload/figures.hh"
 #include "workload/litmus.hh"
 
@@ -36,7 +37,10 @@ main()
     // The Section 6 example: a barrier-count spin written with a plain
     // load instead of a Test. It "works" on SC hardware but is not DRF0,
     // so weakly ordered hardware promises nothing.
-    MultiProgram racy = racyMessagePassing(/*spin_bound=*/2);
+    MultiProgram racy =
+        litmus_dsl::compileLitmusFile(std::string(WO_LITMUS_DIR) +
+                                      "/mp_spin.litmus")
+            .program;
     std::cout << racy.toString();
     Drf0ProgramReport rp = checkProgram(racy);
     std::cout << "obeys DRF0: " << (rp.obeysDrf0 ? "yes" : "no") << " ("

@@ -1,6 +1,8 @@
 #include "litmus/parser.hh"
 
 #include <cctype>
+#include <charconv>
+#include <cstdint>
 #include <fstream>
 #include <sstream>
 #include <vector>
@@ -107,17 +109,46 @@ isRegToken(const std::string &s)
     return true;
 }
 
-/** "P<n>" (either case) → n, or -1 when the token is something else. */
-int
-procNumber(const std::string &s)
+/** All of @p s from offset @p from as a decimal T; false when it does
+ * not fit (or is not a number). */
+template <typename T>
+bool
+parseDecimal(const std::string &s, std::size_t from, T &out)
 {
+    const char *end = s.data() + s.size();
+    auto [ptr, ec] = std::from_chars(s.data() + from, end, out);
+    return ec == std::errc() && ptr == end;
+}
+
+/** Register number of an r<N> token; throws when N overflows an int. */
+int
+regNumber(const Token &t, const std::string &file)
+{
+    int n = 0;
+    if (!parseDecimal(t.text, 1, n))
+        throw LitmusError(file, t.line,
+                          "register number out of range: '" + t.text +
+                              "'");
+    return n;
+}
+
+/** "P<n>" (either case) → n, or -1 when the token is something else;
+ * throws when n overflows an int. */
+int
+procNumber(const Token &t, const std::string &file)
+{
+    const std::string &s = t.text;
     if (s.size() < 2 || (s[0] != 'P' && s[0] != 'p'))
         return -1;
     for (std::size_t i = 1; i < s.size(); ++i) {
         if (!std::isdigit(static_cast<unsigned char>(s[i])))
             return -1;
     }
-    return std::stoi(s.substr(1));
+    int n = 0;
+    if (!parseDecimal(s, 1, n))
+        throw LitmusError(file, t.line,
+                          "processor number out of range: '" + s + "'");
+    return n;
 }
 
 std::string
@@ -188,11 +219,16 @@ class Cur
         if (!isNumber(t.text))
             fail("expected " + std::string(what) + ", got '" + t.text +
                  "'");
+        // A negative value is stored two's complement, so it must fit
+        // an int64; a non-negative one must fit the 64-bit word.
         bool neg = t.text[0] == '-';
-        std::uint64_t v = 0;
-        for (std::size_t i = neg ? 1 : 0; i < t.text.size(); ++i)
-            v = v * 10 + static_cast<std::uint64_t>(t.text[i] - '0');
-        return neg ? static_cast<Word>(~v + 1) : static_cast<Word>(v);
+        Word v = 0;
+        std::int64_t sv = 0;
+        if (neg ? !parseDecimal(t.text, 0, sv) : !parseDecimal(t.text, 0, v))
+            throw LitmusError(file_, t.line,
+                              std::string(what) + " out of range: '" +
+                                  t.text + "'");
+        return neg ? static_cast<Word>(sv) : v;
     }
 
     int
@@ -202,7 +238,7 @@ class Cur
         if (!isRegToken(t.text))
             fail("expected register (r<N>) for " + std::string(what) +
                  ", got '" + t.text + "'");
-        return std::stoi(t.text.substr(1));
+        return regNumber(t, file_);
     }
 
     [[noreturn]] void
@@ -242,7 +278,7 @@ parseInsn(Cur &c, Stmt &s)
         if (has_operand) {
             const Token &v = c.next("value");
             if (isRegToken(v.text)) {
-                s.reg2 = std::stoi(v.text.substr(1));
+                s.reg2 = regNumber(v, c.file());
             } else if (isNumber(v.text)) {
                 Cur tmp({{v.text, v.line}}, c.file());
                 s.imm = tmp.number("value");
@@ -314,7 +350,7 @@ parseAtom(Cur &c)
         return n;
     }
     const Token &t = c.next("condition term");
-    int proc = procNumber(t.text);
+    int proc = procNumber(t, c.file());
     if (proc >= 0 && c.accept(":")) {
         n.kind = Cond::Kind::RegTerm;
         n.proc = proc;
@@ -430,7 +466,7 @@ parseLitmus(const std::string &source, const std::string &file)
         int expect_proc = 0;
         for (;;) {
             const Token &p = c.next("processor header 'P<n>'");
-            if (procNumber(p.text) != expect_proc) {
+            if (procNumber(p, file) != expect_proc) {
                 throw LitmusError(file, p.line,
                                   "expected processor header 'P" +
                                       std::to_string(expect_proc) +

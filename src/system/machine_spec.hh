@@ -3,13 +3,13 @@
  * Named machine registry: the single place where the simulated machines
  * of this repo are defined.
  *
- * Every tool, bench and example used to assemble its `SystemConfig`s by
+ * Every tool, bench and example used to build its `SystemConfig`s by
  * hand, which duplicated the paper's hardware configurations in a dozen
  * places and let them drift. A MachineSpec is a named, documented recipe
  * for one machine; `config()` produces the corresponding SystemConfig.
  * Call sites obtain a base config from the registry and then apply
  * site-specific tuning (tick limits, cache geometry, sweep knobs) — they
- * never assemble a SystemConfig from scratch.
+ * never build a SystemConfig from scratch.
  *
  * Registered machines:
  *   bus        shared-bus, cache-coherent; write buffers under Relaxed

@@ -7,52 +7,6 @@ namespace wo {
 using namespace litmus;
 
 MultiProgram
-dekkerLitmus()
-{
-    MultiProgram mp("dekker");
-    ProgramBuilder p0, p1;
-    p0.store(kX, 1).load(0, kY).halt();
-    p1.store(kY, 1).load(0, kX).halt();
-    mp.addProgram(p0.build());
-    mp.addProgram(p1.build());
-    return mp;
-}
-
-bool
-dekkerViolatesSc(const RunResult &r)
-{
-    return r.registers.size() >= 2 && r.registers[0][0] == 0 &&
-           r.registers[1][0] == 0;
-}
-
-MultiProgram
-racyMessagePassing(int spin_bound)
-{
-    MultiProgram mp("racy-mp");
-    ProgramBuilder p0, p1;
-    p0.store(kData, 42).store(kFlag, 1).halt();
-    if (spin_bound <= 0) {
-        // Unbounded data-read spin (Section 6's barrier-count example).
-        p1.label("spin").load(0, kFlag).beq(0, 0, "spin").load(1, kData)
-            .halt();
-    } else {
-        // Bounded spin: give up after spin_bound tries (r2 counts).
-        p1.movi(2, 0)
-            .label("spin")
-            .load(0, kFlag)
-            .bne(0, 0, "go")
-            .addi(2, 2, 1)
-            .bne(2, static_cast<Word>(spin_bound), "spin")
-            .label("go")
-            .load(1, kData)
-            .halt();
-    }
-    mp.addProgram(p0.build());
-    mp.addProgram(p1.build());
-    return mp;
-}
-
-MultiProgram
 syncMessagePassing()
 {
     MultiProgram mp("sync-mp");
@@ -158,22 +112,6 @@ syncBarrier(int num_procs)
 }
 
 MultiProgram
-iriwLitmus()
-{
-    MultiProgram mp("iriw");
-    ProgramBuilder p0, p1, p2, p3;
-    p0.store(kX, 1).halt();
-    p1.store(kY, 1).halt();
-    p2.load(0, kX).load(1, kY).halt();
-    p3.load(0, kY).load(1, kX).halt();
-    mp.addProgram(p0.build());
-    mp.addProgram(p1.build());
-    mp.addProgram(p2.build());
-    mp.addProgram(p3.build());
-    return mp;
-}
-
-MultiProgram
 petersonCounter(bool labeled, int rounds)
 {
     using namespace litmus;
@@ -224,15 +162,6 @@ Word
 petersonExpectedCount(int rounds)
 {
     return static_cast<Word>(2 * rounds);
-}
-
-bool
-iriwViolatesSc(const RunResult &r)
-{
-    // P2 saw X then not-yet Y; P3 saw Y then not-yet X.
-    return r.registers.size() >= 4 && r.registers[2][0] == 1 &&
-           r.registers[2][1] == 0 && r.registers[3][0] == 1 &&
-           r.registers[3][1] == 0;
 }
 
 } // namespace wo

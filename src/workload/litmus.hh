@@ -1,38 +1,33 @@
 /**
  * @file
- * Litmus-test library: the programs the paper reasons about.
+ * Parametric litmus builders: the programs whose shape the .litmus
+ * corpus (tests/litmus/) cannot express.
  *
- * Address map convention used by all litmus builders: data locations
- * first, then synchronization locations; helpers return the addresses
- * they used so harnesses can inspect results.
+ * Fixed-shape programs (Dekker/SB, IRIW, racy message passing, ...)
+ * live only in the corpus; load them with
+ * litmus_dsl::compileLitmusFile and judge a run with
+ * litmus_dsl::evalCond on the file's clause. The builders below stay
+ * because their callers need what a file cannot give:
+ *
+ *  - a parameter: the processor count and rounds of the lock counters
+ *    and the barrier, the work between Figure 3's operations, and
+ *    Peterson's rounds;
+ *  - an address map: the DSL interns data locations first, then sync
+ *    locations, in declaration order, while these builders use the
+ *    fixed addresses below (syncMessagePassing's flag sits at 2, the
+ *    DSL would put it at 1). Runs that pin golden numbers to these
+ *    maps differ under the DSL's.
+ *
+ * tests/test_litmus_roundtrip.cc proves each builder is structurally
+ * equal to its corpus file (modulo an address renaming).
  */
 
 #ifndef WO_WORKLOAD_LITMUS_HH
 #define WO_WORKLOAD_LITMUS_HH
 
-#include "core/trace.hh"
 #include "cpu/program.hh"
 
 namespace wo {
-
-/**
- * Figure 1: the Dekker-style litmus.
- *
- *   P0: X = 1; r0 = Y        P1: Y = 1; r0 = X
- *
- * Sequential consistency forbids r0 == 0 on both processors.
- */
-MultiProgram dekkerLitmus();
-
-/** True if a Dekker result is the SC-forbidden both-zero outcome. */
-bool dekkerViolatesSc(const RunResult &r);
-
-/**
- * Racy message passing (NOT DRF0): P0 writes data then a plain flag; P1
- * spins on the flag with ordinary reads, then reads data. The paper's
- * Section 6 "spinning on a barrier count with a data read" example.
- */
-MultiProgram racyMessagePassing(int spin_bound = 0);
 
 /**
  * DRF0 message passing: P0 writes data then Unsets a sync flag; P1 spins
@@ -71,16 +66,6 @@ MultiProgram tasLockCounter(int num_procs, int rounds);
 MultiProgram syncBarrier(int num_procs);
 
 /**
- * Independent reads of independent writes (IRIW): P0 writes X, P1 writes
- * Y, P2 reads X then Y, P3 reads Y then X. SC forbids the two readers
- * observing the writes in opposite orders.
- */
-MultiProgram iriwLitmus();
-
-/** True if an IRIW result shows the SC-forbidden opposite orders. */
-bool iriwViolatesSc(const RunResult &r);
-
-/**
  * Peterson's 2-process mutual-exclusion algorithm, with a non-atomic
  * shared-counter increment in the critical section.
  *
@@ -101,9 +86,7 @@ Word petersonExpectedCount(int rounds);
 /** Addresses used by the litmus builders. */
 namespace litmus {
 inline constexpr Addr kX = 0;
-inline constexpr Addr kY = 1;
 inline constexpr Addr kData = 0;
-inline constexpr Addr kFlag = 1;
 inline constexpr Addr kSync = 2;
 inline constexpr Addr kCounter = 0;
 inline constexpr Addr kLock = 1;

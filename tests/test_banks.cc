@@ -7,13 +7,20 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/sc_verifier.hh"
+#include "litmus/compiler.hh"
+#include "litmus/expect.hh"
 #include "system/system.hh"
 #include "workload/litmus.hh"
 #include "workload/random_gen.hh"
 
 namespace wo {
 namespace {
+
+using litmus_dsl::compileLitmusFile;
+using litmus_dsl::evalCond;
 
 TEST(Banks, MultiDirectoryDrf0WorkloadsStaySc)
 {
@@ -48,14 +55,17 @@ TEST(Banks, MultiDirectoryMutualExclusionExact)
 
 TEST(Banks, ManyMemoryModulesUncachedScStillSc)
 {
+    const litmus_dsl::CompiledLitmus sb =
+        compileLitmusFile(std::string(WO_LITMUS_DIR) + "/sb.litmus");
     for (int mods : {1, 2, 4, 8}) {
         SystemConfig cfg;
         cfg.policy = PolicyKind::Sc;
         cfg.cached = false;
         cfg.numMemModules = mods;
-        System sys(dekkerLitmus(), cfg);
+        System sys(sb.program, cfg);
         ASSERT_TRUE(sys.run()) << mods << " modules";
-        EXPECT_FALSE(dekkerViolatesSc(sys.result())) << mods;
+        EXPECT_FALSE(evalCond(sb.clause.cond, sys.result(), sb.addrOf))
+            << mods;
         EXPECT_TRUE(verifySc(sys.trace()).sc()) << mods;
     }
 }
@@ -66,6 +76,8 @@ TEST(Banks, SingleModuleSerializationPreventsCase2Violation)
     // module the module's own serialization restores order even for the
     // relaxed machine (writes and reads of one processor stay ordered
     // through the single service queue and the p2p-FIFO network).
+    const litmus_dsl::CompiledLitmus sb =
+        compileLitmusFile(std::string(WO_LITMUS_DIR) + "/sb.litmus");
     int violations_one = 0, violations_two = 0;
     for (std::uint64_t seed = 1; seed <= 40; ++seed) {
         for (int mods : {1, 2}) {
@@ -74,9 +86,9 @@ TEST(Banks, SingleModuleSerializationPreventsCase2Violation)
             cfg.cached = false;
             cfg.numMemModules = mods;
             cfg.net.seed = seed;
-            System sys(dekkerLitmus(), cfg);
+            System sys(sb.program, cfg);
             ASSERT_TRUE(sys.run());
-            if (dekkerViolatesSc(sys.result())) {
+            if (evalCond(sb.clause.cond, sys.result(), sb.addrOf)) {
                 if (mods == 1)
                     ++violations_one;
                 else
@@ -92,7 +104,9 @@ TEST(Banks, RejectsZeroBanks)
 {
     SystemConfig cfg;
     cfg.numDirs = 0;
-    EXPECT_THROW(System(dekkerLitmus(), cfg), std::invalid_argument);
+    const litmus_dsl::CompiledLitmus sb =
+        compileLitmusFile(std::string(WO_LITMUS_DIR) + "/sb.litmus");
+    EXPECT_THROW(System(sb.program, cfg), std::invalid_argument);
 }
 
 } // namespace

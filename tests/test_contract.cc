@@ -13,16 +13,22 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <tuple>
 
 #include "core/contract.hh"
 #include "core/sc_verifier.hh"
+#include "litmus/compiler.hh"
+#include "litmus/expect.hh"
 #include "system/system.hh"
 #include "workload/litmus.hh"
 #include "workload/random_gen.hh"
 
 namespace wo {
 namespace {
+
+using litmus_dsl::compileLitmusFile;
+using litmus_dsl::evalCond;
 
 using Param = std::tuple<PolicyKind, InterconnectKind, std::uint64_t>;
 
@@ -164,6 +170,8 @@ TEST(ContractViolation, RelaxedHardwareIsNotWeaklyOrderedForRacyCode)
     // The contract says nothing about non-DRF0 software: Dekker on the
     // relaxed machine (in-order issue, accesses overlapped across memory
     // modules — Figure 1 case 2) can and does produce non-SC results.
+    const litmus_dsl::CompiledLitmus sb =
+        compileLitmusFile(std::string(WO_LITMUS_DIR) + "/sb.litmus");
     int non_sc = 0;
     for (std::uint64_t seed = 1; seed <= 20; ++seed) {
         SystemConfig cfg;
@@ -172,9 +180,9 @@ TEST(ContractViolation, RelaxedHardwareIsNotWeaklyOrderedForRacyCode)
         cfg.interconnect = InterconnectKind::Network;
         cfg.numMemModules = 2; // X and Y live in different modules
         cfg.net.seed = seed;
-        System sys(dekkerLitmus(), cfg);
+        System sys(sb.program, cfg);
         ASSERT_TRUE(sys.run());
-        if (dekkerViolatesSc(sys.result())) {
+        if (evalCond(sb.clause.cond, sys.result(), sb.addrOf)) {
             ++non_sc;
             EXPECT_EQ(verifySc(sys.trace()).verdict, ScVerdict::NotSc);
         }
@@ -186,12 +194,14 @@ TEST(ContractViolation, Def2HardwareMayBreakRacyCodeButKeepsDrf0Safe)
 {
     // Under Def2/DRF0, Dekker (racy) may or may not violate SC — the
     // contract simply does not cover it. Sanity: no crash, run completes.
+    const litmus_dsl::CompiledLitmus sb =
+        compileLitmusFile(std::string(WO_LITMUS_DIR) + "/sb.litmus");
     for (std::uint64_t seed = 1; seed <= 10; ++seed) {
         SystemConfig cfg;
         cfg.policy = PolicyKind::Def2Drf0;
         cfg.net.seed = seed;
         cfg.warmCaches = true;
-        System sys(dekkerLitmus(), cfg);
+        System sys(sb.program, cfg);
         EXPECT_TRUE(sys.run());
     }
 }

@@ -9,7 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/drf0_checker.hh"
+#include "litmus/compiler.hh"
 #include "system/system.hh"
 #include "workload/litmus.hh"
 #include "workload/random_gen.hh"
@@ -61,9 +64,11 @@ TEST(DynamicRaces, DekkerTraceOnScHardwareStillRacy)
     // Race-freedom is a property of the program, not the machine: even a
     // sequentially consistent run of Dekker contains unordered
     // conflicting accesses.
+    const litmus_dsl::CompiledLitmus sb = litmus_dsl::compileLitmusFile(
+        std::string(WO_LITMUS_DIR) + "/sb.litmus");
     SystemConfig cfg;
     cfg.policy = PolicyKind::Sc;
-    System sys(dekkerLitmus(), cfg);
+    System sys(sb.program, cfg);
     ASSERT_TRUE(sys.run());
     Drf0TraceReport rep = checkTrace(sys.trace());
     EXPECT_FALSE(rep.raceFree);

@@ -11,12 +11,14 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/idealized.hh"
 #include "core/sc_verifier.hh"
 #include "cpu/program_builder.hh"
+#include "litmus/compiler.hh"
+#include "litmus/expect.hh"
 #include "system/system.hh"
-#include "workload/asm.hh"
-#include "workload/litmus.hh"
 
 namespace wo {
 namespace {
@@ -77,24 +79,21 @@ TEST(Fence, DrainsTheWriteBuffer)
 TEST(Fence, FencedDekkerRestoresSc)
 {
     // Dekker with a fence between the store and the load is correct
-    // even on the relaxed machine.
+    // even on the relaxed machine. The file's clause is the both-zero
+    // outcome.
+    const litmus_dsl::CompiledLitmus sb = litmus_dsl::compileLitmusFile(
+        std::string(WO_LITMUS_DIR) + "/sb_fence.litmus");
     int violations = 0;
     for (std::uint64_t seed = 1; seed <= 30; ++seed) {
-        MultiProgram mp("fenced-dekker");
-        ProgramBuilder p0, p1;
-        p0.store(0, 1).fence().load(0, 1).halt();
-        p1.store(1, 1).fence().load(0, 0).halt();
-        mp.addProgram(p0.build());
-        mp.addProgram(p1.build());
         SystemConfig cfg;
         cfg.policy = PolicyKind::Relaxed;
         cfg.writeBuffer = true;
         cfg.cached = false;
         cfg.numMemModules = 2;
         cfg.net.seed = seed;
-        System sys(mp, cfg);
+        System sys(sb.program, cfg);
         ASSERT_TRUE(sys.run());
-        if (dekkerViolatesSc(sys.result()))
+        if (litmus_dsl::evalCond(sb.clause.cond, sys.result(), sb.addrOf))
             ++violations;
         EXPECT_TRUE(verifySc(sys.trace()).sc()) << "seed " << seed;
     }
@@ -110,21 +109,6 @@ TEST(Fence, NoOpOnIdealizedMachine)
     RunResult r = runWithSchedule(mp, {});
     EXPECT_TRUE(r.allHalted);
     EXPECT_EQ(r.registers[0][0], 1u);
-}
-
-TEST(Fence, AssemblesAndDisassembles)
-{
-    MultiProgram mp = assemble(R"(
-P0:
-    store [0], #1
-    fence
-    load r0, [1]
-)");
-    EXPECT_EQ(mp.program(0).at(1).op, Opcode::Fence);
-    std::string text = disassemble(mp);
-    EXPECT_NE(text.find("fence"), std::string::npos);
-    MultiProgram mp2 = assemble(text);
-    EXPECT_EQ(mp2.program(0).at(1).op, Opcode::Fence);
 }
 
 TEST(Fence, CountsAsStallUnderRelaxed)

@@ -12,12 +12,17 @@
 
 #include "coherence/cache.hh"
 #include "cpu/program_builder.hh"
+#include "litmus/compiler.hh"
+#include "litmus/expect.hh"
 #include "system/machine_spec.hh"
 #include "system/system.hh"
 #include "workload/litmus.hh"
 
 namespace wo {
 namespace {
+
+using litmus_dsl::compileLitmusFile;
+using litmus_dsl::evalCond;
 
 LineState
 l1StateOf(System &sys, ProcId p, Addr addr)
@@ -31,13 +36,15 @@ l1StateOf(System &sys, ProcId p, Addr addr)
 
 TEST(Hierarchy, TwoLevelMachinesForbidScViolationsAndAuditClean)
 {
+    const litmus_dsl::CompiledLitmus sb =
+        compileLitmusFile(std::string(WO_LITMUS_DIR) + "/sb.litmus");
     for (const char *m : {"bus-l2", "net-l2", "net-l2-moesi"}) {
         SCOPED_TRACE(m);
         SystemConfig cfg = machineOrThrow(m).config(PolicyKind::Sc, 7);
         ASSERT_EQ(cfg.cacheLevels, 2);
-        System sys(dekkerLitmus(), cfg);
+        System sys(sb.program, cfg);
         EXPECT_TRUE(sys.run());
-        EXPECT_FALSE(dekkerViolatesSc(sys.result()));
+        EXPECT_FALSE(evalCond(sb.clause.cond, sys.result(), sb.addrOf));
         EXPECT_TRUE(sys.auditCoherence().empty());
     }
 }
@@ -117,13 +124,15 @@ TEST(Hierarchy, MesifRunsTwoLevelToo)
 {
     // No registered MESIF two-level machine, but the combination must
     // work — the registry is a convenience, not a constraint.
+    const litmus_dsl::CompiledLitmus sb =
+        compileLitmusFile(std::string(WO_LITMUS_DIR) + "/sb.litmus");
     SystemConfig cfg =
         machineOrThrow("net-cold").config(PolicyKind::Sc, 13);
     cfg.protocol = ProtocolKind::Mesif;
     cfg.cacheLevels = 2;
-    System sys(dekkerLitmus(), cfg);
+    System sys(sb.program, cfg);
     EXPECT_TRUE(sys.run());
-    EXPECT_FALSE(dekkerViolatesSc(sys.result()));
+    EXPECT_FALSE(evalCond(sb.clause.cond, sys.result(), sb.addrOf));
     EXPECT_TRUE(sys.auditCoherence().empty());
 }
 

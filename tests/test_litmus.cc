@@ -1,40 +1,46 @@
 /**
  * @file
- * Unit tests for the litmus-test library, validated on the idealized
- * architecture and the DRF0 checker.
+ * Unit tests for the litmus programs, validated on the idealized
+ * architecture and the DRF0 checker: the corpus files the paper's
+ * arguments use and the parametric builders of workload/litmus.hh.
  */
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/drf0_checker.hh"
 #include "core/idealized.hh"
+#include "litmus/compiler.hh"
+#include "litmus/expect.hh"
 #include "workload/litmus.hh"
 
 namespace wo {
 namespace {
 
-TEST(Litmus, DekkerShape)
+using litmus_dsl::CompiledLitmus;
+using litmus_dsl::compileLitmusFile;
+using litmus_dsl::evalCond;
+
+CompiledLitmus
+corpus(const std::string &file)
 {
-    MultiProgram mp = dekkerLitmus();
-    EXPECT_EQ(mp.numProcs(), 2);
-    OutcomeSet set = enumerateOutcomes(mp);
-    EXPECT_EQ(set.outcomes.size(), 3u);
-    for (const auto &r : set.outcomes)
-        EXPECT_FALSE(dekkerViolatesSc(r));
+    return compileLitmusFile(std::string(WO_LITMUS_DIR) + "/" + file);
 }
 
-TEST(Litmus, DekkerViolationPredicate)
+TEST(Litmus, DekkerShape)
 {
-    RunResult r;
-    r.registers = {{0}, {0}};
-    EXPECT_TRUE(dekkerViolatesSc(r));
-    r.registers = {{1}, {0}};
-    EXPECT_FALSE(dekkerViolatesSc(r));
+    CompiledLitmus sb = corpus("sb.litmus");
+    EXPECT_EQ(sb.program.numProcs(), 2);
+    OutcomeSet set = enumerateOutcomes(sb.program);
+    EXPECT_EQ(set.outcomes.size(), 3u);
+    for (const auto &r : set.outcomes)
+        EXPECT_FALSE(evalCond(sb.clause.cond, r, sb.addrOf));
 }
 
 TEST(Litmus, RacyMessagePassingViolatesDrf0)
 {
-    Drf0ProgramReport rep = checkProgram(racyMessagePassing(2));
+    Drf0ProgramReport rep = checkProgram(corpus("mp_spin.litmus").program);
     EXPECT_FALSE(rep.obeysDrf0);
 }
 
@@ -99,10 +105,12 @@ TEST(Litmus, BarrierIsDrf0AndPublishes)
 
 TEST(Litmus, IriwIdealizedNeverShowsOppositeOrders)
 {
-    OutcomeSet set = enumerateOutcomes(iriwLitmus());
+    CompiledLitmus iriw = corpus("iriw.litmus");
+    OutcomeSet set = enumerateOutcomes(iriw.program);
     EXPECT_FALSE(set.bounded);
     for (const auto &r : set.outcomes)
-        EXPECT_FALSE(iriwViolatesSc(r)) << r.toString();
+        EXPECT_FALSE(evalCond(iriw.clause.cond, r, iriw.addrOf))
+            << r.toString();
     // 2 writers x 2 readers with 2 reads each: plenty of outcomes.
     EXPECT_GT(set.outcomes.size(), 5u);
 }

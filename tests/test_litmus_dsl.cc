@@ -149,6 +149,39 @@ TEST(LitmusParserErrors, BadRegisterName)
                   3, "register");
 }
 
+TEST(LitmusParserErrors, OutOfRangeNumbers)
+{
+    // Oversized numbers are rejected with the offending token, never
+    // wrapped (2^64 + 1 once compiled as 1) or left to escape as
+    // std::out_of_range.
+    expectErrorAt("init { x = 0; }\nP0 ;\nmovi r0, 18446744073709551617 ;\n"
+                  "exists (P0:r0 == 1)\n",
+                  3, "'18446744073709551617'");
+    expectErrorAt("init { x = 0; }\nP0 ;\nmovi r0, -9223372036854775809 ;\n"
+                  "exists (P0:r0 == 1)\n",
+                  3, "'-9223372036854775809'");
+    expectErrorAt("init { x = 0; }\nP0 ;\nload r99999999999, x ;\n"
+                  "exists (P0:r0 == 0)\n",
+                  3, "'r99999999999'");
+    expectErrorAt("init { x = 0; }\nP0 ;\nstore x, r99999999999 ;\n"
+                  "exists (x == 0)\n",
+                  3, "'r99999999999'");
+    expectErrorAt("init { x = 0; }\nP0 | P99999999999 ;\nhalt | halt ;\n"
+                  "exists (x == 0)\n",
+                  2, "'P99999999999'");
+    expectErrorAt("init { x = 0; }\nP0 ;\nhalt ;\n"
+                  "exists (P0:r4000000000 == 0)\n",
+                  4, "'r4000000000'");
+
+    // The extremes of each range still parse.
+    CompiledLitmus c = compileLitmus(parseLitmus(
+        "init { x = 0; }\nP0 ;\nmovi r0, 18446744073709551615 ;\n"
+        "movi r1, -9223372036854775808 ;\nexists (P0:r0 == 0)\n",
+        "max.litmus"));
+    EXPECT_EQ(c.program.program(0).at(0).imm, ~Word{0});
+    EXPECT_EQ(c.program.program(0).at(1).imm, Word{1} << 63);
+}
+
 TEST(LitmusParserErrors, UnbalancedExistsClause)
 {
     expectErrorAt("init { x = 0; }\nP0 ;\nhalt ;\n"
@@ -172,6 +205,8 @@ TEST(LitmusParserErrors, TrailingGarbageAfterClause)
     expectErrorAt("init { x = 0; }\nP0 ;\nhalt ;\n"
                   "exists (P0:r0 == 0)\nwhatever\n",
                   5, "after the final clause");
+    expectErrorAt("init { x = 0; }\nP0 ;\nnop nop ;\nexists (x == 0)\n", 3,
+                  "trailing tokens in cell");
 }
 
 TEST(LitmusParserErrors, RowWithTooManyCells)
@@ -271,6 +306,17 @@ TEST(LitmusCompiler, AppendsImplicitHalt)
     const Program &p = c.program.program(0);
     ASSERT_GE(p.size(), 2u);
     EXPECT_EQ(p.at(p.size() - 1).op, Opcode::Halt);
+
+    // Explicit instructions lower one to one: a textual fence becomes
+    // Opcode::Fence (sb_fence.litmus: store, fence, load, halt).
+    CompiledLitmus f = compileLitmusFile(std::string(WO_LITMUS_DIR) +
+                                         "/sb_fence.litmus");
+    for (int proc = 0; proc < 2; ++proc) {
+        const Program &fp = f.program.program(proc);
+        ASSERT_EQ(fp.size(), 4u);
+        EXPECT_EQ(fp.at(1).op, Opcode::Fence) << "P" << proc;
+        EXPECT_EQ(fp.at(3).op, Opcode::Halt) << "P" << proc;
+    }
 }
 
 RunResult

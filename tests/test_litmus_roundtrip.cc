@@ -20,10 +20,6 @@
 #include "system/system.hh"
 #include "workload/litmus.hh"
 
-#ifndef WO_LITMUS_DIR
-#error "WO_LITMUS_DIR must point at the tests/litmus corpus"
-#endif
-
 namespace wo {
 namespace {
 
@@ -110,15 +106,12 @@ std::vector<Pair>
 allPairs()
 {
     std::vector<Pair> pairs;
-    pairs.push_back({"sb.litmus", dekkerLitmus(), true});
-    pairs.push_back({"mp_spin.litmus", racyMessagePassing(0), true});
     pairs.push_back({"mp_sync.litmus", syncMessagePassing(), false});
     pairs.push_back({"figure3.litmus", figure3Scenario(3), false});
     pairs.push_back({"tttas_counter.litmus", tttasLockCounter(2, 1),
                      true});
     pairs.push_back({"tas_counter.litmus", tasLockCounter(2, 1), true});
     pairs.push_back({"barrier.litmus", syncBarrier(2), false});
-    pairs.push_back({"iriw.litmus", iriwLitmus(), true});
     pairs.push_back({"peterson.litmus", petersonCounter(false, 1),
                      false});
     pairs.push_back({"peterson_sync.litmus", petersonCounter(true, 1),

@@ -24,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "litmus/compiler.hh"
 #include "system/machine_spec.hh"
 #include "system/system.hh"
 #include "workload/litmus.hh"
@@ -123,7 +124,9 @@ MultiProgram
 workloadByName(const std::string &name)
 {
     if (name == "dekker")
-        return dekkerLitmus();
+        return litmus_dsl::compileLitmusFile(std::string(WO_LITMUS_DIR) +
+                                             "/sb.litmus")
+            .program;
     if (name == "mp_sync")
         return syncMessagePassing();
     if (name == "tas2")

@@ -16,6 +16,8 @@
 
 #include "coherence/cache.hh"
 #include "cpu/program_builder.hh"
+#include "litmus/compiler.hh"
+#include "litmus/expect.hh"
 #include "system/machine_spec.hh"
 #include "system/system.hh"
 #include "workload/litmus.hh"
@@ -63,14 +65,17 @@ stateOf(System &sys, ProcId p, Addr addr)
 
 TEST(Protocols, EveryProtocolMachineForbidsScViolationsAndAuditsClean)
 {
+    const litmus_dsl::CompiledLitmus sb = litmus_dsl::compileLitmusFile(
+        std::string(WO_LITMUS_DIR) + "/sb.litmus");
     for (const char *m : {"bus-mesi", "bus-moesi", "bus-mesif",
                           "net-mesi", "net-moesi", "net-mesif"}) {
         SCOPED_TRACE(m);
         SystemConfig cfg =
             machineOrThrow(m).config(PolicyKind::Sc, 7);
-        System sys(dekkerLitmus(), cfg);
+        System sys(sb.program, cfg);
         EXPECT_TRUE(sys.run());
-        EXPECT_FALSE(dekkerViolatesSc(sys.result()));
+        EXPECT_FALSE(litmus_dsl::evalCond(sb.clause.cond, sys.result(),
+                                          sb.addrOf));
         EXPECT_TRUE(sys.auditCoherence().empty());
     }
 }

@@ -274,8 +274,6 @@ TEST(SystemPool, PooledRunsMatchFreshRunsAcrossManyRandomPrograms)
     EXPECT_EQ(pool.reuses(), static_cast<std::uint64_t>(checked - 6));
 }
 
-#ifdef WO_LITMUS_DIR
-
 /** The corpus report (text + JSON + merged stats) as one string. */
 std::string
 corpusBytes(const std::vector<litmus_dsl::CompiledLitmus> &tests,
@@ -348,8 +346,6 @@ TEST(SystemPool, CorpusReportsIdenticalAcrossThreadCounts)
     options.threads = 4;
     EXPECT_EQ(corpusBytes(tests, options), golden);
 }
-
-#endif // WO_LITMUS_DIR
 
 } // namespace
 } // namespace wo

@@ -18,7 +18,9 @@
 #include <cctype>
 #include <cstring>
 #include <sstream>
+#include <string>
 
+#include "litmus/compiler.hh"
 #include "obs/latency_histogram.hh"
 #include "obs/trace_export.hh"
 #include "obs/trace_sink.hh"
@@ -179,6 +181,15 @@ class JsonChecker
     std::size_t pos_ = 0;
 };
 
+/** The Dekker litmus (Figure 1) from the corpus. */
+MultiProgram
+dekker()
+{
+    return litmus_dsl::compileLitmusFile(std::string(WO_LITMUS_DIR) +
+                                         "/sb.litmus")
+        .program;
+}
+
 SystemConfig
 tracedConfig(PolicyKind policy, TraceSink *sink)
 {
@@ -192,7 +203,7 @@ tracedConfig(PolicyKind policy, TraceSink *sink)
 
 TEST(TraceObs, DisabledPathRecordsNothingAndChangesNothing)
 {
-    MultiProgram prog = dekkerLitmus();
+    MultiProgram prog = dekker();
 
     // Reference run: obs never touched.
     System plain(prog, machineOrThrow("net-cold").config(PolicyKind::Sc, 1));
@@ -223,7 +234,7 @@ TEST(TraceObs, DisabledPathRecordsNothingAndChangesNothing)
 
 TEST(TraceObs, TracedRunResultMatchesUntracedRun)
 {
-    MultiProgram prog = dekkerLitmus();
+    MultiProgram prog = dekker();
 
     System plain(prog, machineOrThrow("net-cold").config(PolicyKind::Sc, 1));
     ASSERT_TRUE(plain.run());
@@ -245,7 +256,7 @@ TEST(TraceObs, TracedRunResultMatchesUntracedRun)
 TEST(TraceObs, ChromeTraceIsValidJson)
 {
     TraceBuffer buf;
-    System sys(dekkerLitmus(), tracedConfig(PolicyKind::Sc, &buf));
+    System sys(dekker(), tracedConfig(PolicyKind::Sc, &buf));
     ASSERT_TRUE(sys.run());
 
     std::ostringstream os;
@@ -260,8 +271,7 @@ TEST(TraceObs, DuplicateRunsProduceByteIdenticalTraces)
     std::string first;
     for (int i = 0; i < 2; ++i) {
         TraceBuffer buf;
-        System sys(dekkerLitmus(),
-                   tracedConfig(PolicyKind::Def2Drf0, &buf));
+        System sys(dekker(), tracedConfig(PolicyKind::Def2Drf0, &buf));
         ASSERT_TRUE(sys.run());
         std::ostringstream os;
         writeChromeTrace(os, buf.events());
@@ -307,7 +317,7 @@ TEST(TraceObs, EveryProcessorHasIssueGpAndStallEvents)
 TEST(TraceObs, TextRenderingMentionsEveryKindPresent)
 {
     TraceBuffer buf;
-    System sys(dekkerLitmus(), tracedConfig(PolicyKind::Sc, &buf));
+    System sys(dekker(), tracedConfig(PolicyKind::Sc, &buf));
     ASSERT_TRUE(sys.run());
     std::ostringstream os;
     renderTraceText(os, buf.events());
@@ -449,7 +459,7 @@ TEST(TraceObs, ParseTraceFilter)
 TEST(TraceObs, BufferMaskFiltersComponents)
 {
     TraceBuffer buf(traceCompBit(TraceComp::Proc));
-    System sys(dekkerLitmus(), tracedConfig(PolicyKind::Sc, &buf));
+    System sys(dekker(), tracedConfig(PolicyKind::Sc, &buf));
     ASSERT_TRUE(sys.run());
     EXPECT_GT(buf.events().size(), 0u);
     for (const TraceEvent &ev : buf.events())
