@@ -3,8 +3,7 @@
  * Infrastructure ablation: cost of the formal machinery — the SC
  * verifier's backtracking search and the idealized architecture's
  * outcome enumeration — as workloads grow, plus the parallel campaign
- * engine fanning whole verifications (and, via root-splitting, the
- * branches of a single verification) across hardware threads.
+ * engine fanning whole verifications across hardware threads.
  *
  *   $ ./checker_scaling [--threads=N]   # N defaults to WO_THREADS / hw
  */
@@ -128,24 +127,6 @@ BM_ScVerifier(benchmark::State &state)
         benchmark::Counter(static_cast<double>(states));
 }
 BENCHMARK(BM_ScVerifier)->DenseRange(1, 6);
-
-void
-BM_ScVerifierRootSplit(benchmark::State &state)
-{
-    // One verification, its first-level branches spread over the pool.
-    ExecutionTrace t = traceFor(static_cast<int>(state.range(0)), 11);
-    ThreadPool pool(campaignThreads(g_opts.threads));
-    std::uint64_t states = 0;
-    for (auto _ : state) {
-        ScReport r = verifyScParallel(t, pool);
-        states = r.statesExplored;
-        benchmark::DoNotOptimize(r.verdict);
-    }
-    state.counters["search_states"] =
-        benchmark::Counter(static_cast<double>(states));
-    state.SetLabel(std::to_string(pool.numThreads()) + " threads");
-}
-BENCHMARK(BM_ScVerifierRootSplit)->Arg(3)->Arg(6);
 
 void
 BM_VerifyCampaign(benchmark::State &state)

@@ -95,6 +95,8 @@ struct CacheConfig
      * as an ablation.
      */
     bool epochReserveClearing = true;
+
+    bool operator==(const CacheConfig &) const = default;
 };
 
 /**

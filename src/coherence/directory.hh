@@ -47,6 +47,8 @@ struct DirectoryConfig
 
     /** Processing latency per incoming message. */
     Tick latency = 2;
+
+    bool operator==(const DirectoryConfig &) const = default;
 };
 
 /** One directory bank (with integrated memory for its lines). */

@@ -55,6 +55,8 @@ struct MidCacheConfig
 
     /** Processing latency per incoming message. */
     Tick latency = 1;
+
+    bool operator==(const MidCacheConfig &) const = default;
 };
 
 /** One private L2, between one L1 cache and the directory banks. */

@@ -2,9 +2,7 @@
 
 #include "obs/coverage.hh"
 
-#include <algorithm>
 #include <cassert>
-#include <cctype>
 #include <stdexcept>
 
 namespace wo {
@@ -48,24 +46,6 @@ toString(ProtocolKind k)
       case ProtocolKind::Mesif: return "mesif";
     }
     return "?";
-}
-
-ProtocolKind
-parseProtocol(const std::string &name)
-{
-    std::string n = name;
-    std::transform(n.begin(), n.end(), n.begin(),
-                   [](unsigned char c) { return std::tolower(c); });
-    if (n == "msi")
-        return ProtocolKind::Msi;
-    if (n == "mesi")
-        return ProtocolKind::Mesi;
-    if (n == "moesi")
-        return ProtocolKind::Moesi;
-    if (n == "mesif")
-        return ProtocolKind::Mesif;
-    throw std::runtime_error("unknown protocol '" + name +
-                             "' (known: msi, mesi, moesi, mesif)");
 }
 
 const char *

@@ -65,10 +65,6 @@ inline constexpr int kNumProtocolKinds = 4;
 
 const char *toString(ProtocolKind k);
 
-/** Parse "msi" / "mesi" / "moesi" / "mesif" (case-insensitive); throws
- * std::runtime_error naming the known protocols. */
-ProtocolKind parseProtocol(const std::string &name);
-
 /**
  * Events applied to a line's protocol state.
  *

@@ -37,6 +37,22 @@ toString(PolicyKind k)
     return "?";
 }
 
+std::optional<PolicyKind>
+parsePolicyKind(const std::string &name)
+{
+    if (name == "sc")
+        return PolicyKind::Sc;
+    if (name == "def1")
+        return PolicyKind::Def1;
+    if (name == "def2drf0")
+        return PolicyKind::Def2Drf0;
+    if (name == "def2drf1")
+        return PolicyKind::Def2Drf1;
+    if (name == "relaxed")
+        return PolicyKind::Relaxed;
+    return std::nullopt;
+}
+
 std::unique_ptr<ConsistencyPolicy>
 makePolicy(PolicyKind kind)
 {

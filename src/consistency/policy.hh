@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "cpu/isa.hh"
@@ -128,6 +129,10 @@ enum class PolicyKind {
 
 /** Name of a policy kind ("SC", "WO-Def1", ...). */
 std::string toString(PolicyKind k);
+
+/** Command-line policy name -> kind: sc, def1, def2drf0, def2drf1 or
+ * relaxed; nullopt for anything else. */
+std::optional<PolicyKind> parsePolicyKind(const std::string &name);
 
 /** Factory for built-in policies. */
 std::unique_ptr<ConsistencyPolicy> makePolicy(PolicyKind kind);

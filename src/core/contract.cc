@@ -9,12 +9,12 @@ checkExecution(const MultiProgram &program, const ExecutionTrace &trace,
                const RunResult *hw_result, const ContractOptions &options)
 {
     ContractReport report;
-    report.scReport = verifySc(trace, options.scLimits);
+    report.scReport = verifySc(trace);
     report.appearsSc = report.scReport.sc();
 
     if (options.checkOutcomeSet && hw_result != nullptr) {
         report.outcomeChecked = true;
-        OutcomeSet set = enumerateOutcomes(program, options.enumLimits);
+        OutcomeSet set = enumerateOutcomes(program);
         report.outcomeSetBounded = set.bounded;
         report.outcomeInScSet = set.outcomes.count(*hw_result) > 0;
     }

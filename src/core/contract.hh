@@ -56,9 +56,6 @@ struct ContractOptions
     /** Also enumerate idealized outcomes and check result membership
      * (more expensive; requires the hardware RunResult). */
     bool checkOutcomeSet = false;
-
-    ScVerifierLimits scLimits;
-    EnumLimits enumLimits;
 };
 
 /**

@@ -1,13 +1,10 @@
 #include "core/sc_verifier.hh"
 
-#include <atomic>
 #include <map>
 #include <sstream>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
-
-#include "parallel/thread_pool.hh"
 
 namespace wo {
 
@@ -101,24 +98,11 @@ class KeyArenaSet
     std::unordered_set<Ref, Hash, Eq> set_{16, Hash{this}, Eq{this}};
 };
 
-/** State shared by the workers of one root-split verification. */
-struct SharedSearch
-{
-    /** Global state budget: fetch_add'ed by every worker, so
-     * limits.maxStates caps the whole search, not each worker. */
-    std::atomic<std::uint64_t> statesUsed{0};
-
-    /** Set once any branch finds a witness; others stop early. */
-    std::atomic<bool> found{false};
-};
-
 class Search
 {
   public:
-    Search(const ExecutionTrace &trace, const ScVerifierLimits &limits,
-           SharedSearch *shared = nullptr)
-        : trace_(trace), acc_(trace.accesses().data()), limits_(limits),
-          shared_(shared)
+    Search(const ExecutionTrace &trace, const ScVerifierLimits &limits)
+        : acc_(trace.accesses().data()), limits_(limits)
     {
         int nprocs = trace.numProcs();
         for (ProcId p = 0; p < nprocs; ++p)
@@ -191,61 +175,6 @@ class Search
     {
         ScReport report;
         bool found = dfs(report);
-        finish(report, found);
-        return report;
-    }
-
-    /**
-     * Run the root drain only (for root-splitting).
-     *
-     * @return false if the drain already proves the trace not SC.
-     */
-    bool
-    rootDrain(ScReport &report)
-    {
-        return drain(report) >= 0;
-    }
-
-    /** All accesses scheduled? (After rootDrain: trivially SC.) */
-    bool done() const { return remaining_ == 0; }
-
-    /** Trace ids of the enabled per-processor head accesses. */
-    std::vector<int>
-    enabledHeads() const
-    {
-        std::vector<int> out;
-        for (std::size_t p = 0; p < seqs_.size(); ++p) {
-            if (idx_[p] >= seqs_[p].size())
-                continue;
-            const Access &a = acc_[seqs_[p][idx_[p]]];
-            if (a.reads() &&
-                mem_[static_cast<std::size_t>(
-                    accAddr_[static_cast<std::size_t>(a.id)])] !=
-                    a.valueRead)
-                continue;
-            out.push_back(a.id);
-        }
-        return out;
-    }
-
-    /**
-     * Worker entry for root-splitting: replay the (already validated)
-     * root prefix, take one enabled first-level branch, then search the
-     * remaining subtree.
-     */
-    ScReport
-    runSplit(const std::vector<int> &prefix, int branchAccessId)
-    {
-        ScReport report;
-        for (int id : prefix) {
-            const Access &a = trace_.at(id);
-            apply(a, static_cast<std::size_t>(a.proc), report);
-        }
-        const Access &b = trace_.at(branchAccessId);
-        apply(b, static_cast<std::size_t>(b.proc), report);
-        bool found = dfs(report);
-        if (found && shared_)
-            shared_->found.store(true, std::memory_order_relaxed);
         finish(report, found);
         return report;
     }
@@ -405,17 +334,11 @@ class Search
         return false;
     }
 
-    /** Consume one unit of the (possibly shared) state budget. */
+    /** Consume one unit of the state budget. */
     bool
     acquireState()
     {
-        if (shared_) {
-            if (shared_->statesUsed.fetch_add(
-                    1, std::memory_order_relaxed) >= limits_.maxStates) {
-                capped_ = true;
-                return false;
-            }
-        } else if (states_ >= limits_.maxStates) {
+        if (states_ >= limits_.maxStates) {
             capped_ = true;
             return false;
         }
@@ -445,8 +368,6 @@ class Search
     {
         if (remaining_ == 0)
             return true;
-        if (shared_ && shared_->found.load(std::memory_order_relaxed))
-            return false;
         if (deadlocked())
             return false;
         if (!visited_.insert(key()))
@@ -478,10 +399,8 @@ class Search
         bool restore = true;
     };
 
-    const ExecutionTrace &trace_;
-    const Access *acc_; ///< trace_.accesses().data(), hot-path lookups
+    const Access *acc_; ///< trace.accesses().data(), hot-path lookups
     const ScVerifierLimits &limits_;
-    SharedSearch *shared_;
     std::vector<std::vector<int>> seqs_;
     std::vector<std::size_t> idx_;
     std::vector<Word> mem_;         ///< frontier memory, by address id
@@ -506,55 +425,6 @@ verifySc(const ExecutionTrace &trace, const ScVerifierLimits &limits)
 {
     Search s(trace, limits);
     return s.run();
-}
-
-ScReport
-verifyScParallel(const ExecutionTrace &trace, ThreadPool &pool,
-                 const ScVerifierLimits &limits)
-{
-    Search probe(trace, limits);
-    ScReport root;
-    if (!probe.rootDrain(root)) {
-        root.verdict = ScVerdict::NotSc;
-        root.witnessOrder.clear();
-        root.statesExplored = 0;
-        return root;
-    }
-    if (probe.done()) {
-        root.verdict = ScVerdict::Sc;
-        return root;
-    }
-    std::vector<int> branches = probe.enabledHeads();
-    if (pool.numThreads() <= 1 || branches.size() <= 1)
-        return verifySc(trace, limits);
-
-    SharedSearch shared;
-    std::vector<int> prefix = root.witnessOrder;
-    std::vector<ScReport> reports(branches.size());
-    parallelFor(pool, branches.size(), [&](std::size_t i) {
-        Search worker(trace, limits, &shared);
-        reports[i] = worker.runSplit(prefix, branches[i]);
-    });
-
-    // Order-stable aggregation: the lowest-index witnessing branch
-    // wins; state counts sum (each worker only counted states it was
-    // granted from the shared budget, so the sum respects maxStates).
-    ScReport agg;
-    agg.statesExplored = 0;
-    bool anyCapped = false;
-    for (const ScReport &r : reports) {
-        agg.statesExplored += r.statesExplored;
-        anyCapped |= r.verdict == ScVerdict::Unknown;
-    }
-    for (const ScReport &r : reports) {
-        if (r.verdict == ScVerdict::Sc) {
-            agg.verdict = ScVerdict::Sc;
-            agg.witnessOrder = r.witnessOrder;
-            return agg;
-        }
-    }
-    agg.verdict = anyCapped ? ScVerdict::Unknown : ScVerdict::NotSc;
-    return agg;
 }
 
 std::string

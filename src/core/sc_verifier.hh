@@ -24,9 +24,7 @@
  * write counts) lives in dense vectors, not std::map nodes. A
  * per-(location, value) remaining-write count prunes any state in which
  * some processor's next read can no longer be satisfied by any pending
- * write. verifyScParallel() additionally splits the first-level branches
- * of one verification across a thread pool, with the state budget shared
- * globally so maxStates caps the whole search, not each worker.
+ * write.
  */
 
 #ifndef WO_CORE_SC_VERIFIER_HH
@@ -76,22 +74,6 @@ struct ScVerifierLimits
  */
 ScReport verifySc(const ExecutionTrace &trace,
                   const ScVerifierLimits &limits = {});
-
-class ThreadPool;
-
-/**
- * Root-splitting variant: after the eager commuting-access drain, the
- * enabled first-level branches are explored concurrently on @p pool,
- * each worker with its own memo table but a shared atomic state budget
- * (limits.maxStates caps the sum over all workers).
- *
- * The verdict is deterministic and equals verifySc()'s; statesExplored
- * may differ run to run because workers stop early once any branch finds
- * a witness. Falls back to the serial search when the pool has one
- * thread or fewer than two branches are enabled.
- */
-ScReport verifyScParallel(const ExecutionTrace &trace, ThreadPool &pool,
-                          const ScVerifierLimits &limits = {});
 
 } // namespace wo
 

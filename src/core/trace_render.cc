@@ -10,6 +10,12 @@ namespace wo {
 
 namespace {
 
+/** Empty time gaps longer than this many rows collapse to "...". */
+constexpr int kMaxGap = 2;
+
+/** Column width per processor. */
+constexpr int kColumnWidth = 14;
+
 /** Compact cell text for one access, e.g. "W(x3)=5" or "S(rw)(x9)". */
 std::string
 cell(const Access &a)
@@ -39,7 +45,7 @@ cell(const Access &a)
 } // namespace
 
 std::string
-renderColumns(const ExecutionTrace &trace, const RenderOptions &opts)
+renderColumns(const ExecutionTrace &trace)
 {
     std::ostringstream out;
     int nprocs = trace.numProcs();
@@ -51,15 +57,13 @@ renderColumns(const ExecutionTrace &trace, const RenderOptions &opts)
     for (const auto &a : trace.accesses())
         rows[a.commitTick].push_back(&a);
 
-    int w = opts.columnWidth;
+    const int w = kColumnWidth;
     // Header.
-    if (opts.showTicks)
-        out << std::setw(8) << "tick" << "  ";
+    out << std::setw(8) << "tick" << "  ";
     for (int p = 0; p < nprocs; ++p)
         out << std::left << std::setw(w) << ("P" + std::to_string(p));
     out << '\n';
-    if (opts.showTicks)
-        out << std::string(8, '-') << "  ";
+    out << std::string(8, '-') << "  ";
     for (int p = 0; p < nprocs; ++p)
         out << std::string(w - 2, '-') << "  ";
     out << '\n';
@@ -67,10 +71,8 @@ renderColumns(const ExecutionTrace &trace, const RenderOptions &opts)
     Tick prev = kNoTick;
     for (const auto &[tick, accs] : rows) {
         if (prev != kNoTick && tick > prev + 1 &&
-            static_cast<int>(tick - prev) > opts.maxGap) {
-            if (opts.showTicks)
-                out << std::setw(8) << "..." << "  ";
-            out << '\n';
+            static_cast<int>(tick - prev) > kMaxGap) {
+            out << std::setw(8) << "..." << "  " << '\n';
         }
         prev = tick;
         // Several accesses can share a tick (even per processor);
@@ -82,12 +84,10 @@ renderColumns(const ExecutionTrace &trace, const RenderOptions &opts)
             depth = std::max(depth, per_proc[a->proc].size());
         }
         for (std::size_t layer = 0; layer < depth; ++layer) {
-            if (opts.showTicks) {
-                if (layer == 0)
-                    out << std::setw(8) << tick << "  ";
-                else
-                    out << std::setw(8) << ' ' << "  ";
-            }
+            if (layer == 0)
+                out << std::setw(8) << tick << "  ";
+            else
+                out << std::setw(8) << ' ' << "  ";
             for (int p = 0; p < nprocs; ++p) {
                 std::string text;
                 auto it = per_proc.find(p);

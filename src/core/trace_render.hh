@@ -14,25 +14,13 @@
 
 namespace wo {
 
-/** Options for trace rendering. */
-struct RenderOptions
-{
-    /** Collapse empty time gaps longer than this many rows. */
-    int maxGap = 2;
-
-    /** Column width per processor. */
-    int columnWidth = 14;
-
-    /** Annotate each row with the commit tick. */
-    bool showTicks = true;
-};
-
 /**
  * Render @p trace as per-processor columns over time (commit order),
- * like the paper's Figure 2.
+ * like the paper's Figure 2: a commit-tick column, then one fixed-width
+ * column per processor; empty time gaps longer than two rows collapse
+ * to a "..." line.
  */
-std::string renderColumns(const ExecutionTrace &trace,
-                          const RenderOptions &opts = {});
+std::string renderColumns(const ExecutionTrace &trace);
 
 } // namespace wo
 

@@ -52,6 +52,8 @@ struct ProcessorConfig
 
     /** Cycle time: one instruction dispatched per cycle. */
     Tick cycle = 1;
+
+    bool operator==(const ProcessorConfig &) const = default;
 };
 
 /** One simulated processor. */

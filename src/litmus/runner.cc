@@ -683,11 +683,5 @@ standingCoverage(const CorpusReport &report)
     return st;
 }
 
-void
-writeCoverageReport(std::ostream &os, const CorpusReport &report)
-{
-    standingCoverage(report).write(os);
-}
-
 } // namespace litmus_dsl
 } // namespace wo

@@ -231,14 +231,10 @@ void writeJsonReport(std::ostream &os, const CorpusReport &report);
 /** Build a one-run StandingCoverage (runs = 1, seeds/baseSeed meta,
  * machine metadata, every CoverageMap counter) from a corpus run with
  * RunnerOptions::coverage set. wo-litmus --coverage-report=FILE merges
- * this into the existing on-disk report. */
+ * this into the existing on-disk report; StandingCoverage::write emits
+ * the canonical wocover format (stable section order, sorted lines —
+ * byte-identical for any --threads value) that wo-cover renders. */
 StandingCoverage standingCoverage(const CorpusReport &report);
-
-/** Write standingCoverage(report) in the canonical wocover format
- * (stable section order, sorted lines — byte-identical for any
- * --threads value). wo-cover renders heatmaps, lists gaps and diffs
- * two such reports. */
-void writeCoverageReport(std::ostream &os, const CorpusReport &report);
 
 } // namespace litmus_dsl
 } // namespace wo

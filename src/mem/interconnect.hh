@@ -104,6 +104,8 @@ class Bus : public Interconnect
     {
         Tick latency = 4;   ///< propagation delay once on the bus
         Tick occupancy = 1; ///< cycles the bus is held per message
+
+        bool operator==(const Config &) const = default;
     };
 
     Bus(EventQueue &eq, StatSet &stats, const Config &cfg,
@@ -139,6 +141,8 @@ class GeneralNetwork : public Interconnect
         Tick base = 6;          ///< minimum latency
         Tick jitter = 8;        ///< max extra latency (uniform in [0, jitter])
         std::uint64_t seed = 1; ///< jitter stream seed
+
+        bool operator==(const Config &) const = default;
     };
 
     GeneralNetwork(EventQueue &eq, StatSet &stats, const Config &cfg,

@@ -28,6 +28,8 @@ class MemoryModule
     struct Config
     {
         Tick serviceLatency = 10; ///< cycles to service one request
+
+        bool operator==(const Config &) const = default;
     };
 
     MemoryModule(EventQueue &eq, Interconnect &net, StatSet &stats,

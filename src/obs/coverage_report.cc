@@ -60,16 +60,14 @@ badLine(int lineno, const std::string &why)
                              ": " + why);
 }
 
-/** The report stores transitions by name; the analyses need the enum
- * back. Returns false for protocols this binary does not know. */
+/** The report stores transitions by protocol name; false for
+ * protocols this binary does not know. */
 bool
-parseProtocolName(const std::string &name, ProtocolKind &out)
+isKnownProtocol(const std::string &name)
 {
     for (int k = 0; k < kNumProtocolKinds; ++k) {
-        if (name == toString(static_cast<ProtocolKind>(k))) {
-            out = static_cast<ProtocolKind>(k);
+        if (name == toString(static_cast<ProtocolKind>(k)))
             return true;
-        }
     }
     return false;
 }
@@ -247,8 +245,7 @@ renderHeatmap(std::ostream &os, const StandingCoverage &rep)
 {
     std::set<std::string> unknown;
     for (const auto &[k, n] : rep.transitions) {
-        ProtocolKind pk;
-        if (!parseProtocolName(k[0], pk))
+        if (!isKnownProtocol(k[0]))
             unknown.insert(k[0]);
     }
 

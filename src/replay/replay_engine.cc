@@ -175,8 +175,6 @@ ReplayEngine::run()
             stepped = tryStep((start + k) % n);
         if (stepped) {
             maybeRetire();
-            if (opt_.stopAtFirstRace && !checker_.raceFree())
-                break;
             continue;
         }
         // Everyone is blocked. A barrier may have become openable when a
@@ -198,16 +196,6 @@ ReplayEngine::run()
     for (const auto &[addr, value] : mem_)
         res.finalMemory[addr] = value;
     return res;
-}
-
-void
-exportReplayStats(StatSet &stats, const std::string &prefix,
-                  std::int64_t eventsRetired, int windowHighWater)
-{
-    stats.inc(prefix + ".trace_events_retired",
-              static_cast<std::uint64_t>(eventsRetired));
-    stats.maxOf(prefix + ".window_high_water",
-                static_cast<std::uint64_t>(windowHighWater));
 }
 
 } // namespace wo

@@ -30,7 +30,6 @@
 #include "core/stream_checker.hh"
 #include "core/trace.hh"
 #include "replay/trace_format.hh"
-#include "sim/stats.hh"
 
 namespace wo {
 
@@ -47,9 +46,6 @@ struct ReplayOptions
 
     /** Interleaving seed. */
     std::uint64_t seed = 1;
-
-    /** Abandon replay at the first race (online verdict). */
-    bool stopAtFirstRace = false;
 };
 
 struct ReplayResult
@@ -119,12 +115,6 @@ class ReplayEngine
     Tick tick_ = 0;
     std::uint64_t records_ = 0;
 };
-
-/** Export bounded-retention observability counters into @p stats:
- * `<prefix>.trace_events_retired` (sum) and `<prefix>.window_high_water`
- * (max). */
-void exportReplayStats(StatSet &stats, const std::string &prefix,
-                       std::int64_t eventsRetired, int windowHighWater);
 
 } // namespace wo
 

@@ -128,8 +128,6 @@ replayOnSystem(ReplayTraceReader &reader, const SystemReplayOptions &opt)
 
     const MachineSpec &spec = machineOrThrow(opt.machine);
     SystemConfig cfg = spec.config(opt.policy, opt.netSeed);
-    if (opt.maxTicks > 0)
-        cfg.maxTicks = opt.maxTicks;
 
     StreamingDrf0Checker checker(program.numProcs(), opt.mode);
     auto drain = [&](System &sys) {
@@ -142,30 +140,20 @@ replayOnSystem(ReplayTraceReader &reader, const SystemReplayOptions &opt)
         }
     };
 
-    auto finish = [&](System &sys, bool completed) {
-        checker.finish(sys.trace());
-        res.ok = completed;
-        if (!completed)
-            res.error = "replay run did not complete (tick limit?)";
-        res.raceFree = checker.raceFree();
-        res.races = checker.sortedRaces();
-        res.accesses = checker.consumed();
-        res.eventsRetired = sys.trace().retired();
-        res.windowHighWater = sys.trace().windowHighWater();
-        res.finishTick = sys.finishTick();
-    };
-
-    if (opt.usePool) {
-        std::string key = "replay/" + opt.machine + "/" +
-                          std::to_string(static_cast<int>(opt.policy));
-        System &sys = workerSystemPool().acquire(key, program, cfg);
-        bool completed = sys.runStreaming(opt.chunkTicks, drain);
-        finish(sys, completed);
-    } else {
-        System sys(program, cfg);
-        bool completed = sys.runStreaming(opt.chunkTicks, drain);
-        finish(sys, completed);
-    }
+    std::string key = "replay/" + opt.machine + "/" +
+                      std::to_string(static_cast<int>(opt.policy));
+    System &sys = workerSystemPool().acquire(key, program, cfg);
+    bool completed = sys.runStreaming(opt.chunkTicks, drain);
+    checker.finish(sys.trace());
+    res.ok = completed;
+    if (!completed)
+        res.error = "replay run did not complete (tick limit?)";
+    res.raceFree = checker.raceFree();
+    res.races = checker.sortedRaces();
+    res.accesses = checker.consumed();
+    res.eventsRetired = sys.trace().retired();
+    res.windowHighWater = sys.trace().windowHighWater();
+    res.finishTick = sys.finishTick();
     return res;
 }
 

@@ -63,12 +63,6 @@ struct SystemReplayOptions
     Tick chunkTicks = 4096;
 
     RaceDetectMode mode = RaceDetectMode::FirstRace;
-
-    /** Acquire the System from the calling worker's SystemPool. */
-    bool usePool = true;
-
-    /** Livelock tick limit override; 0 keeps the machine default. */
-    Tick maxTicks = 0;
 };
 
 struct SystemReplayResult

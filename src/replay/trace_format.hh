@@ -62,8 +62,8 @@ struct ReplayRecord
     }
 };
 
-/** Whole trace in memory — tests, the obs capture hook, and small-trace
- * tools. Large traces should go through the streaming reader/writer. */
+/** Whole trace in memory — tests and small-trace tools. Large traces
+ * should go through the streaming reader/writer. */
 struct ReplayTraceData
 {
     std::vector<std::pair<Addr, Word>> initials;

@@ -93,6 +93,8 @@ struct SystemConfig
      * the System nothing when the pool drops it.
      */
     CoverageMap *coverage = nullptr;
+
+    bool operator==(const SystemConfig &) const = default;
 };
 
 /** A complete simulated multiprocessor running one workload. */
@@ -217,7 +219,8 @@ class System
     std::vector<std::string> auditCoherence() const;
 
   private:
-    /** Every cfg field equal except net.seed, maxTicks, traceSink. */
+    /** Every cfg field equal except net.seed, maxTicks, traceSink and
+     * coverage. */
     bool structurallyCompatible(const SystemConfig &cfg) const;
 
     MultiProgram program_;

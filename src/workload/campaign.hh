@@ -176,7 +176,9 @@ struct CampaignConfig
 };
 
 /**
- * A reusable fan-out engine over one thread pool.
+ * A reusable fan-out engine over one private thread pool. A job is the
+ * unit of parallelism: each one (a run, an SC verification, a DRF0
+ * check) executes serially on one worker.
  *
  * map() is the primitive: run fn over numJobs jobs, return the results
  * in job order. reduce() folds map()'s output left-to-right, so merged
@@ -191,9 +193,6 @@ class Campaign
 
     int numThreads() const { return pool_.numThreads(); }
     std::uint64_t baseSeed() const { return cfg_.baseSeed; }
-
-    /** The underlying pool (e.g. for root-split SC verification). */
-    ThreadPool &pool() { return pool_; }
 
     /** Run fn(job) for each job, results in job-index order. */
     template <class Result>

@@ -414,7 +414,7 @@ TEST(CoverageRunner, PoolAndThreadCountDoNotChangeCoverage)
         opt.threads = threads;
         CorpusReport rep = runCorpus(corpus, opt);
         std::ostringstream os;
-        writeCoverageReport(os, rep);
+        standingCoverage(rep).write(os);
         docs.push_back(os.str());
     }
     EXPECT_EQ(docs[0], docs[1]);

@@ -403,7 +403,7 @@ TEST(LitmusRunner, ReportsAreIdenticalAcrossThreadCounts)
         std::ostringstream os, js, cs;
         printReport(os, rep, /*histograms=*/true, /*coverage=*/true);
         writeJsonReport(js, rep);
-        writeCoverageReport(cs, rep);
+        standingCoverage(rep).write(cs);
         out[i] = os.str();
         json[i] = js.str();
         cov[i] = cs.str();
@@ -496,7 +496,7 @@ TEST(LitmusRunner, CoverageBreaksDownPerMachine)
     // protocol transitions the fan exercised and the per-machine
     // outcome coverage rows (count 0 = allowed but unobserved).
     std::ostringstream cs;
-    writeCoverageReport(cs, rep);
+    standingCoverage(rep).write(cs);
     const std::string doc = cs.str();
     EXPECT_EQ(doc.rfind("wocover\t1\n", 0), 0u);
     EXPECT_NE(doc.find("machine\tbus\tmsi\t1"), std::string::npos);

@@ -127,8 +127,8 @@ TEST(ParallelFor, MatchesSerialExactly)
 
 TEST(ParallelFor, NestedCallDoesNotDeadlock)
 {
-    // Root-splitting verifications run parallelFor from inside a pool
-    // job; the caller participates, so even a 1-thread pool finishes.
+    // A pool job may itself call parallelFor on the same pool; the
+    // caller participates, so even a 1-thread pool finishes.
     ThreadPool pool(1);
     std::atomic<int> total{0};
     parallelFor(pool, 4, [&](std::size_t) {

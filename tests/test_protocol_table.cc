@@ -225,22 +225,6 @@ TEST(ProtocolTable, MesifInstallsReadFillsInForward)
               LineAction::RelinquishClean);
 }
 
-TEST(ProtocolTable, ParseProtocolRoundTripsAndThrowsOnUnknown)
-{
-    for (ProtocolKind k : kAll)
-        EXPECT_EQ(parseProtocol(toString(k)), k);
-    EXPECT_EQ(parseProtocol("MESI"), ProtocolKind::Mesi);
-    EXPECT_EQ(parseProtocol("MoEsI"), ProtocolKind::Moesi);
-    try {
-        parseProtocol("mosi");
-        FAIL() << "expected std::runtime_error";
-    } catch (const std::runtime_error &e) {
-        std::string what = e.what();
-        for (ProtocolKind k : kAll)
-            EXPECT_NE(what.find(toString(k)), std::string::npos) << what;
-    }
-}
-
 TEST(ProtocolTable, TransitionLabelsAreStableStrings)
 {
     EXPECT_STREQ(transitionLabel(LineState::Modified, LineState::Shared),

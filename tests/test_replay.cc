@@ -2,23 +2,23 @@
  * @file
  * The trace-replay pipeline: on-disk format round-trips, workload
  * generator determinism, the logical replay engine (windowed vs
- * whole-trace differential, race injection), the obs-layer capture sink,
- * and simulator-accurate replay on pooled Systems.
+ * whole-trace differential, race injection), simulator-accurate replay
+ * on pooled Systems, and the wo-replay binary's flag validation.
  */
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/drf0_checker.hh"
-#include "cpu/program_builder.hh"
-#include "replay/capture.hh"
 #include "replay/replay_engine.hh"
 #include "replay/system_replay.hh"
 #include "replay/trace_format.hh"
@@ -266,112 +266,6 @@ TEST(ReplayEngineTest, WindowedMatchesWholeTraceOracle)
     }
 }
 
-TEST(ReplayEngineTest, StatsExportCountsRetention)
-{
-    StatSet stats;
-    exportReplayStats(stats, "replay", 1234, 99);
-    exportReplayStats(stats, "replay", 66, 120);
-    std::ostringstream oss;
-    stats.dumpJson(oss);
-    EXPECT_NE(oss.str().find("\"replay.trace_events_retired\": 1300"),
-              std::string::npos)
-        << oss.str();
-    EXPECT_NE(oss.str().find("\"replay.window_high_water\": 120"),
-              std::string::npos)
-        << oss.str();
-}
-
-TEST(ReplayCapture, LiveSystemCaptureReplays)
-{
-    // Record a two-thread spinlock increment off the obs layer, then
-    // replay the capture through the logical engine: the recorded
-    // hand-off must reproduce the final counter value, race-free.
-    constexpr Addr kLock = 100, kCounter = 200;
-    MultiProgram program("capture-spinlock");
-    for (int t = 0; t < 2; ++t) {
-        ProgramBuilder b;
-        b.label("acq")
-            .test(0, kLock)
-            .bne(0, 0, "acq")
-            .tas(0, kLock, 1)
-            .bne(0, 0, "acq");
-        b.load(1, kCounter).addi(1, 1, 1).storeReg(kCounter, 1);
-        b.unset(kLock, 0);
-        b.halt();
-        program.addProgram(b.build());
-    }
-
-    ReplayCaptureSink sink(program.numProcs());
-    SystemConfig cfg = machineOrThrow("bus").config(PolicyKind::Def2Drf0, 1);
-    cfg.traceSink = &sink;
-    System sys(program, cfg);
-    ASSERT_TRUE(sys.run());
-    for (const auto &[addr, value] : program.initials())
-        sink.data().initials.push_back({addr, value});
-
-    TempTrace f("capture");
-    ASSERT_TRUE(saveReplayTrace(sink.data(), f.path()));
-    ReplayTraceReader r;
-    ASSERT_TRUE(r.open(f.path()));
-    ReplayOptions opt;
-    opt.window = 0;
-    opt.mode = RaceDetectMode::AllRaces;
-    ReplayEngine engine(r, opt);
-    ReplayResult res = engine.run();
-    ASSERT_TRUE(res.ok) << res.error;
-    EXPECT_TRUE(res.raceFree);
-    // Replay enforces the lock protocol, not the recorded acquisition
-    // order, and writes replay their recorded values — so the counter
-    // lands on whichever thread's recorded increment replays last.
-    Word counter = res.finalMemory.at(kCounter);
-    EXPECT_TRUE(counter == 1 || counter == 2) << counter;
-    EXPECT_EQ(res.finalMemory.at(kLock), 0u);
-    EXPECT_TRUE(checkTraceBitset(engine.trace()).raceFree);
-}
-
-TEST(ReplayCapture, OfflineTraceCapture)
-{
-    // Hand-built hand-off: t0 publishes then releases a flag, t1
-    // acquires the flag and reads — capture must preserve the recorded
-    // flag value so the replayed SyncRead gates on it.
-    ExecutionTrace t;
-    auto add = [&](ProcId p, int po, AccessKind k, Addr a, Word vr,
-                   Word vw, Tick c) {
-        Access acc;
-        acc.proc = p;
-        acc.poIndex = po;
-        acc.kind = k;
-        acc.addr = a;
-        acc.valueRead = vr;
-        acc.valueWritten = vw;
-        acc.commitTick = c;
-        acc.gpTick = c;
-        t.add(acc);
-    };
-    add(0, 0, AccessKind::DataWrite, 5, 0, 7, 0);
-    add(0, 1, AccessKind::SyncWrite, 9, 0, 1, 1);
-    add(1, 0, AccessKind::SyncRead, 9, 1, 0, 2);
-    add(1, 1, AccessKind::DataRead, 5, 7, 0, 3);
-    t.setInitial(5, 0);
-
-    ReplayTraceData data = captureReplayTrace(t);
-    ASSERT_EQ(data.numThreads(), 2);
-    ASSERT_EQ(data.threads[0].size(), 2u);
-    ASSERT_EQ(data.threads[1].size(), 2u);
-    EXPECT_EQ(data.threads[1][0],
-              (ReplayRecord{ReplayOp::SyncRead, 9, 1}));
-
-    TempTrace f("offline");
-    ASSERT_TRUE(saveReplayTrace(data, f.path()));
-    ReplayTraceReader r;
-    ASSERT_TRUE(r.open(f.path()));
-    ReplayEngine engine(r, {});
-    ReplayResult res = engine.run();
-    ASSERT_TRUE(res.ok) << res.error;
-    EXPECT_TRUE(res.raceFree);
-    EXPECT_EQ(res.finalMemory.at(5), 7u);
-}
-
 TEST(SystemReplayTest, SpinlockOnBusAndNet)
 {
     TraceGenConfig cfg;
@@ -533,5 +427,42 @@ TEST(ReplayFormat, BundledTracesStayReplayable)
     }
 }
 #endif // WO_REPLAY_TRACE_DIR
+
+#if defined(WO_REPLAY_BIN) && defined(WO_REPLAY_TRACE_DIR)
+/** Exit status of the wo-replay binary run with @p args. */
+int
+woReplayExit(const std::string &args)
+{
+    std::string cmd = std::string(WO_REPLAY_BIN) + " " + args +
+                      " > /dev/null 2> /dev/null";
+    int rc = std::system(cmd.c_str());
+    EXPECT_TRUE(WIFEXITED(rc)) << cmd;
+    return WEXITSTATUS(rc);
+}
+
+TEST(WoReplayTool, BadNumericFlagsExitTwo)
+{
+    // A malformed number must not silently become 0: --window=0 means
+    // "retain the whole trace", so a typo would drop the memory bound.
+    const std::string trace =
+        std::string(WO_REPLAY_TRACE_DIR) + "/spinlock_small.wotrace";
+    EXPECT_EQ(woReplayExit("verify --window=32 " + trace), 0);
+    EXPECT_EQ(woReplayExit("verify --window=abc " + trace), 2);
+    EXPECT_EQ(woReplayExit("verify --window= " + trace), 2);
+    EXPECT_EQ(woReplayExit("verify --window=32k " + trace), 2);
+    EXPECT_EQ(woReplayExit("verify --seed=zz " + trace), 2);
+    EXPECT_EQ(woReplayExit("sim --window=x " + trace), 2);
+    EXPECT_EQ(woReplayExit("sim --chunk=abc " + trace), 2);
+    EXPECT_EQ(woReplayExit("sim --seed=-1 " + trace), 2);
+
+    TempTrace out("badflags");
+    for (const char *flag : {"--threads=two", "--rounds=", "--ops=4.5",
+                             "--seed=0x10"})
+        EXPECT_EQ(woReplayExit("gen " + std::string(flag) + " " +
+                               out.path()),
+                  2)
+            << flag;
+}
+#endif // WO_REPLAY_BIN && WO_REPLAY_TRACE_DIR
 
 } // namespace

@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include "core/sc_verifier.hh"
-#include "parallel/thread_pool.hh"
 
 namespace wo {
 namespace {
@@ -297,87 +296,6 @@ TEST(ScVerifier, PendingWritePruningFailsFast)
     ScReport r = verifySc(t);
     EXPECT_EQ(r.verdict, ScVerdict::NotSc);
     EXPECT_LT(r.statesExplored, 5u);
-}
-
-TEST(ScVerifier, RootSplitMatchesSerialVerdicts)
-{
-    ThreadPool pool(4);
-
-    ExecutionTrace dekkerBad;
-    dekkerBad.add(wr(0, 0, 0, 1));
-    dekkerBad.add(rd(0, 1, 1, 0));
-    dekkerBad.add(wr(1, 0, 1, 1));
-    dekkerBad.add(rd(1, 1, 0, 0));
-
-    ExecutionTrace dekkerOk;
-    dekkerOk.add(wr(0, 0, 0, 1));
-    dekkerOk.add(rd(0, 1, 1, 0));
-    dekkerOk.add(wr(1, 0, 1, 1));
-    dekkerOk.add(rd(1, 1, 0, 1));
-
-    ExecutionTrace racy;
-    for (int p = 0; p < 3; ++p)
-        for (int i = 0; i < 3; ++i) {
-            racy.add(wr(p, 2 * i, 7, static_cast<Word>(p * 10 + i)));
-            racy.add(rd(p, 2 * i + 1, 7, static_cast<Word>(p * 10 + i)));
-        }
-
-    for (const ExecutionTrace *t : {&dekkerBad, &dekkerOk, &racy}) {
-        ScReport serial = verifySc(*t);
-        ScReport par = verifyScParallel(*t, pool);
-        EXPECT_EQ(par.verdict, serial.verdict);
-    }
-}
-
-TEST(ScVerifier, RootSplitWitnessIsLegal)
-{
-    ThreadPool pool(4);
-    ExecutionTrace t;
-    for (int p = 0; p < 3; ++p)
-        for (int i = 0; i < 3; ++i) {
-            t.add(wr(p, 2 * i, 7, static_cast<Word>(p * 10 + i)));
-            t.add(rd(p, 2 * i + 1, 7, static_cast<Word>(p * 10 + i)));
-        }
-    ScReport r = verifyScParallel(t, pool);
-    ASSERT_TRUE(r.sc());
-    ASSERT_EQ(r.witnessOrder.size(), static_cast<std::size_t>(t.size()));
-    std::map<Addr, Word> mem;
-    std::map<ProcId, int> last_po;
-    for (int id : r.witnessOrder) {
-        const Access &a = t.at(id);
-        if (last_po.count(a.proc))
-            EXPECT_GT(a.poIndex, last_po[a.proc]);
-        last_po[a.proc] = a.poIndex;
-        if (a.reads()) {
-            Word cur = mem.count(a.addr) ? mem[a.addr]
-                                         : t.initialValue(a.addr);
-            EXPECT_EQ(cur, a.valueRead);
-        }
-        if (a.writes())
-            mem[a.addr] = a.valueWritten;
-    }
-}
-
-TEST(ScVerifier, RootSplitStateCapIsGlobal)
-{
-    // The branchy unsatisfiable trace from StateCapYieldsUnknown: under
-    // root-splitting the budget is one shared atomic, so the summed
-    // exploration must respect maxStates as a *global* cap (not
-    // maxStates per worker) and still report Unknown.
-    ExecutionTrace t;
-    for (int p = 0; p < 6; ++p) {
-        for (int i = 0; i < 4; ++i) {
-            t.add(wr(p, 2 * i, 0, static_cast<Word>(p * 10 + i)));
-            t.add(rd(p, 2 * i + 1, 0, static_cast<Word>(p * 10 + i)));
-        }
-    }
-    t.add(rd(0, 100, 0, 777)); // never written
-    ScVerifierLimits lim;
-    lim.maxStates = 50;
-    ThreadPool pool(4);
-    ScReport r = verifyScParallel(t, pool, lim);
-    EXPECT_EQ(r.verdict, ScVerdict::Unknown);
-    EXPECT_LE(r.statesExplored, lim.maxStates);
 }
 
 } // namespace

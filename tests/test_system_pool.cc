@@ -178,6 +178,12 @@ TEST(SystemLifecycle, IncompatibleResetThrows)
     SystemConfig bus2 = machineOrThrow("bus").config(PolicyKind::Def1, 1);
     EXPECT_THROW(sys.reset(bus2), std::invalid_argument);
 
+    // So does any sub-config field.
+    SystemConfig busEpoch = bus;
+    busEpoch.cache.epochReserveClearing = !bus.cache.epochReserveClearing;
+    EXPECT_THROW(sys.reset(busEpoch), std::invalid_argument);
+    EXPECT_FALSE(sys.compatibleWith(prog, busEpoch));
+
     // But seed / tick-limit changes are the compatible kind.
     SystemConfig bus3 = bus;
     bus3.net.seed = 999;

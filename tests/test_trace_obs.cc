@@ -10,12 +10,17 @@
  *  - latency histogram: bucket boundaries and StatSet mirroring;
  *  - stall attribution: per-reason cycles sum to each processor's total
  *    stall cycles, both via accessors and the finalizeObs() stats;
- *  - trace filters and the Log::redirect sink routing.
+ *  - trace filters and the Log::redirect sink routing;
+ *  - the wo-trace binary's exit status on malformed numeric flags.
  */
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
 #include <cctype>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <sstream>
 #include <string>
@@ -484,6 +489,35 @@ TEST(TraceObs, LogRedirectRoutesThroughSink)
     EXPECT_EQ(ev.text, "[unit] hello sink");
     EXPECT_EQ(renderTraceLine(ev), "42 [unit] hello sink");
 }
+
+#ifdef WO_TRACE_BIN
+/** Exit status of the wo-trace binary run with @p args. */
+int
+woTraceExit(const std::string &args)
+{
+    std::string cmd = std::string(WO_TRACE_BIN) + " " + args +
+                      " > /dev/null 2> /dev/null";
+    int rc = std::system(cmd.c_str());
+    EXPECT_TRUE(WIFEXITED(rc)) << cmd;
+    return WEXITSTATUS(rc);
+}
+
+TEST(WoTraceTool, BadNumericFlagsExitTwo)
+{
+    // A malformed --seed must be rejected, not run as seed 0.
+    const std::string test = std::string(WO_LITMUS_DIR) + "/mp_sync.litmus";
+    const std::string out = ::testing::TempDir() + "wo_trace_seed.json";
+    EXPECT_EQ(woTraceExit("--seed=3 --out=" + out + " " + test), 0);
+    std::remove(out.c_str());
+    for (const char *seed : {"--seed=zz", "--seed=", "--seed=7x",
+                             "--seed=-1"})
+        EXPECT_EQ(woTraceExit(std::string(seed) + " --out=" + out + " " +
+                              test),
+                  2)
+            << seed;
+    std::remove(out.c_str());
+}
+#endif // WO_TRACE_BIN
 
 } // namespace
 } // namespace wo

@@ -39,10 +39,8 @@
  *   --list           parse + compile only; list tests and exit
  *   --trace=STEM     write one Chrome-trace JSON per run, named
  *                    STEM.<test>.<policy>.<machine>.s<seed>.json
- *                    (env fallback: WO_TRACE_FILE)
  *   --trace-filter=LIST  comma list of components to trace: proc,cache,
  *                    dir,net,mem,port,log or "all"
- *                    (env fallback: WO_TRACE_FILTER)
  *
  * Tracing never changes the text/JSON reports: each job records into a
  * private buffer and writes its own file, keeping the run byte-identical
@@ -52,9 +50,9 @@
  */
 
 #include <charconv>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -90,18 +88,10 @@ parsePolicies(const std::string &list, std::vector<PolicyKind> &out)
     std::istringstream in(list);
     std::string item;
     while (std::getline(in, item, ',')) {
-        if (item == "sc")
-            out.push_back(PolicyKind::Sc);
-        else if (item == "def1")
-            out.push_back(PolicyKind::Def1);
-        else if (item == "def2drf0")
-            out.push_back(PolicyKind::Def2Drf0);
-        else if (item == "def2drf1")
-            out.push_back(PolicyKind::Def2Drf1);
-        else if (item == "relaxed")
-            out.push_back(PolicyKind::Relaxed);
-        else
+        std::optional<PolicyKind> kind = parsePolicyKind(item);
+        if (!kind)
             return false;
+        out.push_back(*kind);
     }
     return !out.empty();
 }
@@ -123,20 +113,6 @@ main(int argc, char **argv)
     std::string coverage_file;
     std::vector<std::string> paths;
     std::vector<const MachineSpec *> machines = defaultMachines();
-
-    // Environment plumbing (flags override): lets campaign wrappers
-    // enable tracing without threading new options through.
-    if (const char *env = std::getenv("WO_TRACE_FILE"))
-        options.tracePath = env;
-    if (const char *env = std::getenv("WO_TRACE_FILTER")) {
-        try {
-            options.traceMask = parseTraceFilter(env);
-        } catch (const std::exception &e) {
-            std::cerr << "wo-litmus: WO_TRACE_FILTER: " << e.what()
-                      << "\n";
-            return 2;
-        }
-    }
 
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];

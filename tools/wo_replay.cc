@@ -36,8 +36,10 @@
  * failed, 2 bad usage / unreadable trace.
  */
 
+#include <charconv>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -66,22 +68,23 @@ usage(std::ostream &os)
     return 2;
 }
 
+/**
+ * Parse the number after "--name=" in @p arg into @p out. The whole
+ * token must be a decimal integer in range; otherwise print
+ * "wo-replay: bad --name value" and return false.
+ */
+template <class T>
 bool
-parsePolicy(const std::string &name, PolicyKind &out)
+parseNumberFlag(const std::string &arg, T &out)
 {
-    if (name == "sc")
-        out = PolicyKind::Sc;
-    else if (name == "def1")
-        out = PolicyKind::Def1;
-    else if (name == "def2drf0")
-        out = PolicyKind::Def2Drf0;
-    else if (name == "def2drf1")
-        out = PolicyKind::Def2Drf1;
-    else if (name == "relaxed")
-        out = PolicyKind::Relaxed;
-    else
-        return false;
-    return true;
+    const std::size_t eq = arg.find('=');
+    const char *first = arg.c_str() + eq + 1;
+    const char *last = arg.c_str() + arg.size();
+    auto [end, ec] = std::from_chars(first, last, out);
+    if (ec == std::errc() && end == last)
+        return true;
+    std::cerr << "wo-replay: bad " << arg.substr(0, eq) << " value\n";
+    return false;
 }
 
 void
@@ -143,15 +146,19 @@ cmdGen(const std::vector<std::string> &args)
     for (const std::string &arg : args) {
         if (arg.rfind("--workload=", 0) == 0)
             workload = arg.substr(11);
-        else if (arg.rfind("--threads=", 0) == 0)
-            cfg.threads = std::atoi(arg.c_str() + 10);
-        else if (arg.rfind("--rounds=", 0) == 0)
-            cfg.rounds = std::atoi(arg.c_str() + 9);
-        else if (arg.rfind("--ops=", 0) == 0)
-            cfg.opsPerRound = std::atoi(arg.c_str() + 6);
-        else if (arg.rfind("--seed=", 0) == 0)
-            cfg.seed = std::strtoull(arg.c_str() + 7, nullptr, 10);
-        else if (arg == "--inject-race")
+        else if (arg.rfind("--threads=", 0) == 0) {
+            if (!parseNumberFlag(arg, cfg.threads))
+                return 2;
+        } else if (arg.rfind("--rounds=", 0) == 0) {
+            if (!parseNumberFlag(arg, cfg.rounds))
+                return 2;
+        } else if (arg.rfind("--ops=", 0) == 0) {
+            if (!parseNumberFlag(arg, cfg.opsPerRound))
+                return 2;
+        } else if (arg.rfind("--seed=", 0) == 0) {
+            if (!parseNumberFlag(arg, cfg.seed))
+                return 2;
+        } else if (arg == "--inject-race")
             cfg.injectRace = true;
         else if (!arg.empty() && arg[0] == '-')
             return usage(std::cerr);
@@ -206,13 +213,15 @@ cmdVerify(const std::vector<std::string> &args)
     std::string json_file;
     bool json = false;
     for (const std::string &arg : args) {
-        if (arg.rfind("--window=", 0) == 0)
-            opt.window = std::atoi(arg.c_str() + 9);
-        else if (arg == "--all-races")
+        if (arg.rfind("--window=", 0) == 0) {
+            if (!parseNumberFlag(arg, opt.window))
+                return 2;
+        } else if (arg == "--all-races")
             opt.mode = RaceDetectMode::AllRaces;
-        else if (arg.rfind("--seed=", 0) == 0)
-            opt.seed = std::strtoull(arg.c_str() + 7, nullptr, 10);
-        else if (arg == "--json")
+        else if (arg.rfind("--seed=", 0) == 0) {
+            if (!parseNumberFlag(arg, opt.seed))
+                return 2;
+        } else if (arg == "--json")
             json = true;
         else if (arg.rfind("--json=", 0) == 0) {
             json = true;
@@ -265,20 +274,25 @@ cmdSim(const std::vector<std::string> &args)
         if (arg.rfind("--machine=", 0) == 0)
             opt.machine = arg.substr(10);
         else if (arg.rfind("--policy=", 0) == 0) {
-            if (!parsePolicy(arg.substr(9), opt.policy)) {
+            std::optional<PolicyKind> kind = parsePolicyKind(arg.substr(9));
+            if (!kind) {
                 std::cerr << "wo-replay: bad --policy '" << arg.substr(9)
                           << "'\n";
                 return 2;
             }
-        } else if (arg.rfind("--window=", 0) == 0)
-            opt.window = std::atoi(arg.c_str() + 9);
-        else if (arg.rfind("--chunk=", 0) == 0)
-            opt.chunkTicks = std::atoll(arg.c_str() + 8);
-        else if (arg == "--all-races")
+            opt.policy = *kind;
+        } else if (arg.rfind("--window=", 0) == 0) {
+            if (!parseNumberFlag(arg, opt.window))
+                return 2;
+        } else if (arg.rfind("--chunk=", 0) == 0) {
+            if (!parseNumberFlag(arg, opt.chunkTicks))
+                return 2;
+        } else if (arg == "--all-races")
             opt.mode = RaceDetectMode::AllRaces;
-        else if (arg.rfind("--seed=", 0) == 0)
-            opt.netSeed = std::strtoull(arg.c_str() + 7, nullptr, 10);
-        else if (arg == "--json")
+        else if (arg.rfind("--seed=", 0) == 0) {
+            if (!parseNumberFlag(arg, opt.netSeed))
+                return 2;
+        } else if (arg == "--json")
             json = true;
         else if (arg.rfind("--json=", 0) == 0) {
             json = true;

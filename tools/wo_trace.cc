@@ -24,10 +24,11 @@
  * protocol stall — the trace is still written), 2 usage/parse errors.
  */
 
-#include <cstdlib>
+#include <charconv>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -50,24 +51,6 @@ usage(std::ostream &os)
           "                [--out=FILE] [--trace-filter=LIST] [--text]\n"
           "                <test.litmus>\n";
     return 2;
-}
-
-bool
-parsePolicy(const std::string &name, PolicyKind *out)
-{
-    if (name == "sc")
-        *out = PolicyKind::Sc;
-    else if (name == "def1")
-        *out = PolicyKind::Def1;
-    else if (name == "def2drf0")
-        *out = PolicyKind::Def2Drf0;
-    else if (name == "def2drf1")
-        *out = PolicyKind::Def2Drf1;
-    else if (name == "relaxed")
-        *out = PolicyKind::Relaxed;
-    else
-        return false;
-    return true;
 }
 
 /** "dekker.litmus" -> "dekker" (directories stripped). */
@@ -99,13 +82,21 @@ main(int argc, char **argv)
         if (arg.rfind("--machine=", 0) == 0) {
             machine = arg.substr(10);
         } else if (arg.rfind("--policy=", 0) == 0) {
-            if (!parsePolicy(arg.substr(9), &policy)) {
+            std::optional<PolicyKind> kind = parsePolicyKind(arg.substr(9));
+            if (!kind) {
                 std::cerr << "wo-trace: unknown policy '" << arg.substr(9)
                           << "'\n";
                 return 2;
             }
+            policy = *kind;
         } else if (arg.rfind("--seed=", 0) == 0) {
-            seed = std::strtoull(arg.c_str() + 7, nullptr, 10);
+            const char *first = arg.c_str() + 7;
+            const char *last = arg.c_str() + arg.size();
+            auto [end, ec] = std::from_chars(first, last, seed);
+            if (ec != std::errc() || end != last) {
+                std::cerr << "wo-trace: bad --seed value\n";
+                return 2;
+            }
         } else if (arg.rfind("--out=", 0) == 0) {
             out_file = arg.substr(6);
         } else if (arg.rfind("--trace-filter=", 0) == 0) {
