@@ -44,14 +44,20 @@ struct BenchOptions
  * honouring WO_THREADS, --seed=S / --seed S, --machines=LIST of
  * machine-registry names, --quick, and --json=FILE) from argv before it
  * is handed to google-benchmark, which rejects flags it does not know.
- * Exits with status 2 on an unknown machine name.
+ * Exits with status 2 on a malformed --threads/--seed value or an
+ * unknown machine name.
  */
 inline BenchOptions
 consumeBenchFlags(int &argc, char **argv)
 {
     BenchOptions opts;
-    opts.threads = consumeThreadsFlag(argc, argv);
-    opts.baseSeed = consumeSeedFlag(argc, argv);
+    try {
+        opts.threads = consumeThreadsFlag(argc, argv);
+        opts.baseSeed = consumeSeedFlag(argc, argv);
+    } catch (const std::exception &e) {
+        std::cerr << argv[0] << ": " << e.what() << "\n";
+        std::exit(2);
+    }
     int out = 1;
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];

@@ -4,7 +4,6 @@
 #include <cassert>
 
 #include "obs/trace_sink.hh"
-#include "sim/logging.hh"
 
 namespace wo {
 
@@ -346,7 +345,6 @@ Cache::access(const CacheOp &op)
 void
 Cache::handle(const Msg &msg)
 {
-    WO_TRACE(eq_, name_, "recv " << msg.toString());
     switch (msg.type) {
       case MsgType::Data:
       case MsgType::DataE:

@@ -3,7 +3,6 @@
 #include <cassert>
 
 #include "obs/trace_sink.hh"
-#include "sim/logging.hh"
 
 namespace wo {
 
@@ -146,7 +145,6 @@ Directory::handle(const Msg &msg)
 void
 Directory::process(const Msg &msg)
 {
-    WO_TRACE(eq_, name_, "proc " << msg.toString());
     Line &line = lineOf(msg.addr);
     switch (msg.type) {
       case MsgType::GetS:

@@ -3,7 +3,6 @@
 #include <cassert>
 
 #include "obs/trace_sink.hh"
-#include "sim/logging.hh"
 
 namespace wo {
 
@@ -194,7 +193,6 @@ MidCache::handle(const Msg &msg)
 void
 MidCache::process(const Msg &msg)
 {
-    WO_TRACE(eq_, name_, "proc " << msg.toString());
     switch (msg.type) {
       case MsgType::GetS:
       case MsgType::GetX:

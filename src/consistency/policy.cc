@@ -1,6 +1,7 @@
 #include "consistency/policy.hh"
 
 #include <stdexcept>
+#include <utility>
 
 #include "consistency/def1_policy.hh"
 #include "consistency/def2_drf0_policy.hh"
@@ -37,20 +38,37 @@ toString(PolicyKind k)
     return "?";
 }
 
+namespace {
+
+/** Command-line names, read in both directions. */
+constexpr std::pair<PolicyKind, const char *> kCliNames[] = {
+    {PolicyKind::Sc, "sc"},
+    {PolicyKind::Def1, "def1"},
+    {PolicyKind::Def2Drf0, "def2drf0"},
+    {PolicyKind::Def2Drf1, "def2drf1"},
+    {PolicyKind::Relaxed, "relaxed"},
+};
+
+} // namespace
+
 std::optional<PolicyKind>
 parsePolicyKind(const std::string &name)
 {
-    if (name == "sc")
-        return PolicyKind::Sc;
-    if (name == "def1")
-        return PolicyKind::Def1;
-    if (name == "def2drf0")
-        return PolicyKind::Def2Drf0;
-    if (name == "def2drf1")
-        return PolicyKind::Def2Drf1;
-    if (name == "relaxed")
-        return PolicyKind::Relaxed;
+    for (const auto &[kind, cli] : kCliNames) {
+        if (name == cli)
+            return kind;
+    }
     return std::nullopt;
+}
+
+const char *
+cliName(PolicyKind k)
+{
+    for (const auto &[kind, cli] : kCliNames) {
+        if (kind == k)
+            return cli;
+    }
+    return "?";
 }
 
 std::unique_ptr<ConsistencyPolicy>

@@ -134,6 +134,9 @@ std::string toString(PolicyKind k);
  * relaxed; nullopt for anything else. */
 std::optional<PolicyKind> parsePolicyKind(const std::string &name);
 
+/** The command-line name parsePolicyKind maps to @p k ("sc", ...). */
+const char *cliName(PolicyKind k);
+
 /** Factory for built-in policies. */
 std::unique_ptr<ConsistencyPolicy> makePolicy(PolicyKind kind);
 

@@ -3,7 +3,6 @@
 #include <cassert>
 
 #include "obs/trace_sink.hh"
-#include "sim/logging.hh"
 
 namespace wo {
 

@@ -199,5 +199,15 @@ compileLitmusFile(const std::string &path)
     return compileLitmus(parseLitmusFile(path));
 }
 
+RunResult
+clauseOutcome(const CompiledLitmus &test, RunResult r)
+{
+    for (const auto &[loc, addr] : test.addrOf) {
+        if (!r.finalMemory.count(addr))
+            r.finalMemory[addr] = test.program.initialValue(addr);
+    }
+    return r;
+}
+
 } // namespace litmus_dsl
 } // namespace wo

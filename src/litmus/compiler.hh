@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "core/trace.hh"
 #include "cpu/program.hh"
 #include "litmus/ast.hh"
 #include "litmus/parser.hh"
@@ -48,6 +49,11 @@ CompiledLitmus compileLitmus(const LitmusTest &t);
 
 /** parseLitmusFile + compileLitmus. */
 CompiledLitmus compileLitmusFile(const std::string &path);
+
+/** The outcome @p test's clause judges for a finished run @p r: clause
+ * locations the run never touched read as their declared initial
+ * values. */
+RunResult clauseOutcome(const CompiledLitmus &test, RunResult r);
 
 } // namespace litmus_dsl
 } // namespace wo

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <fstream>
 #include <iomanip>
 #include <ostream>
 #include <sstream>
@@ -10,8 +9,6 @@
 #include "core/drf0_checker.hh"
 #include "core/sc_verifier.hh"
 #include "litmus/expect.hh"
-#include "obs/trace_export.hh"
-#include "obs/trace_sink.hh"
 #include "sim/json.hh"
 #include "workload/campaign.hh"
 
@@ -56,32 +53,6 @@ scPromised(PolicyKind policy, bool drf0)
         return false;
     }
     return false;
-}
-
-/** Keep file names portable: anything exotic becomes '_'. */
-std::string
-sanitizeForFile(const std::string &s)
-{
-    std::string out = s;
-    for (char &c : out) {
-        bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                  (c >= '0' && c <= '9') || c == '-' || c == '_' ||
-                  c == '.';
-        if (!ok)
-            c = '_';
-    }
-    return out;
-}
-
-/** Deterministic per-job trace file name (independent of threading). */
-std::string
-traceFileName(const std::string &stem, const std::string &test,
-              PolicyKind policy, const std::string &variant, int seed_idx)
-{
-    return stem + "." + sanitizeForFile(test) + "." +
-           sanitizeForFile(toString(policy)) + "." +
-           sanitizeForFile(variant) + ".s" + std::to_string(seed_idx) +
-           ".json";
 }
 
 /** Cells of one test that share a policy (or a single cell). */
@@ -246,9 +217,6 @@ runCorpus(const std::vector<CompiledLitmus> &tests,
                 JobOut out;
                 SystemConfig cfg =
                     plan.machine->config(plan.policy, job.seed);
-                TraceBuffer trace_buf(options.traceMask);
-                if (!options.tracePath.empty())
-                    cfg.traceSink = &trace_buf;
                 if (options.coverage)
                     cfg.coverage = &out.cov;
                 try {
@@ -260,15 +228,7 @@ runCorpus(const std::vector<CompiledLitmus> &tests,
                     out.ran = true;
                     out.finished = sys.run();
                     if (out.finished) {
-                        RunResult r = sys.result();
-                        // Clause locations the run never touched read
-                        // as their declared initial values.
-                        for (const auto &[loc, addr] : test.addrOf) {
-                            if (!r.finalMemory.count(addr)) {
-                                r.finalMemory[addr] =
-                                    test.program.initialValue(addr);
-                            }
-                        }
+                        RunResult r = clauseOutcome(test, sys.result());
                         out.hit =
                             evalCond(test.clause.cond, r, test.addrOf);
                         out.key = outcomeKey(vars, r, test.addrOf);
@@ -283,23 +243,34 @@ runCorpus(const std::vector<CompiledLitmus> &tests,
                         }
                     }
                     out.stats = sys.stats();
-                    // The pooled instance outlives this job; the trace
-                    // buffer and coverage map it may point at do not.
-                    if (cfg.traceSink)
-                        sys.setTraceSink(nullptr);
+                    // The pooled instance outlives this job; the
+                    // coverage map it may point at does not.
                     if (cfg.coverage)
                         sys.setCoverage(nullptr);
                 } catch (const std::invalid_argument &) {
                     out.ran = false; // illegal config for this policy
                 }
-                if (out.ran && !options.tracePath.empty()) {
-                    std::ofstream tf(traceFileName(
-                        options.tracePath, test.name, plan.policy,
-                        plan.machine->name, job.index % per_cell));
-                    writeChromeTrace(tf, trace_buf.events());
-                }
                 return out;
             });
+
+        // "; repro: <wo-trace command>" for the first job of cell ci that
+        // satisfies offends: a fresh System at the job's seed repeats the
+        // pooled run exactly. Scans outs only when a failure is pushed.
+        auto repro = [&](std::size_t ci, auto offends) {
+            for (int s = 0; s < per_cell; ++s) {
+                int index = static_cast<int>(ci) * per_cell + s;
+                if (!offends(outs[static_cast<std::size_t>(index)]))
+                    continue;
+                return "; repro: wo-trace --machine=" +
+                       cells[ci].machine->name +
+                       " --policy=" + cliName(cells[ci].policy) +
+                       " --seed=" +
+                       std::to_string(
+                           campaignJobSeed(options.baseSeed, index)) +
+                       " " + test.file;
+            }
+            return std::string();
+        };
 
         // Aggregate in job order (byte-identical for any thread count).
         for (std::size_t ci = 0; ci < cells.size(); ++ci) {
@@ -339,7 +310,10 @@ runCorpus(const std::vector<CompiledLitmus> &tests,
                     tr.failures.push_back(
                         toString(cell.policy) + "/" + cell.variant +
                         ": forbidden outcome observed " +
-                        std::to_string(cell.hits) + "x");
+                        std::to_string(cell.hits) + "x" +
+                        repro(ci, [](const JobOut &o) {
+                            return o.finished && o.hit;
+                        }));
                 } else if (!cell.enforced && cell.hits > 0) {
                     cell.note = "permitted";
                 }
@@ -352,7 +326,10 @@ runCorpus(const std::vector<CompiledLitmus> &tests,
                 tr.failures.push_back(
                     toString(cell.policy) + "/" + cell.variant + ": " +
                     std::to_string(cell.scViolations) +
-                    " executions proven not sequentially consistent");
+                    " executions proven not sequentially consistent" +
+                    repro(ci, [](const JobOut &o) {
+                        return o.scStatus == 1;
+                    }));
             }
             tr.cells.push_back(std::move(cell));
         }
@@ -369,18 +346,11 @@ runCorpus(const std::vector<CompiledLitmus> &tests,
             tr.axiomComplete = ax.complete;
             axiom::AddrNamer namer = axiom::namerFrom(test.addrOf);
 
-            // Project allowed RunResults onto the clause's outcome
-            // keys, filling untouched clause locations with their
-            // initial values exactly as the per-job path does.
+            // Project allowed RunResults onto the clause's outcome keys
+            // exactly as the per-job path does.
             auto project = [&](const RunResult &r) {
-                RunResult filled = r;
-                for (const auto &[loc, addr] : test.addrOf) {
-                    if (!filled.finalMemory.count(addr)) {
-                        filled.finalMemory[addr] =
-                            test.program.initialValue(addr);
-                    }
-                }
-                return outcomeKey(vars, filled, test.addrOf);
+                return outcomeKey(vars, clauseOutcome(test, r),
+                                  test.addrOf);
             };
             std::map<std::string, std::set<std::string>> allowed_keys;
             for (const auto &[model, set] : ax.allowed) {
@@ -393,7 +363,8 @@ runCorpus(const std::vector<CompiledLitmus> &tests,
                 tr.axiomAllowed.push_back(std::move(mar));
             }
 
-            for (CellReport &cell : tr.cells) {
+            for (std::size_t ci = 0; ci < tr.cells.size(); ++ci) {
+                CellReport &cell = tr.cells[ci];
                 const axiom::AxiomaticModel *model =
                     axiom::modelForPolicy(cell.policy);
                 cell.axiomModel = model->name();
@@ -434,7 +405,10 @@ runCorpus(const std::vector<CompiledLitmus> &tests,
                 tr.failures.push_back(
                     toString(cell.policy) + "/" + cell.variant +
                     ": observed {" + key + "} forbidden by model " +
-                    model->name() + " — " + why);
+                    model->name() + " — " + why +
+                    repro(ci, [&](const JobOut &o) {
+                        return o.finished && o.key == key;
+                    }));
             }
 
             // Outcome coverage: seed every allowed key for each cell

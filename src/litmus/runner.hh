@@ -23,6 +23,10 @@
  *  - Under the SC policy every recorded trace must additionally pass the
  *    SC verifier; under Def1/Def2 policies the same holds when the
  *    program is DRF0 (the paper's Definition 2 contract).
+ *
+ * Each forbidden-outcome, non-SC and axiom-forbidden failure line ends
+ * with "; repro: wo-trace --machine=M --policy=P --seed=S FILE", naming
+ * the cell's first offending job; wo-trace replays it exactly.
  */
 
 #ifndef WO_LITMUS_RUNNER_HH
@@ -38,7 +42,6 @@
 #include "litmus/compiler.hh"
 #include "obs/coverage.hh"
 #include "obs/coverage_report.hh"
-#include "obs/trace_event.hh"
 #include "sim/stats.hh"
 #include "system/machine_spec.hh"
 #include "system/system.hh"
@@ -67,19 +70,6 @@ struct RunnerOptions
     bool verify = true;          ///< SC-verify every recorded trace
     std::uint64_t maxVerifyStates = 1000000;
     int drf0Schedules = 200;     ///< sampled DRF0 check per test
-
-    /**
-     * Structured-trace output stem; empty disables tracing (the
-     * default, with zero effect on reports). When set, every job runs
-     * with a private TraceBuffer and writes a Chrome-trace JSON file
-     * named <stem>.<test>.<policy>.<variant>.s<seed-index>.json — one
-     * file per job, so reports and trace files stay byte-identical for
-     * any --threads value.
-     */
-    std::string tracePath;
-
-    /** Component filter for trace events (see parseTraceFilter). */
-    std::uint32_t traceMask = kAllTraceComps;
 
     /**
      * Record coverage counters (protocol transitions, stall reasons,

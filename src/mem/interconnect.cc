@@ -1,7 +1,6 @@
 #include "mem/interconnect.hh"
 
 #include <cassert>
-#include <sstream>
 
 #include "obs/trace_sink.hh"
 
@@ -45,19 +44,6 @@ toString(MsgType t)
       case MsgType::PutAck: return "PutAck";
     }
     return "?";
-}
-
-std::string
-Msg::toString() const
-{
-    std::ostringstream oss;
-    oss << wo::toString(type) << " " << src << "->" << dst << " [" << addr
-        << "]=" << value << " req" << reqId;
-    if (forSync)
-        oss << " sync";
-    if (ackCount)
-        oss << " acks=" << ackCount;
-    return oss.str();
 }
 
 void

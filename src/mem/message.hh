@@ -86,9 +86,6 @@ struct Msg
      * the flag of the request that triggered them so the owner can apply
      * the reserve-bit rule. */
     bool forSync = false;
-
-    /** One-line rendering for traces. */
-    std::string toString() const;
 };
 
 } // namespace wo

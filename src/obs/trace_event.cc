@@ -15,7 +15,6 @@ toString(TraceComp c)
       case TraceComp::Net: return "net";
       case TraceComp::Mem: return "mem";
       case TraceComp::Port: return "port";
-      case TraceComp::Log: return "log";
     }
     return "?";
 }
@@ -50,7 +49,6 @@ toString(TraceKind k)
       case TraceKind::MemService: return "mem_service";
       case TraceKind::PortRequest: return "port_request";
       case TraceKind::PortResponse: return "port_response";
-      case TraceKind::LogMessage: return "log";
     }
     return "?";
 }
@@ -80,7 +78,7 @@ parseTraceFilter(const std::string &list)
         if (!known) {
             throw std::runtime_error(
                 "unknown trace component '" + item +
-                "' (expected proc,cache,dir,net,mem,port,log or all)");
+                "' (expected proc,cache,dir,net,mem,port or all)");
         }
     }
     if (mask == 0)

@@ -34,10 +34,9 @@ enum class TraceComp : std::uint8_t {
     Net,   ///< interconnect (bus or general network)
     Mem,   ///< memory module (cache-less systems)
     Port,  ///< uncached processor port
-    Log,   ///< free-form Log::emit lines routed through the sink
 };
 
-inline constexpr int kNumTraceComps = 7;
+inline constexpr int kNumTraceComps = 6;
 
 /** What happened. Grouped by the component that emits the kind. */
 enum class TraceKind : std::uint8_t {
@@ -74,9 +73,6 @@ enum class TraceKind : std::uint8_t {
     MemService,   ///< memory module accepted a request; aux = service delay
     PortRequest,  ///< uncached port sent a request
     PortResponse, ///< uncached port completed a request
-
-    // Logging.
-    LogMessage, ///< a Log::emit line; text = "[who] message"
 };
 
 /** Sentinel: event carries no address. */
@@ -103,7 +99,7 @@ struct TraceEvent
     std::int64_t aux = 0;         ///< kind-specific scalar (counter, latency)
     std::uint8_t level = 1;       ///< cache-hierarchy level (MidCache = 2)
     const char *detail = nullptr; ///< static tag (access kind, stall reason)
-    std::string text;             ///< dynamic payload (msg type, log line)
+    std::string text;             ///< dynamic payload (msg type)
 };
 
 /** Short lowercase name ("proc", "cache", ...). */

@@ -26,7 +26,6 @@ tidOf(const TraceEvent &ev)
       case TraceComp::Mem: base = 300; break;
       case TraceComp::Port: base = 400; break;
       case TraceComp::Net: base = 500; break;
-      case TraceComp::Log: base = 600; break;
     }
     return base + (ev.compId > 0 ? ev.compId : 0);
 }

@@ -2,19 +2,15 @@
  * @file
  * Trace sinks: where structured TraceEvents go when tracing is on.
  *
- *  - TraceBuffer collects events in memory (with a component filter) for
- *    later export — the sink wo-litmus/wo-trace attach per run. One
- *    buffer belongs to one System; campaign jobs each own a private
- *    buffer, so worker threads never share a sink.
- *  - TextTraceSink renders each event as one line and writes it under a
- *    mutex — the thread-safe stream sink Log::emit routes through.
+ * TraceBuffer collects events in memory (with a component filter) for
+ * later export; wo-trace attaches one to the single run it replays. One
+ * buffer belongs to one System, so no sink is ever shared between
+ * threads.
  */
 
 #ifndef WO_OBS_TRACE_SINK_HH
 #define WO_OBS_TRACE_SINK_HH
 
-#include <iosfwd>
-#include <mutex>
 #include <vector>
 
 #include "obs/trace_event.hh"
@@ -56,31 +52,6 @@ class TraceBuffer : public TraceSink
     std::uint32_t mask_;
     std::vector<TraceEvent> events_;
 };
-
-/**
- * Line-oriented stream sink. Each event is formatted into one string and
- * written with a single locked stream insertion, so concurrent emitters
- * (campaign worker threads sharing a Log redirect) never tear or
- * interleave mid-line.
- */
-class TextTraceSink : public TraceSink
-{
-  public:
-    explicit TextTraceSink(std::ostream &os,
-                           std::uint32_t comp_mask = kAllTraceComps)
-        : os_(os), mask_(comp_mask)
-    {}
-
-    void record(const TraceEvent &ev) override;
-
-  private:
-    std::mutex mu_;
-    std::ostream &os_;
-    std::uint32_t mask_;
-};
-
-/** Render one event as the single text line TextTraceSink writes. */
-std::string renderTraceLine(const TraceEvent &ev);
 
 } // namespace wo
 

@@ -162,10 +162,6 @@ class System
     bool compatibleWith(const MultiProgram &program,
                         const SystemConfig &cfg) const;
 
-    /** Rewire the structured trace sink on every component (nullptr
-     * detaches); reset(cfg) applies cfg.traceSink through this. */
-    void setTraceSink(TraceSink *sink);
-
     /** Point the next run at @p cov (nullptr detaches); reset(cfg)
      * applies cfg.coverage through this. A pooled System outliving a
      * per-job CoverageMap must be detached before the map dies. */
@@ -222,6 +218,11 @@ class System
     /** Every cfg field equal except net.seed, maxTicks, traceSink and
      * coverage. */
     bool structurallyCompatible(const SystemConfig &cfg) const;
+
+    /** Rewire the structured trace sink on every component (nullptr
+     * detaches); construction and reset(cfg) apply cfg.traceSink
+     * through this. */
+    void setTraceSink(TraceSink *sink);
 
     MultiProgram program_;
     SystemConfig cfg_;

@@ -1,11 +1,34 @@
 #include "workload/campaign.hh"
 
+#include <charconv>
 #include <cstdlib>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 #include <thread>
 
 namespace wo {
+
+namespace {
+
+/** @p text as one whole non-negative decimal number; throws
+ * std::invalid_argument naming @p flag on anything else ("", "abc",
+ * "12x", "-1", out of range). */
+template <typename T>
+T
+parseFlagValue(const char *flag, const char *text)
+{
+    T value{};
+    const char *last = text + std::strlen(text);
+    auto [end, ec] = std::from_chars(text, last, value);
+    if (ec != std::errc() || end != last || text == last || value < T{}) {
+        throw std::invalid_argument(std::string("bad ") + flag +
+                                    " value '" + text + "'");
+    }
+    return value;
+}
+
+} // namespace
 
 std::uint64_t
 campaignJobSeed(std::uint64_t baseSeed, int jobIndex)
@@ -44,19 +67,15 @@ consumeThreadsFlag(int &argc, char **argv)
     int out = 1;
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];
-        if (std::strncmp(arg, "--threads=", 10) == 0) {
-            threads = std::atoi(arg + 10);
-            continue;
-        }
-        if (std::strcmp(arg, "--threads") == 0 && i + 1 < argc) {
-            threads = std::atoi(argv[i + 1]);
-            ++i;
-            continue;
-        }
-        argv[out++] = argv[i];
+        if (std::strncmp(arg, "--threads=", 10) == 0)
+            threads = parseFlagValue<int>("--threads", arg + 10);
+        else if (std::strcmp(arg, "--threads") == 0 && i + 1 < argc)
+            threads = parseFlagValue<int>("--threads", argv[++i]);
+        else
+            argv[out++] = argv[i];
     }
     argc = out;
-    return threads > 0 ? threads : 0;
+    return threads;
 }
 
 System &
@@ -130,16 +149,12 @@ consumeSeedFlag(int &argc, char **argv, std::uint64_t fallback)
     int out = 1;
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];
-        if (std::strncmp(arg, "--seed=", 7) == 0) {
-            seed = std::strtoull(arg + 7, nullptr, 10);
-            continue;
-        }
-        if (std::strcmp(arg, "--seed") == 0 && i + 1 < argc) {
-            seed = std::strtoull(argv[i + 1], nullptr, 10);
-            ++i;
-            continue;
-        }
-        argv[out++] = argv[i];
+        if (std::strncmp(arg, "--seed=", 7) == 0)
+            seed = parseFlagValue<std::uint64_t>("--seed", arg + 7);
+        else if (std::strcmp(arg, "--seed") == 0 && i + 1 < argc)
+            seed = parseFlagValue<std::uint64_t>("--seed", argv[++i]);
+        else
+            argv[out++] = argv[i];
     }
     argc = out;
     return seed;

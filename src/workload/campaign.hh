@@ -56,8 +56,10 @@ int campaignThreads(int requested = 0);
  * Strip a `--threads=N` (or `--threads N`) argument from argv, shifting
  * the remaining arguments down and updating argc.
  *
- * @return N, or 0 if the flag was absent (callers then fall back to
- *         campaignThreads(0)'s env/hardware resolution).
+ * @return N, or 0 if the flag was absent or N is 0 (callers then fall
+ *         back to campaignThreads(0)'s env/hardware resolution).
+ * @throws std::invalid_argument unless N is a whole non-negative decimal
+ *         number ("abc", "", "4x" and "-1" are rejected).
  */
 int consumeThreadsFlag(int &argc, char **argv);
 
@@ -66,6 +68,8 @@ int consumeThreadsFlag(int &argc, char **argv);
  * remaining arguments down and updating argc.
  *
  * @return S, or @p fallback if the flag was absent.
+ * @throws std::invalid_argument unless S is a whole unsigned 64-bit
+ *         decimal number (so a bare `--seed` cannot swallow a path).
  */
 std::uint64_t consumeSeedFlag(int &argc, char **argv,
                               std::uint64_t fallback = 1);

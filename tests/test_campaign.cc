@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -45,6 +46,18 @@ TEST(CampaignSeeds, IndependentOfThreadCount)
     }
 }
 
+/** @p consume applied to the command line {"prog", args...}. */
+template <typename Consume>
+auto
+consumeFrom(std::vector<std::string> args, Consume consume)
+{
+    std::vector<char *> argv = {const_cast<char *>("prog")};
+    for (std::string &a : args)
+        argv.push_back(a.data());
+    int argc = static_cast<int>(argv.size());
+    return consume(argc, argv.data());
+}
+
 TEST(CampaignFlags, ConsumeThreadsFlag)
 {
     const char *raw[] = {"prog", "--threads=5", "100"};
@@ -69,6 +82,26 @@ TEST(CampaignFlags, ConsumeThreadsFlag)
     int argc3 = 1;
     char *argv3[] = {const_cast<char *>(raw[0])};
     EXPECT_EQ(consumeThreadsFlag(argc3, argv3), 0);
+
+    // --seed strips the same two forms. Malformed values of either flag
+    // throw rather than run a silent default, and a bare flag cannot
+    // swallow the path after it.
+    auto seed = [](int &argc, char **argv) {
+        return consumeSeedFlag(argc, argv, 9);
+    };
+    EXPECT_EQ(consumeFrom({"--seed=12", "--seed", "7"}, seed), 7u);
+    EXPECT_EQ(consumeFrom({}, seed), 9u);
+    for (const char *bad : {"--threads=abc", "--threads=", "--threads=4x",
+                            "--threads=-1"}) {
+        EXPECT_THROW(consumeFrom({bad}, consumeThreadsFlag),
+                     std::invalid_argument)
+            << bad;
+    }
+    for (const char *bad : {"--seed=abc", "--seed=12x", "--seed=",
+                            "--seed=-1", "--seed=99999999999999999999"})
+        EXPECT_THROW(consumeFrom({bad}, seed), std::invalid_argument) << bad;
+    EXPECT_THROW(consumeFrom({"--seed", "tests/litmus"}, seed),
+                 std::invalid_argument);
 }
 
 TEST(CampaignFlags, ThreadsResolutionPrefersRequest)

@@ -13,6 +13,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <iomanip>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -24,6 +25,7 @@
 #include "litmus/expect.hh"
 #include "litmus/parser.hh"
 #include "litmus/runner.hh"
+#include "workload/campaign.hh"
 
 namespace wo {
 namespace litmus_dsl {
@@ -414,6 +416,82 @@ TEST(LitmusRunner, ReportsAreIdenticalAcrossThreadCounts)
     EXPECT_NE(out[0].find("sb"), std::string::npos);
 }
 
+TEST(LitmusRunner, FailureLinesNameAWoTraceRepro)
+{
+    // SB with its weak outcome forbidden even under Relaxed: every
+    // machine that exhibits it fails its cell.
+    const std::vector<CompiledLitmus> corpus = {compileLitmus(parseLitmus(
+        "name sb-always\ninit { x = 0; y = 0; }\n"
+        "P0 | P1 ;\n"
+        "store x, 1 | store y, 1 ;\n"
+        "load r0, y | load r0, x ;\n"
+        "halt | halt ;\n"
+        "forbidden always (P0:r0 == 0 && P1:r0 == 0)\n",
+        "sb_always.litmus"))};
+    const CompiledLitmus &test = corpus[0];
+
+    // At this base seed net-u's first hit is not its cell's first job,
+    // so an off-by-one index-to-seed mapping names a run that misses.
+    constexpr std::uint64_t kBase = 4;
+    RunnerOptions opt;
+    opt.seeds = 5;
+    opt.baseSeed = kBase;
+    opt.drf0Schedules = 40;
+    opt.policies = {PolicyKind::Relaxed};
+    const std::vector<const MachineSpec *> machines = defaultMachines();
+    CorpusReport rep = runCorpus(corpus, opt, machines);
+    ASSERT_EQ(rep.tests.size(), 1u);
+    ASSERT_EQ(rep.tests[0].failures.size(), machines.size());
+
+    auto hits = [&](const MachineSpec &m, PolicyKind policy,
+                    std::uint64_t seed) {
+        System sys(test.program, m.config(policy, seed));
+        return sys.run() &&
+               evalCond(test.clause.cond, clauseOutcome(test, sys.result()),
+                        test.addrOf);
+    };
+    int net_u_first = -1;
+    for (const std::string &line : rep.tests[0].failures) {
+        const std::string tag = "; repro: wo-trace ";
+        std::size_t at = line.find(tag);
+        ASSERT_NE(at, std::string::npos) << line;
+        std::istringstream in(line.substr(at + tag.size()));
+        std::string m, p, s, file, extra;
+        in >> m >> p >> s >> file >> extra;
+        ASSERT_EQ(m.rfind("--machine=", 0), 0u) << line;
+        ASSERT_EQ(p.rfind("--policy=", 0), 0u) << line;
+        ASSERT_EQ(s.rfind("--seed=", 0), 0u) << line;
+        EXPECT_EQ(file, test.file);
+        EXPECT_TRUE(extra.empty()) << line;
+        const MachineSpec &machine = machineOrThrow(m.substr(10));
+        std::optional<PolicyKind> policy = parsePolicyKind(p.substr(9));
+        ASSERT_TRUE(policy) << line;
+        const std::uint64_t seed = std::stoull(s.substr(7));
+        EXPECT_EQ(line.rfind(toString(*policy) + "/" + machine.name + ":", 0),
+                  0u)
+            << line;
+
+        // A fresh System at the named seed observes the forbidden
+        // outcome, and it is the cell's first job that does.
+        EXPECT_TRUE(hits(machine, *policy, seed)) << line;
+        int cell = static_cast<int>(
+            std::find(machines.begin(), machines.end(), &machine) -
+            machines.begin());
+        int first = -1;
+        for (int j = 0; j < opt.seeds && first < 0; ++j) {
+            std::uint64_t js = campaignJobSeed(kBase, cell * opt.seeds + j);
+            if (hits(machine, *policy, js))
+                first = j;
+        }
+        ASSERT_GE(first, 0) << line;
+        EXPECT_EQ(seed, campaignJobSeed(kBase, cell * opt.seeds + first))
+            << line;
+        if (machine.name == "net-u")
+            net_u_first = first;
+    }
+    EXPECT_GT(net_u_first, 0);
+}
+
 TEST(LitmusRunner, CoverageBreaksDownPerMachine)
 {
     std::vector<CompiledLitmus> corpus;
@@ -579,10 +657,18 @@ TEST(WoLitmusTool, BadUsageExitsTwo)
         ASSERT_TRUE(out);
         out << kMp;
     }
-    for (const char *bad : {"--seeds=20abc", "--seeds=", "--seeds=0",
-                            "--seeds=-3", "--seeds=0x10",
-                            "--seeds=99999999999999999999"}) {
-        EXPECT_EQ(woLitmusExit(std::string(bad) + " " + corpus), 2) << bad;
+    // Likewise malformed --seed/--threads values (a bare --seed must
+    // not swallow the path after it), and the removed trace options.
+    for (const std::string &bad :
+         {std::string("--seeds=20abc"), std::string("--seeds="),
+          std::string("--seeds=0"), std::string("--seeds=-3"),
+          std::string("--seeds=0x10"),
+          std::string("--seeds=99999999999999999999"),
+          std::string("--seed=abc"), std::string("--seed=12x"),
+          std::string("--threads=abc"), std::string("--threads="),
+          "--seed " + corpus, std::string("--trace=x"),
+          std::string("--trace-filter=proc")}) {
+        EXPECT_EQ(woLitmusExit(bad + " " + corpus), 2) << bad;
     }
 }
 

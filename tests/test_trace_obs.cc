@@ -10,7 +10,7 @@
  *  - latency histogram: bucket boundaries and StatSet mirroring;
  *  - stall attribution: per-reason cycles sum to each processor's total
  *    stall cycles, both via accessors and the finalizeObs() stats;
- *  - trace filters and the Log::redirect sink routing;
+ *  - trace filters and the buffer's component mask;
  *  - the wo-trace binary's exit status on malformed numeric flags.
  */
 
@@ -29,7 +29,6 @@
 #include "obs/latency_histogram.hh"
 #include "obs/trace_export.hh"
 #include "obs/trace_sink.hh"
-#include "sim/logging.hh"
 #include "system/machine_spec.hh"
 #include "system/system.hh"
 #include "workload/litmus.hh"
@@ -443,7 +442,7 @@ TEST(TraceObs, StallEventsBalanceAndCarryReasons)
 }
 
 // ---------------------------------------------------------------------
-// Filters and Log routing.
+// Filters.
 
 TEST(TraceObs, ParseTraceFilter)
 {
@@ -452,12 +451,12 @@ TEST(TraceObs, ParseTraceFilter)
     EXPECT_EQ(parseTraceFilter("proc,cache"),
               traceCompBit(TraceComp::Proc) |
                   traceCompBit(TraceComp::Cache));
-    EXPECT_EQ(parseTraceFilter("net,mem,port,dir,log"),
+    EXPECT_EQ(parseTraceFilter("net,mem,port,dir"),
               traceCompBit(TraceComp::Net) | traceCompBit(TraceComp::Mem) |
                   traceCompBit(TraceComp::Port) |
-                  traceCompBit(TraceComp::Dir) |
-                  traceCompBit(TraceComp::Log));
+                  traceCompBit(TraceComp::Dir));
     EXPECT_THROW(parseTraceFilter("bogus"), std::runtime_error);
+    EXPECT_THROW(parseTraceFilter("log"), std::runtime_error);
     EXPECT_THROW(parseTraceFilter(""), std::runtime_error);
 }
 
@@ -469,25 +468,6 @@ TEST(TraceObs, BufferMaskFiltersComponents)
     EXPECT_GT(buf.events().size(), 0u);
     for (const TraceEvent &ev : buf.events())
         EXPECT_EQ(ev.comp, TraceComp::Proc);
-}
-
-TEST(TraceObs, LogRedirectRoutesThroughSink)
-{
-    TraceBuffer buf;
-    Log::redirect(&buf);
-    LogLevel saved = Log::level();
-    Log::setLevel(LogLevel::Trace);
-    Log::emit(LogLevel::Trace, 42, "unit", "hello sink");
-    Log::setLevel(saved);
-    Log::redirect(nullptr);
-
-    ASSERT_EQ(buf.events().size(), 1u);
-    const TraceEvent &ev = buf.events()[0];
-    EXPECT_EQ(ev.comp, TraceComp::Log);
-    EXPECT_EQ(ev.kind, TraceKind::LogMessage);
-    EXPECT_EQ(ev.tick, 42u);
-    EXPECT_EQ(ev.text, "[unit] hello sink");
-    EXPECT_EQ(renderTraceLine(ev), "42 [unit] hello sink");
 }
 
 #ifdef WO_TRACE_BIN

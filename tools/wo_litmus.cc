@@ -9,7 +9,9 @@
  * variants on the parallel campaign engine, and prints a per-test
  * outcome histogram plus a PASS/FAIL table. Each worker thread resets a
  * pooled System per (machine, policy) cell rather than building one per
- * run. Output is byte-identical for any --threads value.
+ * run. Output is byte-identical for any --threads value. Every
+ * forbidden-outcome, non-SC and axiom-forbidden failure line ends with
+ * the wo-trace command that replays the cell's first offending run.
  *
  * Options:
  *   --seeds=N        seeds per (policy, machine) cell, a positive
@@ -21,11 +23,10 @@
  *   --list-machines  print the machine registry and exit
  *   --json[=FILE]    write a JSON report (to FILE, else stdout)
  *   --no-verify      skip per-run SC verification
- *   --axiom-check    differential axiomatic stage (default): fail any
- *                    cell whose observed outcome the policy's bounding
- *                    axiomatic model forbids (witness cycle in the
- *                    failure message)
- *   --no-axiom-check skip the axiomatic stage
+ *   --no-axiom-check skip the differential axiomatic stage, which by
+ *                    default fails any cell whose observed outcome the
+ *                    policy's bounding axiomatic model forbids (witness
+ *                    cycle in the failure message)
  *   --coverage-report[=FILE]
  *                    record coverage counters (protocol transitions,
  *                    stall reasons, latency buckets, outcome coverage
@@ -37,16 +38,9 @@
  *                    lists gaps and diffs against
  *   --no-histograms  omit outcome histograms from the text report
  *   --list           parse + compile only; list tests and exit
- *   --trace=STEM     write one Chrome-trace JSON per run, named
- *                    STEM.<test>.<policy>.<machine>.s<seed>.json
- *   --trace-filter=LIST  comma list of components to trace: proc,cache,
- *                    dir,net,mem,port,log or "all"
  *
- * Tracing never changes the text/JSON reports: each job records into a
- * private buffer and writes its own file, keeping the run byte-identical
- * to an untraced one for any --threads value.
- *
- * Exit status: 0 all tests pass, 1 failures, 2 bad usage or parse error.
+ * Exit status: 0 all tests pass, 1 failures, 2 bad usage (including a
+ * malformed --seed/--threads/--seeds value) or parse error.
  */
 
 #include <charconv>
@@ -74,9 +68,7 @@ usage(std::ostream &os)
           "                 [--machines=LIST] [--list-machines]\n"
           "                 [--json[=FILE]] [--no-verify] "
           "[--no-histograms] [--list]\n"
-          "                 [--axiom-check] [--no-axiom-check]\n"
-          "                 [--coverage-report[=FILE]]\n"
-          "                 [--trace=STEM] [--trace-filter=LIST]\n"
+          "                 [--no-axiom-check] [--coverage-report[=FILE]]\n"
           "                 <file-or-dir>...\n";
     return 2;
 }
@@ -102,8 +94,13 @@ int
 main(int argc, char **argv)
 {
     RunnerOptions options;
-    options.threads = consumeThreadsFlag(argc, argv);
-    options.baseSeed = consumeSeedFlag(argc, argv, 1);
+    try {
+        options.threads = consumeThreadsFlag(argc, argv);
+        options.baseSeed = consumeSeedFlag(argc, argv, 1);
+    } catch (const std::exception &e) {
+        std::cerr << "wo-litmus: " << e.what() << "\n";
+        return 2;
+    }
 
     bool json = false;
     bool list_only = false;
@@ -147,8 +144,6 @@ main(int argc, char **argv)
             json_file = arg.substr(7);
         } else if (arg == "--no-verify") {
             options.verify = false;
-        } else if (arg == "--axiom-check") {
-            options.axiomCheck = true;
         } else if (arg == "--no-axiom-check") {
             options.axiomCheck = false;
         } else if (arg == "--coverage-report") {
@@ -166,19 +161,6 @@ main(int argc, char **argv)
             histograms = false;
         } else if (arg == "--list") {
             list_only = true;
-        } else if (arg.rfind("--trace=", 0) == 0) {
-            options.tracePath = arg.substr(8);
-            if (options.tracePath.empty()) {
-                std::cerr << "wo-litmus: empty --trace stem\n";
-                return 2;
-            }
-        } else if (arg.rfind("--trace-filter=", 0) == 0) {
-            try {
-                options.traceMask = parseTraceFilter(arg.substr(15));
-            } catch (const std::exception &e) {
-                std::cerr << "wo-litmus: " << e.what() << "\n";
-                return 2;
-            }
         } else if (arg == "--help" || arg == "-h") {
             usage(std::cout);
             return 0;

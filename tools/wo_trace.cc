@@ -12,13 +12,17 @@
  *   --seed=S             network-jitter seed                  [1]
  *   --out=FILE           Chrome-trace JSON output  [<test>.trace.json]
  *   --trace-filter=LIST  components to trace: proc,cache,dir,net,mem,
- *                        port,log or "all"                    [all]
+ *                        port or "all"                        [all]
  *   --text               also print the compact text timeline
  *
  * The JSON file loads in chrome://tracing or https://ui.perfetto.dev:
  * per-processor stall slices (named by reason), issue->globally-
  * performed spans per access, reserve-bit spans per cache line, and the
  * outstanding-access counter track.
+ *
+ * wo-litmus ends each failing cell's line with the wo-trace command that
+ * replays the cell's first offending run (same machine, policy and job
+ * seed).
  *
  * Exit status: 0 run completed, 1 run did not complete (tick-limit or
  * protocol stall — the trace is still written), 2 usage/parse errors.
@@ -155,12 +159,9 @@ main(int argc, char **argv)
                   << buf.events().size() << " events recorded\n";
 
         if (finished) {
-            RunResult r = sys.result();
-            for (const auto &[loc, addr] : test.addrOf) {
-                if (!r.finalMemory.count(addr))
-                    r.finalMemory[addr] = test.program.initialValue(addr);
-            }
-            bool hit = evalCond(test.clause.cond, r, test.addrOf);
+            bool hit = evalCond(test.clause.cond,
+                                clauseOutcome(test, sys.result()),
+                                test.addrOf);
             std::cout << "clause condition "
                       << (hit ? "OBSERVED" : "not observed")
                       << " in this run\n";
