@@ -1,8 +1,11 @@
 #include "litmus/runner.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <filesystem>
 #include <iomanip>
+#include <memory>
+#include <mutex>
 #include <ostream>
 #include <sstream>
 
@@ -25,15 +28,79 @@ struct JobOut
     bool hit = false;
     int scStatus = -1; ///< -1 unverified, 0 ok, 1 violation, 2 unknown
     std::string key;
-    StatSet stats;
     CoverageMap cov; ///< this job's coverage (RunnerOptions::coverage)
 };
 
-/** Static description of one job (shared by all seeds of a cell). */
+/** Static description of one job (shared by all seeds of a cell, and by
+ * every test: the cells are the same policy x machine fan throughout). */
 struct CellPlan
 {
     PolicyKind policy;
     const MachineSpec *machine;
+    SystemConfig cfg;     ///< the machine's config; jobs set net.seed
+    std::string poolKey;  ///< "machine/policy", the SystemPool cell key
+    std::size_t keyIndex; ///< dense index of poolKey (ThreadStats::perKey)
+};
+
+/**
+ * One thread's share of a runCorpus call's merged stats. perKey[k]
+ * follows the thread's pooled System for pool key k: each finished job
+ * adds its run with StatSet::accumulate, so no job copies a StatSet or
+ * looks a name up. A replacement System may lay its slots out
+ * differently, so when the pool replaces one its total is folded into
+ * retired by name first.
+ */
+struct ThreadStats
+{
+    std::vector<StatSet> perKey;
+    StatSet retired;
+};
+
+/** Gives each thread that runs jobs of one runCorpus call its own
+ * ThreadStats, and merges them all by name when the call is done. Sum
+ * and max do not depend on order, so neither does the merged set. */
+class StatsByThread
+{
+  public:
+    explicit StatsByThread(std::size_t numKeys)
+        : numKeys_(numKeys), call_(++lastCall_)
+    {}
+
+    /** The calling thread's ThreadStats for this call. */
+    ThreadStats &
+    local()
+    {
+        thread_local std::uint64_t call = 0;
+        thread_local ThreadStats *mine = nullptr;
+        if (call != call_) {
+            std::lock_guard<std::mutex> lock(mu_);
+            threads_.push_back(std::make_unique<ThreadStats>());
+            mine = threads_.back().get();
+            mine->perKey.resize(numKeys_);
+            call = call_;
+        }
+        return *mine;
+    }
+
+    /** Every thread's totals merged by name into @p into; call once
+     * every job has finished. */
+    void
+    mergeInto(StatSet &into) const
+    {
+        for (const std::unique_ptr<ThreadStats> &ts : threads_) {
+            into.merge(ts->retired);
+            for (const StatSet &total : ts->perKey)
+                into.merge(total);
+        }
+    }
+
+  private:
+    static inline std::atomic<std::uint64_t> lastCall_{0};
+
+    std::size_t numKeys_;
+    std::uint64_t call_; ///< tells this call's thread_local state apart
+    std::mutex mu_;
+    std::vector<std::unique_ptr<ThreadStats>> threads_;
 };
 
 bool
@@ -185,6 +252,21 @@ runCorpus(const std::vector<CompiledLitmus> &tests,
 
     Campaign campaign({options.threads, options.baseSeed});
 
+    // Flatten policy x machine into cells; each job is a (cell, seed).
+    std::vector<CellPlan> cells;
+    std::map<std::string, std::size_t> keyIndex;
+    for (PolicyKind pk : options.policies) {
+        for (const MachineSpec *m : machines) {
+            std::string key = m->name + "/" + toString(pk);
+            std::size_t k =
+                keyIndex.emplace(key, keyIndex.size()).first->second;
+            cells.push_back({pk, m, m->config(pk), std::move(key), k});
+        }
+    }
+    const int per_cell = options.seeds;
+    const int num_jobs = static_cast<int>(cells.size()) * per_cell;
+    StatsByThread stats(keyIndex.size());
+
     for (const CompiledLitmus &test : tests) {
         TestReport tr;
         tr.name = test.name;
@@ -200,56 +282,61 @@ runCorpus(const std::vector<CompiledLitmus> &tests,
 
         std::vector<ObservedVar> vars = observedVars(test.clause.cond);
 
-        // Flatten policy x machine x seed into one deterministic fan.
-        std::vector<CellPlan> cells;
-        for (PolicyKind pk : options.policies) {
-            for (const MachineSpec *m : machines)
-                cells.push_back({pk, m});
+        // An illegal machine/policy pair (a cache-needing policy on a
+        // cache-less machine) skips its jobs: the cell reports runs 0.
+        std::vector<char> runnable(cells.size(), 1);
+        for (std::size_t ci = 0; ci < cells.size(); ++ci) {
+            try {
+                System::checkConfig(test.program, cells[ci].cfg);
+            } catch (const std::invalid_argument &) {
+                runnable[ci] = 0;
+            }
         }
-        int per_cell = options.seeds;
-        int num_jobs = static_cast<int>(cells.size()) * per_cell;
 
         std::vector<JobOut> outs = campaign.map<JobOut>(
             num_jobs, [&](const CampaignJob &job) {
-                const CellPlan &plan =
-                    cells[static_cast<std::size_t>(job.index) /
-                          static_cast<std::size_t>(per_cell)];
+                const std::size_t ci =
+                    static_cast<std::size_t>(job.index) /
+                    static_cast<std::size_t>(per_cell);
+                const CellPlan &plan = cells[ci];
                 JobOut out;
-                SystemConfig cfg =
-                    plan.machine->config(plan.policy, job.seed);
+                if (!runnable[ci])
+                    return out;
+                SystemConfig cfg = plan.cfg;
+                cfg.net.seed = job.seed;
                 if (options.coverage)
                     cfg.coverage = &out.cov;
-                try {
-                    // Reuse this worker thread's System for the cell: a
-                    // reset replays bit-identically, a miss builds one.
-                    System &sys = workerSystemPool().acquire(
-                        plan.machine->name + "/" + toString(plan.policy),
-                        test.program, cfg);
-                    out.ran = true;
-                    out.finished = sys.run();
-                    if (out.finished) {
-                        RunResult r = clauseOutcome(test, sys.result());
-                        out.hit =
-                            evalCond(test.clause.cond, r, test.addrOf);
-                        out.key = outcomeKey(vars, r, test.addrOf);
-                        if (options.verify) {
-                            ScReport sc = verifySc(
-                                sys.trace(),
-                                {options.maxVerifyStates});
-                            out.scStatus =
-                                sc.verdict == ScVerdict::Sc ? 0
-                                : sc.verdict == ScVerdict::NotSc ? 1
-                                                                 : 2;
-                        }
-                    }
-                    out.stats = sys.stats();
-                    // The pooled instance outlives this job; the
-                    // coverage map it may point at does not.
-                    if (cfg.coverage)
-                        sys.setCoverage(nullptr);
-                } catch (const std::invalid_argument &) {
-                    out.ran = false; // illegal config for this policy
+                // Reuse this worker thread's System for the cell: a
+                // reset replays bit-identically, a miss builds one.
+                SystemPool &pool = workerSystemPool();
+                const std::uint64_t builds = pool.builds();
+                System &sys = pool.acquire(plan.poolKey, test.program, cfg);
+                ThreadStats &ts = stats.local();
+                StatSet &total = ts.perKey[plan.keyIndex];
+                if (pool.builds() != builds) {
+                    ts.retired.merge(total);
+                    total.clear();
                 }
+                out.ran = true;
+                out.finished = sys.run();
+                if (out.finished) {
+                    RunResult r = clauseOutcome(test, sys.result());
+                    out.hit = evalCond(test.clause.cond, r, test.addrOf);
+                    out.key = outcomeKey(vars, r, test.addrOf);
+                    if (options.verify) {
+                        ScReport sc = verifySc(sys.trace(),
+                                               {options.maxVerifyStates});
+                        out.scStatus = sc.verdict == ScVerdict::Sc ? 0
+                                       : sc.verdict == ScVerdict::NotSc
+                                           ? 1
+                                           : 2;
+                    }
+                    total.accumulate(sys.stats());
+                }
+                // The pooled instance outlives this job; the coverage
+                // map it may point at does not.
+                if (cfg.coverage)
+                    sys.setCoverage(nullptr);
                 return out;
             });
 
@@ -298,7 +385,6 @@ runCorpus(const std::vector<CompiledLitmus> &tests,
                 else if (o.scStatus == 2)
                     ++cell.scUnknown;
                 ++cell.histogram[o.key];
-                report.stats.merge(o.stats);
             }
 
             bool promised = scPromised(cell.policy, tr.drf0);
@@ -456,6 +542,7 @@ runCorpus(const std::vector<CompiledLitmus> &tests,
         report.pass = report.pass && tr.pass;
         report.tests.push_back(std::move(tr));
     }
+    stats.mergeInto(report.stats);
     return report;
 }
 

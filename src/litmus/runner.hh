@@ -180,7 +180,8 @@ struct CorpusReport
     int seeds = 0;
     std::uint64_t baseSeed = 1;
 
-    /** Simulation stats merged over every run, in job order. */
+    /** Simulation stats over every finished run: counters summed,
+     * high-water marks maxed, so independent of job order. */
     StatSet stats;
 
     /** Coverage counters merged over every run, in job order (empty

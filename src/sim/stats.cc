@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <iomanip>
+#include <stdexcept>
 
 #include "sim/json.hh"
 
@@ -58,19 +59,51 @@ StatSet::has(const std::string &name) const
 }
 
 void
+StatSet::combine(Slot &mine, const Slot &theirs)
+{
+    if (mine.kind == Kind::Max) {
+        if (!mine.touched || mine.value < theirs.value)
+            mine.value = theirs.value;
+    } else {
+        mine.value += theirs.value;
+    }
+    mine.touched = true;
+}
+
+void
 StatSet::merge(const StatSet &other)
 {
     for (const Slot &theirs : other.slots_) {
+        if (theirs.touched)
+            combine(slots_[handle(theirs.name, theirs.kind).idx_], theirs);
+    }
+    dirty_ = true;
+}
+
+void
+StatSet::accumulate(const StatSet &run)
+{
+    const std::size_t shared = slots_.size();
+    if (run.slots_.size() < shared ||
+        (shared > 0 && run.slots_[shared - 1].name != slots_.back().name)) {
+        throw std::logic_error(
+            "StatSet::accumulate: run does not extend this total's slots");
+    }
+    for (std::size_t i = shared; i < run.slots_.size(); ++i) {
+        Slot slot;
+        slot.name = run.slots_[i].name;
+        slot.kind = run.slots_[i].kind;
+        index_.emplace(slot.name, static_cast<std::uint32_t>(i));
+        slots_.push_back(std::move(slot));
+    }
+    for (std::size_t i = 0; i < run.slots_.size(); ++i) {
+        const Slot &theirs = run.slots_[i];
         if (!theirs.touched)
             continue;
-        Slot &mine = slots_[handle(theirs.name, theirs.kind).idx_];
-        if (mine.kind == Kind::Max) {
-            if (!mine.touched || mine.value < theirs.value)
-                mine.value = theirs.value;
-        } else {
-            mine.value += theirs.value;
-        }
-        mine.touched = true;
+        Slot &mine = slots_[i];
+        if (theirs.kind == Kind::Max)
+            mine.kind = Kind::Max;
+        combine(mine, theirs);
     }
     dirty_ = true;
 }

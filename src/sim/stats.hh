@@ -134,6 +134,19 @@ class StatSet
      */
     void merge(const StatSet &other);
 
+    /**
+     * Fold one run of @p run into this running total: merge() without
+     * the name lookups, for a total fed only by successive runs of the
+     * one StatSet @p run. That StatSet's slots survive reset() and only
+     * ever append, so slot i names the same stat on both sides; new
+     * slots are appended here, kinds upgrade Sum->Max as merge() does,
+     * and untouched slots are skipped. O(slots), no allocation once the
+     * total has caught up with @p run's slots. Throws std::logic_error
+     * if @p run is visibly not the StatSet this total follows (fewer
+     * slots, or a different name in the last shared slot).
+     */
+    void accumulate(const StatSet &run);
+
     /** Remove every counter (interned handles become invalid). */
     void clear();
 
@@ -169,6 +182,9 @@ class StatSet
         Kind kind = Kind::Sum;
         bool touched = false; ///< bumped at least once (reportable)
     };
+
+    /** Combine @p theirs into @p mine by @p mine's kind (+ or max). */
+    static void combine(Slot &mine, const Slot &theirs);
 
     /** Rebuild the sorted name->value view if any slot changed. */
     void syncValues() const;

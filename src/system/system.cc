@@ -8,36 +8,41 @@
 
 namespace wo {
 
+void
+System::checkConfig(const MultiProgram &program, const SystemConfig &cfg)
+{
+    std::unique_ptr<ConsistencyPolicy> policy = makePolicy(cfg.policy);
+    if (policy->requiresCache() && !cfg.cached) {
+        throw std::invalid_argument(
+            policy->name() +
+            " needs a cache-coherent system (reserve bits live in caches)");
+    }
+    if (cfg.writeBuffer && !policy->allowWriteBuffer()) {
+        throw std::invalid_argument(
+            "write buffers are illegal under policy " + policy->name());
+    }
+    if (cfg.numDirs < 1 || cfg.numMemModules < 1)
+        throw std::invalid_argument("need at least one memory/dir bank");
+    if (program.numProcs() < 1)
+        throw std::invalid_argument("workload has no processors");
+    if (cfg.cacheLevels < 1 || cfg.cacheLevels > 2)
+        throw std::invalid_argument("cacheLevels must be 1 or 2");
+    if (cfg.cacheLevels == 2 && !cfg.cached)
+        throw std::invalid_argument("cacheLevels > 1 needs caches");
+}
+
 System::System(const MultiProgram &program, const SystemConfig &cfg)
     : program_(program), cfg_(cfg)
 {
+    checkConfig(program_, cfg_);
     policy_ = makePolicy(cfg_.policy);
-    if (policy_->requiresCache() && !cfg_.cached) {
-        throw std::invalid_argument(
-            policy_->name() +
-            " needs a cache-coherent system (reserve bits live in caches)");
-    }
-    if (cfg_.writeBuffer && !policy_->allowWriteBuffer()) {
-        throw std::invalid_argument(
-            "write buffers are illegal under policy " + policy_->name());
-    }
-    if (cfg_.numDirs < 1 || cfg_.numMemModules < 1)
-        throw std::invalid_argument("need at least one memory/dir bank");
-
     int nprocs = program_.numProcs();
-    if (nprocs < 1)
-        throw std::invalid_argument("workload has no processors");
 
     if (cfg_.interconnect == InterconnectKind::Bus) {
         net_ = std::make_unique<Bus>(eq_, stats_, cfg_.bus);
     } else {
         net_ = std::make_unique<GeneralNetwork>(eq_, stats_, cfg_.net);
     }
-
-    if (cfg_.cacheLevels < 1 || cfg_.cacheLevels > 2)
-        throw std::invalid_argument("cacheLevels must be 1 or 2");
-    if (cfg_.cacheLevels == 2 && !cfg_.cached)
-        throw std::invalid_argument("cacheLevels > 1 needs caches");
 
     if (cfg_.cached) {
         CacheConfig ccfg = cfg_.cache;

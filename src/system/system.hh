@@ -102,8 +102,18 @@ class System
 {
   public:
     /** Build the system; throws std::invalid_argument on illegal
-     * configuration combinations. */
+     * configuration combinations (see checkConfig). */
     System(const MultiProgram &program, const SystemConfig &cfg);
+
+    /**
+     * Throw std::invalid_argument, with the constructor's message, if
+     * System(@p program, @p cfg) would reject the pair: a policy that
+     * needs caches on a cache-less machine, write buffers the policy
+     * forbids, no memory/dir bank, no processors, or an illegal cache
+     * depth. Lets a campaign skip an unrunnable cell once, at plan time.
+     */
+    static void checkConfig(const MultiProgram &program,
+                            const SystemConfig &cfg);
 
     /**
      * Run to completion.

@@ -90,8 +90,8 @@ SystemPool::acquire(const std::string &key, const MultiProgram &program,
         sys.loadProgram(program);
         return sys;
     }
-    ++builds_;
     auto sys = std::make_unique<System>(program, cfg);
+    ++builds_; // only a construction that succeeded counts
     System &ref = *sys;
     cells_[key] = std::move(sys);
     return ref;

@@ -143,7 +143,9 @@ class SystemPool
     /** Jobs served by resetting a cached instance. */
     std::uint64_t reuses() const { return reuses_; }
 
-    /** Jobs that constructed (first touch or incompatible). */
+    /** Jobs that constructed (first touch or incompatible); a
+     * construction that throws is not counted and leaves the cell's
+     * cached instance in place. */
     std::uint64_t builds() const { return builds_; }
 
     /** Drop every cached instance and zero the counters. */

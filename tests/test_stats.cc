@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
 
 #include "sim/stats.hh"
 
@@ -267,6 +268,68 @@ TEST(StatSet, ResetThenMergeMatchesFresh)
     other.maxOf("m", 4);
     s.merge(other);
     EXPECT_EQ(s.get("m"), 4u); // 100 must not survive the reset
+}
+
+TEST(StatSet, AccumulateMatchesMergeOverResetRuns)
+{
+    // A running total fed by successive reset() runs of one StatSet
+    // must equal merging every run by name: including a slot interned
+    // mid-sequence, a Max-kind slot, a Sum slot upgraded to Max later,
+    // and slots left untouched in some runs.
+    StatSet run, total, merged;
+    StatHandle hits = run.handle("hits");
+    run.handle("reserved"); // interned, never bumped
+    auto fold = [&] {
+        total.accumulate(run);
+        merged.merge(run);
+        EXPECT_EQ(total.all(), merged.all());
+        run.reset();
+    };
+
+    run.inc(hits, 3);
+    run.maxOf("depth", 7);
+    fold();
+
+    run.inc(hits, 2);
+    run.inc("late", 5); // new slot; "depth" untouched this run
+    fold();
+
+    run.maxOf("depth", 4); // below the running max
+    run.inc("upgraded", 6);
+    fold();
+
+    run.maxOf("upgraded", 2); // now Max-kind: combines with max
+    run.inc(hits);            // "late" untouched this run
+    fold();
+
+    EXPECT_EQ(total.get("hits"), 6u);
+    EXPECT_EQ(total.get("depth"), 7u);
+    EXPECT_EQ(total.get("late"), 5u);
+    EXPECT_EQ(total.get("upgraded"), 6u);
+    EXPECT_FALSE(total.has("reserved"));
+
+    // Kinds carried over too: a later by-name merge combines alike.
+    StatSet more;
+    more.inc("depth", 9);
+    more.inc("upgraded", 1);
+    total.merge(more);
+    merged.merge(more);
+    EXPECT_EQ(total.all(), merged.all());
+    EXPECT_EQ(total.get("depth"), 9u);
+    EXPECT_EQ(total.get("upgraded"), 6u);
+}
+
+TEST(StatSet, AccumulateRejectsAStatSetItDoesNotFollow)
+{
+    StatSet a, b, total;
+    a.inc("x");
+    a.inc("y");
+    b.inc("y");
+    total.accumulate(a);
+    EXPECT_THROW(total.accumulate(b), std::logic_error); // fewer slots
+    b.inc("z");
+    EXPECT_THROW(total.accumulate(b), std::logic_error); // other layout
+    EXPECT_EQ(total.get("x"), 1u);
 }
 
 TEST(StatSet, ClearEmpties)

@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -240,6 +241,16 @@ TEST(SystemPool, ReusesCompatibleAndRebuildsIncompatible)
     EXPECT_EQ(pool.builds(), 3u);
     EXPECT_EQ(pool.reuses(), 1u);
 
+    // A construction that throws is not a build, and leaves the key's
+    // cached instance in place for the next compatible acquire.
+    SystemConfig illegal =
+        machineOrThrow("bus-u").config(PolicyKind::Def2Drf0, 1);
+    EXPECT_THROW(pool.acquire("bus/SC", prog, illegal),
+                 std::invalid_argument);
+    EXPECT_EQ(pool.builds(), 3u);
+    EXPECT_EQ(&pool.acquire("bus/SC", prog, def1), &d);
+    EXPECT_EQ(pool.reuses(), 2u);
+
     pool.clear();
     EXPECT_EQ(pool.builds(), 0u);
     EXPECT_EQ(pool.reuses(), 0u);
@@ -351,6 +362,51 @@ TEST(SystemPool, CorpusReportsIdenticalAcrossThreadCounts)
     std::string golden = corpusBytes(tests, options);
     options.threads = 4;
     EXPECT_EQ(corpusBytes(tests, options), golden);
+}
+
+TEST(SystemPool, CorpusStatsEqualFreshRunsMergedByName)
+{
+    // Oracle for the runner's per-pooled-System stats totals: the merged
+    // report stats must equal merging, by name, a fresh System's stats
+    // for every finished job. The fleet's processor counts vary across
+    // tests, so pooled Systems are replaced mid-corpus and their totals
+    // take the fold-by-name path; comparing 1 against 4 threads alone
+    // would miss a fold that is wrong the same way on both sides.
+    std::vector<litmus_dsl::CompiledLitmus> tests = litmusCorpus();
+    const std::vector<const MachineSpec *> machines = parseMachineList("*");
+    litmus_dsl::RunnerOptions options;
+    options.seeds = 2;
+    options.coverage = true;
+
+    StatSet expected;
+    for (const litmus_dsl::CompiledLitmus &test : tests) {
+        int index = 0; // each test's fan numbers its jobs from 0
+        for (PolicyKind pk : options.policies) {
+            for (const MachineSpec *m : machines) {
+                for (int s = 0; s < options.seeds; ++s, ++index) {
+                    SystemConfig cfg = m->config(
+                        pk, campaignJobSeed(options.baseSeed, index));
+                    try {
+                        System::checkConfig(test.program, cfg);
+                    } catch (const std::invalid_argument &) {
+                        continue; // unrunnable cell: runs 0
+                    }
+                    System sys(test.program, cfg);
+                    if (sys.run())
+                        expected.merge(sys.stats());
+                }
+            }
+        }
+    }
+    ASSERT_FALSE(expected.all().empty());
+
+    for (int threads : {1, 4}) {
+        options.threads = threads;
+        litmus_dsl::CorpusReport report =
+            litmus_dsl::runCorpus(tests, options, machines);
+        EXPECT_EQ(report.stats.all(), expected.all())
+            << "threads=" << threads;
+    }
 }
 
 } // namespace
