@@ -1,11 +1,8 @@
 #include "litmus/runner.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <filesystem>
 #include <iomanip>
-#include <memory>
-#include <mutex>
 #include <ostream>
 #include <sstream>
 
@@ -28,7 +25,6 @@ struct JobOut
     bool hit = false;
     int scStatus = -1; ///< -1 unverified, 0 ok, 1 violation, 2 unknown
     std::string key;
-    CoverageMap cov; ///< this job's coverage (RunnerOptions::coverage)
 };
 
 /** Static description of one job (shared by all seeds of a cell, and by
@@ -39,68 +35,26 @@ struct CellPlan
     const MachineSpec *machine;
     SystemConfig cfg;     ///< the machine's config; jobs set net.seed
     std::string poolKey;  ///< "machine/policy", the SystemPool cell key
-    std::size_t keyIndex; ///< dense index of poolKey (ThreadStats::perKey)
+    std::size_t keyIndex; ///< dense index of poolKey (Worker::perKey)
 };
 
 /**
- * One thread's share of a runCorpus call's merged stats. perKey[k]
- * follows the thread's pooled System for pool key k: each finished job
- * adds its run with StatSet::accumulate, so no job copies a StatSet or
- * looks a name up. A replacement System may lay its slots out
- * differently, so when the pool replaces one its total is folded into
- * retired by name first.
+ * One campaign worker's share of a runCorpus call, indexed by
+ * CampaignJob::worker: no two jobs use one at once, so nothing here is
+ * locked. Every finished job adds its run to perKey[k], the total that
+ * follows the worker's pooled System for pool key k, with
+ * StatSet::accumulate: no job copies a StatSet or looks a name up. A
+ * replacement System may lay its slots out differently, so when the
+ * pool replaces one its total is folded into retired by name first.
+ * Sum and max do not depend on order, nor does coverage's per-key sum,
+ * so the merged totals are the same however jobs spread over workers.
  */
-struct ThreadStats
+struct Worker
 {
+    CoverageMap cov; ///< declared before pool: its Systems point here
+    SystemPool pool;
     std::vector<StatSet> perKey;
     StatSet retired;
-};
-
-/** Gives each thread that runs jobs of one runCorpus call its own
- * ThreadStats, and merges them all by name when the call is done. Sum
- * and max do not depend on order, so neither does the merged set. */
-class StatsByThread
-{
-  public:
-    explicit StatsByThread(std::size_t numKeys)
-        : numKeys_(numKeys), call_(++lastCall_)
-    {}
-
-    /** The calling thread's ThreadStats for this call. */
-    ThreadStats &
-    local()
-    {
-        thread_local std::uint64_t call = 0;
-        thread_local ThreadStats *mine = nullptr;
-        if (call != call_) {
-            std::lock_guard<std::mutex> lock(mu_);
-            threads_.push_back(std::make_unique<ThreadStats>());
-            mine = threads_.back().get();
-            mine->perKey.resize(numKeys_);
-            call = call_;
-        }
-        return *mine;
-    }
-
-    /** Every thread's totals merged by name into @p into; call once
-     * every job has finished. */
-    void
-    mergeInto(StatSet &into) const
-    {
-        for (const std::unique_ptr<ThreadStats> &ts : threads_) {
-            into.merge(ts->retired);
-            for (const StatSet &total : ts->perKey)
-                into.merge(total);
-        }
-    }
-
-  private:
-    static inline std::atomic<std::uint64_t> lastCall_{0};
-
-    std::size_t numKeys_;
-    std::uint64_t call_; ///< tells this call's thread_local state apart
-    std::mutex mu_;
-    std::vector<std::unique_ptr<ThreadStats>> threads_;
 };
 
 bool
@@ -137,7 +91,7 @@ struct OutcomeSplit
  * derived from the report: the allowed keys of the cells' bounding model
  * (TestReport::axiomAllowed) split by whether any of the cells'
  * histograms counted them. The text and JSON coverage sections and the
- * CoverageMap outcome seeding all read coverage through here.
+ * standing report's outcome rows all read coverage through here.
  */
 OutcomeSplit
 splitOutcomes(const TestReport &tr, const CellGroup &cells)
@@ -265,7 +219,10 @@ runCorpus(const std::vector<CompiledLitmus> &tests,
     }
     const int per_cell = options.seeds;
     const int num_jobs = static_cast<int>(cells.size()) * per_cell;
-    StatsByThread stats(keyIndex.size());
+    std::vector<Worker> workers(
+        static_cast<std::size_t>(campaign.numThreads()) + 1);
+    for (Worker &w : workers)
+        w.perKey.resize(keyIndex.size());
 
     for (const CompiledLitmus &test : tests) {
         TestReport tr;
@@ -302,19 +259,19 @@ runCorpus(const std::vector<CompiledLitmus> &tests,
                 JobOut out;
                 if (!runnable[ci])
                     return out;
+                Worker &w = workers[static_cast<std::size_t>(job.worker)];
                 SystemConfig cfg = plan.cfg;
                 cfg.net.seed = job.seed;
                 if (options.coverage)
-                    cfg.coverage = &out.cov;
-                // Reuse this worker thread's System for the cell: a
-                // reset replays bit-identically, a miss builds one.
-                SystemPool &pool = workerSystemPool();
-                const std::uint64_t builds = pool.builds();
-                System &sys = pool.acquire(plan.poolKey, test.program, cfg);
-                ThreadStats &ts = stats.local();
-                StatSet &total = ts.perKey[plan.keyIndex];
-                if (pool.builds() != builds) {
-                    ts.retired.merge(total);
+                    cfg.coverage = &w.cov;
+                // Reuse this worker's System for the cell: a reset
+                // replays bit-identically, a miss builds one.
+                const std::uint64_t builds = w.pool.builds();
+                System &sys =
+                    w.pool.acquire(plan.poolKey, test.program, cfg);
+                StatSet &total = w.perKey[plan.keyIndex];
+                if (w.pool.builds() != builds) {
+                    w.retired.merge(total);
                     total.clear();
                 }
                 out.ran = true;
@@ -333,10 +290,6 @@ runCorpus(const std::vector<CompiledLitmus> &tests,
                     }
                     total.accumulate(sys.stats());
                 }
-                // The pooled instance outlives this job; the coverage
-                // map it may point at does not.
-                if (cfg.coverage)
-                    sys.setCoverage(nullptr);
                 return out;
             });
 
@@ -368,8 +321,6 @@ runCorpus(const std::vector<CompiledLitmus> &tests,
                 const JobOut &o =
                     outs[ci * static_cast<std::size_t>(per_cell) +
                          static_cast<std::size_t>(s)];
-                if (options.coverage)
-                    report.coverage.merge(o.cov);
                 if (!o.ran)
                     continue;
                 ++cell.runs;
@@ -496,29 +447,6 @@ runCorpus(const std::vector<CompiledLitmus> &tests,
                         return o.finished && o.key == key;
                     }));
             }
-
-            // Outcome coverage: seed every allowed key for each cell
-            // (count 0 = allowed but unobserved), bump the observed ones
-            // by their histogram count. Cells the policy cannot run on
-            // (runs 0) are not seeded — those are impossibilities, not
-            // gaps.
-            for (const CellReport &cell : tr.cells) {
-                if (!options.coverage || cell.runs == 0)
-                    continue;
-                const std::string stem = tr.name + "\t" +
-                                         toString(cell.policy) + "\t" +
-                                         cell.variant + "\t";
-                for (const auto &[key, count] : cell.histogram) {
-                    report.coverage.hitKey(
-                        CoverageMap::Dim::Outcome, stem + key,
-                        static_cast<std::uint64_t>(count));
-                }
-                for (const std::string &key :
-                     splitOutcomes(tr, {&cell}).unobserved) {
-                    report.coverage.internKey(CoverageMap::Dim::Outcome,
-                                              stem + key);
-                }
-            }
         }
 
         // `exists` is judged over the whole Relaxed fan: the weak
@@ -542,7 +470,12 @@ runCorpus(const std::vector<CompiledLitmus> &tests,
         report.pass = report.pass && tr.pass;
         report.tests.push_back(std::move(tr));
     }
-    stats.mergeInto(report.stats);
+    for (const Worker &w : workers) {
+        report.coverage.merge(w.cov);
+        report.stats.merge(w.retired);
+        for (const StatSet &total : w.perKey)
+            report.stats.merge(total);
+    }
     return report;
 }
 
@@ -741,6 +674,27 @@ standingCoverage(const CorpusReport &report)
     for (const MachineInfo &mi : report.machines)
         st.addMachine(mi.name, mi.protocol, mi.cacheLevels);
     st.addCoverage(report.coverage);
+    // Outcome rows, measured against the axiom stage's allowed sets:
+    // each cell's histogram counts, plus every key its bounding model
+    // allows but no run produced, at 0. Cells the policy cannot run on
+    // (runs 0) get no rows: those are impossibilities, not gaps.
+    for (const TestReport &tr : report.tests) {
+        if (!tr.axiomChecked)
+            continue;
+        for (const CellReport &cell : tr.cells) {
+            if (cell.runs == 0)
+                continue;
+            auto row = [&](const std::string &key) -> std::uint64_t & {
+                return st.outcomes[{tr.name, toString(cell.policy),
+                                    cell.variant, key}];
+            };
+            for (const auto &[key, count] : cell.histogram)
+                row(key) += static_cast<std::uint64_t>(count);
+            for (const std::string &key :
+                 splitOutcomes(tr, {&cell}).unobserved)
+                row(key);
+        }
+    }
     return st;
 }
 

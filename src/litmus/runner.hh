@@ -73,12 +73,13 @@ struct RunnerOptions
 
     /**
      * Record coverage counters (protocol transitions, stall reasons,
-     * latency buckets, outcome coverage) into CorpusReport::coverage.
-     * Each job runs with a private CoverageMap merged in job-index
-     * order, so the merged map — like every report — is byte-identical
-     * for any --threads value. Off by default: with coverage off the
-     * instrumented sites cost one thread-local load and branch each,
-     * and reports are bit-unchanged either way.
+     * latency buckets) into CorpusReport::coverage. Each campaign
+     * worker records into its own CoverageMap, and the worker maps are
+     * summed per key when the corpus is done, so the merged counts —
+     * like every report — are the same for any --threads value. Off by
+     * default: with coverage off the instrumented sites cost one
+     * thread-local load and branch each, and reports are bit-unchanged
+     * either way.
      */
     bool coverage = false;
 
@@ -184,9 +185,11 @@ struct CorpusReport
      * high-water marks maxed, so independent of job order. */
     StatSet stats;
 
-    /** Coverage counters merged over every run, in job order (empty
-     * unless RunnerOptions::coverage was set). Outcome-dimension keys
-     * are "test\tpolicy\tmachine\toutcome key" composites. */
+    /** Coverage counters summed over every run (empty unless
+     * RunnerOptions::coverage was set). The counts do not depend on
+     * job order; the intern order of keys does. Outcome coverage is
+     * not here: it is the cells' histograms against the axiom stage's
+     * allowed sets. */
     CoverageMap coverage;
 
     /** The machine fan this corpus ran against. */
@@ -220,8 +223,9 @@ void printReport(std::ostream &os, const CorpusReport &report,
 void writeJsonReport(std::ostream &os, const CorpusReport &report);
 
 /** Build a one-run StandingCoverage (runs = 1, seeds/baseSeed meta,
- * machine metadata, every CoverageMap counter) from a corpus run with
- * RunnerOptions::coverage set. wo-litmus --coverage-report=FILE merges
+ * machine metadata, every CoverageMap counter, and outcome rows from
+ * the cells of every test the axiom stage checked) from a corpus run
+ * with RunnerOptions::coverage set. wo-litmus --coverage-report=FILE merges
  * this into the existing on-disk report; StandingCoverage::write emits
  * the canonical wocover format (stable section order, sorted lines —
  * byte-identical for any --threads value) that wo-cover renders. */

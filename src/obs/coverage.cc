@@ -21,7 +21,6 @@ thread_local std::vector<FlushEntry> t_pending_flushes;
 } // namespace
 
 namespace detail {
-thread_local CoverageMap *t_active_coverage = nullptr;
 
 void
 flushPendingCoverage()

@@ -15,9 +15,12 @@
  *     stall segments), keyed by instance-stripped stat names so the
  *     per-cache counters of one machine merge into one row;
  *   - latency-histogram bucket occupancy (which latency magnitudes the
- *     fleet has actually produced), recorded even when tracing is off;
- *   - policy x machine outcome coverage against the PR-7 axiomatic
- *     allowed sets (filled in by the litmus runner at aggregation).
+ *     fleet has actually produced), recorded even when tracing is off.
+ *
+ * Outcome coverage (policy x machine outcomes against the axiomatic
+ * allowed sets) is not counted here: the litmus runner's report already
+ * holds it as cell histograms, and litmus_dsl::standingCoverage() reads
+ * it from there.
  *
  * Overhead contract: with no map installed every instrumented site
  * costs one thread-local load and one branch (the same discipline as
@@ -28,17 +31,22 @@
  * Recording never touches StatSet or any simulator state, so reports
  * stay byte-identical with coverage on.
  *
- * Threading/merge model (mirrors per-job stats): each campaign job owns
- * a private CoverageMap, installed for the duration of System::run via
- * a thread-local pointer (CoverageScope); the runner merges job maps in
- * job-index order, so merged coverage is byte-identical for any thread
- * count. merge() is a per-key sum — associative and commutative
- * (tests/test_coverage.cc).
+ * Threading/merge model (mirrors the runner's stats totals): each
+ * campaign worker owns a CoverageMap that every System it runs points
+ * at, installed for the duration of System::run via a thread-local
+ * pointer (CoverageScope); the runner merges the worker maps once the
+ * corpus is done. merge() is a per-key sum — associative and
+ * commutative (tests/test_coverage.cc) — so the merged counts do not
+ * depend on which worker ran which job, and neither does any report
+ * rendered from them, at any thread count. Only intern order (keys())
+ * follows scheduling.
  *
  * Reset semantics: the map is owned by the campaign, not the System. A
  * pooled System reset between jobs keeps accumulating into whatever map
- * the new job installs (coverage survives System::reset); dropping the
- * pool drops nothing, because no coverage lives in the System at all.
+ * the new job's config names (coverage survives System::reset);
+ * dropping the pool drops nothing, because no coverage lives in the
+ * System at all. A System must not outlive the map it points at: the
+ * runner declares each worker's map before that worker's pool.
  */
 
 #ifndef WO_OBS_COVERAGE_HH
@@ -61,11 +69,10 @@ class CoverageMap
     /** Named-key dimensions (the transition dimension is dense and
      * enum-indexed instead). */
     enum class Dim : std::uint8_t {
-        Stall,   ///< "family/reason", instance-stripped stat names
-        Bucket,  ///< "histogram/bucket_NN", instance-stripped
-        Outcome, ///< "test<TAB>policy<TAB>machine<TAB>outcome key"
+        Stall,  ///< "family/reason", instance-stripped stat names
+        Bucket, ///< "histogram/bucket_NN", instance-stripped
     };
-    static constexpr int kNumDims = 3;
+    static constexpr int kNumDims = 2;
 
     CoverageMap();
 
@@ -93,8 +100,7 @@ class CoverageMap
     /**
      * Intern @p key in dimension @p d, returning its dense id (stable
      * for the life of this map, until clear()). Interning alone seeds
-     * the key at count 0 — how allowed-but-unobserved outcomes enter
-     * the report.
+     * the key at count 0.
      */
     std::uint32_t internKey(Dim d, const std::string &key);
 
@@ -141,7 +147,7 @@ class CoverageMap
      * Identity token for call-site id caches. Unique per live map and
      * per clear() — a component may cache interned ids for the pair
      * (map pointer, generation) and re-intern when either changes
-     * (a stack-allocated per-job map can reuse a sibling's address, so
+     * (a map constructed after another died can reuse its address, so
      * the pointer alone is not an identity).
      */
     std::uint64_t generation() const { return gen_; }
@@ -164,7 +170,10 @@ class CoverageMap
 };
 
 namespace detail {
-extern thread_local CoverageMap *t_active_coverage;
+/** Defined inline here rather than declared `extern`: GCC reaches an
+ * extern thread_local through a TLS wrapper function, and its UBSan null
+ * check rejects the CoverageScope store through that wrapper. */
+inline thread_local CoverageMap *t_active_coverage = nullptr;
 
 /** Run (and clear) this thread's deferred coverage flushes against the
  * currently-active map. Called by CoverageScope around every map

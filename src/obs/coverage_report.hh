@@ -68,11 +68,12 @@ struct StandingCoverage
     std::map<std::string, std::uint64_t> buckets;
 
     /** (test, policy, machine, outcome key) -> observation count.
-     * 0 = allowed but never observed there. */
+     * 0 = allowed but never observed there. Written from the corpus
+     * report (litmus_dsl::standingCoverage), not from a CoverageMap. */
     std::map<std::array<std::string, 4>, std::uint64_t> outcomes;
 
-    /** Fold one campaign's CoverageMap into this report. Outcome-dim
-     * keys are the runner's "test\tpolicy\tmachine\tkey" composites. */
+    /** Fold one campaign's CoverageMap (transitions, stall reasons,
+     * latency buckets) into this report. */
     void addCoverage(const CoverageMap &map);
 
     void addMachine(const std::string &name, const std::string &protocol,

@@ -80,12 +80,13 @@ ThreadPool::workerLoop()
 
 void
 parallelFor(ThreadPool &pool, std::size_t n,
-            const std::function<void(std::size_t)> &body)
+            const std::function<void(std::size_t, int)> &body)
 {
     if (n == 0)
         return;
+    const int helpers = pool.numThreads();
     if (n == 1) {
-        body(0);
+        body(0, helpers);
         return;
     }
 
@@ -94,7 +95,7 @@ parallelFor(ThreadPool &pool, std::size_t n,
     // indices already claimed) still has valid state to look at.
     struct State
     {
-        std::function<void(std::size_t)> body;
+        std::function<void(std::size_t, int)> body;
         std::size_t n;
         std::atomic<std::size_t> next{0};
         std::atomic<std::size_t> completed{0};
@@ -107,12 +108,12 @@ parallelFor(ThreadPool &pool, std::size_t n,
     st->body = body;
     st->n = n;
 
-    auto work = [](const std::shared_ptr<State> &s) {
+    auto work = [](const std::shared_ptr<State> &s, int worker) {
         std::size_t i;
         while ((i = s->next.fetch_add(1)) < s->n) {
             if (!s->abort.load(std::memory_order_relaxed)) {
                 try {
-                    s->body(i);
+                    s->body(i, worker);
                 } catch (...) {
                     std::unique_lock<std::mutex> lk(s->mu);
                     if (!s->error)
@@ -129,13 +130,12 @@ parallelFor(ThreadPool &pool, std::size_t n,
         }
     };
 
-    int helpers = pool.numThreads();
     for (int h = 0; h < helpers; ++h)
-        pool.submit([st, work] { work(st); });
+        pool.submit([st, work, h] { work(st, h); });
 
     // The caller participates too: nested calls from inside a pool job
     // cannot deadlock because the caller alone can finish every index.
-    work(st);
+    work(st, helpers);
 
     {
         std::unique_lock<std::mutex> lk(st->mu);

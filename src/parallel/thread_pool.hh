@@ -71,16 +71,19 @@ class ThreadPool
 };
 
 /**
- * Run body(0) ... body(n-1), each exactly once, spread over @p pool's
- * workers and the calling thread. Returns when all n indices completed;
- * rethrows the first exception a body raised (remaining indices are
- * claimed but skipped once a body throws).
+ * Run body(0, w) ... body(n-1, w), each index exactly once, spread over
+ * @p pool's workers and the calling thread. Returns when all n indices
+ * completed; rethrows the first exception a body raised (remaining
+ * indices are claimed but skipped once a body throws).
  *
- * Index-slot writes make this deterministic: body(i) must only write
- * state owned by index i.
+ * Index-slot writes make this deterministic: body(i, w) must only write
+ * state owned by index i — or by w, the number of the participant
+ * running it (helper h of the pool's numThreads() helpers passes h, the
+ * calling thread numThreads()). Each participant runs its bodies one at
+ * a time, so state indexed by w needs no lock.
  */
 void parallelFor(ThreadPool &pool, std::size_t n,
-                 const std::function<void(std::size_t)> &body);
+                 const std::function<void(std::size_t, int)> &body);
 
 } // namespace wo
 

@@ -159,7 +159,7 @@ System::reset(const SystemConfig &cfg)
     cfg_.net.seed = cfg.net.seed;
     cfg_.maxTicks = cfg.maxTicks;
     setTraceSink(cfg.traceSink);
-    setCoverage(cfg.coverage);
+    cfg_.coverage = cfg.coverage;
     loaded_ = false;
 }
 

@@ -172,11 +172,6 @@ class System
     bool compatibleWith(const MultiProgram &program,
                         const SystemConfig &cfg) const;
 
-    /** Point the next run at @p cov (nullptr detaches); reset(cfg)
-     * applies cfg.coverage through this. A pooled System outliving a
-     * per-job CoverageMap must be detached before the map dies. */
-    void setCoverage(CoverageMap *cov) { cfg_.coverage = cov; }
-
     /** Observable outcome (registers padded to the workload's register
      * count so results compare against idealized outcomes). */
     RunResult result() const;

@@ -1,34 +1,11 @@
 #include "workload/campaign.hh"
 
-#include <charconv>
 #include <cstdlib>
 #include <cstring>
-#include <stdexcept>
 #include <string>
 #include <thread>
 
 namespace wo {
-
-namespace {
-
-/** @p text as one whole non-negative decimal number; throws
- * std::invalid_argument naming @p flag on anything else ("", "abc",
- * "12x", "-1", out of range). */
-template <typename T>
-T
-parseFlagValue(const char *flag, const char *text)
-{
-    T value{};
-    const char *last = text + std::strlen(text);
-    auto [end, ec] = std::from_chars(text, last, value);
-    if (ec != std::errc() || end != last || text == last || value < T{}) {
-        throw std::invalid_argument(std::string("bad ") + flag +
-                                    " value '" + text + "'");
-    }
-    return value;
-}
-
-} // namespace
 
 std::uint64_t
 campaignJobSeed(std::uint64_t baseSeed, int jobIndex)

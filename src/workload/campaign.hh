@@ -15,11 +15,14 @@
 #ifndef WO_WORKLOAD_CAMPAIGN_HH
 #define WO_WORKLOAD_CAMPAIGN_HH
 
+#include <charconv>
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <stdexcept>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -40,6 +43,12 @@ struct CampaignJob
      * index). Equal for equal inputs on every platform and thread
      * count. */
     std::uint64_t seed = 0;
+
+    /** Participant running this job, in [0, Campaign::numThreads()].
+     * No two jobs of one map() call run on the same worker at once, so
+     * per-worker state indexed by it needs no lock. Which jobs land on
+     * which worker depends on scheduling: results must not. */
+    int worker = 0;
 };
 
 /** Deterministic per-job seed stream: seed = f(baseSeed, jobIndex). */
@@ -51,6 +60,25 @@ std::uint64_t campaignJobSeed(std::uint64_t baseSeed, int jobIndex);
  * hardware thread. Always at least 1.
  */
 int campaignThreads(int requested = 0);
+
+/**
+ * @p text as one whole non-negative decimal number: the one parser for
+ * every numeric command-line flag. Throws std::invalid_argument naming
+ * @p flag on anything else ("", "abc", "12x", "-1", out of range).
+ */
+template <typename T>
+T
+parseFlagValue(const char *flag, const char *text)
+{
+    T value{};
+    const char *last = text + std::strlen(text);
+    auto [end, ec] = std::from_chars(text, last, value);
+    if (ec != std::errc() || end != last || text == last || value < T{}) {
+        throw std::invalid_argument(std::string("bad ") + flag +
+                                    " value '" + text + "'");
+    }
+    return value;
+}
 
 /**
  * Strip a `--threads=N` (or `--threads N`) argument from argv, shifting
@@ -124,9 +152,10 @@ class Drf0Memo
  * a miss never costs more than not pooling at all.
  *
  * A pool is single-threaded by design: campaign workers each use their
- * own via workerSystemPool(). Determinism is unaffected — a reset
- * System replays a job bit-identically to a freshly built one — so
- * pooled parallel campaigns still match serial fresh-construction runs.
+ * own, one per CampaignJob::worker or the thread's workerSystemPool().
+ * Determinism is unaffected — a reset System replays a job
+ * bit-identically to a freshly built one — so pooled parallel campaigns
+ * still match serial fresh-construction runs.
  */
 class SystemPool
 {
@@ -207,11 +236,12 @@ class Campaign
     {
         std::vector<Result> out(static_cast<std::size_t>(numJobs));
         parallelFor(pool_, static_cast<std::size_t>(numJobs),
-                    [&](std::size_t i) {
+                    [&](std::size_t i, int worker) {
                         CampaignJob job;
                         job.index = static_cast<int>(i);
                         job.seed = campaignJobSeed(cfg_.baseSeed,
                                                    job.index);
+                        job.worker = worker;
                         out[i] = fn(job);
                     });
         return out;

@@ -9,7 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
+#include <map>
 #include <sstream>
 #include <string>
 
@@ -32,8 +34,7 @@ const ProtocolKind kProtocols[] = {
     ProtocolKind::Mesif,
 };
 
-/** Canonical rendering of a map (outcome keys must be the runner's
- * 4-field composites for addCoverage to accept them). */
+/** Canonical rendering of a map. */
 std::string
 render(const CoverageMap &map)
 {
@@ -120,8 +121,8 @@ TEST(CoverageMap, MergeIsAssociativeAndCommutative)
             m.hitTransition(ProtocolKind::Msi, LineState::Invalid,
                             LineEvent::Store);
             m.hitKey(CoverageMap::Dim::Stall, "proc_stall/fence");
-            m.internKey(CoverageMap::Dim::Outcome,
-                        "t\tSC\tbus\tP0:r0=0"); // seeded, count 0
+            m.internKey(CoverageMap::Dim::Bucket,
+                        "lat_msg/bucket_07"); // seeded, count 0
         } else if (variant == 1) {
             m.hitTransition(ProtocolKind::Msi, LineState::Invalid,
                             LineEvent::Store);
@@ -130,7 +131,7 @@ TEST(CoverageMap, MergeIsAssociativeAndCommutative)
             m.hitKey(CoverageMap::Dim::Stall, "proc_stall/dependency", 2);
         } else {
             m.hitKey(CoverageMap::Dim::Stall, "proc_stall/fence", 4);
-            m.hitKey(CoverageMap::Dim::Outcome, "t\tSC\tbus\tP0:r0=0");
+            m.hitKey(CoverageMap::Dim::Bucket, "lat_msg/bucket_07");
             m.hitKey(CoverageMap::Dim::Bucket, "lat_msg/bucket_01");
         }
         return m;
@@ -154,7 +155,7 @@ TEST(CoverageMap, MergeIsAssociativeAndCommutative)
     EXPECT_EQ(render(ab), render(ba));
 
     // Zero-count seeded keys survive the merge.
-    EXPECT_NE(render(left).find("outcome\tt\tSC\tbus\tP0:r0=0\t1"),
+    EXPECT_NE(render(left).find("bucket\tlat_msg/bucket_07\t1"),
               std::string::npos);
 }
 
@@ -272,9 +273,7 @@ TEST(StandingCoverage, WriteReadRoundTripsByteIdentical)
     map.hitKey(CoverageMap::Dim::Stall,
                "miss_stalls_total/stalled_by_eviction", 7);
     map.hitKey(CoverageMap::Dim::Bucket, "lat_issue_gp/bucket_04");
-    map.hitKey(CoverageMap::Dim::Outcome,
-               "sb\tRelaxed\tbus\tP0:r0=0 P1:r0=0", 5);
-    map.internKey(CoverageMap::Dim::Outcome, "sb\tSC\tbus\tP0:r0=0");
+    map.internKey(CoverageMap::Dim::Stall, "proc_stall/fence");
 
     StandingCoverage st;
     st.runs = 1;
@@ -282,6 +281,8 @@ TEST(StandingCoverage, WriteReadRoundTripsByteIdentical)
     st.addMachine("bus", "msi", 1);
     st.addMachine("net-u", "none", 0);
     st.addCoverage(map);
+    st.outcomes[{"sb", "Relaxed", "bus", "P0:r0=0 P1:r0=0"}] = 5;
+    st.outcomes[{"sb", "SC", "bus", "P0:r0=0"}] = 0;
 
     std::ostringstream os1;
     st.write(os1);
@@ -293,6 +294,7 @@ TEST(StandingCoverage, WriteReadRoundTripsByteIdentical)
     EXPECT_EQ(back.runs, 1u);
     EXPECT_EQ(back.machines.at("bus").protocol, "msi");
     EXPECT_EQ(back.machines.at("net-u").cacheLevels, 0);
+    EXPECT_EQ(back.stalls.at("proc_stall/fence"), 0u);
     EXPECT_EQ(back.outcomes.at({"sb", "SC", "bus", "P0:r0=0"}), 0u);
 }
 
@@ -420,6 +422,66 @@ TEST(CoverageRunner, PoolAndThreadCountDoNotChangeCoverage)
     EXPECT_EQ(docs[0], docs[1]);
     EXPECT_NE(docs[0].find("trans\tmsi\t"), std::string::npos);
     EXPECT_NE(docs[0].find("outcome\tsb\t"), std::string::npos);
+}
+
+TEST(CoverageRunner, OutcomeRowsAreHistogramCountsOrZero)
+{
+    // Every outcome row is its cell's histogram count, or 0 for a key
+    // the cell's bounding model allows but no run produced. A cell that
+    // cannot run (Def2-DRF0 on the uncached net-u: runs 0) writes no
+    // row, and neither does a corpus run without the axiom stage.
+    using namespace litmus_dsl;
+    const std::vector<CompiledLitmus> corpus = {compileLitmus(parseLitmus(
+        "name sb\ninit { x = 0; y = 0; }\n"
+        "P0 | P1 ;\n"
+        "store x, 1 | store y, 1 ;\n"
+        "load r0, y | load r0, x ;\n"
+        "halt | halt ;\n"
+        "exists (P0:r0 == 0 && P1:r0 == 0)\n",
+        "sb.litmus"))};
+
+    RunnerOptions opt;
+    opt.seeds = 3;
+    opt.drf0Schedules = 40;
+    opt.coverage = true;
+    opt.policies = {PolicyKind::Sc, PolicyKind::Def2Drf0,
+                    PolicyKind::Relaxed};
+    CorpusReport rep = runCorpus(corpus, opt);
+    const TestReport &tr = rep.tests.at(0);
+    ASSERT_TRUE(tr.axiomChecked);
+
+    std::map<std::array<std::string, 4>, std::uint64_t> want;
+    int unrunnable = 0;
+    for (const CellReport &cell : tr.cells) {
+        if (cell.runs == 0) {
+            EXPECT_EQ(cell.policy, PolicyKind::Def2Drf0);
+            EXPECT_EQ(cell.variant, "net-u");
+            ++unrunnable;
+            continue;
+        }
+        const std::string policy = toString(cell.policy);
+        for (const ModelAllowedReport &mar : tr.axiomAllowed) {
+            if (mar.model == cell.axiomModel) {
+                for (const std::string &key : mar.outcomes)
+                    want[{"sb", policy, cell.variant, key}] = 0;
+            }
+        }
+        for (const auto &[key, count] : cell.histogram)
+            want[{"sb", policy, cell.variant, key}] =
+                static_cast<std::uint64_t>(count);
+    }
+    EXPECT_EQ(unrunnable, 1);
+    // Both kinds of row occur, so the equality below pins each.
+    EXPECT_TRUE(std::any_of(want.begin(), want.end(),
+                            [](const auto &row) { return row.second == 0; }));
+    EXPECT_TRUE(std::any_of(want.begin(), want.end(),
+                            [](const auto &row) { return row.second > 0; }));
+    EXPECT_EQ(standingCoverage(rep).outcomes, want);
+
+    opt.axiomCheck = false;
+    StandingCoverage off = standingCoverage(runCorpus(corpus, opt));
+    EXPECT_TRUE(off.outcomes.empty());
+    EXPECT_FALSE(off.transitions.empty());
 }
 
 } // namespace

@@ -1,7 +1,8 @@
 /**
  * @file
  * Unit tests for the thread pool and parallelFor: shutdown semantics,
- * exception propagation, and determinism against a serial loop.
+ * exception propagation, determinism against a serial loop, and the
+ * participant numbers handed to each body.
  */
 
 #include <gtest/gtest.h>
@@ -87,7 +88,7 @@ TEST(ParallelFor, CoversEveryIndexExactlyOnce)
     ThreadPool pool(4);
     std::vector<std::atomic<int>> hits(257);
     parallelFor(pool, hits.size(),
-                [&](std::size_t i) { ++hits[i]; });
+                [&](std::size_t i, int) { ++hits[i]; });
     for (std::size_t i = 0; i < hits.size(); ++i)
         EXPECT_EQ(hits[i].load(), 1) << "index " << i;
 }
@@ -96,7 +97,7 @@ TEST(ParallelFor, PropagatesBodyException)
 {
     ThreadPool pool(4);
     EXPECT_THROW(parallelFor(pool, 64,
-                             [](std::size_t i) {
+                             [](std::size_t i, int) {
                                  if (i == 3)
                                      throw std::runtime_error("boom");
                              }),
@@ -120,7 +121,7 @@ TEST(ParallelFor, MatchesSerialExactly)
     for (int threads : {1, 2, 4, 8}) {
         ThreadPool pool(threads);
         std::vector<std::uint64_t> par(n);
-        parallelFor(pool, n, [&](std::size_t i) { par[i] = f(i); });
+        parallelFor(pool, n, [&](std::size_t i, int) { par[i] = f(i); });
         EXPECT_EQ(par, serial) << threads << " threads";
     }
 }
@@ -131,20 +132,43 @@ TEST(ParallelFor, NestedCallDoesNotDeadlock)
     // caller participates, so even a 1-thread pool finishes.
     ThreadPool pool(1);
     std::atomic<int> total{0};
-    parallelFor(pool, 4, [&](std::size_t) {
-        parallelFor(pool, 8, [&](std::size_t) { ++total; });
+    parallelFor(pool, 4, [&](std::size_t, int) {
+        parallelFor(pool, 8, [&](std::size_t, int) { ++total; });
     });
     EXPECT_EQ(total.load(), 32);
+}
+
+TEST(ParallelFor, WorkerNumbersAreInRangeAndExclusive)
+{
+    // Callers index per-worker state by the participant number without
+    // a lock (the litmus runner's pools, stats totals and coverage
+    // maps): each number lies in [0, numThreads()] and runs one body at
+    // a time.
+    ThreadPool pool(4);
+    std::vector<std::atomic<int>> busy(5);
+    std::atomic<int> bad{0};
+    parallelFor(pool, 2000, [&](std::size_t, int worker) {
+        if (worker < 0 || worker > pool.numThreads()) {
+            ++bad;
+            return;
+        }
+        if (busy[worker].exchange(1) != 0)
+            ++bad;
+        std::this_thread::yield();
+        busy[worker].store(0);
+    });
+    EXPECT_EQ(bad.load(), 0);
 }
 
 TEST(ParallelFor, ZeroAndOneIndexEdgeCases)
 {
     ThreadPool pool(2);
     int calls = 0;
-    parallelFor(pool, 0, [&](std::size_t) { ++calls; });
+    parallelFor(pool, 0, [&](std::size_t, int) { ++calls; });
     EXPECT_EQ(calls, 0);
-    parallelFor(pool, 1, [&](std::size_t i) {
+    parallelFor(pool, 1, [&](std::size_t i, int worker) {
         EXPECT_EQ(i, 0u);
+        EXPECT_EQ(worker, pool.numThreads()); // runs on the caller
         ++calls;
     });
     EXPECT_EQ(calls, 1);

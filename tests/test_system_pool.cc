@@ -23,6 +23,8 @@
 
 #include "consistency/policy.hh"
 #include "litmus/runner.hh"
+#include "obs/coverage.hh"
+#include "obs/coverage_report.hh"
 #include "system/machine_spec.hh"
 #include "system/system.hh"
 #include "workload/campaign.hh"
@@ -366,12 +368,14 @@ TEST(SystemPool, CorpusReportsIdenticalAcrossThreadCounts)
 
 TEST(SystemPool, CorpusStatsEqualFreshRunsMergedByName)
 {
-    // Oracle for the runner's per-pooled-System stats totals: the merged
-    // report stats must equal merging, by name, a fresh System's stats
-    // for every finished job. The fleet's processor counts vary across
-    // tests, so pooled Systems are replaced mid-corpus and their totals
-    // take the fold-by-name path; comparing 1 against 4 threads alone
-    // would miss a fold that is wrong the same way on both sides.
+    // Oracle for the runner's per-worker totals: the merged report stats
+    // must equal merging, by name, a fresh System's stats for every
+    // finished job, and the coverage counters must equal merging a
+    // private CoverageMap per job. The fleet's processor counts vary
+    // across tests, so pooled Systems are replaced mid-corpus and their
+    // stats totals take the fold-by-name path while the worker's map
+    // keeps counting; comparing 1 against 4 threads alone would miss an
+    // error that is the same on both sides.
     std::vector<litmus_dsl::CompiledLitmus> tests = litmusCorpus();
     const std::vector<const MachineSpec *> machines = parseMachineList("*");
     litmus_dsl::RunnerOptions options;
@@ -379,6 +383,7 @@ TEST(SystemPool, CorpusStatsEqualFreshRunsMergedByName)
     options.coverage = true;
 
     StatSet expected;
+    CoverageMap expectedCov;
     for (const litmus_dsl::CompiledLitmus &test : tests) {
         int index = 0; // each test's fan numbers its jobs from 0
         for (PolicyKind pk : options.policies) {
@@ -391,20 +396,35 @@ TEST(SystemPool, CorpusStatsEqualFreshRunsMergedByName)
                     } catch (const std::invalid_argument &) {
                         continue; // unrunnable cell: runs 0
                     }
+                    CoverageMap cov; // this job's own map
+                    cfg.coverage = &cov;
                     System sys(test.program, cfg);
                     if (sys.run())
                         expected.merge(sys.stats());
+                    expectedCov.merge(cov);
                 }
             }
         }
     }
     ASSERT_FALSE(expected.all().empty());
+    StandingCoverage expectedRows;
+    expectedRows.addCoverage(expectedCov);
+    ASSERT_FALSE(expectedRows.transitions.empty());
+    ASSERT_FALSE(expectedRows.stalls.empty());
+    ASSERT_FALSE(expectedRows.buckets.empty());
 
     for (int threads : {1, 4}) {
         options.threads = threads;
         litmus_dsl::CorpusReport report =
             litmus_dsl::runCorpus(tests, options, machines);
         EXPECT_EQ(report.stats.all(), expected.all())
+            << "threads=" << threads;
+        StandingCoverage rows = litmus_dsl::standingCoverage(report);
+        EXPECT_EQ(rows.transitions, expectedRows.transitions)
+            << "threads=" << threads;
+        EXPECT_EQ(rows.stalls, expectedRows.stalls)
+            << "threads=" << threads;
+        EXPECT_EQ(rows.buckets, expectedRows.buckets)
             << "threads=" << threads;
     }
 }

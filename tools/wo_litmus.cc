@@ -43,7 +43,6 @@
  * malformed --seed/--threads/--seeds value) or parse error.
  */
 
-#include <charconv>
 #include <fstream>
 #include <iostream>
 #include <optional>
@@ -114,11 +113,12 @@ main(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
         if (arg.rfind("--seeds=", 0) == 0) {
-            const char *first = arg.c_str() + 8;
-            const char *last = arg.c_str() + arg.size();
-            auto [end, ec] = std::from_chars(first, last, options.seeds);
-            if (ec != std::errc() || end != last || options.seeds <= 0) {
-                std::cerr << "wo-litmus: bad --seeds value\n";
+            try {
+                options.seeds = parseFlagValue<int>("--seeds", argv[i] + 8);
+                if (options.seeds == 0)
+                    throw std::invalid_argument("bad --seeds value '0'");
+            } catch (const std::invalid_argument &e) {
+                std::cerr << "wo-litmus: " << e.what() << "\n";
                 return 2;
             }
         } else if (arg.rfind("--policies=", 0) == 0) {

@@ -36,7 +36,6 @@
  * failed, 2 bad usage / unreadable trace.
  */
 
-#include <charconv>
 #include <fstream>
 #include <iostream>
 #include <optional>
@@ -48,6 +47,7 @@
 #include "replay/trace_format.hh"
 #include "replay/trace_gen.hh"
 #include "system/machine_spec.hh"
+#include "workload/campaign.hh"
 
 namespace {
 
@@ -66,25 +66,6 @@ usage(std::ostream &os)
           "                     [--window=N] [--chunk=N] [--all-races]\n"
           "                     [--seed=S] [--json[=FILE]] <file>\n";
     return 2;
-}
-
-/**
- * Parse the number after "--name=" in @p arg into @p out. The whole
- * token must be a decimal integer in range; otherwise print
- * "wo-replay: bad --name value" and return false.
- */
-template <class T>
-bool
-parseNumberFlag(const std::string &arg, T &out)
-{
-    const std::size_t eq = arg.find('=');
-    const char *first = arg.c_str() + eq + 1;
-    const char *last = arg.c_str() + arg.size();
-    auto [end, ec] = std::from_chars(first, last, out);
-    if (ec == std::errc() && end == last)
-        return true;
-    std::cerr << "wo-replay: bad " << arg.substr(0, eq) << " value\n";
-    return false;
 }
 
 void
@@ -146,19 +127,16 @@ cmdGen(const std::vector<std::string> &args)
     for (const std::string &arg : args) {
         if (arg.rfind("--workload=", 0) == 0)
             workload = arg.substr(11);
-        else if (arg.rfind("--threads=", 0) == 0) {
-            if (!parseNumberFlag(arg, cfg.threads))
-                return 2;
-        } else if (arg.rfind("--rounds=", 0) == 0) {
-            if (!parseNumberFlag(arg, cfg.rounds))
-                return 2;
-        } else if (arg.rfind("--ops=", 0) == 0) {
-            if (!parseNumberFlag(arg, cfg.opsPerRound))
-                return 2;
-        } else if (arg.rfind("--seed=", 0) == 0) {
-            if (!parseNumberFlag(arg, cfg.seed))
-                return 2;
-        } else if (arg == "--inject-race")
+        else if (arg.rfind("--threads=", 0) == 0)
+            cfg.threads = parseFlagValue<int>("--threads", arg.c_str() + 10);
+        else if (arg.rfind("--rounds=", 0) == 0)
+            cfg.rounds = parseFlagValue<int>("--rounds", arg.c_str() + 9);
+        else if (arg.rfind("--ops=", 0) == 0)
+            cfg.opsPerRound = parseFlagValue<int>("--ops", arg.c_str() + 6);
+        else if (arg.rfind("--seed=", 0) == 0)
+            cfg.seed =
+                parseFlagValue<std::uint64_t>("--seed", arg.c_str() + 7);
+        else if (arg == "--inject-race")
             cfg.injectRace = true;
         else if (!arg.empty() && arg[0] == '-')
             return usage(std::cerr);
@@ -213,15 +191,14 @@ cmdVerify(const std::vector<std::string> &args)
     std::string json_file;
     bool json = false;
     for (const std::string &arg : args) {
-        if (arg.rfind("--window=", 0) == 0) {
-            if (!parseNumberFlag(arg, opt.window))
-                return 2;
-        } else if (arg == "--all-races")
+        if (arg.rfind("--window=", 0) == 0)
+            opt.window = parseFlagValue<int>("--window", arg.c_str() + 9);
+        else if (arg == "--all-races")
             opt.mode = RaceDetectMode::AllRaces;
-        else if (arg.rfind("--seed=", 0) == 0) {
-            if (!parseNumberFlag(arg, opt.seed))
-                return 2;
-        } else if (arg == "--json")
+        else if (arg.rfind("--seed=", 0) == 0)
+            opt.seed =
+                parseFlagValue<std::uint64_t>("--seed", arg.c_str() + 7);
+        else if (arg == "--json")
             json = true;
         else if (arg.rfind("--json=", 0) == 0) {
             json = true;
@@ -233,7 +210,7 @@ cmdVerify(const std::vector<std::string> &args)
         else
             return usage(std::cerr);
     }
-    if (file.empty() || opt.window < 0)
+    if (file.empty())
         return usage(std::cerr);
 
     ReplayTraceReader reader;
@@ -281,18 +258,16 @@ cmdSim(const std::vector<std::string> &args)
                 return 2;
             }
             opt.policy = *kind;
-        } else if (arg.rfind("--window=", 0) == 0) {
-            if (!parseNumberFlag(arg, opt.window))
-                return 2;
-        } else if (arg.rfind("--chunk=", 0) == 0) {
-            if (!parseNumberFlag(arg, opt.chunkTicks))
-                return 2;
-        } else if (arg == "--all-races")
+        } else if (arg.rfind("--window=", 0) == 0)
+            opt.window = parseFlagValue<int>("--window", arg.c_str() + 9);
+        else if (arg.rfind("--chunk=", 0) == 0)
+            opt.chunkTicks = parseFlagValue<Tick>("--chunk", arg.c_str() + 8);
+        else if (arg == "--all-races")
             opt.mode = RaceDetectMode::AllRaces;
-        else if (arg.rfind("--seed=", 0) == 0) {
-            if (!parseNumberFlag(arg, opt.netSeed))
-                return 2;
-        } else if (arg == "--json")
+        else if (arg.rfind("--seed=", 0) == 0)
+            opt.netSeed =
+                parseFlagValue<std::uint64_t>("--seed", arg.c_str() + 7);
+        else if (arg == "--json")
             json = true;
         else if (arg.rfind("--json=", 0) == 0) {
             json = true;
@@ -304,7 +279,7 @@ cmdSim(const std::vector<std::string> &args)
         else
             return usage(std::cerr);
     }
-    if (file.empty() || opt.window < 0 || opt.chunkTicks <= 0)
+    if (file.empty() || opt.chunkTicks <= 0)
         return usage(std::cerr);
 
     ReplayTraceReader reader;
@@ -353,14 +328,20 @@ main(int argc, char **argv)
         usage(std::cout);
         return 0;
     }
-    if (cmd == "gen")
-        return cmdGen(args);
-    if (cmd == "info")
-        return cmdInfo(args);
-    if (cmd == "verify")
-        return cmdVerify(args);
-    if (cmd == "sim")
-        return cmdSim(args);
+    try {
+        if (cmd == "gen")
+            return cmdGen(args);
+        if (cmd == "info")
+            return cmdInfo(args);
+        if (cmd == "verify")
+            return cmdVerify(args);
+        if (cmd == "sim")
+            return cmdSim(args);
+    } catch (const std::invalid_argument &e) {
+        // A malformed numeric flag (parseFlagValue).
+        std::cerr << "wo-replay: " << e.what() << "\n";
+        return 2;
+    }
     std::cerr << "wo-replay: unknown command '" << cmd << "'\n";
     return usage(std::cerr);
 }

@@ -28,7 +28,6 @@
  * protocol stall — the trace is still written), 2 usage/parse errors.
  */
 
-#include <charconv>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
@@ -42,6 +41,7 @@
 #include "obs/trace_sink.hh"
 #include "system/machine_spec.hh"
 #include "system/system.hh"
+#include "workload/campaign.hh"
 
 namespace {
 
@@ -94,11 +94,10 @@ main(int argc, char **argv)
             }
             policy = *kind;
         } else if (arg.rfind("--seed=", 0) == 0) {
-            const char *first = arg.c_str() + 7;
-            const char *last = arg.c_str() + arg.size();
-            auto [end, ec] = std::from_chars(first, last, seed);
-            if (ec != std::errc() || end != last) {
-                std::cerr << "wo-trace: bad --seed value\n";
+            try {
+                seed = parseFlagValue<std::uint64_t>("--seed", argv[i] + 7);
+            } catch (const std::invalid_argument &e) {
+                std::cerr << "wo-trace: " << e.what() << "\n";
                 return 2;
             }
         } else if (arg.rfind("--out=", 0) == 0) {
