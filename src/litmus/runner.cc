@@ -4,6 +4,7 @@
 #include <filesystem>
 #include <iomanip>
 #include <ostream>
+#include <set>
 #include <sstream>
 
 #include "core/drf0_checker.hh"
@@ -74,6 +75,257 @@ scPromised(PolicyKind policy, bool drf0)
         return false;
     }
     return false;
+}
+
+/** What every job of one test reads, planned before the fan. */
+struct TestPlan
+{
+    std::vector<ObservedVar> vars; ///< the clause's outcome-key variables
+    std::vector<char> runnable;    ///< per cell: the machine takes the policy
+};
+
+/** @p r projected onto @p test's clause outcome key: the same projection
+ * for simulated and axiom-allowed outcomes. */
+std::string
+projectKey(const CompiledLitmus &test, const TestPlan &plan,
+           const RunResult &r)
+{
+    return outcomeKey(plan.vars, clauseOutcome(test, r), test.addrOf);
+}
+
+/**
+ * The analysis job of one test. The sampled DRF0 verdict gates which
+ * policies promise SC results for the program (spin loops rule out
+ * exhaustive enumeration). With the axiom stage on, each model's allowed
+ * outcomes under that verdict follow, projected onto clause outcome
+ * keys. Writes only @p tr's analysis fields.
+ */
+void
+analyzeTest(const CompiledLitmus &test, const TestPlan &plan,
+            const RunnerOptions &options, TestReport &tr)
+{
+    Drf0ProgramReport drf0 = checkProgramSampled(
+        test.program, options.drf0Schedules, options.baseSeed);
+    tr.drf0 = drf0.obeysDrf0;
+    tr.drf0Bounded = drf0.bounded;
+    if (!options.axiomCheck)
+        return;
+    axiom::ModelContext mctx;
+    mctx.programDrf0 = tr.drf0;
+    axiom::AxiomResult ax = axiom::enumerateAllowed(
+        test.program, axiom::axiomModels(), mctx, options.axiomLimits);
+    tr.axiomChecked = true;
+    tr.axiomComplete = ax.complete;
+    for (const auto &[model, set] : ax.allowed) {
+        std::set<std::string> keys;
+        for (const RunResult &r : set)
+            keys.insert(projectKey(test, plan, r));
+        tr.axiomAllowed.push_back({model, {keys.begin(), keys.end()}});
+    }
+}
+
+/** One simulation job: @p test on @p cell's machine and policy at network
+ * seed @p seed, run on worker @p w's pooled System. */
+JobOut
+simulate(const CompiledLitmus &test, const TestPlan &plan,
+         const CellPlan &cell, std::uint64_t seed,
+         const RunnerOptions &options, Worker &w)
+{
+    SystemConfig cfg = cell.cfg;
+    cfg.net.seed = seed;
+    if (options.coverage)
+        cfg.coverage = &w.cov;
+    // Reuse this worker's System for the cell: a reset replays
+    // bit-identically, a miss builds one.
+    const std::uint64_t builds = w.pool.builds();
+    System &sys = w.pool.acquire(cell.poolKey, test.program, cfg);
+    StatSet &total = w.perKey[cell.keyIndex];
+    if (w.pool.builds() != builds) {
+        w.retired.merge(total);
+        total.clear();
+    }
+    JobOut out;
+    out.ran = true;
+    out.finished = sys.run();
+    if (out.finished) {
+        RunResult r = clauseOutcome(test, sys.result());
+        out.hit = evalCond(test.clause.cond, r, test.addrOf);
+        out.key = outcomeKey(plan.vars, r, test.addrOf);
+        if (options.verify) {
+            ScReport sc = verifySc(sys.trace(), {options.maxVerifyStates});
+            out.scStatus = sc.verdict == ScVerdict::Sc      ? 0
+                           : sc.verdict == ScVerdict::NotSc ? 1
+                                                            : 2;
+        }
+        total.accumulate(sys.stats());
+    }
+    return out;
+}
+
+/**
+ * Judge one test from its analysis (already in @p tr) and its
+ * simulation jobs @p outs, cell-major: aggregate each cell, apply the
+ * clause and the SC promise, check every observed outcome against the
+ * bounding model's allowed set, and judge `exists`.
+ */
+void
+judgeTest(const CompiledLitmus &test, const TestPlan &plan,
+          const std::vector<CellPlan> &cells, const JobOut *outs,
+          const RunnerOptions &options, TestReport &tr)
+{
+    const int per_cell = options.seeds;
+
+    // "; repro: <wo-trace command>" for the first job of cell ci that
+    // satisfies offends: a fresh System at the job's seed repeats the
+    // pooled run exactly. Scans outs only when a failure is pushed.
+    auto repro = [&](std::size_t ci, auto offends) {
+        for (int s = 0; s < per_cell; ++s) {
+            int index = static_cast<int>(ci) * per_cell + s;
+            if (!offends(outs[index]))
+                continue;
+            return "; repro: wo-trace --machine=" +
+                   cells[ci].machine->name +
+                   " --policy=" + cliName(cells[ci].policy) + " --seed=" +
+                   std::to_string(campaignJobSeed(options.baseSeed, index)) +
+                   " " + test.file;
+        }
+        return std::string();
+    };
+
+    // Aggregate in job order.
+    for (std::size_t ci = 0; ci < cells.size(); ++ci) {
+        CellReport cell;
+        cell.policy = cells[ci].policy;
+        cell.variant = cells[ci].machine->name;
+        for (int s = 0; s < per_cell; ++s) {
+            const JobOut &o = outs[ci * static_cast<std::size_t>(per_cell) +
+                                   static_cast<std::size_t>(s)];
+            if (!o.ran)
+                continue;
+            ++cell.runs;
+            if (!o.finished)
+                continue;
+            ++cell.finished;
+            if (o.hit)
+                ++cell.hits;
+            if (o.scStatus == 0)
+                ++cell.scOk;
+            else if (o.scStatus == 1)
+                ++cell.scViolations;
+            else if (o.scStatus == 2)
+                ++cell.scUnknown;
+            ++cell.histogram[o.key];
+        }
+
+        bool promised = scPromised(cell.policy, tr.drf0);
+        if (test.clause.kind == ClauseKind::Forbidden) {
+            cell.enforced = promised || test.clause.always;
+            if (cell.enforced && cell.hits > 0) {
+                cell.pass = false;
+                cell.note = "forbidden outcome observed";
+                tr.failures.push_back(
+                    toString(cell.policy) + "/" + cell.variant +
+                    ": forbidden outcome observed " +
+                    std::to_string(cell.hits) + "x" +
+                    repro(ci, [](const JobOut &o) {
+                        return o.finished && o.hit;
+                    }));
+            } else if (!cell.enforced && cell.hits > 0) {
+                cell.note = "permitted";
+            }
+        }
+        if (options.verify && promised && cell.scViolations > 0) {
+            cell.pass = false;
+            cell.note = cell.note.empty()
+                            ? "non-SC execution"
+                            : cell.note + "; non-SC execution";
+            tr.failures.push_back(
+                toString(cell.policy) + "/" + cell.variant + ": " +
+                std::to_string(cell.scViolations) +
+                " executions proven not sequentially consistent" +
+                repro(ci, [](const JobOut &o) { return o.scStatus == 1; }));
+        }
+        tr.cells.push_back(std::move(cell));
+    }
+
+    // Differential axiomatic stage: every simulator-observed outcome
+    // must be allowed by the model bounding its policy.
+    if (tr.axiomChecked) {
+        axiom::ModelContext mctx;
+        mctx.programDrf0 = tr.drf0;
+        axiom::AddrNamer namer = axiom::namerFrom(test.addrOf);
+        for (std::size_t ci = 0; ci < tr.cells.size(); ++ci) {
+            CellReport &cell = tr.cells[ci];
+            const axiom::AxiomaticModel *model =
+                axiom::modelForPolicy(cell.policy);
+            cell.axiomModel = model->name();
+            const std::vector<std::string> *allowed = nullptr;
+            for (const ModelAllowedReport &mar : tr.axiomAllowed) {
+                if (mar.model == cell.axiomModel)
+                    allowed = &mar.outcomes;
+            }
+            for (const auto &[key, count] : cell.histogram) {
+                if (!allowed || !std::binary_search(allowed->begin(),
+                                                    allowed->end(), key))
+                    cell.axiomForbidden.push_back(key);
+            }
+            if (cell.axiomForbidden.empty())
+                continue;
+            if (!tr.axiomComplete) {
+                // A truncated allowed set is a lower bound: absence
+                // proves nothing, so only advise.
+                cell.note = cell.note.empty()
+                                ? "axiom-incomplete"
+                                : cell.note + "; axiom-incomplete";
+                continue;
+            }
+            cell.pass = false;
+            cell.note = cell.note.empty()
+                            ? "axiom-forbidden outcome"
+                            : cell.note + "; axiom-forbidden outcome";
+            const std::string &key = cell.axiomForbidden.front();
+            axiom::Explanation ex = axiom::explainOutcome(
+                test.program, {model}, mctx,
+                [&](const RunResult &r) {
+                    return projectKey(test, plan, r) == key;
+                },
+                options.axiomLimits, namer);
+            std::string why;
+            if (!ex.matched) {
+                why = "no candidate execution reaches this outcome";
+            } else if (!ex.models[0].allowed &&
+                       !ex.models[0].cycle.empty()) {
+                why = "witness cycle: " + ex.models[0].cycle;
+            } else {
+                why = "rejected by the model";
+            }
+            tr.failures.push_back(
+                toString(cell.policy) + "/" + cell.variant + ": observed {" +
+                key + "} forbidden by model " + model->name() + " — " + why +
+                repro(ci, [&](const JobOut &o) {
+                    return o.finished && o.key == key;
+                }));
+        }
+    }
+
+    // `exists` is judged over the whole Relaxed fan: the weak machine
+    // must exhibit the outcome somewhere.
+    if (test.clause.kind == ClauseKind::Exists) {
+        bool have_relaxed = false;
+        int relaxed_hits = 0;
+        for (const CellReport &cell : tr.cells) {
+            if (cell.policy == PolicyKind::Relaxed) {
+                have_relaxed = true;
+                relaxed_hits += cell.hits;
+            }
+        }
+        if (have_relaxed && relaxed_hits == 0) {
+            tr.failures.push_back(
+                "exists condition never observed under Relaxed");
+        }
+    }
+
+    tr.pass = tr.failures.empty();
 }
 
 /** Cells of one test that share a policy (or a single cell). */
@@ -217,258 +469,68 @@ runCorpus(const std::vector<CompiledLitmus> &tests,
             cells.push_back({pk, m, m->config(pk), std::move(key), k});
         }
     }
-    const int per_cell = options.seeds;
-    const int num_jobs = static_cast<int>(cells.size()) * per_cell;
+    const auto per_cell = static_cast<std::size_t>(options.seeds);
+    const std::size_t per_test = cells.size() * per_cell;
     std::vector<Worker> workers(
         static_cast<std::size_t>(campaign.numThreads()) + 1);
     for (Worker &w : workers)
         w.perKey.resize(keyIndex.size());
 
-    for (const CompiledLitmus &test : tests) {
-        TestReport tr;
-        tr.name = test.name;
-        tr.file = test.file;
-        tr.clause = toString(test.clause);
-
-        // Sampled DRF0 verdict gates which policies promise SC results
-        // for this program (spin loops rule out exhaustive enumeration).
-        Drf0ProgramReport drf0 = checkProgramSampled(
-            test.program, options.drf0Schedules, options.baseSeed);
-        tr.drf0 = drf0.obeysDrf0;
-        tr.drf0Bounded = drf0.bounded;
-
-        std::vector<ObservedVar> vars = observedVars(test.clause.cond);
-
-        // An illegal machine/policy pair (a cache-needing policy on a
-        // cache-less machine) skips its jobs: the cell reports runs 0.
-        std::vector<char> runnable(cells.size(), 1);
+    // Plan every test. An illegal machine/policy pair (a cache-needing
+    // policy on a cache-less machine) skips its jobs: the cell reports
+    // runs 0.
+    const std::size_t num_tests = tests.size();
+    std::vector<TestPlan> plans(num_tests);
+    report.tests.resize(num_tests);
+    for (std::size_t t = 0; t < num_tests; ++t) {
+        const CompiledLitmus &test = tests[t];
+        report.tests[t].name = test.name;
+        report.tests[t].file = test.file;
+        report.tests[t].clause = toString(test.clause);
+        plans[t].vars = observedVars(test.clause.cond);
+        plans[t].runnable.assign(cells.size(), 1);
         for (std::size_t ci = 0; ci < cells.size(); ++ci) {
             try {
                 System::checkConfig(test.program, cells[ci].cfg);
             } catch (const std::invalid_argument &) {
-                runnable[ci] = 0;
+                plans[t].runnable[ci] = 0;
             }
         }
+    }
 
-        std::vector<JobOut> outs = campaign.map<JobOut>(
-            num_jobs, [&](const CampaignJob &job) {
-                const std::size_t ci =
-                    static_cast<std::size_t>(job.index) /
-                    static_cast<std::size_t>(per_cell);
-                const CellPlan &plan = cells[ci];
-                JobOut out;
-                if (!runnable[ci])
-                    return out;
-                Worker &w = workers[static_cast<std::size_t>(job.worker)];
-                SystemConfig cfg = plan.cfg;
-                cfg.net.seed = job.seed;
-                if (options.coverage)
-                    cfg.coverage = &w.cov;
-                // Reuse this worker's System for the cell: a reset
-                // replays bit-identically, a miss builds one.
-                const std::uint64_t builds = w.pool.builds();
-                System &sys =
-                    w.pool.acquire(plan.poolKey, test.program, cfg);
-                StatSet &total = w.perKey[plan.keyIndex];
-                if (w.pool.builds() != builds) {
-                    w.retired.merge(total);
-                    total.clear();
-                }
-                out.ran = true;
-                out.finished = sys.run();
-                if (out.finished) {
-                    RunResult r = clauseOutcome(test, sys.result());
-                    out.hit = evalCond(test.clause.cond, r, test.addrOf);
-                    out.key = outcomeKey(vars, r, test.addrOf);
-                    if (options.verify) {
-                        ScReport sc = verifySc(sys.trace(),
-                                               {options.maxVerifyStates});
-                        out.scStatus = sc.verdict == ScVerdict::Sc ? 0
-                                       : sc.verdict == ScVerdict::NotSc
-                                           ? 1
-                                           : 2;
-                    }
-                    total.accumulate(sys.stats());
-                }
-                return out;
-            });
-
-        // "; repro: <wo-trace command>" for the first job of cell ci that
-        // satisfies offends: a fresh System at the job's seed repeats the
-        // pooled run exactly. Scans outs only when a failure is pushed.
-        auto repro = [&](std::size_t ci, auto offends) {
-            for (int s = 0; s < per_cell; ++s) {
-                int index = static_cast<int>(ci) * per_cell + s;
-                if (!offends(outs[static_cast<std::size_t>(index)]))
-                    continue;
-                return "; repro: wo-trace --machine=" +
-                       cells[ci].machine->name +
-                       " --policy=" + cliName(cells[ci].policy) +
-                       " --seed=" +
-                       std::to_string(
-                           campaignJobSeed(options.baseSeed, index)) +
-                       " " + test.file;
+    // One fan over the corpus: every test's analysis job first, so the
+    // long jobs start first, then every test's simulation jobs, test by
+    // test, each test's cell by cell. No simulation job reads the
+    // analysis, so the two kinds run side by side. A simulation job
+    // seeds from its index within its test's jobs, not from its index in
+    // the fan: a test's report is the one a corpus of that test alone
+    // gives.
+    std::vector<JobOut> outs(num_tests * per_test);
+    campaign.forEach(
+        static_cast<int>(num_tests + outs.size()),
+        [&](const CampaignJob &job) {
+            const auto g = static_cast<std::size_t>(job.index);
+            if (g < num_tests) {
+                analyzeTest(tests[g], plans[g], options, report.tests[g]);
+                return;
             }
-            return std::string();
-        };
+            const std::size_t t = (g - num_tests) / per_test;
+            const std::size_t local = (g - num_tests) % per_test;
+            const std::size_t ci = local / per_cell;
+            if (!plans[t].runnable[ci])
+                return;
+            outs[g - num_tests] = simulate(
+                tests[t], plans[t], cells[ci],
+                campaignJobSeed(options.baseSeed, static_cast<int>(local)),
+                options, workers[static_cast<std::size_t>(job.worker)]);
+        });
 
-        // Aggregate in job order (byte-identical for any thread count).
-        for (std::size_t ci = 0; ci < cells.size(); ++ci) {
-            CellReport cell;
-            cell.policy = cells[ci].policy;
-            cell.variant = cells[ci].machine->name;
-            for (int s = 0; s < per_cell; ++s) {
-                const JobOut &o =
-                    outs[ci * static_cast<std::size_t>(per_cell) +
-                         static_cast<std::size_t>(s)];
-                if (!o.ran)
-                    continue;
-                ++cell.runs;
-                if (!o.finished)
-                    continue;
-                ++cell.finished;
-                if (o.hit)
-                    ++cell.hits;
-                if (o.scStatus == 0)
-                    ++cell.scOk;
-                else if (o.scStatus == 1)
-                    ++cell.scViolations;
-                else if (o.scStatus == 2)
-                    ++cell.scUnknown;
-                ++cell.histogram[o.key];
-            }
-
-            bool promised = scPromised(cell.policy, tr.drf0);
-            if (test.clause.kind == ClauseKind::Forbidden) {
-                cell.enforced = promised || test.clause.always;
-                if (cell.enforced && cell.hits > 0) {
-                    cell.pass = false;
-                    cell.note = "forbidden outcome observed";
-                    tr.failures.push_back(
-                        toString(cell.policy) + "/" + cell.variant +
-                        ": forbidden outcome observed " +
-                        std::to_string(cell.hits) + "x" +
-                        repro(ci, [](const JobOut &o) {
-                            return o.finished && o.hit;
-                        }));
-                } else if (!cell.enforced && cell.hits > 0) {
-                    cell.note = "permitted";
-                }
-            }
-            if (options.verify && promised && cell.scViolations > 0) {
-                cell.pass = false;
-                cell.note = cell.note.empty()
-                                ? "non-SC execution"
-                                : cell.note + "; non-SC execution";
-                tr.failures.push_back(
-                    toString(cell.policy) + "/" + cell.variant + ": " +
-                    std::to_string(cell.scViolations) +
-                    " executions proven not sequentially consistent" +
-                    repro(ci, [](const JobOut &o) {
-                        return o.scStatus == 1;
-                    }));
-            }
-            tr.cells.push_back(std::move(cell));
-        }
-
-        // Differential axiomatic stage: every simulator-observed
-        // outcome must be allowed by the model bounding its policy.
-        if (options.axiomCheck) {
-            axiom::ModelContext mctx;
-            mctx.programDrf0 = tr.drf0;
-            axiom::AxiomResult ax =
-                axiom::enumerateAllowed(test.program, axiom::axiomModels(),
-                                        mctx, options.axiomLimits);
-            tr.axiomChecked = true;
-            tr.axiomComplete = ax.complete;
-            axiom::AddrNamer namer = axiom::namerFrom(test.addrOf);
-
-            // Project allowed RunResults onto the clause's outcome keys
-            // exactly as the per-job path does.
-            auto project = [&](const RunResult &r) {
-                return outcomeKey(vars, clauseOutcome(test, r),
-                                  test.addrOf);
-            };
-            std::map<std::string, std::set<std::string>> allowed_keys;
-            for (const auto &[model, set] : ax.allowed) {
-                std::set<std::string> &keys = allowed_keys[model];
-                for (const RunResult &r : set)
-                    keys.insert(project(r));
-                ModelAllowedReport mar;
-                mar.model = model;
-                mar.outcomes.assign(keys.begin(), keys.end());
-                tr.axiomAllowed.push_back(std::move(mar));
-            }
-
-            for (std::size_t ci = 0; ci < tr.cells.size(); ++ci) {
-                CellReport &cell = tr.cells[ci];
-                const axiom::AxiomaticModel *model =
-                    axiom::modelForPolicy(cell.policy);
-                cell.axiomModel = model->name();
-                const std::set<std::string> &keys =
-                    allowed_keys[model->name()];
-                for (const auto &[key, count] : cell.histogram) {
-                    if (!keys.count(key))
-                        cell.axiomForbidden.push_back(key);
-                }
-                if (cell.axiomForbidden.empty())
-                    continue;
-                if (!ax.complete) {
-                    // A truncated allowed set is a lower bound:
-                    // absence proves nothing, so only advise.
-                    cell.note = cell.note.empty()
-                                    ? "axiom-incomplete"
-                                    : cell.note + "; axiom-incomplete";
-                    continue;
-                }
-                cell.pass = false;
-                cell.note = cell.note.empty()
-                                ? "axiom-forbidden outcome"
-                                : cell.note + "; axiom-forbidden outcome";
-                const std::string &key = cell.axiomForbidden.front();
-                axiom::Explanation ex = axiom::explainOutcome(
-                    test.program, {model}, mctx,
-                    [&](const RunResult &r) { return project(r) == key; },
-                    options.axiomLimits, namer);
-                std::string why;
-                if (!ex.matched) {
-                    why = "no candidate execution reaches this outcome";
-                } else if (!ex.models[0].allowed &&
-                           !ex.models[0].cycle.empty()) {
-                    why = "witness cycle: " + ex.models[0].cycle;
-                } else {
-                    why = "rejected by the model";
-                }
-                tr.failures.push_back(
-                    toString(cell.policy) + "/" + cell.variant +
-                    ": observed {" + key + "} forbidden by model " +
-                    model->name() + " — " + why +
-                    repro(ci, [&](const JobOut &o) {
-                        return o.finished && o.key == key;
-                    }));
-            }
-        }
-
-        // `exists` is judged over the whole Relaxed fan: the weak
-        // machine must exhibit the outcome somewhere.
-        if (test.clause.kind == ClauseKind::Exists) {
-            bool have_relaxed = false;
-            int relaxed_hits = 0;
-            for (const CellReport &cell : tr.cells) {
-                if (cell.policy == PolicyKind::Relaxed) {
-                    have_relaxed = true;
-                    relaxed_hits += cell.hits;
-                }
-            }
-            if (have_relaxed && relaxed_hits == 0) {
-                tr.failures.push_back(
-                    "exists condition never observed under Relaxed");
-            }
-        }
-
-        tr.pass = tr.failures.empty();
+    // Judge in test order (byte-identical for any thread count).
+    for (std::size_t t = 0; t < num_tests; ++t) {
+        TestReport &tr = report.tests[t];
+        judgeTest(tests[t], plans[t], cells, outs.data() + t * per_test,
+                  options, tr);
         report.pass = report.pass && tr.pass;
-        report.tests.push_back(std::move(tr));
     }
     for (const Worker &w : workers) {
         report.coverage.merge(w.cov);

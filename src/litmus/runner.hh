@@ -5,9 +5,16 @@
  * engine, evaluate each run against the test's clause, and aggregate
  * per-test outcome histograms plus PASS/FAIL verdicts.
  *
- * Determinism contract: every job's RNG seed derives from (baseSeed, job
- * index) only and results merge in job-index order, so reports are
- * byte-identical for any --threads value.
+ * runCorpus is one campaign fan over the whole corpus: one analysis job
+ * per test (the sampled DRF0 verdict, then the axiomatic allowed sets
+ * under it), then every test's simulation jobs, one per (cell, seed).
+ * The calling thread judges the tests in order once the fan is done.
+ *
+ * Determinism contract: every simulation job's RNG seed derives from
+ * (baseSeed, job index within the test's fan) only, so a test's report
+ * and repro lines do not depend on the tests run beside it; results
+ * merge in test and job-index order, so reports are byte-identical for
+ * any --threads value.
  *
  * Verdict semantics (per test):
  *  - `forbidden (c)`: c must never be observed under a policy that
@@ -135,6 +142,8 @@ struct CellReport
     /** Observed outcome keys the bounding model forbids. Fails the
      * cell when enumeration was complete. */
     std::vector<std::string> axiomForbidden;
+
+    bool operator==(const CellReport &) const = default;
 };
 
 /** One model's allowed outcomes, projected to clause outcome keys. */
@@ -142,6 +151,8 @@ struct ModelAllowedReport
 {
     std::string model;
     std::vector<std::string> outcomes; ///< sorted outcome keys
+
+    bool operator==(const ModelAllowedReport &) const = default;
 };
 
 /** Aggregate of one test over the whole fan. */
@@ -162,6 +173,8 @@ struct TestReport
 
     bool pass = true;
     std::vector<std::string> failures; ///< human-readable reasons
+
+    bool operator==(const TestReport &) const = default;
 };
 
 /** Registry metadata of one machine in the fan (carried into the

@@ -29,9 +29,13 @@ campaignThreads(int requested)
     if (requested > 0)
         return requested;
     if (const char *env = std::getenv("WO_THREADS")) {
-        int n = std::atoi(env);
-        if (n > 0)
-            return n;
+        // One whole decimal number, as for --threads; anything else
+        // ("4x", "-1", out of range) and 0 fall back to the hardware.
+        try {
+            if (int n = parseFlagValue<int>("WO_THREADS", env); n > 0)
+                return n;
+        } catch (const std::invalid_argument &) {
+        }
     }
     unsigned hw = std::thread::hardware_concurrency();
     return hw ? static_cast<int>(hw) : 1;

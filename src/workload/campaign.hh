@@ -56,8 +56,9 @@ std::uint64_t campaignJobSeed(std::uint64_t baseSeed, int jobIndex);
 
 /**
  * Resolve a thread count: @p requested if positive, else the WO_THREADS
- * environment variable if set to a positive integer, else one thread per
- * hardware thread. Always at least 1.
+ * environment variable if it is one whole positive decimal number (as
+ * parseFlagValue reads it: "4x" and "-1" do not count), else one thread
+ * per hardware thread. Always at least 1.
  */
 int campaignThreads(int requested = 0);
 
@@ -215,9 +216,11 @@ struct CampaignConfig
  * unit of parallelism: each one (a run, an SC verification, a DRF0
  * check) executes serially on one worker.
  *
- * map() is the primitive: run fn over numJobs jobs, return the results
- * in job order. reduce() folds map()'s output left-to-right, so merged
- * aggregates are also independent of the thread count.
+ * forEach() is the primitive: run fn over numJobs jobs, each writing
+ * only its own result slot, for fans whose jobs are not all of one
+ * kind. map() returns one result per job in job order; reduce() folds
+ * map()'s output left-to-right, so merged aggregates are also
+ * independent of the thread count.
  */
 class Campaign
 {
@@ -229,12 +232,10 @@ class Campaign
     int numThreads() const { return pool_.numThreads(); }
     std::uint64_t baseSeed() const { return cfg_.baseSeed; }
 
-    /** Run fn(job) for each job, results in job-index order. */
-    template <class Result>
-    std::vector<Result>
-    map(int numJobs, const std::function<Result(const CampaignJob &)> &fn)
+    /** Run fn(job) for each job; returns when every job has. */
+    void
+    forEach(int numJobs, const std::function<void(const CampaignJob &)> &fn)
     {
-        std::vector<Result> out(static_cast<std::size_t>(numJobs));
         parallelFor(pool_, static_cast<std::size_t>(numJobs),
                     [&](std::size_t i, int worker) {
                         CampaignJob job;
@@ -242,8 +243,19 @@ class Campaign
                         job.seed = campaignJobSeed(cfg_.baseSeed,
                                                    job.index);
                         job.worker = worker;
-                        out[i] = fn(job);
+                        fn(job);
                     });
+    }
+
+    /** Run fn(job) for each job, results in job-index order. */
+    template <class Result>
+    std::vector<Result>
+    map(int numJobs, const std::function<Result(const CampaignJob &)> &fn)
+    {
+        std::vector<Result> out(static_cast<std::size_t>(numJobs));
+        forEach(numJobs, [&](const CampaignJob &job) {
+            out[static_cast<std::size_t>(job.index)] = fn(job);
+        });
         return out;
     }
 

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -108,6 +109,30 @@ TEST(CampaignFlags, ThreadsResolutionPrefersRequest)
 {
     EXPECT_EQ(campaignThreads(3), 3);
     EXPECT_GE(campaignThreads(0), 1);
+}
+
+TEST(CampaignFlags, ThreadsEnvIsOneWholeNumber)
+{
+    const char *prev = std::getenv("WO_THREADS");
+    const std::string saved = prev ? prev : "";
+    unsetenv("WO_THREADS");
+    const int hardware = campaignThreads(0);
+    ASSERT_GE(hardware, 1);
+
+    setenv("WO_THREADS", "5", 1);
+    EXPECT_EQ(campaignThreads(0), 5);
+    EXPECT_EQ(campaignThreads(2), 2); // a request still wins
+    // Malformed, negative, out-of-range or zero: the hardware count.
+    for (const char *bad : {"4x", "abc", "", "-1", " 3", "0",
+                            "99999999999999999999"}) {
+        setenv("WO_THREADS", bad, 1);
+        EXPECT_EQ(campaignThreads(0), hardware) << "'" << bad << "'";
+    }
+
+    if (prev)
+        setenv("WO_THREADS", saved.c_str(), 1);
+    else
+        unsetenv("WO_THREADS");
 }
 
 /**

@@ -419,16 +419,26 @@ TEST(LitmusRunner, ReportsAreIdenticalAcrossThreadCounts)
 TEST(LitmusRunner, FailureLinesNameAWoTraceRepro)
 {
     // SB with its weak outcome forbidden even under Relaxed: every
-    // machine that exhibits it fails its cell.
-    const std::vector<CompiledLitmus> corpus = {compileLitmus(parseLitmus(
-        "name sb-always\ninit { x = 0; y = 0; }\n"
-        "P0 | P1 ;\n"
-        "store x, 1 | store y, 1 ;\n"
-        "load r0, y | load r0, x ;\n"
-        "halt | halt ;\n"
-        "forbidden always (P0:r0 == 0 && P1:r0 == 0)\n",
-        "sb_always.litmus"))};
-    const CompiledLitmus &test = corpus[0];
+    // machine that exhibits it fails its cell. It comes second in the
+    // corpus, so a seed numbered by the job's place in the whole corpus
+    // rather than in its test would name another run.
+    const std::vector<CompiledLitmus> corpus = {
+        compileLitmus(parseLitmus("name wr\ninit { x = 0; }\n"
+                                  "P0 ;\n"
+                                  "store x, 1 ;\n"
+                                  "load r0, x ;\n"
+                                  "halt ;\n"
+                                  "forbidden (P0:r0 == 0)\n",
+                                  "wr.litmus")),
+        compileLitmus(parseLitmus(
+            "name sb-always\ninit { x = 0; y = 0; }\n"
+            "P0 | P1 ;\n"
+            "store x, 1 | store y, 1 ;\n"
+            "load r0, y | load r0, x ;\n"
+            "halt | halt ;\n"
+            "forbidden always (P0:r0 == 0 && P1:r0 == 0)\n",
+            "sb_always.litmus"))};
+    const CompiledLitmus &test = corpus[1];
 
     // At this base seed net-u's first hit is not its cell's first job,
     // so an off-by-one index-to-seed mapping names a run that misses.
@@ -439,9 +449,26 @@ TEST(LitmusRunner, FailureLinesNameAWoTraceRepro)
     opt.drf0Schedules = 40;
     opt.policies = {PolicyKind::Relaxed};
     const std::vector<const MachineSpec *> machines = defaultMachines();
-    CorpusReport rep = runCorpus(corpus, opt, machines);
-    ASSERT_EQ(rep.tests.size(), 1u);
-    ASSERT_EQ(rep.tests[0].failures.size(), machines.size());
+
+    // Each test's report is the one a corpus of that test alone gives,
+    // at any thread count: the analysis jobs run on pool threads beside
+    // the other tests' simulations without changing a byte.
+    CorpusReport rep;
+    for (int threads : {1, 4}) {
+        opt.threads = threads;
+        CorpusReport both = runCorpus(corpus, opt, machines);
+        ASSERT_EQ(both.tests.size(), corpus.size());
+        for (std::size_t t = 0; t < corpus.size(); ++t) {
+            CorpusReport alone = runCorpus({corpus[t]}, opt, machines);
+            ASSERT_EQ(alone.tests.size(), 1u);
+            EXPECT_TRUE(both.tests[t] == alone.tests[0])
+                << corpus[t].name << " at threads=" << threads;
+        }
+        if (threads == 1)
+            rep = std::move(both);
+    }
+    EXPECT_TRUE(rep.tests[0].pass);
+    ASSERT_EQ(rep.tests[1].failures.size(), machines.size());
 
     auto hits = [&](const MachineSpec &m, PolicyKind policy,
                     std::uint64_t seed) {
@@ -451,7 +478,7 @@ TEST(LitmusRunner, FailureLinesNameAWoTraceRepro)
                         test.addrOf);
     };
     int net_u_first = -1;
-    for (const std::string &line : rep.tests[0].failures) {
+    for (const std::string &line : rep.tests[1].failures) {
         const std::string tag = "; repro: wo-trace ";
         std::size_t at = line.find(tag);
         ASSERT_NE(at, std::string::npos) << line;
