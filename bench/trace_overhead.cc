@@ -14,7 +14,7 @@
  * observability layer. The enabled-path number quantifies what a traced
  * debugging run costs (event construction + buffer append + histogram
  * updates). The coverage number gates the campaign-coverage path
- * (dense transition counters + interned-key bumps): --gate=PCT exits
+ * (one dense-array increment per recording site): --gate=PCT exits
  * nonzero when coverage overhead exceeds PCT (the CI gate is 3).
  *
  * The measurement loop matches the PR-4 event-kernel gate: 600 runs

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 
+#include "obs/coverage.hh"
 #include "obs/trace_sink.hh"
 
 namespace wo {
@@ -22,13 +23,11 @@ Cache::Cache(EventQueue &eq, Interconnect &net, StatSet &stats, NodeId node,
     stat_.cleanRelinquishes =
         stats_.handle(name_ + ".clean_relinquishes");
     stat_.reserves = stats_.handle(name_ + ".reserves");
-    stalls_ = StallReasonFamily(stats_, name_ + ".miss_stalls_total");
-    stat_.stalledByReserveBound =
-        stalls_.addReason(name_ + ".stalled_by_reserve_bound");
-    stat_.stalledByEviction =
-        stalls_.addReason(name_ + ".stalled_by_eviction");
-    stat_.stalledByMshrConflict =
-        stalls_.addReason(name_ + ".stalled_by_mshr_conflict");
+    stat_.missStallsTotal = stats_.handle(name_ + ".miss_stalls_total");
+    for (int m = 0; m < kNumMissStalls; ++m) {
+        stat_.stalledBy[m] = stats_.handle(
+            name_ + ".stalled_by_" + toString(static_cast<MissStall>(m)));
+    }
     stat_.counterMax =
         stats_.handle(name_ + ".counter_max", StatSet::Kind::Max);
     stat_.putacks = stats_.handle(name_ + ".putacks");
@@ -39,6 +38,18 @@ Cache::Cache(EventQueue &eq, Interconnect &net, StatSet &stats, NodeId node,
     stat_.recallsQueued = stats_.handle(name_ + ".recalls_queued");
     stat_.recallsServiced = stats_.handle(name_ + ".recalls_serviced");
     net_.attach(node_, [this](const Msg &m) { handle(m); });
+}
+
+void
+Cache::missStalled(const CacheOp &op, MissStall why)
+{
+    stalled_ops_.push_back(op);
+    stats_.inc(stat_.stalledBy[static_cast<int>(why)]);
+    stats_.inc(stat_.missStallsTotal);
+    if (CoverageMap *cov = activeCoverage())
+        cov->hitMissStall(why);
+    if (sink_)
+        emitEvent(TraceKind::MissStalled, op.addr, 0, toString(why));
 }
 
 void
@@ -280,10 +291,7 @@ Cache::access(const CacheOp &op)
     // it until the fill rather than clobbering the live MSHR.
     if (mshrs_.find(op.addr) != mshrs_.end()) {
         assert(false && "processor must order same-address accesses");
-        stalled_ops_.push_back(op);
-        stalls_.bump(stat_.stalledByMshrConflict);
-        if (sink_)
-            emitEvent(TraceKind::MissStalled, op.addr, 0, "mshr_conflict");
+        missStalled(op, MissStall::MshrConflict);
         return;
     }
 
@@ -292,20 +300,14 @@ Cache::access(const CacheOp &op)
     // of counter increments.
     if (cfg_.maxMissesWhileReserved >= 0 && anyReserved() &&
         misses_while_reserved_ >= cfg_.maxMissesWhileReserved) {
-        stalled_ops_.push_back(op);
-        stalls_.bump(stat_.stalledByReserveBound);
-        if (sink_)
-            emitEvent(TraceKind::MissStalled, op.addr, 0, "reserve_bound");
+        missStalled(op, MissStall::ReserveBound);
         return;
     }
 
     bool upgrade = t.action == LineAction::IssueUpgrade;
     if (!upgrade) {
         if (!makeRoomFor(op.addr)) {
-            stalled_ops_.push_back(op);
-            stalls_.bump(stat_.stalledByEviction);
-            if (sink_)
-                emitEvent(TraceKind::MissStalled, op.addr, 0, "eviction");
+            missStalled(op, MissStall::Eviction);
             return;
         }
     }

@@ -38,7 +38,6 @@
 #include "cpu/isa.hh"
 #include "cpu/mem_port.hh"
 #include "mem/interconnect.hh"
-#include "obs/stall_stats.hh"
 #include "obs/trace_event.hh"
 #include "sim/event_queue.hh"
 #include "sim/stats.hh"
@@ -228,6 +227,15 @@ class Cache : public MemPort
     int setOf(Addr addr) const;
     NodeId dirFor(Addr addr) const;
 
+    /**
+     * Queue @p op behind a miss stall. The one site that counts miss
+     * stalls: it bumps <name>.stalled_by_<why> and
+     * <name>.miss_stalls_total together (so the total sums the reasons
+     * by construction), the coverage row, and the MissStalled trace
+     * event.
+     */
+    void missStalled(const CacheOp &op, MissStall why);
+
     /** Emit one structured trace event (sink_ must be non-null). */
     void emitEvent(TraceKind kind, Addr addr, std::int64_t aux = 0,
                    const char *detail = nullptr);
@@ -258,9 +266,8 @@ class Cache : public MemPort
         StatHandle silentUpgrades;
         StatHandle cleanRelinquishes;
         StatHandle reserves;
-        StallReasonFamily::Token stalledByReserveBound;
-        StallReasonFamily::Token stalledByEviction;
-        StallReasonFamily::Token stalledByMshrConflict;
+        StatHandle missStallsTotal;
+        StatHandle stalledBy[kNumMissStalls];
         StatHandle counterMax;
         StatHandle putacks;
         StatHandle invalidations;
@@ -270,11 +277,6 @@ class Cache : public MemPort
         StatHandle recallsServiced;
     };
     StatHandles stat_;
-
-    /** Miss-stall attribution: every stall reason routes through this
-     * family, so <name>.miss_stalls_total sums the stalled_by_* stats
-     * by construction. */
-    StallReasonFamily stalls_;
 
     std::map<Addr, Line> lines_;
     std::map<Addr, Mshr> mshrs_;

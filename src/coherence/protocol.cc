@@ -87,6 +87,17 @@ toString(LineAction a)
     return "?";
 }
 
+const char *
+toString(MissStall m)
+{
+    switch (m) {
+      case MissStall::ReserveBound: return "reserve_bound";
+      case MissStall::Eviction: return "eviction";
+      case MissStall::MshrConflict: return "mshr_conflict";
+    }
+    return "?";
+}
+
 CoherenceProtocol::CoherenceProtocol(ProtocolKind kind, const char *name)
     : kind_(kind), name_(name)
 {

@@ -113,6 +113,22 @@ enum class LineAction : std::uint8_t {
 
 const char *toString(LineAction a);
 
+/**
+ * Why a cache queued a miss instead of issuing it. Each reason is one
+ * cache stat (`stalled_by_<name>`), one coverage row and one
+ * MissStalled trace-event detail, all spelled by toString().
+ */
+enum class MissStall : std::uint8_t {
+    ReserveBound, ///< Section 5.3: miss budget while a line is reserved
+    Eviction,     ///< no evictable way in the target set
+    MshrConflict, ///< an MSHR for the line is already outstanding
+};
+inline constexpr int kNumMissStalls = 3;
+
+/** Snake-case reason name ("reserve_bound", "eviction",
+ * "mshr_conflict"; static storage). */
+const char *toString(MissStall m);
+
 /** One table entry. */
 struct LineTransition
 {

@@ -31,7 +31,7 @@ Processor::Processor(EventQueue &eq, StatSet &stats, ProcId id,
     : eq_(eq), stats_(stats), id_(id), program_(&program), port_(port),
       policy_(policy), trace_(trace), cfg_(cfg),
       name_("proc" + std::to_string(id)),
-      lat_gp_(stats, "proc" + std::to_string(id) + ".lat_issue_gp")
+      lat_gp_(stats, name_, LatencyKind::IssueGp)
 {
     stat_.instructions = stats_.handle(name_ + ".instructions");
     stat_.wbInserts = stats_.handle(name_ + ".wb_inserts");
@@ -114,50 +114,14 @@ Processor::closeStallSegment(Tick now)
     stall_by_reason_[static_cast<std::size_t>(stall_reason_)] += d;
 }
 
-namespace {
-
-/** One coverage row per stall reason, keyed like the per-proc stats
- * but instance-stripped ("proc_stall/fence"): a stall *activation* is
- * a segment opening with that reason, matching StallBegin events. */
-void
-coverStallSegment(StallReason why)
-{
-    CoverageMap *cov = activeCoverage();
-    if (!cov)
-        return;
-    static const std::array<std::string, kNumStallReasons> keys = [] {
-        std::array<std::string, kNumStallReasons> k;
-        for (int i = 0; i < kNumStallReasons; ++i) {
-            k[i] = std::string("proc_stall/") +
-                   toString(static_cast<StallReason>(i));
-        }
-        return k;
-    }();
-    // Per-thread interned-id cache, (map, generation)-validated: spin
-    // loops open segments hot enough that hashing the key per segment
-    // shows up in trace_overhead's coverage gate.
-    thread_local CoverageMap *cached_map = nullptr;
-    thread_local std::uint64_t cached_gen = 0;
-    thread_local std::array<std::uint32_t, kNumStallReasons> ids;
-    if (cov != cached_map || cov->generation() != cached_gen) {
-        for (int i = 0; i < kNumStallReasons; ++i)
-            ids[i] = cov->internKey(CoverageMap::Dim::Stall, keys[i]);
-        cached_map = cov;
-        cached_gen = cov->generation();
-    }
-    cov->hit(CoverageMap::Dim::Stall,
-             ids[static_cast<std::size_t>(why)]);
-}
-
-} // namespace
-
 void
 Processor::noteStall(StallReason why)
 {
     if (stall_since_ == kNoTick) {
         stall_since_ = eq_.now();
         stall_reason_ = why;
-        coverStallSegment(why);
+        if (CoverageMap *cov = activeCoverage())
+            cov->hitStall(why);
         if (sink_) {
             TraceEvent ev;
             ev.tick = eq_.now();
@@ -173,7 +137,8 @@ Processor::noteStall(StallReason why)
         // new segment; total and per-reason cycles stay in lockstep.
         closeStallSegment(eq_.now());
         stall_since_ = eq_.now();
-        coverStallSegment(why);
+        if (CoverageMap *cov = activeCoverage())
+            cov->hitStall(why);
         if (sink_) {
             TraceEvent ev;
             ev.tick = eq_.now();

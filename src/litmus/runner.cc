@@ -1,6 +1,7 @@
 #include "litmus/runner.hh"
 
 #include <algorithm>
+#include <climits>
 #include <filesystem>
 #include <iomanip>
 #include <ostream>
@@ -47,8 +48,9 @@ struct CellPlan
  * StatSet::accumulate: no job copies a StatSet or looks a name up. A
  * replacement System may lay its slots out differently, so when the
  * pool replaces one its total is folded into retired by name first.
- * Sum and max do not depend on order, nor does coverage's per-key sum,
- * so the merged totals are the same however jobs spread over workers.
+ * Sum and max do not depend on order, nor does coverage's element-wise
+ * sum, so the merged totals are the same however jobs spread over
+ * workers.
  */
 struct Worker
 {
@@ -496,6 +498,17 @@ runCorpus(const std::vector<CompiledLitmus> &tests,
                 plans[t].runnable[ci] = 0;
             }
         }
+    }
+
+    // Campaign jobs and repro seeds index jobs with an int.
+    constexpr std::size_t kMaxJobs = INT_MAX;
+    if (num_tests > kMaxJobs ||
+        (per_test != 0 && (kMaxJobs - num_tests) / per_test < num_tests)) {
+        throw std::invalid_argument(
+            "corpus fan of " + std::to_string(num_tests) + " tests x " +
+            std::to_string(cells.size()) + " cells x " +
+            std::to_string(per_cell) + " seeds exceeds " +
+            std::to_string(kMaxJobs) + " jobs");
     }
 
     // One fan over the corpus: every test's analysis job first, so the

@@ -198,11 +198,10 @@ struct CorpusReport
      * high-water marks maxed, so independent of job order. */
     StatSet stats;
 
-    /** Coverage counters summed over every run (empty unless
-     * RunnerOptions::coverage was set). The counts do not depend on
-     * job order; the intern order of keys does. Outcome coverage is
-     * not here: it is the cells' histograms against the axiom stage's
-     * allowed sets. */
+    /** Coverage counters summed over every run (all zero unless
+     * RunnerOptions::coverage was set); they do not depend on job
+     * order. Outcome coverage is not here: it is the cells' histograms
+     * against the axiom stage's allowed sets. */
     CoverageMap coverage;
 
     /** The machine fan this corpus ran against. */
@@ -217,7 +216,9 @@ struct CorpusReport
 std::vector<std::string>
 findLitmusFiles(const std::vector<std::string> &paths);
 
-/** Run the corpus; deterministic for fixed (options, machines). */
+/** Run the corpus; deterministic for fixed (options, machines).
+ * Throws std::invalid_argument, before allocating anything per job,
+ * when the fan has more than INT_MAX jobs. */
 CorpusReport runCorpus(const std::vector<CompiledLitmus> &tests,
                        const RunnerOptions &options,
                        const std::vector<const MachineSpec *> &machines =

@@ -41,7 +41,7 @@ class Interconnect
 
     Interconnect(EventQueue &eq, StatSet &stats, std::string name)
         : eq_(eq), stats_(stats), name_(std::move(name)),
-          lat_msg_(stats, name_ + ".lat_msg")
+          lat_msg_(stats, name_, LatencyKind::Msg)
     {
         stat_msgs_ = stats_.handle(name_ + ".msgs");
         stat_latency_total_ = stats_.handle(name_ + ".latency_total");

@@ -96,13 +96,43 @@ StandingCoverage::addCoverage(const CoverageMap &map)
             }
         }
     }
-    using Dim = CoverageMap::Dim;
-    const std::vector<std::string> &sk = map.keys(Dim::Stall);
-    for (std::size_t i = 0; i < sk.size(); ++i)
-        stalls[sk[i]] += map.counts(Dim::Stall)[i];
-    const std::vector<std::string> &bk = map.keys(Dim::Bucket);
-    for (std::size_t i = 0; i < bk.size(); ++i)
-        buckets[bk[i]] += map.counts(Dim::Bucket)[i];
+    // Once any row of a family is hit, every row of that family is
+    // written, zeros included: an unhit reason or bucket next to a hit
+    // one is a gap worth seeing, a never-hit family is just absent.
+    auto addFamily = [](std::map<std::string, std::uint64_t> &rows,
+                        int n, auto rowName, auto count) {
+        std::uint64_t total = 0;
+        for (int i = 0; i < n; ++i)
+            total += count(i);
+        if (total == 0)
+            return;
+        for (int i = 0; i < n; ++i)
+            rows[rowName(i)] += count(i);
+    };
+    addFamily(
+        stalls, kNumStallReasons,
+        [](int r) {
+            return std::string("proc_stall/") +
+                   toString(static_cast<StallReason>(r));
+        },
+        [&](int r) { return map.stallCount(static_cast<StallReason>(r)); });
+    addFamily(
+        stalls, kNumMissStalls,
+        [](int m) {
+            return std::string("miss_stalls_total/stalled_by_") +
+                   toString(static_cast<MissStall>(m));
+        },
+        [&](int m) { return map.missStallCount(static_cast<MissStall>(m)); });
+    for (int k = 0; k < kNumLatencyKinds; ++k) {
+        LatencyKind kind = static_cast<LatencyKind>(k);
+        addFamily(
+            buckets, kLatencyBuckets,
+            [&](int b) {
+                return std::string(toString(kind)) + "/bucket_" +
+                       (b < 10 ? "0" : "") + std::to_string(b);
+            },
+            [&](int b) { return map.bucketCount(kind, b); });
+    }
 }
 
 void

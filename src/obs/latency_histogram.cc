@@ -3,32 +3,8 @@
 #include <iomanip>
 #include <ostream>
 #include <sstream>
-#include <unordered_map>
 
 namespace wo {
-
-namespace {
-
-/**
- * Interned bucket-id cache shared by every histogram on this thread,
- * keyed by instance-stripped family prefix. Campaign runs construct a
- * fresh System (and so fresh histograms) per job, but install the same
- * CoverageMap for thousands of runs — a per-histogram cache would
- * rebuild and re-hash all kBuckets key strings every run, which shows
- * up in the trace_overhead coverage gate.
- */
-struct BucketIdCache
-{
-    CoverageMap *map = nullptr;
-    std::uint64_t gen = 0;
-    std::unordered_map<std::string,
-                       std::array<std::uint32_t, LatencyHistogram::kBuckets>>
-        ids;
-};
-
-thread_local BucketIdCache t_bucket_ids;
-
-} // namespace
 
 void
 LatencyHistogram::internHandles()
@@ -47,40 +23,6 @@ LatencyHistogram::internHandles()
 }
 
 void
-LatencyHistogram::flushCoverage(void *self, CoverageMap *cov)
-{
-    auto *h = static_cast<LatencyHistogram *>(self);
-    if (cov != nullptr) {
-        BucketIdCache &cache = t_bucket_ids;
-        if (cov != cache.map || cov->generation() != cache.gen) {
-            cache.ids.clear();
-            cache.map = cov;
-            cache.gen = cov->generation();
-        }
-        auto [it, fresh] =
-            cache.ids.try_emplace(stripInstance(h->prefix_));
-        if (fresh) {
-            for (int i = 0; i < kBuckets; ++i) {
-                std::string key = it->first + "/bucket_";
-                if (i < 10)
-                    key += '0';
-                key += std::to_string(i);
-                it->second[i] =
-                    cov->internKey(CoverageMap::Dim::Bucket, key);
-            }
-        }
-        for (int i = 0; i < kBuckets; ++i) {
-            if (h->cov_pending_[i] != 0) {
-                cov->hit(CoverageMap::Dim::Bucket, it->second[i],
-                         h->cov_pending_[i]);
-            }
-        }
-    }
-    h->cov_pending_.fill(0);
-    h->cov_dirty_ = false;
-}
-
-void
 LatencyHistogram::record(Tick v)
 {
     if (!interned_)
@@ -95,8 +37,8 @@ LatencyHistogram::record(Tick v)
     stats_.inc(count_handle_);
     stats_.inc(total_handle_, v);
     stats_.maxOf(max_handle_, v);
-    if (activeCoverage() != nullptr)
-        coverPending(b);
+    if (CoverageMap *cov = activeCoverage())
+        cov->hitBucket(kind_, b);
 }
 
 void

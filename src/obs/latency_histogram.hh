@@ -12,6 +12,10 @@
  * StatSet handles are interned lazily on the first record(): a histogram
  * owned by a component with no trace sink attached never touches the
  * registry, keeping tracing-off stat output byte-identical.
+ *
+ * Each histogram has a LatencyKind, which names its stat prefix
+ * ("<owner>.lat_msg") and the CoverageMap bucket row every sample bumps
+ * when a map is installed.
  */
 
 #ifndef WO_OBS_LATENCY_HISTOGRAM_HH
@@ -33,10 +37,14 @@ class LatencyHistogram
 {
   public:
     /** Bucket 0 plus 32 log2 buckets plus one overflow bucket. */
-    static constexpr int kBuckets = 34;
+    static constexpr int kBuckets = kLatencyBuckets;
 
-    LatencyHistogram(StatSet &stats, std::string prefix)
-        : stats_(stats), prefix_(std::move(prefix))
+    /** The histogram of @p kind owned by component @p owner: its stats
+     * are "<owner>.<toString(kind)>.*". */
+    LatencyHistogram(StatSet &stats, const std::string &owner,
+                     LatencyKind kind)
+        : stats_(stats), kind_(kind),
+          prefix_(owner + "." + toString(kind))
     {
         counts_.fill(0);
     }
@@ -82,16 +90,13 @@ class LatencyHistogram
      * keep tracing-off reports byte-identical skip record() entirely;
      * their else-branches call this so bucket *occupancy* is still
      * observed when only coverage is enabled. No-op with no map
-     * installed. Samples land in a private pending array and reach
-     * the map when the installing CoverageScope closes — this is a
-     * per-message/per-op path, and even an interned-id map bump per
-     * sample shows up in the trace_overhead coverage gate.
+     * installed.
      */
     void
     coverOnly(Tick v)
     {
-        if (activeCoverage() != nullptr)
-            coverPending(bucketIndex(v));
+        if (CoverageMap *cov = activeCoverage())
+            cov->hitBucket(kind_, bucketIndex(v));
     }
 
     /**
@@ -123,36 +128,14 @@ class LatencyHistogram
   private:
     void internHandles();
 
-    /** Bump the pending delta for @p bucket, registering the deferred
-     * flush on the first sample of a cycle. */
-    void
-    coverPending(int bucket)
-    {
-        ++cov_pending_[bucket];
-        if (!cov_dirty_) {
-            cov_dirty_ = true;
-            registerCoverageFlush(this, &LatencyHistogram::flushCoverage);
-        }
-    }
-
-    /** Deferred-flush callback: add pending deltas to @p cov (dropped
-     * when null) and rearm. */
-    static void flushCoverage(void *self, CoverageMap *cov);
-
     StatSet &stats_;
+    LatencyKind kind_;
     std::string prefix_;
     bool interned_ = false;
     std::array<StatHandle, kBuckets> bucket_handles_;
     StatHandle count_handle_;
     StatHandle total_handle_;
     StatHandle max_handle_;
-
-    /** Per-sample deltas awaiting a deferred flush (see coverOnly).
-     * Interned-id caching lives in a thread-local shared by all
-     * histograms (see latency_histogram.cc) because campaign jobs
-     * construct fresh histograms per run. */
-    std::array<std::uint64_t, kBuckets> cov_pending_{};
-    bool cov_dirty_ = false;
 
     std::array<std::uint64_t, kBuckets> counts_;
     std::uint64_t count_ = 0;

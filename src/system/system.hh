@@ -83,7 +83,7 @@ struct SystemConfig
     /**
      * Campaign coverage counters (non-owning; must outlive the run).
      * runStreaming installs it thread-locally for the run's duration,
-     * so instrumented sites (protocol lookups, stall families, latency
+     * so instrumented sites (protocol lookups, stall reasons, latency
      * buckets) record into it. Null = coverage disabled: one
      * thread-local load and branch per site, nothing recorded.
      * Recording is passive (never touches stats or simulator state),

@@ -22,6 +22,8 @@
 #include "litmus/runner.hh"
 #include "obs/coverage.hh"
 #include "obs/coverage_report.hh"
+#include "obs/trace_sink.hh"
+#include "system/machine_spec.hh"
 #include "system/system.hh"
 
 namespace wo {
@@ -80,7 +82,6 @@ legalCount(ProtocolKind k)
 TEST(CoverageMap, RecordsTransitionsAndNamedKeys)
 {
     CoverageMap map;
-    EXPECT_TRUE(map.empty());
 
     map.hitTransition(ProtocolKind::Msi, LineState::Shared,
                       LineEvent::Load);
@@ -93,24 +94,56 @@ TEST(CoverageMap, RecordsTransitionsAndNamedKeys)
                                   LineEvent::Load),
               0u);
 
-    map.hitKey(CoverageMap::Dim::Stall, "proc_stall/fence", 3);
-    ASSERT_EQ(map.keys(CoverageMap::Dim::Stall).size(), 1u);
-    EXPECT_EQ(map.keys(CoverageMap::Dim::Stall)[0], "proc_stall/fence");
-    EXPECT_EQ(map.counts(CoverageMap::Dim::Stall)[0], 3u);
-    EXPECT_FALSE(map.empty());
+    for (int i = 0; i < 3; ++i)
+        map.hitStall(StallReason::Fence);
+    map.hitMissStall(MissStall::ReserveBound);
+    map.hitBucket(LatencyKind::Msg, 7);
+    EXPECT_EQ(map.stallCount(StallReason::Fence), 3u);
+    EXPECT_EQ(map.stallCount(StallReason::Dependency), 0u);
+    EXPECT_EQ(map.missStallCount(MissStall::ReserveBound), 1u);
+    EXPECT_EQ(map.bucketCount(LatencyKind::Msg, 7), 1u);
+    EXPECT_EQ(map.bucketCount(LatencyKind::IssueGp, 7), 0u);
+
+    const std::string doc = render(map);
+    EXPECT_NE(doc.find("trans\tmsi\tS\tLoad\t2\n"), std::string::npos);
+    EXPECT_NE(doc.find("stall\tproc_stall/fence\t3\n"), std::string::npos);
+    EXPECT_NE(doc.find("stall\tmiss_stalls_total/stalled_by_reserve_bound"
+                       "\t1\n"),
+              std::string::npos);
+    EXPECT_NE(doc.find("bucket\tlat_msg/bucket_07\t1\n"),
+              std::string::npos);
 }
 
-TEST(CoverageMap, InternAloneSeedsKeyAtZero)
+TEST(CoverageMap, HitFamilyWritesEveryRowUnhitFamilyNone)
 {
+    // One hit in a family writes all of that family's rows, the unhit
+    // ones at 0 (the gaps wo-cover shows); an unhit family writes none.
     CoverageMap map;
-    std::uint32_t id =
-        map.internKey(CoverageMap::Dim::Bucket, "lat_x/bucket_03");
-    EXPECT_EQ(map.counts(CoverageMap::Dim::Bucket)[id], 0u);
-    // Re-interning returns the same id.
-    EXPECT_EQ(map.internKey(CoverageMap::Dim::Bucket, "lat_x/bucket_03"),
-              id);
-    map.hit(CoverageMap::Dim::Bucket, id);
-    EXPECT_EQ(map.counts(CoverageMap::Dim::Bucket)[id], 1u);
+    map.hitBucket(LatencyKind::IssueGp, 3);
+    map.hitMissStall(MissStall::Eviction);
+    StandingCoverage st;
+    st.addCoverage(map);
+
+    ASSERT_EQ(st.buckets.size(),
+              static_cast<std::size_t>(kLatencyBuckets));
+    EXPECT_EQ(st.buckets.at("lat_issue_gp/bucket_03"), 1u);
+    EXPECT_EQ(st.buckets.at("lat_issue_gp/bucket_00"), 0u);
+    EXPECT_EQ(st.buckets.at("lat_issue_gp/bucket_33"), 0u);
+    EXPECT_EQ(st.buckets.count("lat_msg/bucket_03"), 0u);
+
+    ASSERT_EQ(st.stalls.size(), static_cast<std::size_t>(kNumMissStalls));
+    EXPECT_EQ(st.stalls.at("miss_stalls_total/stalled_by_eviction"), 1u);
+    EXPECT_EQ(st.stalls.at("miss_stalls_total/stalled_by_reserve_bound"),
+              0u);
+    EXPECT_EQ(st.stalls.at("miss_stalls_total/stalled_by_mshr_conflict"),
+              0u);
+    EXPECT_TRUE(st.transitions.empty());
+
+    // An all-zero map writes nothing at all.
+    StandingCoverage none;
+    none.addCoverage(CoverageMap());
+    EXPECT_TRUE(none.stalls.empty());
+    EXPECT_TRUE(none.buckets.empty());
 }
 
 TEST(CoverageMap, MergeIsAssociativeAndCommutative)
@@ -120,19 +153,20 @@ TEST(CoverageMap, MergeIsAssociativeAndCommutative)
         if (variant == 0) {
             m.hitTransition(ProtocolKind::Msi, LineState::Invalid,
                             LineEvent::Store);
-            m.hitKey(CoverageMap::Dim::Stall, "proc_stall/fence");
-            m.internKey(CoverageMap::Dim::Bucket,
-                        "lat_msg/bucket_07"); // seeded, count 0
+            m.hitStall(StallReason::Fence);
+            m.hitMissStall(MissStall::Eviction);
         } else if (variant == 1) {
             m.hitTransition(ProtocolKind::Msi, LineState::Invalid,
                             LineEvent::Store);
             m.hitTransition(ProtocolKind::Mesif, LineState::Forward,
                             LineEvent::Load);
-            m.hitKey(CoverageMap::Dim::Stall, "proc_stall/dependency", 2);
+            m.hitStall(StallReason::Dependency);
+            m.hitStall(StallReason::Dependency);
         } else {
-            m.hitKey(CoverageMap::Dim::Stall, "proc_stall/fence", 4);
-            m.hitKey(CoverageMap::Dim::Bucket, "lat_msg/bucket_07");
-            m.hitKey(CoverageMap::Dim::Bucket, "lat_msg/bucket_01");
+            for (int i = 0; i < 4; ++i)
+                m.hitStall(StallReason::Fence);
+            m.hitBucket(LatencyKind::Msg, 7);
+            m.hitBucket(LatencyKind::Msg, 1);
         }
         return m;
     };
@@ -154,33 +188,17 @@ TEST(CoverageMap, MergeIsAssociativeAndCommutative)
     ba.merge(mk(0));
     EXPECT_EQ(render(ab), render(ba));
 
-    // Zero-count seeded keys survive the merge.
-    EXPECT_NE(render(left).find("bucket\tlat_msg/bucket_07\t1"),
+    // Counts sum, and the unhit rows of a hit family stay at 0.
+    const std::string doc = render(left);
+    EXPECT_NE(doc.find("stall\tproc_stall/fence\t5\n"), std::string::npos);
+    EXPECT_NE(doc.find("stall\tproc_stall/dependency\t2\n"),
               std::string::npos);
-}
-
-TEST(CoverageMap, ClearBumpsGenerationAndEmpties)
-{
-    CoverageMap map;
-    std::uint64_t gen = map.generation();
-    map.hitTransition(ProtocolKind::Msi, LineState::Shared,
-                      LineEvent::Load);
-    map.hitKey(CoverageMap::Dim::Stall, "k");
-    map.clear();
-    EXPECT_TRUE(map.empty());
-    EXPECT_NE(map.generation(), gen);
-    EXPECT_EQ(map.transitionCount(ProtocolKind::Msi, LineState::Shared,
-                                  LineEvent::Load),
-              0u);
-    EXPECT_TRUE(map.keys(CoverageMap::Dim::Stall).empty());
-}
-
-TEST(CoverageMap, StripInstanceDropsLeadingComponent)
-{
-    EXPECT_EQ(stripInstance("cache3.miss_stalls_total"),
-              "miss_stalls_total");
-    EXPECT_EQ(stripInstance("proc_stall"), "proc_stall");
-    EXPECT_EQ(stripInstance("a.b.c"), "b.c");
+    EXPECT_NE(doc.find("stall\tproc_stall/same_addr\t0\n"),
+              std::string::npos);
+    EXPECT_NE(doc.find("bucket\tlat_msg/bucket_07\t1\n"),
+              std::string::npos);
+    EXPECT_NE(doc.find("bucket\tlat_msg/bucket_00\t0\n"),
+              std::string::npos);
 }
 
 TEST(CoverageScope, InstallsAndRestoresNested)
@@ -270,10 +288,10 @@ TEST(StandingCoverage, WriteReadRoundTripsByteIdentical)
     CoverageMap map;
     map.hitTransition(ProtocolKind::Moesi, LineState::Owned,
                       LineEvent::FwdGetS);
-    map.hitKey(CoverageMap::Dim::Stall,
-               "miss_stalls_total/stalled_by_eviction", 7);
-    map.hitKey(CoverageMap::Dim::Bucket, "lat_issue_gp/bucket_04");
-    map.internKey(CoverageMap::Dim::Stall, "proc_stall/fence");
+    for (int i = 0; i < 7; ++i)
+        map.hitMissStall(MissStall::Eviction);
+    map.hitBucket(LatencyKind::IssueGp, 4);
+    map.hitStall(StallReason::Dependency); // proc_stall/fence row at 0
 
     StandingCoverage st;
     st.runs = 1;
@@ -319,7 +337,8 @@ TEST(StandingCoverage, MergeSumsCountsAndRuns)
                     LineEvent::Load);
     b.hitTransition(ProtocolKind::Msi, LineState::Shared,
                     LineEvent::Load);
-    b.hitKey(CoverageMap::Dim::Stall, "proc_stall/fence", 2);
+    b.hitStall(StallReason::Fence);
+    b.hitStall(StallReason::Fence);
 
     StandingCoverage s1, s2;
     s1.runs = 1;
@@ -374,7 +393,7 @@ TEST(CoverageSystem, MapSurvivesPooledStyleResetAndDoubles)
     System sys(mp, cfg);
     ASSERT_TRUE(sys.run());
     std::string once = render(map);
-    ASSERT_FALSE(map.empty());
+    ASSERT_NE(once.find("trans\t"), std::string::npos);
 
     // A pooled-style reset replays the job bit-identically and keeps
     // recording into the same campaign-owned map: exactly doubled.
@@ -389,6 +408,80 @@ TEST(CoverageSystem, MapSurvivesPooledStyleResetAndDoubles)
     std::ostringstream expect;
     sum.write(expect);
     EXPECT_EQ(render(map), expect.str());
+}
+
+TEST(CoverageSystem, RowsAgreeWithTheStatsMirror)
+{
+    // A traced run keeps every latency sample and miss stall in the
+    // StatSet too, so each coverage row must equal its stats: this pins
+    // the enum-to-row-name mapping of every family. Overlapping stores
+    // to three lines of bus-cap's one two-way set produce eviction
+    // stalls.
+    MultiProgram mp("set-thrash");
+    for (int p = 0; p < 2; ++p) {
+        ProgramBuilder b;
+        for (int round = 0; round < 3; ++round) {
+            b.store(0, round + 1)
+                .store(2, round + 2)
+                .store(4, round + 3)
+                .load(0, 2);
+        }
+        b.halt();
+        mp.addProgram(b.build());
+    }
+    TraceBuffer buf;
+    CoverageMap map;
+    SystemConfig cfg =
+        machineOrThrow("bus-cap").config(PolicyKind::Def2Drf0, 3);
+    cfg.traceSink = &buf;
+    cfg.coverage = &map;
+    System sys(mp, cfg);
+    ASSERT_TRUE(sys.run());
+    StandingCoverage st;
+    st.addCoverage(map);
+    const StatSet &stats = sys.stats();
+
+    auto statSum = [&](const std::string &suffix) {
+        std::uint64_t sum = 0;
+        for (const auto &[name, n] : stats.all()) {
+            if (name.size() > suffix.size() &&
+                name.compare(name.size() - suffix.size(), suffix.size(),
+                             suffix) == 0)
+                sum += n;
+        }
+        return sum;
+    };
+    auto rowOf = [](const std::map<std::string, std::uint64_t> &rows,
+                    const std::string &key) {
+        auto it = rows.find(key);
+        return it == rows.end() ? 0 : it->second;
+    };
+
+    for (int b = 0; b < kLatencyBuckets; ++b) {
+        const std::string nn = (b < 10 ? "0" : "") + std::to_string(b);
+        std::uint64_t gp = 0;
+        for (ProcId p = 0; p < mp.numProcs(); ++p) {
+            gp += stats.get("proc" + std::to_string(p) +
+                            ".lat_issue_gp.bucket_" + nn);
+        }
+        EXPECT_EQ(rowOf(st.buckets, "lat_issue_gp/bucket_" + nn), gp) << nn;
+        EXPECT_EQ(rowOf(st.buckets, "lat_msg/bucket_" + nn),
+                  stats.get(sys.interconnect().msgLatencyHistogram()
+                                .prefix() +
+                            ".bucket_" + nn))
+            << nn;
+    }
+    for (int m = 0; m < kNumMissStalls; ++m) {
+        const std::string reason =
+            std::string("stalled_by_") + toString(static_cast<MissStall>(m));
+        EXPECT_EQ(rowOf(st.stalls, "miss_stalls_total/" + reason),
+                  statSum("." + reason))
+            << reason;
+    }
+    // Not vacuous: every family was exercised, evictions included.
+    EXPECT_GT(statSum(".stalled_by_eviction"), 0u);
+    EXPECT_GT(statSum(".lat_issue_gp.count"), 0u);
+    EXPECT_GT(statSum(".lat_msg.count"), 0u);
 }
 
 TEST(CoverageRunner, PoolAndThreadCountDoNotChangeCoverage)

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -631,6 +632,18 @@ TEST(LitmusRunner, JsonReportEscapesControlCharacters)
     }
 }
 
+TEST(LitmusRunner, FanOverIntMaxJobsThrowsBeforeAllocating)
+{
+    // INT_MAX seeds x 12 default cells cannot be indexed by the int job
+    // index. runCorpus must refuse before it sizes the per-job outputs
+    // (which could not be allocated), and before it runs anything.
+    std::vector<CompiledLitmus> corpus;
+    corpus.push_back(compileLitmus(parseLitmus(kMp, "mp.litmus")));
+    RunnerOptions opt;
+    opt.seeds = INT_MAX;
+    EXPECT_THROW(runCorpus(corpus, opt), std::invalid_argument);
+}
+
 TEST(LitmusRunner, FindLitmusFilesRejectsMissingPath)
 {
     EXPECT_THROW(findLitmusFiles({"/nonexistent/path.litmus"}),
@@ -685,12 +698,14 @@ TEST(WoLitmusTool, BadUsageExitsTwo)
         out << kMp;
     }
     // Likewise malformed --seed/--threads values (a bare --seed must
-    // not swallow the path after it), and the removed trace options.
+    // not swallow the path after it), the removed trace options, and a
+    // fan of more than INT_MAX jobs.
     for (const std::string &bad :
          {std::string("--seeds=20abc"), std::string("--seeds="),
           std::string("--seeds=0"), std::string("--seeds=-3"),
           std::string("--seeds=0x10"),
           std::string("--seeds=99999999999999999999"),
+          std::string("--seeds=2147483647"),
           std::string("--seed=abc"), std::string("--seed=12x"),
           std::string("--threads=abc"), std::string("--threads="),
           "--seed " + corpus, std::string("--trace=x"),

@@ -194,8 +194,8 @@ TEST(Protocols, StallFamilyTotalSumsItsReasonsByConstruction)
 
         // For every component with a miss_stalls_total, the total must
         // equal the sum of that component's stalled_by_* counters —
-        // the family bumps both at one site, so a mismatch means a
-        // stall was counted outside the family.
+        // Cache::missStalled bumps both at one site, so a mismatch
+        // means a stall was counted outside it.
         const auto &all = sys.stats().all();
         std::string suffix = ".miss_stalls_total";
         for (const auto &[name, total] : all) {

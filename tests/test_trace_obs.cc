@@ -358,7 +358,8 @@ TEST(LatencyHistogram, BucketBoundaries)
 TEST(LatencyHistogram, RecordsMirrorIntoStatSet)
 {
     StatSet stats;
-    LatencyHistogram h(stats, "h");
+    LatencyHistogram h(stats, "h", LatencyKind::Msg);
+    EXPECT_EQ(h.prefix(), "h.lat_msg");
 
     // Handles intern lazily: an unused histogram adds no stats.
     EXPECT_TRUE(stats.all().empty());
@@ -375,12 +376,12 @@ TEST(LatencyHistogram, RecordsMirrorIntoStatSet)
     EXPECT_EQ(h.buckets()[3], 2u);  // 5 is in [4,7]
     EXPECT_EQ(h.buckets()[7], 1u);  // 100 is in [64,127]
 
-    EXPECT_EQ(stats.get("h.count"), 4u);
-    EXPECT_EQ(stats.get("h.total"), 110u);
-    EXPECT_EQ(stats.get("h.max"), 100u);
-    EXPECT_EQ(stats.get("h.bucket_00"), 1u);
-    EXPECT_EQ(stats.get("h.bucket_03"), 2u);
-    EXPECT_EQ(stats.get("h.bucket_07"), 1u);
+    EXPECT_EQ(stats.get("h.lat_msg.count"), 4u);
+    EXPECT_EQ(stats.get("h.lat_msg.total"), 110u);
+    EXPECT_EQ(stats.get("h.lat_msg.max"), 100u);
+    EXPECT_EQ(stats.get("h.lat_msg.bucket_00"), 1u);
+    EXPECT_EQ(stats.get("h.lat_msg.bucket_03"), 2u);
+    EXPECT_EQ(stats.get("h.lat_msg.bucket_07"), 1u);
 }
 
 // ---------------------------------------------------------------------

@@ -54,20 +54,6 @@ usage(std::ostream &os)
     return 2;
 }
 
-/** Outcome key of @p r with untouched clause locations filled from the
- * initial values — the same projection wo-litmus applies. */
-std::string
-projectKey(const CompiledLitmus &test,
-           const std::vector<ObservedVar> &vars, const RunResult &r)
-{
-    RunResult filled = r;
-    for (const auto &[loc, addr] : test.addrOf) {
-        if (!filled.finalMemory.count(addr))
-            filled.finalMemory[addr] = test.program.initialValue(addr);
-    }
-    return outcomeKey(vars, filled, test.addrOf);
-}
-
 void
 dumpStats(std::ostream &os, const axiom::EnumStats &st)
 {
@@ -170,6 +156,10 @@ main(int argc, char **argv)
         return 2;
     }
 
+    // --drf0=auto runs wo-litmus's sampled check at its default
+    // schedule count and seed.
+    const RunnerOptions runner_defaults;
+
     std::ostringstream js;
     js << "{\n  \"tests\": [\n";
 
@@ -178,10 +168,18 @@ main(int argc, char **argv)
         std::vector<ObservedVar> vars = observedVars(test.clause.cond);
         axiom::AddrNamer namer = axiom::namerFrom(test.addrOf);
 
+        // The same projection wo-litmus applies to simulated outcomes.
+        auto projectKey = [&](const RunResult &r) {
+            return outcomeKey(vars, clauseOutcome(test, r), test.addrOf);
+        };
+
         axiom::ModelContext ctx;
         if (drf0_mode == "auto") {
             ctx.programDrf0 =
-                checkProgramSampled(test.program, 200, 1).obeysDrf0;
+                checkProgramSampled(test.program,
+                                    runner_defaults.drf0Schedules,
+                                    runner_defaults.baseSeed)
+                    .obeysDrf0;
         } else {
             ctx.programDrf0 = drf0_mode == "yes";
         }
@@ -208,7 +206,7 @@ main(int argc, char **argv)
             const std::set<RunResult> &set = res.allowed.at(m->name());
             std::set<std::string> keys;
             for (const RunResult &r : set)
-                keys.insert(projectKey(test, vars, r));
+                keys.insert(projectKey(r));
             std::cout << "   " << m->name() << " allows " << keys.size()
                       << " outcome" << (keys.size() == 1 ? "" : "s")
                       << ":\n";
@@ -234,7 +232,7 @@ main(int argc, char **argv)
             axiom::Explanation ex = axiom::explainOutcome(
                 test.program, models, ctx,
                 [&](const RunResult &r) {
-                    return projectKey(test, vars, r) == explain_key;
+                    return projectKey(r) == explain_key;
                 },
                 limits, namer);
             std::cout << "   explain {" << explain_key << "}:\n";

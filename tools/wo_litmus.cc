@@ -40,13 +40,16 @@
  *   --list           parse + compile only; list tests and exit
  *
  * Exit status: 0 all tests pass, 1 failures, 2 bad usage (including a
- * malformed --seed/--threads/--seeds value) or parse error.
+ * malformed --seed/--threads/--seeds value, or a fan of more than
+ * INT_MAX jobs or too large for memory) or parse error.
  */
 
 #include <fstream>
 #include <iostream>
+#include <new>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -199,7 +202,18 @@ main(int argc, char **argv)
         return 0;
     }
 
-    CorpusReport report = runCorpus(tests, options, machines);
+    // A fan too large to index (or to hold in memory) is bad usage.
+    CorpusReport report;
+    try {
+        report = runCorpus(tests, options, machines);
+    } catch (const std::invalid_argument &e) {
+        std::cerr << "wo-litmus: " << e.what() << "\n";
+        return 2;
+    } catch (const std::bad_alloc &) {
+        std::cerr << "wo-litmus: out of memory for the corpus fan "
+                     "(lower --seeds or --machines)\n";
+        return 2;
+    }
     printReport(std::cout, report, histograms, coverage);
 
     if (json) {
