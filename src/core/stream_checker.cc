@@ -1,10 +1,9 @@
 #include "core/stream_checker.hh"
 
 #include <algorithm>
-#include <cassert>
-#include <queue>
 #include <stdexcept>
-#include <unordered_map>
+#include <string>
+#include <tuple>
 
 namespace wo {
 
@@ -43,7 +42,7 @@ traceOrderIsLinearExtension(const ExecutionTrace &trace)
 } // namespace
 
 StreamingDrf0Checker::StreamingDrf0Checker(int numProcs, RaceDetectMode mode)
-    : det_(numProcs, mode), nprocs_(numProcs)
+    : det_(numProcs, mode), fedThrough_(static_cast<std::size_t>(numProcs), -1)
 {
 }
 
@@ -51,44 +50,42 @@ void
 StreamingDrf0Checker::reset(int numProcs)
 {
     det_.reset(numProcs);
-    nprocs_ = numProcs;
     next_ = 0;
-    fedAhead_.clear();
+    fedThrough_.assign(static_cast<std::size_t>(numProcs), -1);
+}
+
+std::size_t
+StreamingDrf0Checker::startPass(const ExecutionTrace &trace)
+{
+    const auto procs = static_cast<std::size_t>(trace.numProcs());
+    if (procs > fedThrough_.size())
+        fedThrough_.resize(procs, -1);
+    return static_cast<std::size_t>(retireReady(trace));
 }
 
 bool
-StreamingDrf0Checker::isFed(int id) const
+StreamingDrf0Checker::isFed(const Access &a) const
 {
-    if (id < next_)
+    if (a.id < next_)
         return true;
-    return std::binary_search(fedAhead_.begin(), fedAhead_.end(), id);
-}
-
-void
-StreamingDrf0Checker::markFed(int id)
-{
-    assert(id >= next_);
-    if (id == next_) {
-        ++next_;
-        // Absorb any previously fed run that is now contiguous.
-        std::size_t k = 0;
-        while (k < fedAhead_.size() && fedAhead_[k] == next_) {
-            ++next_;
-            ++k;
-        }
-        if (k > 0)
-            fedAhead_.erase(fedAhead_.begin(),
-                            fedAhead_.begin() + static_cast<long>(k));
-        return;
-    }
-    auto it = std::lower_bound(fedAhead_.begin(), fedAhead_.end(), id);
-    fedAhead_.insert(it, id);
+    // The unsigned compare also rejects kNoProc (-1): an access with no
+    // processor has no program order to place it in.
+    const auto p = static_cast<std::size_t>(a.proc);
+    if (p >= fedThrough_.size())
+        throw std::invalid_argument("trace access " + std::to_string(a.id) +
+                                    " has no processor");
+    return a.id <= fedThrough_[p];
 }
 
 void
 StreamingDrf0Checker::onAccess(const Access &a)
 {
-    assert(a.id == next_ && fedAhead_.empty());
+    // Checked in every build: a misordered feed would let the owner
+    // retire accesses the detector never saw.
+    if (a.id != next_) [[unlikely]]
+        throw std::logic_error("streaming DRF0 feed out of order: access " +
+                               std::to_string(a.id) + " arrived at frontier " +
+                               std::to_string(next_));
     det_.onAccess(a);
     ++next_;
 }
@@ -97,84 +94,87 @@ void
 StreamingDrf0Checker::feedTopo(const ExecutionTrace &trace,
                                const std::vector<int> &batch)
 {
-    const int n = static_cast<int>(batch.size());
-    if (n == 0)
-        return;
-    // Local indices 0..n-1 over batch (which is ascending in id).
-    auto localOf = [&](int id) {
-        auto it = std::lower_bound(batch.begin(), batch.end(), id);
-        return static_cast<int>(it - batch.begin());
+    const std::size_t n = batch.size();
+    const std::vector<Access> &acc = trace.accesses();
+    auto member = [&](int k) -> const Access & {
+        const int id = batch[static_cast<std::size_t>(k)];
+        return acc[static_cast<std::size_t>(id - trace.firstId())];
     };
-    std::vector<std::vector<int>> succ(static_cast<std::size_t>(n));
-    std::vector<int> indeg(static_cast<std::size_t>(n), 0);
-    auto addEdge = [&](int u, int v) {
-        succ[static_cast<std::size_t>(u)].push_back(v);
-        ++indeg[static_cast<std::size_t>(v)];
+    // Local indices 0..n-1 over batch (ascending in id). Each member's po
+    // successor is the next member of its processor (per-proc id order is
+    // program order for every trace source); its so successor is the next
+    // member syncing on its address, in (commitTick, id) order.
+    poSucc_.assign(n, -1);
+    soSucc_.assign(n, -1);
+    indeg_.assign(n, 0);
+    auto link = [&](std::vector<int> &succ, int u, int v) {
+        succ[static_cast<std::size_t>(u)] = v;
+        ++indeg_[static_cast<std::size_t>(v)];
     };
-    // po: consecutive same-proc members. Per-proc id order is record
-    // order, i.e. program order, for every trace source that feeds this
-    // checker.
-    std::vector<int> lastOfProc(static_cast<std::size_t>(nprocs_), -1);
-    // so: members that are syncs, per address in (commitTick, id) order.
-    std::unordered_map<Addr, std::vector<int>> syncsByAddr;
-    for (int k = 0; k < n; ++k) {
-        const Access &a = trace.at(batch[static_cast<std::size_t>(k)]);
-        if (a.proc >= 0) {
-            if (lastOfProc[static_cast<std::size_t>(a.proc)] >= 0)
-                addEdge(lastOfProc[static_cast<std::size_t>(a.proc)], k);
-            lastOfProc[static_cast<std::size_t>(a.proc)] = k;
-        }
+    lastOfProc_.assign(fedThrough_.size(), -1);
+    syncs_.clear();
+    for (int k = 0; k < static_cast<int>(n); ++k) {
+        const Access &a = member(k);
+        int &last = lastOfProc_[static_cast<std::size_t>(a.proc)];
+        if (last >= 0)
+            link(poSucc_, last, k);
+        last = k;
         if (a.sync())
-            syncsByAddr[a.addr].push_back(a.id);
+            syncs_.push_back(k);
     }
-    for (auto &[addr, ids] : syncsByAddr) {
-        std::sort(ids.begin(), ids.end(), [&](int x, int y) {
-            const Access &ax = trace.at(x);
-            const Access &ay = trace.at(y);
-            if (ax.commitTick != ay.commitTick)
-                return ax.commitTick < ay.commitTick;
-            return x < y;
-        });
-        for (std::size_t k = 1; k < ids.size(); ++k)
-            addEdge(localOf(ids[k - 1]), localOf(ids[k]));
+    std::sort(syncs_.begin(), syncs_.end(), [&](int x, int y) {
+        const Access &ax = member(x), &ay = member(y);
+        return std::tie(ax.addr, ax.commitTick, x) <
+               std::tie(ay.addr, ay.commitTick, y);
+    });
+    for (std::size_t i = 1; i < syncs_.size(); ++i) {
+        if (member(syncs_[i - 1]).addr == member(syncs_[i]).addr)
+            link(soSucc_, syncs_[i - 1], syncs_[i]);
     }
-    std::vector<int> order;
-    order.reserve(static_cast<std::size_t>(n));
-    std::queue<int> ready;
-    for (int k = 0; k < n; ++k) {
-        if (indeg[static_cast<std::size_t>(k)] == 0)
-            ready.push(k);
+    // Kahn's algorithm with order_ as its FIFO queue: the initial ready
+    // set in ascending batch order, then po successor before so
+    // successor. FirstRace reports depend on this exact order.
+    order_.clear();
+    for (int k = 0; k < static_cast<int>(n); ++k) {
+        if (indeg_[static_cast<std::size_t>(k)] == 0)
+            order_.push_back(k);
     }
-    while (!ready.empty()) {
-        int u = ready.front();
-        ready.pop();
-        order.push_back(u);
-        for (int v : succ[static_cast<std::size_t>(u)]) {
-            if (--indeg[static_cast<std::size_t>(v)] == 0)
-                ready.push(v);
+    for (std::size_t head = 0; head < order_.size(); ++head) {
+        const auto u = static_cast<std::size_t>(order_[head]);
+        for (int v : {poSucc_[u], soSucc_[u]}) {
+            if (v >= 0 && --indeg_[static_cast<std::size_t>(v)] == 0)
+                order_.push_back(v);
         }
     }
     // No idealized or simulated execution has a cyclic (po U so); only
     // a hand-built trace can, and it has no happens-before order to check.
-    if (static_cast<int>(order.size()) != n)
+    if (order_.size() != n)
         throw std::invalid_argument("cyclic (po U so) in trace");
-    for (int k : order)
-        det_.onAccess(trace.at(batch[static_cast<std::size_t>(k)]));
-    for (int k = 0; k < n; ++k)
-        markFed(batch[static_cast<std::size_t>(k)]);
+    for (int k : order_)
+        det_.onAccess(member(k));
+    for (int id : batch)
+        fedThrough_[static_cast<std::size_t>(trace.at(id).proc)] = id;
+    // Advance the frontier past the now-contiguous consumed prefix.
+    while (next_ >= trace.firstId() && next_ < trace.size() &&
+           isFed(trace.at(next_)))
+        ++next_;
 }
 
 int
 StreamingDrf0Checker::drainWindow(const ExecutionTrace &trace, Tick now)
 {
+    const std::size_t tail = startPass(trace);
+    const std::vector<Access> &acc = trace.accesses();
+
     // Admission horizon H: an access may be ordered now only if its
     // commit tick is strictly below every commit tick we do not yet
     // know. Unknown commits are (a) accesses not yet committed — they
     // will commit at or after `now` — and (b) committed-but-not-gp
     // accesses, whose trace record is still being patched.
     Tick h = now;
-    for (const Access &a : trace.accesses()) {
-        if (isFed(a.id) || isFinal(a))
+    for (std::size_t i = tail; i < acc.size(); ++i) {
+        const Access &a = acc[i];
+        if (isFed(a) || isFinal(a))
             continue;
         if (a.commitTick != kNoTick && a.commitTick < h)
             h = a.commitTick;
@@ -184,62 +184,45 @@ StreamingDrf0Checker::drainWindow(const ExecutionTrace &trace, Tick now)
     // admissible cannot be fed (po would be violated); if such an access
     // exists, its commit tick is itself an unknown-order point for the
     // synchronization order, so it lowers the horizon. Iterate to a
-    // fixpoint — H only shrinks, so this terminates.
-    std::vector<char> blocked(static_cast<std::size_t>(
-                                  std::max(nprocs_, trace.numProcs())),
-                              0);
-    bool again = true;
-    while (again) {
+    // fixpoint — H only shrinks, so this terminates. The pass that
+    // converges has collected each processor's admissible unfed prefix.
+    for (bool again = true; again;) {
         again = false;
-        std::fill(blocked.begin(), blocked.end(), 0);
-        for (const Access &a : trace.accesses()) {
-            if (isFed(a.id))
+        batch_.clear();
+        blocked_.assign(fedThrough_.size(), 0);
+        for (std::size_t i = tail; i < acc.size() && !again; ++i) {
+            const Access &a = acc[i];
+            if (isFed(a))
                 continue;
-            const bool admissible = isFinal(a) && a.commitTick < h;
-            std::size_t p = static_cast<std::size_t>(a.proc);
-            if (!admissible) {
-                blocked[p] = 1;
-                continue;
-            }
-            if (blocked[p] && a.commitTick < h) {
+            char &blocked = blocked_[static_cast<std::size_t>(a.proc)];
+            if (!isFinal(a) || a.commitTick >= h) {
+                blocked = 1;
+            } else if (blocked) {
                 h = a.commitTick;
                 again = true;
-                break;
+            } else {
+                batch_.push_back(a.id);
             }
         }
     }
-
-    std::vector<int> batch;
-    std::fill(blocked.begin(), blocked.end(), 0);
-    for (const Access &a : trace.accesses()) {
-        if (isFed(a.id))
-            continue;
-        std::size_t p = static_cast<std::size_t>(a.proc);
-        if (!(isFinal(a) && a.commitTick < h) || blocked[p]) {
-            blocked[p] = 1;
-            continue;
-        }
-        batch.push_back(a.id);
-    }
-    feedTopo(trace, batch);
-    return static_cast<int>(batch.size());
+    feedTopo(trace, batch_);
+    return static_cast<int>(batch_.size());
 }
 
 int
 StreamingDrf0Checker::retireReady(const ExecutionTrace &trace) const
 {
-    int n = next_ - trace.firstId();
-    if (n < 0)
-        n = 0;
-    if (n > trace.resident())
-        n = trace.resident();
-    return n;
+    return std::clamp(next_ - trace.firstId(), 0, trace.resident());
 }
 
 void
 StreamingDrf0Checker::finish(const ExecutionTrace &trace)
 {
-    if (next_ == trace.firstId() && fedAhead_.empty() &&
+    const std::size_t tail = startPass(trace);
+    const bool noneFedAhead =
+        std::all_of(fedThrough_.begin(), fedThrough_.end(),
+                    [&](int id) { return id < next_; });
+    if (next_ == trace.firstId() && noneFedAhead &&
         traceOrderIsLinearExtension(trace)) {
         // Nothing consumed yet and trace order is already a linear
         // extension (every whole idealized trace): feed it as is.
@@ -247,12 +230,13 @@ StreamingDrf0Checker::finish(const ExecutionTrace &trace)
             onAccess(a);
         return;
     }
-    std::vector<int> batch;
-    for (const Access &a : trace.accesses()) {
-        if (!isFed(a.id))
-            batch.push_back(a.id);
+    const std::vector<Access> &acc = trace.accesses();
+    batch_.clear();
+    for (std::size_t i = tail; i < acc.size(); ++i) {
+        if (!isFed(acc[i]))
+            batch_.push_back(acc[i].id);
     }
-    feedTopo(trace, batch);
+    feedTopo(trace, batch_);
 }
 
 std::vector<Race>

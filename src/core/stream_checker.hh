@@ -15,7 +15,7 @@
  *  - onAccess(): the caller guarantees it emits a linear extension of
  *    (po U so) — true for the replay engine and the idealized
  *    interpreter, whose execution order is such an extension by
- *    construction.
+ *    construction. Ids must arrive densely from frontier().
  *  - drainWindow(): for simulator traces, where trace order is issue
  *    order and synchronization operations may commit out of issue order.
  *    The drain admits only accesses that are final (commit and gp ticks
@@ -25,9 +25,18 @@
  *  - finish(): everything still unfed, in trace order when that already
  *    linearizes (po U so), else in a topological order.
  *
+ * Every drain admits a program-order prefix of each processor's unfed
+ * accesses, so the consumed set is a per-processor prefix: the frontier
+ * plus one "consumed through" id per processor. Each drain starts at the
+ * frontier and costs O(unconsumed tail + admitted batch), not
+ * O(resident window). In the topological feed each member has at most
+ * two successors — the next member of its processor (po) and the next
+ * member syncing on its address (so) — so the graph lives in reused
+ * arrays with no per-batch allocation.
+ *
  * A cyclic (po U so) — constructible only by hand, never by a machine —
  * has no happens-before order to check: feeding one throws
- * std::invalid_argument.
+ * std::invalid_argument, as does draining an access with no processor.
  */
 
 #ifndef WO_CORE_STREAM_CHECKER_HH
@@ -55,11 +64,9 @@ class StreamingDrf0Checker
     /** Forget all state for a fresh trace. */
     void reset(int numProcs);
 
-    /**
-     * Feed the next access of a stream that is already a linear extension
-     * of (po U so). Ids must arrive densely ascending from 0 (or from the
-     * id after the last reset). Advances the retirement frontier.
-     */
+    /** Feed the next access of a stream that is already a linear
+     * extension of (po U so), advancing the retirement frontier. Ids must
+     * arrive densely from frontier(); any other throws std::logic_error. */
     void onAccess(const Access &a);
 
     /**
@@ -67,7 +74,8 @@ class StreamingDrf0Checker
      * now, given that simulation has advanced to @p now and every
      * commit/gp tick at or beyond @p now is still unknown. Feeds the
      * admitted batch in a topological order of its (po U so) edges.
-     * Returns the number of accesses fed.
+     * Returns the number of accesses fed. Throws std::invalid_argument
+     * naming the first unconsumed access that has no processor.
      */
     int drainWindow(const ExecutionTrace &trace, Tick now);
 
@@ -102,16 +110,22 @@ class StreamingDrf0Checker
     RaceDetectMode mode() const { return det_.mode(); }
 
   private:
-    bool isFed(int id) const;
-    void markFed(int id);
+    /** Cover every processor of @p trace; returns the frontier's
+     * resident index, where every pass over the window starts. */
+    std::size_t startPass(const ExecutionTrace &trace);
+    /** Whether @p a is consumed; throws if it has no processor. */
+    bool isFed(const Access &a) const;
     /** Feed @p batch (resident trace ids, ascending) in a topological
      * order of its internal (po U so) edges; throws on a cycle. */
     void feedTopo(const ExecutionTrace &trace, const std::vector<int> &batch);
 
     RaceDetector det_;
-    int nprocs_ = 0;
-    int next_ = 0;              ///< ids below this are all consumed
-    std::vector<int> fedAhead_; ///< consumed ids >= next_, ascending
+    int next_ = 0;                ///< ids below this are all consumed
+    std::vector<int> fedThrough_; ///< per proc: last consumed id, or -1
+    // Scratch reused across drains; each sized by one batch.
+    std::vector<int> batch_, poSucc_, soSucc_, indeg_, order_, syncs_,
+        lastOfProc_;
+    std::vector<char> blocked_;
 };
 
 } // namespace wo

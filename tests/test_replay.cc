@@ -11,9 +11,11 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -327,6 +329,81 @@ TEST(SystemReplayTest, WindowedVerdictMatchesUnwindowed)
         EXPECT_EQ(a.eventsRetired, 0);
         EXPECT_GT(b.eventsRetired, 0);
         EXPECT_LT(b.windowHighWater, a.windowHighWater);
+    }
+}
+
+TEST(SystemReplayTest, DrainAgreesAcrossChunksAndWindows)
+{
+    // One simulator execution drained at every chunk size and window, in
+    // both detector modes. The simulation does not depend on the chunk,
+    // so AllRaces must report exactly checkTrace()'s race set, FirstRace
+    // the same race at every chunking, and the retention counters (facts
+    // of admission) must not depend on the mode. FirstRace stops
+    // counting at its race, whose position in the feed order depends on
+    // the chunking, so only a race-free or AllRaces run counts every
+    // access.
+    for (bool racy : {false, true}) {
+        TraceGenConfig gen;
+        gen.threads = 3;
+        gen.rounds = 6;
+        gen.injectRace = racy;
+        TempTrace f(racy ? "chunks_r" : "chunks");
+        ASSERT_TRUE(writeWorkloadTrace("spinlock", f.path(), gen));
+        ReplayTraceReader r;
+        ASSERT_TRUE(r.open(f.path()));
+        MultiProgram program = buildReplayProgram(r, "chunks");
+        for (const char *machine : {"net", "net-l2-moesi", "bus-cap"}) {
+            SystemReplayOptions opt;
+            opt.machine = machine;
+            System whole(program, machineOrThrow(machine).config(
+                                      opt.policy, opt.netSeed));
+            ASSERT_TRUE(whole.run()) << machine;
+            Drf0TraceReport oracle = checkTrace(whole.trace());
+            std::sort(oracle.races.begin(), oracle.races.end());
+            EXPECT_EQ(oracle.raceFree, !racy) << machine;
+            const int total = whole.trace().size();
+            std::optional<std::vector<Race>> firstRace;
+            for (int window : {1, 64, 0}) {
+                for (Tick chunk : {1, 7, 64, 4096}) {
+                    opt.window = window;
+                    opt.chunkTicks = chunk;
+                    SystemReplayResult runs[2];
+                    for (bool all : {false, true}) {
+                        opt.mode = all ? RaceDetectMode::AllRaces
+                                       : RaceDetectMode::FirstRace;
+                        std::ostringstream at;
+                        at << machine << " racy=" << racy
+                           << " window=" << window << " chunk=" << chunk
+                           << " all=" << all;
+                        SystemReplayResult &res = runs[all];
+                        res = replayOnSystem(r, opt);
+                        ASSERT_TRUE(res.ok) << at.str() << ": " << res.error;
+                        EXPECT_EQ(res.raceFree, oracle.raceFree) << at.str();
+                        if (all || !racy) {
+                            EXPECT_EQ(res.accesses,
+                                      static_cast<std::uint64_t>(total))
+                                << at.str();
+                        }
+                        if (all) {
+                            EXPECT_EQ(res.races, oracle.races) << at.str();
+                        } else if (!firstRace) {
+                            firstRace = res.races;
+                        } else {
+                            EXPECT_EQ(res.races, *firstRace) << at.str();
+                        }
+                        if (window == 0) {
+                            EXPECT_EQ(res.windowHighWater, total) << at.str();
+                        }
+                    }
+                    EXPECT_EQ(runs[0].windowHighWater, runs[1].windowHighWater)
+                        << machine << " window=" << window
+                        << " chunk=" << chunk;
+                    EXPECT_EQ(runs[0].eventsRetired, runs[1].eventsRetired)
+                        << machine << " window=" << window
+                        << " chunk=" << chunk;
+                }
+            }
+        }
     }
 }
 

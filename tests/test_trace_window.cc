@@ -12,6 +12,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/drf0_checker.hh"
@@ -245,6 +247,86 @@ TEST(TraceWindow, DrainWindowRespectsHorizon)
     EXPECT_EQ(chk.drainWindow(t, 50), 0);
     EXPECT_EQ(chk.drainWindow(t, 51), 1);
     EXPECT_EQ(chk.frontier(), 1);
+}
+
+TEST(TraceWindow, FrontierHoldsAtBlockedProcessor)
+{
+    // Proc 0 runs ahead while proc 1's first access stays pending across
+    // several drains: the consumed set is proc 0's prefix, but the
+    // retirable prefix (and the frontier) must not pass proc 1's access.
+    ExecutionTrace t;
+    StreamingDrf0Checker chk(2, RaceDetectMode::AllRaces);
+    t.add(mk(0, 0, AccessKind::DataWrite, 1, 1)); // id 0
+    Access pend = mk(1, 0, AccessKind::DataWrite, 2, kNoTick);
+    pend.gpTick = kNoTick;
+    const int pending = t.add(pend); // id 1
+    Tick tick = 2;
+    int po = 1;
+    for (int drain = 0; drain < 4; ++drain) {
+        for (int k = 0; k < 3; ++k, ++tick)
+            t.add(mk(0, po++, AccessKind::DataWrite, 3, tick));
+        chk.drainWindow(t, tick);
+        EXPECT_EQ(chk.frontier(), pending) << "drain " << drain;
+        EXPECT_EQ(chk.retireReady(t), pending) << "drain " << drain;
+        // Everything but the pending access has been consumed.
+        EXPECT_EQ(chk.consumed(), static_cast<std::uint64_t>(t.size() - 1));
+    }
+    // Retiring the consumed prefix leaves the pending access resident.
+    t.popFront(chk.retireReady(t));
+    EXPECT_EQ(t.firstId(), pending);
+
+    t.mutableAt(pending).commitTick = tick;
+    t.mutableAt(pending).gpTick = tick;
+    EXPECT_EQ(chk.drainWindow(t, tick + 1), 1);
+    EXPECT_EQ(chk.frontier(), t.size());
+    EXPECT_EQ(chk.retireReady(t), t.resident());
+    EXPECT_TRUE(chk.raceFree()); // proc 1 alone touches address 2
+}
+
+TEST(TraceWindow, DrainRejectsAccessWithoutProcessor)
+{
+    // An access with no processor has no program order to place it in;
+    // the drain must reject it by id rather than index a per-processor
+    // table with -1.
+    ExecutionTrace t;
+    t.add(mk(0, 0, AccessKind::DataWrite, 1, 1));
+    t.add(mk(kNoProc, 0, AccessKind::DataWrite, 1, 2)); // id 1
+    StreamingDrf0Checker chk(1, RaceDetectMode::AllRaces);
+    try {
+        chk.drainWindow(t, 10);
+        FAIL() << "drainWindow accepted an access with no processor";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_NE(std::string(e.what()).find("access 1 "),
+                  std::string::npos)
+            << e.what();
+    }
+    EXPECT_EQ(chk.frontier(), 0);
+
+    // The topological feed of finish() rejects it too, once anything
+    // has been consumed out of trace order.
+    ExecutionTrace u;
+    u.add(mk(0, 0, AccessKind::DataWrite, 1, 1));
+    StreamingDrf0Checker fin(1, RaceDetectMode::AllRaces);
+    EXPECT_EQ(fin.drainWindow(u, 10), 1);
+    u.add(mk(kNoProc, 0, AccessKind::DataWrite, 1, 2));
+    EXPECT_THROW(fin.finish(u), std::invalid_argument);
+}
+
+TEST(TraceWindow, OnAccessRejectsMisorderedFeed)
+{
+    // The dense-id precondition holds in Release builds too: a skipped
+    // or repeated id would let the owner retire an unchecked access.
+    ExecutionTrace t;
+    for (int i = 0; i < 3; ++i)
+        t.add(mk(0, i, AccessKind::DataWrite, 1, i));
+    StreamingDrf0Checker chk(1, RaceDetectMode::AllRaces);
+    chk.onAccess(t.at(0));
+    EXPECT_THROW(chk.onAccess(t.at(2)), std::logic_error);
+    EXPECT_THROW(chk.onAccess(t.at(0)), std::logic_error);
+    EXPECT_EQ(chk.frontier(), 1);
+    EXPECT_EQ(chk.retireReady(t), 1);
+    chk.onAccess(t.at(1));
+    EXPECT_EQ(chk.frontier(), 2);
 }
 
 TEST(TraceWindow, FinishRejectsCyclicLeftovers)
