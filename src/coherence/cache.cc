@@ -3,17 +3,21 @@
 #include <algorithm>
 #include <cassert>
 
+#include "consistency/policy.hh"
 #include "obs/coverage.hh"
 #include "obs/trace_sink.hh"
 
 namespace wo {
 
 Cache::Cache(EventQueue &eq, Interconnect &net, StatSet &stats, NodeId node,
-             NodeId dir_base, int num_dirs, const CacheConfig &cfg,
+             NodeId dir_base, int num_dirs, ProtocolKind protocol,
+             const ConsistencyPolicy &policy, const CacheConfig &cfg,
              std::string name)
     : eq_(eq), net_(net), stats_(stats), node_(node), dir_base_(dir_base),
       num_dirs_(num_dirs), cfg_(cfg),
-      proto_(&CoherenceProtocol::get(cfg.protocol)), name_(std::move(name))
+      syncReadsAsWrites_(policy.syncReadsAsWrites()),
+      useReserveBits_(policy.useReserveBits()),
+      proto_(&CoherenceProtocol::get(protocol)), name_(std::move(name))
 {
     stat_.hits = stats_.handle(name_ + ".hits");
     stat_.misses = stats_.handle(name_ + ".misses");
@@ -85,7 +89,7 @@ Cache::treatedAsWrite(AccessKind k) const
       case AccessKind::SyncRmw:
         return true;
       case AccessKind::SyncRead:
-        return cfg_.syncReadsAsWrites;
+        return syncReadsAsWrites_;
       case AccessKind::DataRead:
         return false;
     }
@@ -101,7 +105,7 @@ Cache::ordersViaReserve(AccessKind k) const
     // be used to order a processor's previous accesses, so it does not
     // reserve the line.
     if (k == AccessKind::SyncRead)
-        return cfg_.syncReadsAsWrites;
+        return syncReadsAsWrites_;
     return true;
 }
 
@@ -223,7 +227,7 @@ Cache::commitOnLine(const CacheOp &op, Line &line, bool gp_now, Tick delay)
     Word read_value = line.data;
     if (writesMemory(op.kind))
         line.data = op.writeValue;
-    if (cfg_.useReserveBits && ordersViaReserve(op.kind) && counter_ > 0) {
+    if (useReserveBits_ && ordersViaReserve(op.kind) && counter_ > 0) {
         // The reserve covers exactly the accesses outstanding at this
         // synchronization's commit: misses numbered below next_miss_seq_.
         if (!line.reserved) {
@@ -281,7 +285,7 @@ Cache::access(const CacheOp &op)
         if (sink_)
             emitEvent(TraceKind::Hit, op.addr);
         bool gp_now = as_write ? !l->pendingGp : true;
-        commitOnLine(op, *l, gp_now, cfg_.hitLatency);
+        commitOnLine(op, *l, gp_now, kHitLatency);
         return;
     }
 

@@ -45,34 +45,21 @@
 
 namespace wo {
 
+class ConsistencyPolicy;
 class TraceSink;
 
 /** Configuration of one cache. */
 struct CacheConfig
 {
-    /** Coherence protocol (selects the transition table). */
-    ProtocolKind protocol = ProtocolKind::Msi;
-
     /** Number of sets; 0 models an unbounded cache (no evictions). */
     int numSets = 0;
 
     /** Associativity (used when numSets > 0). */
     int ways = 4;
 
-    /** Latency of a cache hit (commit delay). */
-    Tick hitLatency = 1;
-
     /** Extra delay before acknowledging an invalidation; models how long
      * a remote write takes to be globally performed (Figure 3 sweeps). */
     Tick invApplyDelay = 0;
-
-    /** Treat read-only synchronization (Test) as a write at the coherence
-     * level (true = the DRF0 example implementation of Section 5; false =
-     * the Section 6 refinement). */
-    bool syncReadsAsWrites = true;
-
-    /** Enable the reserve-bit mechanism (condition 5). */
-    bool useReserveBits = true;
 
     /** Max misses sent to memory while any line is reserved
      * (-1 = unlimited). */
@@ -105,13 +92,24 @@ struct CacheConfig
 class Cache : public MemPort
 {
   public:
+    /** Latency of a cache hit (commit delay). */
+    static constexpr Tick kHitLatency = 1;
+
     /**
      * @param node      this cache's interconnect node id
      * @param dir_base  node id of directory bank 0
      * @param num_dirs  number of directory banks (addr mod num_dirs)
+     * @param protocol  coherence protocol (selects the transition table)
+     * @param policy    consistency policy whose cache hints select the
+     *                  reserve-bit mechanism (condition 5) and whether a
+     *                  read-only synchronization (Test) counts as a write
+     *                  at the coherence level (the DRF0 example
+     *                  implementation of Section 5) or as a read (the
+     *                  Section 6 refinement)
      */
     Cache(EventQueue &eq, Interconnect &net, StatSet &stats, NodeId node,
-          NodeId dir_base, int num_dirs, const CacheConfig &cfg,
+          NodeId dir_base, int num_dirs, ProtocolKind protocol,
+          const ConsistencyPolicy &policy, const CacheConfig &cfg,
           std::string name);
 
     /** Register the processor-side client. */
@@ -251,6 +249,9 @@ class Cache : public MemPort
     NodeId dir_base_;
     int num_dirs_;
     CacheConfig cfg_;
+    /** The policy's cache hints, read once at construction. */
+    bool syncReadsAsWrites_;
+    bool useReserveBits_;
     const CoherenceProtocol *proto_;
     std::string name_;
     CacheClient *client_ = nullptr;

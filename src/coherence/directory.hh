@@ -37,26 +37,18 @@ namespace wo {
 
 class TraceSink;
 
-/** Configuration of a directory bank. */
-struct DirectoryConfig
-{
-    /** Coherence protocol; selects the grant policy (clean-exclusive
-     * fills, owned recalls, forwarder tracking) to match the caches'
-     * transition tables. */
-    ProtocolKind protocol = ProtocolKind::Msi;
-
-    /** Processing latency per incoming message. */
-    Tick latency = 2;
-
-    bool operator==(const DirectoryConfig &) const = default;
-};
-
 /** One directory bank (with integrated memory for its lines). */
 class Directory
 {
   public:
+    /** Processing latency per incoming message. */
+    static constexpr Tick kLatency = 2;
+
+    /** @p protocol selects the grant policy (clean-exclusive fills,
+     * owned recalls, forwarder tracking) to match the caches'
+     * transition tables. */
     Directory(EventQueue &eq, Interconnect &net, StatSet &stats, NodeId node,
-              const DirectoryConfig &cfg, std::string name);
+              ProtocolKind protocol, std::string name);
 
     /** Set backing-store contents (initialization). */
     void poke(Addr addr, Word value);
@@ -158,7 +150,6 @@ class Directory
     Interconnect &net_;
     StatSet &stats_;
     NodeId node_;
-    DirectoryConfig cfg_;
     const CoherenceProtocol *proto_;
     std::string name_;
 

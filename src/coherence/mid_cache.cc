@@ -8,10 +8,11 @@ namespace wo {
 
 MidCache::MidCache(EventQueue &eq, Interconnect &net, StatSet &stats,
                    NodeId node, NodeId inner, NodeId dir_base, int num_dirs,
-                   const MidCacheConfig &cfg, std::string name)
+                   ProtocolKind protocol, const MidCacheConfig &cfg,
+                   std::string name)
     : eq_(eq), net_(net), stats_(stats), node_(node), inner_(inner),
       dir_base_(dir_base), num_dirs_(num_dirs), cfg_(cfg),
-      proto_(&CoherenceProtocol::get(cfg.protocol)), name_(std::move(name))
+      proto_(&CoherenceProtocol::get(protocol)), name_(std::move(name))
 {
     stat_.hits = stats_.handle(name_ + ".hits");
     stat_.misses = stats_.handle(name_ + ".misses");
@@ -187,7 +188,7 @@ void
 MidCache::handle(const Msg &msg)
 {
     Msg m = msg;
-    eq_.scheduleAfter(cfg_.latency, [this, m] { process(m); });
+    eq_.scheduleAfter(kLatency, [this, m] { process(m); });
 }
 
 void

@@ -27,9 +27,9 @@ accessKindTag(AccessKind k)
 Processor::Processor(EventQueue &eq, StatSet &stats, ProcId id,
                      const Program &program, MemPort &port,
                      const ConsistencyPolicy &policy, ExecutionTrace *trace,
-                     const ProcessorConfig &cfg)
+                     bool writeBuffer, const ProcessorConfig &cfg)
     : eq_(eq), stats_(stats), id_(id), program_(&program), port_(port),
-      policy_(policy), trace_(trace), cfg_(cfg),
+      policy_(policy), trace_(trace), writeBuffer_(writeBuffer), cfg_(cfg),
       name_("proc" + std::to_string(id)),
       lat_gp_(stats, name_, LatencyKind::IssueGp)
 {
@@ -41,7 +41,7 @@ Processor::Processor(EventQueue &eq, StatSet &stats, ProcId id,
     int nregs = std::max(program.maxRegister() + 1, 1);
     regs_.assign(nregs, 0);
     reg_busy_.assign(nregs, false);
-    assert((!cfg_.useWriteBuffer || policy_.allowWriteBuffer()) &&
+    assert((!writeBuffer_ || policy_.allowWriteBuffer()) &&
            "write buffer is illegal under this consistency policy");
     port_.setPortClient(this);
 }
@@ -309,7 +309,7 @@ Processor::tryAdvance()
     } else {
         ++pc_;
     }
-    scheduleAdvance(cfg_.cycle);
+    scheduleAdvance(kCycle);
 }
 
 bool
@@ -338,7 +338,7 @@ Processor::issueMemOp(const Instruction &insn, StallReason *why)
     }
 
     // Write-buffer fast paths (Relaxed policy only).
-    if (cfg_.useWriteBuffer) {
+    if (writeBuffer_) {
         if (kind == AccessKind::DataWrite) {
             std::uint64_t id = nextId();
             OpRecord rec;
@@ -402,7 +402,7 @@ Processor::issueMemOp(const Instruction &insn, StallReason *why)
         *why = StallReason::SameAddr;
         return false; // same-address ordering (condition 1)
     }
-    if (outstanding_ >= cfg_.maxOutstanding) {
+    if (outstanding_ >= kMaxOutstanding) {
         *why = StallReason::BufferFull;
         return false;
     }

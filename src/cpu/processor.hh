@@ -38,20 +38,10 @@ class TraceSink;
 /** Processor configuration. */
 struct ProcessorConfig
 {
-    /** Enable the store buffer (reads pass pending writes). Only legal
-     * when the policy allows it. */
-    bool useWriteBuffer = false;
-
     /** Minimum residence of a write in the buffer before it drains to the
      * memory system (models waiting for an idle bus slot); this is what
      * actually lets a subsequent read overtake the write. */
     Tick wbDrainDelay = 6;
-
-    /** Max memory ops issued to the port and not yet committed. */
-    int maxOutstanding = 8;
-
-    /** Cycle time: one instruction dispatched per cycle. */
-    Tick cycle = 1;
 
     bool operator==(const ProcessorConfig &) const = default;
 };
@@ -60,10 +50,18 @@ struct ProcessorConfig
 class Processor : public CacheClient
 {
   public:
+    /** Max memory ops issued to the port and not yet committed. */
+    static constexpr int kMaxOutstanding = 8;
+
+    /** Cycle time: one instruction dispatched per cycle. */
+    static constexpr Tick kCycle = 1;
+
+    /** @p writeBuffer enables the store buffer (reads pass pending
+     * writes); only legal when @p policy allows it. */
     Processor(EventQueue &eq, StatSet &stats, ProcId id,
               const Program &program, MemPort &port,
               const ConsistencyPolicy &policy, ExecutionTrace *trace,
-              const ProcessorConfig &cfg);
+              bool writeBuffer, const ProcessorConfig &cfg);
 
     /** Kick off execution (schedules the first dispatch). */
     void start();
@@ -171,6 +169,7 @@ class Processor : public CacheClient
     MemPort &port_;
     const ConsistencyPolicy &policy_;
     ExecutionTrace *trace_;
+    bool writeBuffer_;
     ProcessorConfig cfg_;
     std::string name_;
 

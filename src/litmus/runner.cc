@@ -453,8 +453,8 @@ runCorpus(const std::vector<CompiledLitmus> &tests,
     for (const MachineSpec *m : machines) {
         MachineInfo mi;
         mi.name = m->name;
-        mi.protocol = m->cached ? toString(m->protocol) : "none";
-        mi.cacheLevels = m->cached ? m->cacheLevels : 0;
+        mi.protocol = m->base.cached ? toString(m->base.protocol) : "none";
+        mi.cacheLevels = m->base.cached ? m->base.cacheLevels : 0;
         report.machines.push_back(std::move(mi));
     }
 

@@ -7,8 +7,8 @@
 namespace wo {
 
 MemoryModule::MemoryModule(EventQueue &eq, Interconnect &net, StatSet &stats,
-                           NodeId node, const Config &cfg)
-    : eq_(eq), net_(net), stats_(stats), node_(node), cfg_(cfg)
+                           NodeId node)
+    : eq_(eq), net_(net), stats_(stats), node_(node)
 {
     stat_requests_ = stats_.handle("mem.requests");
     net_.attach(node, [this](const Msg &m) { handle(m); });
@@ -26,7 +26,7 @@ MemoryModule::handle(const Msg &msg)
 {
     // Serialize: one request at a time per module.
     Tick start = std::max(eq_.now(), free_at_);
-    Tick done = start + cfg_.serviceLatency;
+    Tick done = start + kServiceLatency;
     free_at_ = done;
     stats_.inc(stat_requests_);
     if (sink_) {

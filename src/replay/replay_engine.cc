@@ -166,7 +166,7 @@ ReplayEngine::run()
         }
     }
 
-    while (liveThreads_ > 0) {
+    while (liveThreads_ > 0 && !reader_.failed()) {
         // Pick a random live thread; linear-probe to the next one that
         // can make progress.
         int start = static_cast<int>(rng.below(static_cast<std::uint64_t>(n)));
@@ -186,6 +186,10 @@ ReplayEngine::run()
         }
     }
 
+    if (reader_.failed()) {
+        res.ok = false;
+        res.error = "corrupt trace: " + reader_.error();
+    }
     checker_.finish(trace_);
     res.raceFree = checker_.raceFree();
     res.races = checker_.sortedRaces();

@@ -50,8 +50,8 @@ struct ReplayOptions
 
 struct ReplayResult
 {
-    /** False on malformed traces or deadlock (a blocked record whose
-     * condition can never become true). */
+    /** False on a corrupt trace (the reader failed()) or deadlock (a
+     * blocked record whose condition can never become true). */
     bool ok = true;
     std::string error;
 

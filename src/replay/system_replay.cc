@@ -48,6 +48,8 @@ buildReplayProgram(ReplayTraceReader &reader, const std::string &name)
             }
         }
     }
+    if (reader.failed())
+        throw std::runtime_error("corrupt trace: " + reader.error());
     reader.rewind();
 
     // Pass 2: code generation. Spin-loop labels are numbered per thread.

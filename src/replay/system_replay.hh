@@ -44,7 +44,8 @@ namespace wo {
  * generators produce).
  *
  * Reads the trace twice (barrier participant counts, then code
- * generation); the reader is rewound before and after.
+ * generation); the reader is rewound before and after. Throws
+ * std::runtime_error if a record block is corrupt or short.
  */
 MultiProgram buildReplayProgram(ReplayTraceReader &reader,
                                 const std::string &name);

@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <cstring>
+#include <utility>
 
 namespace wo {
 
@@ -214,53 +215,78 @@ loadReplayTrace(const std::string &path, ReplayTraceData &out)
     out.threads.assign(static_cast<std::size_t>(r.numThreads()), {});
     for (int t = 0; t < r.numThreads(); ++t) {
         auto &vec = out.threads[static_cast<std::size_t>(t)];
+        // open() bounded every count by the file size.
         vec.reserve(static_cast<std::size_t>(r.remaining(t)));
         ReplayRecord rec;
         while (r.next(t, rec))
             vec.push_back(rec);
     }
-    return true;
+    return !r.failed();
 }
 
 // ---------------------------------------------------------------------------
 // Streaming reader
 
 bool
+ReplayTraceReader::fail(std::string why)
+{
+    error_ = std::move(why);
+    return false;
+}
+
+bool
 ReplayTraceReader::open(const std::string &path)
 {
-    in_.open(path, std::ios::binary);
+    error_.clear();
+    in_.open(path, std::ios::binary | std::ios::ate);
     if (!in_)
-        return false;
+        return fail("cannot open");
+    const auto size = static_cast<std::uint64_t>(in_.tellg());
+    in_.seekg(0);
     char magic[8];
     in_.read(magic, sizeof(magic));
     if (!in_ || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0)
-        return false;
+        return fail("not a WOTRACE1 trace");
     unsigned char hdr[8];
     in_.read(reinterpret_cast<char *>(hdr), 8);
     if (!in_)
-        return false;
+        return fail("truncated header");
     std::uint32_t nthreads = getU32(hdr);
     std::uint32_t ninitial = getU32(hdr + 4);
     if (nthreads == 0 || nthreads > 4096)
-        return false;
+        return fail("bad thread count " + std::to_string(nthreads));
     initials_.clear();
     for (std::uint32_t i = 0; i < ninitial; ++i) {
         unsigned char e[12];
         in_.read(reinterpret_cast<char *>(e), 12);
         if (!in_)
-            return false;
+            return fail("truncated initial values");
         initials_.emplace_back(getU32(e), getU64(e + 4));
     }
     cursors_.assign(nthreads, {});
     total_ = 0;
+    const std::uint64_t headerEnd =
+        sizeof(kMagic) + 8 + std::uint64_t{ninitial} * 12 +
+        std::uint64_t{nthreads} * 16;
     for (std::uint32_t t = 0; t < nthreads; ++t) {
         unsigned char e[16];
         in_.read(reinterpret_cast<char *>(e), 16);
         if (!in_)
-            return false;
-        cursors_[t].base = getU64(e);
-        cursors_[t].count = getU64(e + 8);
-        total_ += cursors_[t].count;
+            return fail("truncated thread table");
+        Cursor &c = cursors_[t];
+        c.base = getU64(e);
+        c.count = getU64(e + 8);
+        // Every record must lie between the header and the end of the
+        // file; dividing, not multiplying, keeps a forged count from
+        // overflowing the check.
+        if (c.count > 0 &&
+            (c.base < headerEnd || c.base > size ||
+             c.count > (size - c.base) / kRecordBytes)) {
+            return fail("thread " + std::to_string(t) + "'s " +
+                        std::to_string(c.count) +
+                        " records run past the end of the file");
+        }
+        total_ += c.count;
     }
     return true;
 }
@@ -284,8 +310,17 @@ ReplayTraceReader::refill(Cursor &c)
     in_.seekg(static_cast<std::streamoff>(c.base + done * kRecordBytes));
     in_.read(reinterpret_cast<char *>(raw.data()),
              static_cast<std::streamsize>(raw.size()));
+    const auto tid = std::to_string(&c - cursors_.data());
     if (!in_)
-        return false;
+        return fail("short read in thread " + tid + "'s records");
+    for (std::uint64_t i = 0; i < n; ++i) {
+        const unsigned op = raw[i * kRecordBytes];
+        if (op > static_cast<unsigned>(ReplayOp::BarrierWait)) {
+            return fail("bad op byte " + std::to_string(op) +
+                        " at record " + std::to_string(done + i) +
+                        " of thread " + tid);
+        }
+    }
     c.bufStart = done;
     c.buf.clear();
     c.buf.reserve(static_cast<std::size_t>(n));

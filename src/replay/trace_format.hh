@@ -126,7 +126,19 @@ class ReplayTraceReader
     /** Records buffered per thread between refills. */
     static constexpr std::size_t kBufRecords = 4096;
 
+    /** Open @p path and check its header: false (with error() set) if
+     * the file is unreadable, not WOTRACE1, or any thread's records run
+     * past the end of the file. */
     bool open(const std::string &path);
+
+    /** Why open() or a later read failed; empty while the trace reads
+     * cleanly. */
+    const std::string &error() const { return error_; }
+
+    /** A read hit a corrupt or short record block. next() and peek()
+     * then return false, so a reader that stops at the first false must
+     * check this to tell a corrupt trace from a finished one. */
+    bool failed() const { return !error_.empty(); }
 
     int numThreads() const { return static_cast<int>(cursors_.size()); }
     const std::vector<std::pair<Addr, Word>> &initials() const
@@ -141,10 +153,10 @@ class ReplayTraceReader
     std::uint64_t remaining(int tid) const;
 
     /** Pull the next record of @p tid; false when the thread's stream is
-     * exhausted. */
+     * exhausted or a read failed (see failed()). */
     bool next(int tid, ReplayRecord &out);
 
-    /** Peek without consuming; false when exhausted. */
+    /** Peek without consuming; false when exhausted or failed. */
     bool peek(int tid, ReplayRecord &out);
 
     /** Restart every thread cursor at its first record. */
@@ -162,8 +174,10 @@ class ReplayTraceReader
     };
 
     bool refill(Cursor &c);
+    bool fail(std::string why);
 
     std::ifstream in_;
+    std::string error_;
     std::vector<std::pair<Addr, Word>> initials_;
     std::vector<Cursor> cursors_;
     std::uint64_t total_ = 0;

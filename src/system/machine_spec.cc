@@ -10,27 +10,11 @@ namespace wo {
 SystemConfig
 MachineSpec::config(PolicyKind policy, std::uint64_t netSeed) const
 {
-    SystemConfig cfg;
+    SystemConfig cfg = base;
     cfg.policy = policy;
-    cfg.cached = cached;
-    cfg.interconnect = interconnect;
-    cfg.protocol = protocol;
-    cfg.cacheLevels = cacheLevels;
-    cfg.writeBuffer =
-        policy == PolicyKind::Relaxed && writeBufferOnRelaxed;
-    cfg.warmCaches = warmCaches;
-    cfg.numMemModules = numMemModules;
-    cfg.numDirs = numDirs;
-    if (cacheSets > 0) {
-        cfg.cache.numSets = cacheSets;
-        if (cacheWays > 0)
-            cfg.cache.ways = cacheWays;
-    }
-    cfg.bus.latency = busLatency;
-    cfg.bus.occupancy = busOccupancy;
-    cfg.net.base = netBase;
-    cfg.net.jitter = netJitter;
     cfg.net.seed = netSeed;
+    cfg.writeBuffer =
+        base.writeBuffer && makePolicy(policy)->allowWriteBuffer();
     return cfg;
 }
 
@@ -44,8 +28,8 @@ machineRegistry()
         bus.name = "bus";
         bus.summary = "shared-bus cache-coherent machine; write buffers "
                       "under Relaxed";
-        bus.interconnect = InterconnectKind::Bus;
-        bus.writeBufferOnRelaxed = true;
+        bus.base.interconnect = InterconnectKind::Bus;
+        bus.base.writeBuffer = true;
         r.push_back(bus);
 
         // Capacity-bounded variant: the tiny L1 forces real evictions
@@ -55,34 +39,34 @@ machineRegistry()
         bus_cap.name = "bus-cap";
         bus_cap.summary = "shared-bus machine with tiny bounded L1s "
                           "(capacity evictions)";
-        bus_cap.cacheSets = 1;
-        bus_cap.cacheWays = 2;
+        bus_cap.base.cache.numSets = 1;
+        bus_cap.base.cache.ways = 2;
         r.push_back(bus_cap);
 
         MachineSpec bus_u;
         bus_u.name = "bus-u";
         bus_u.summary =
             "cache-less shared-bus machine (Figure 1 case 1)";
-        bus_u.interconnect = InterconnectKind::Bus;
-        bus_u.cached = false;
-        bus_u.writeBufferOnRelaxed = true;
+        bus_u.base.interconnect = InterconnectKind::Bus;
+        bus_u.base.cached = false;
+        bus_u.base.writeBuffer = true;
         r.push_back(bus_u);
 
         MachineSpec bus_slow;
         bus_slow.name = "bus-slow";
         bus_slow.summary =
             "contended shared bus: 3x latency, 4x occupancy";
-        bus_slow.interconnect = InterconnectKind::Bus;
-        bus_slow.writeBufferOnRelaxed = true;
-        bus_slow.busLatency = 12;
-        bus_slow.busOccupancy = 4;
+        bus_slow.base.interconnect = InterconnectKind::Bus;
+        bus_slow.base.writeBuffer = true;
+        bus_slow.base.bus.latency = 12;
+        bus_slow.base.bus.occupancy = 4;
         r.push_back(bus_slow);
 
         MachineSpec net;
         net.name = "net";
         net.summary = "jittered-network cache-coherent machine, warm "
                       "caches";
-        net.warmCaches = true;
+        net.base.warmCaches = true;
         r.push_back(net);
 
         MachineSpec net_cold;
@@ -95,27 +79,27 @@ machineRegistry()
         net_u.name = "net-u";
         net_u.summary = "cache-less banked-memory network machine "
                         "(Figure 1 case 2)";
-        net_u.cached = false;
-        net_u.netJitter = 30;
+        net_u.base.cached = false;
+        net_u.base.net.jitter = 30;
         r.push_back(net_u);
 
         MachineSpec net_banked;
         net_banked.name = "net-banked";
         net_banked.summary = "network machine with banked directories "
                              "and memories (addr-interleaved)";
-        net_banked.numDirs = 2;
-        net_banked.numMemModules = 4;
+        net_banked.base.numDirs = 2;
+        net_banked.base.numMemModules = 4;
         r.push_back(net_banked);
 
         // Protocol variants: identical topologies to `bus` / `net-cold`
         // but running the richer invalidation protocols.
-        auto protoVariant = [](const MachineSpec &base, std::string name,
+        auto protoVariant = [](const MachineSpec &from, std::string name,
                                ProtocolKind proto, const char *pname) {
-            MachineSpec m = base;
+            MachineSpec m = from;
             m.name = std::move(name);
-            m.protocol = proto;
+            m.base.protocol = proto;
             m.summary = std::string(pname) + " protocol variant of '" +
-                        base.name + "'";
+                        from.name + "'";
             return m;
         };
         r.push_back(protoVariant(bus, "bus-mesi", ProtocolKind::Mesi,
@@ -134,22 +118,22 @@ machineRegistry()
         MachineSpec bus_l2 = bus;
         bus_l2.name = "bus-l2";
         bus_l2.summary = "shared-bus machine with private L2s (MSI)";
-        bus_l2.cacheLevels = 2;
+        bus_l2.base.cacheLevels = 2;
         r.push_back(bus_l2);
 
         MachineSpec net_l2 = net_cold;
         net_l2.name = "net-l2";
         net_l2.summary = "network machine with private L2s (MESI)";
-        net_l2.protocol = ProtocolKind::Mesi;
-        net_l2.cacheLevels = 2;
+        net_l2.base.protocol = ProtocolKind::Mesi;
+        net_l2.base.cacheLevels = 2;
         r.push_back(net_l2);
 
         MachineSpec net_l2_moesi = net_cold;
         net_l2_moesi.name = "net-l2-moesi";
         net_l2_moesi.summary =
             "network machine with private L2s (MOESI)";
-        net_l2_moesi.protocol = ProtocolKind::Moesi;
-        net_l2_moesi.cacheLevels = 2;
+        net_l2_moesi.base.protocol = ProtocolKind::Moesi;
+        net_l2_moesi.base.cacheLevels = 2;
         r.push_back(net_l2_moesi);
 
         return r;
@@ -248,14 +232,15 @@ printMachineList(std::ostream &os)
        << "proto" << std::setw(7) << "levels" << std::setw(8)
        << "jitter" << "description\n";
     for (const MachineSpec &m : machineRegistry()) {
-        bool is_net = m.interconnect == InterconnectKind::Network;
+        const SystemConfig &b = m.base;
+        bool is_net = b.interconnect == InterconnectKind::Network;
         os << std::left << std::setw(14) << m.name << std::setw(9)
            << (is_net ? "net" : "bus") << std::setw(8)
-           << (m.cached ? "yes" : "no") << std::setw(7)
-           << (m.cached ? toString(m.protocol) : "-") << std::setw(7)
-           << (m.cached ? std::to_string(m.cacheLevels) : std::string("-"))
+           << (b.cached ? "yes" : "no") << std::setw(7)
+           << (b.cached ? toString(b.protocol) : "-") << std::setw(7)
+           << (b.cached ? std::to_string(b.cacheLevels) : std::string("-"))
            << std::setw(8)
-           << (is_net ? std::to_string(m.netJitter) : std::string("-"))
+           << (is_net ? std::to_string(b.net.jitter) : std::string("-"))
            << m.summary << "\n";
     }
 }

@@ -46,7 +46,7 @@ struct SystemConfig
     PolicyKind policy = PolicyKind::Def2Drf0;
 
     /** Coherence protocol run by every cache and directory (cached
-     * systems; copied into the cache/dir/L2 configs at build time). */
+     * systems; handed to each L1, L2 and directory at build time). */
     ProtocolKind protocol = ProtocolKind::Msi;
 
     /** Cache hierarchy depth: 1 = private L1 per processor (the seed
@@ -54,7 +54,8 @@ struct SystemConfig
      * directory behind the L2s. */
     int cacheLevels = 1;
 
-    /** Enable processor write buffers (Relaxed policy only). */
+    /** Enable processor write buffers (only where the policy allows
+     * them: Relaxed). */
     bool writeBuffer = false;
 
     int numMemModules = 2; ///< memory banks (cache-less systems)
@@ -62,8 +63,6 @@ struct SystemConfig
 
     Bus::Config bus;
     GeneralNetwork::Config net;
-    MemoryModule::Config mem;
-    DirectoryConfig dir;
     CacheConfig cache;
     MidCacheConfig l2; ///< per-processor L2 (cacheLevels == 2)
     ProcessorConfig proc;
@@ -146,8 +145,8 @@ class System
     /**
      * Restore construction-time state for reuse under @p cfg, which must
      * be structurally compatible with the built topology (every field
-     * equal except net.seed, maxTicks and traceSink — the three that can
-     * vary between jobs of one campaign cell). Throws
+     * equal except net.seed, maxTicks, traceSink and coverage — the four
+     * that can vary between jobs of one campaign cell). Throws
      * std::invalid_argument otherwise. All component state, statistics
      * and the trace are cleared; pooled event slabs are retained. A
      * program must be (re)installed with loadProgram() before run().

@@ -13,6 +13,7 @@
 
 #include "coherence/cache.hh"
 #include "coherence/directory.hh"
+#include "consistency/policy.hh"
 #include "mem/interconnect.hh"
 #include "sim/event_queue.hh"
 
@@ -62,18 +63,22 @@ class ScriptClient : public CacheClient
 class Rig
 {
   public:
-    explicit Rig(int ncaches, CacheConfig ccfg = {})
+    /** MSI caches under policy @p kind (default: the Section 5 DRF0
+     * implementation, reserve bits on and Test treated as a write). */
+    explicit Rig(int ncaches, CacheConfig ccfg = {},
+                 PolicyKind kind = PolicyKind::Def2Drf0)
+        : policy(makePolicy(kind))
     {
         GeneralNetwork::Config ncfg;
         ncfg.base = 3;
         ncfg.jitter = 0; // deterministic
         net = std::make_unique<GeneralNetwork>(eq, stats, ncfg);
         dir = std::make_unique<Directory>(eq, *net, stats, ncaches,
-                                          DirectoryConfig{}, "dir");
+                                          ProtocolKind::Msi, "dir");
         for (int i = 0; i < ncaches; ++i) {
             caches.push_back(std::make_unique<Cache>(
-                eq, *net, stats, i, ncaches, 1, ccfg,
-                "cache" + std::to_string(i)));
+                eq, *net, stats, i, ncaches, 1, ProtocolKind::Msi,
+                *policy, ccfg, "cache" + std::to_string(i)));
             clients.push_back(std::make_unique<ScriptClient>());
             caches[i]->setPortClient(clients[i].get());
         }
@@ -105,6 +110,7 @@ class Rig
         return o;
     }
 
+    std::unique_ptr<ConsistencyPolicy> policy;
     EventQueue eq;
     StatSet stats;
     std::unique_ptr<GeneralNetwork> net;
@@ -389,9 +395,8 @@ TEST(Protocol, SyncReadAsWriteVsAsRead)
     // Under the DRF0 example implementation, a Test procures the line
     // exclusively; under the refinement it is a plain read.
     for (bool as_write : {true, false}) {
-        CacheConfig ccfg;
-        ccfg.syncReadsAsWrites = as_write;
-        Rig rig(1, ccfg);
+        Rig rig(1, {},
+                as_write ? PolicyKind::Def2Drf0 : PolicyKind::Def2Drf1);
         rig.dir->poke(9, 1);
         rig.caches[0]->access(rig.op(1, AccessKind::SyncRead, 9));
         rig.run();

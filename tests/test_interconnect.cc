@@ -133,7 +133,7 @@ TEST(MemoryModule, ServicesReadsWritesRmw)
     GeneralNetwork::Config ncfg;
     ncfg.jitter = 0;
     GeneralNetwork net(eq, stats, ncfg);
-    MemoryModule mem(eq, net, stats, 1, {});
+    MemoryModule mem(eq, net, stats, 1);
     std::vector<Msg> responses;
     net.attach(0, [&](const Msg &m) { responses.push_back(m); });
 
@@ -170,9 +170,7 @@ TEST(MemoryModule, SerializesServiceTime)
     ncfg.base = 1;
     ncfg.jitter = 0;
     GeneralNetwork net(eq, stats, ncfg);
-    MemoryModule::Config mcfg;
-    mcfg.serviceLatency = 10;
-    MemoryModule mem(eq, net, stats, 1, mcfg);
+    MemoryModule mem(eq, net, stats, 1);
     std::vector<Tick> resp_times;
     net.attach(0, [&](const Msg &) { resp_times.push_back(eq.now()); });
     for (int i = 0; i < 3; ++i) {
@@ -182,9 +180,9 @@ TEST(MemoryModule, SerializesServiceTime)
     }
     eq.run();
     ASSERT_EQ(resp_times.size(), 3u);
-    // Service completions 10 apart (plus the return hop).
-    EXPECT_GE(resp_times[1], resp_times[0] + 10);
-    EXPECT_GE(resp_times[2], resp_times[1] + 10);
+    // Service completions kServiceLatency apart (plus the return hop).
+    EXPECT_GE(resp_times[1], resp_times[0] + MemoryModule::kServiceLatency);
+    EXPECT_GE(resp_times[2], resp_times[1] + MemoryModule::kServiceLatency);
 }
 
 } // namespace

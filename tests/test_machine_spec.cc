@@ -1,8 +1,8 @@
 /**
  * @file
  * Unit tests for the named machine registry: lookup and list parsing
- * diagnostics, and the MachineSpec -> SystemConfig field mapping every
- * tool, bench and example now routes through.
+ * diagnostics, and the MachineSpec -> SystemConfig specialization every
+ * tool, bench and example routes through.
  */
 
 #include <gtest/gtest.h>
@@ -188,6 +188,29 @@ TEST(MachineSpec, NetSeedThreadsThroughToTheJitterStream)
     // registry-built configs are drop-in for historical literals.
     SystemConfig b = machineOrThrow("net-cold").config();
     EXPECT_EQ(b.net.seed, GeneralNetwork::Config{}.seed);
+}
+
+TEST(MachineSpec, ConfigChangesOnlyPolicySeedAndWriteBuffer)
+{
+    // A machine is its base config: config() sets the policy and the
+    // network seed, and keeps write buffers only where the policy
+    // allows them. Every other field reaches System as registered.
+    for (const MachineSpec &m : machineRegistry()) {
+        for (PolicyKind pk :
+             {PolicyKind::Sc, PolicyKind::Def1, PolicyKind::Def2Drf0,
+              PolicyKind::Def2Drf1, PolicyKind::Relaxed}) {
+            for (std::uint64_t seed : {1u, 123u}) {
+                SystemConfig want = m.base;
+                want.policy = pk;
+                want.net.seed = seed;
+                want.writeBuffer = m.base.writeBuffer &&
+                                   makePolicy(pk)->allowWriteBuffer();
+                EXPECT_TRUE(m.config(pk, seed) == want)
+                    << m.name << " under " << toString(pk) << ", seed "
+                    << seed;
+            }
+        }
+    }
 }
 
 TEST(MachineSpec, WriteBuffersNeverEnabledWhereUnsupported)

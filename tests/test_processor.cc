@@ -65,10 +65,10 @@ class MockPort : public MemPort
 struct Harness
 {
     Harness(Program prog, const ConsistencyPolicy &pol,
-            ProcessorConfig pcfg = {}, Tick commit_lat = 5,
-            Tick gp_extra = 0)
+            bool write_buffer = false, ProcessorConfig pcfg = {},
+            Tick commit_lat = 5, Tick gp_extra = 0)
         : program(std::move(prog)), port(eq, commit_lat, gp_extra),
-          proc(eq, stats, 0, program, port, pol, &trace, pcfg)
+          proc(eq, stats, 0, program, port, pol, &trace, write_buffer, pcfg)
     {}
 
     bool
@@ -120,7 +120,7 @@ TEST(Processor, ScPolicySerializesMemoryOps)
     ProgramBuilder b;
     b.store(1, 1).store(2, 2).store(3, 3).halt();
     ScPolicy pol;
-    Harness h(b.build(), pol, {}, 5, 10); // GP lags commit by 10
+    Harness h(b.build(), pol, false, {}, 5, 10); // GP lags commit by 10
     ASSERT_TRUE(h.run());
     // With SC, each store issues only after the previous is GP:
     // issue times must be >= 15 apart.
@@ -139,7 +139,7 @@ TEST(Processor, RelaxedOverlapsMemoryOps)
     ProgramBuilder b;
     b.store(1, 1).store(2, 2).store(3, 3).halt();
     RelaxedPolicy pol;
-    Harness h(b.build(), pol, {}, 5, 10);
+    Harness h(b.build(), pol, false, {}, 5, 10);
     ASSERT_TRUE(h.run());
     // Back-to-back issue: commits land 1 cycle apart.
     const auto &acc = h.trace.accesses();
@@ -153,7 +153,7 @@ TEST(Processor, SameAddressAccessesStayOrdered)
     ProgramBuilder b;
     b.store(5, 1).load(0, 5).store(5, 2).halt();
     RelaxedPolicy pol;
-    Harness h(b.build(), pol, {}, 5, 10);
+    Harness h(b.build(), pol, false, {}, 5, 10);
     ASSERT_TRUE(h.run());
     EXPECT_EQ(h.proc.registers()[0], 1u);
     EXPECT_EQ(h.port.mem[5], 2u);
@@ -167,7 +167,7 @@ TEST(Processor, Def1StallsSyncUntilAllGp)
     ProgramBuilder b;
     b.store(1, 1).unset(9, 1).store(2, 2).halt();
     Def1Policy pol;
-    Harness h(b.build(), pol, {}, 5, 50);
+    Harness h(b.build(), pol, false, {}, 5, 50);
     ASSERT_TRUE(h.run());
     const auto &acc = h.trace.accesses();
     ASSERT_EQ(acc.size(), 3u);
@@ -182,7 +182,7 @@ TEST(Processor, Def2WaitsOnlyForSyncCommit)
     ProgramBuilder b;
     b.store(1, 1).unset(9, 1).store(2, 2).halt();
     Def2Drf0Policy pol;
-    Harness h(b.build(), pol, {}, 5, 50);
+    Harness h(b.build(), pol, false, {}, 5, 50);
     ASSERT_TRUE(h.run());
     const auto &acc = h.trace.accesses();
     ASSERT_EQ(acc.size(), 3u);
@@ -199,9 +199,8 @@ TEST(Processor, WriteBufferForwardsToReads)
     b.store(5, 9).load(0, 5).halt();
     RelaxedPolicy pol;
     ProcessorConfig pcfg;
-    pcfg.useWriteBuffer = true;
     pcfg.wbDrainDelay = 50;
-    Harness h(b.build(), pol, pcfg, 5, 0);
+    Harness h(b.build(), pol, true, pcfg, 5, 0);
     ASSERT_TRUE(h.run());
     EXPECT_EQ(h.proc.registers()[0], 9u);
     EXPECT_GT(h.stats.get("proc0.wb_forwards"), 0u);
@@ -213,9 +212,8 @@ TEST(Processor, WriteBufferLetsReadsPassWrites)
     b.store(5, 9).load(0, 6).halt();
     RelaxedPolicy pol;
     ProcessorConfig pcfg;
-    pcfg.useWriteBuffer = true;
     pcfg.wbDrainDelay = 50;
-    Harness h(b.build(), pol, pcfg, 5, 0);
+    Harness h(b.build(), pol, true, pcfg, 5, 0);
     ASSERT_TRUE(h.run());
     // The read reached the port before the buffered write drained.
     ASSERT_EQ(h.port.requests.size(), 2u);
@@ -229,9 +227,8 @@ TEST(Processor, SyncDrainsWriteBuffer)
     b.store(5, 9).unset(9, 1).halt();
     RelaxedPolicy pol;
     ProcessorConfig pcfg;
-    pcfg.useWriteBuffer = true;
     pcfg.wbDrainDelay = 50;
-    Harness h(b.build(), pol, pcfg, 5, 0);
+    Harness h(b.build(), pol, true, pcfg, 5, 0);
     ASSERT_TRUE(h.run());
     ASSERT_EQ(h.port.requests.size(), 2u);
     // The sync reached the port only after the buffered write drained.
@@ -267,8 +264,8 @@ TEST(Processor, StallCyclesAccumulateUnderSc)
     b.store(1, 1).store(2, 2).halt();
     ScPolicy sc;
     RelaxedPolicy rel;
-    Harness slow(b.build(), sc, {}, 5, 100);
-    Harness fast(b.build(), rel, {}, 5, 100);
+    Harness slow(b.build(), sc, false, {}, 5, 100);
+    Harness fast(b.build(), rel, false, {}, 5, 100);
     ASSERT_TRUE(slow.run());
     ASSERT_TRUE(fast.run());
     EXPECT_GT(slow.proc.stallCycles(), fast.proc.stallCycles() + 50);

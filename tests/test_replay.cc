@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <optional>
 #include <sstream>
@@ -539,6 +540,63 @@ TEST(WoReplayTool, BadNumericFlagsExitTwo)
                                out.path()),
                   2)
             << flag;
+}
+
+/** A copy of the bundled spinlock trace, corrupted by @p mutate. */
+std::string
+corruptTrace(const TempTrace &out, void (*mutate)(std::string &))
+{
+    std::string bytes = slurp(std::string(WO_REPLAY_TRACE_DIR) +
+                              "/spinlock_small.wotrace");
+    mutate(bytes);
+    std::ofstream(out.path(), std::ios::binary) << bytes;
+    return out.path();
+}
+
+/** Offset of thread 0's {offset, count} entry in the thread table. */
+std::size_t
+threadTableOffset(const std::string &bytes)
+{
+    std::uint32_t ninitial = 0;
+    std::memcpy(&ninitial, bytes.data() + 12, 4); // little-endian host
+    return 16 + std::size_t{ninitial} * 12;
+}
+
+/** A corrupt trace is malformed input: the loader refuses it and every
+ * wo-replay reader exits 2, never reporting a verdict on what it read. */
+void
+expectRejected(const std::string &path)
+{
+    ReplayTraceData data;
+    EXPECT_FALSE(loadReplayTrace(path, data));
+    EXPECT_EQ(woReplayExit("verify " + path), 2);
+    EXPECT_EQ(woReplayExit("sim --machine=net " + path), 2);
+}
+
+TEST(WoReplayTool, TruncatedTraceExitsTwo)
+{
+    TempTrace out("truncated");
+    expectRejected(corruptTrace(
+        out, [](std::string &b) { b.resize(b.size() / 2); }));
+}
+
+TEST(WoReplayTool, ForgedRecordCountExitsTwo)
+{
+    TempTrace out("forged_count");
+    expectRejected(corruptTrace(out, [](std::string &b) {
+        const std::uint64_t count = std::uint64_t{1} << 60;
+        std::memcpy(b.data() + threadTableOffset(b) + 8, &count, 8);
+    }));
+}
+
+TEST(WoReplayTool, UnknownOpByteExitsTwo)
+{
+    TempTrace out("bad_op");
+    expectRejected(corruptTrace(out, [](std::string &b) {
+        std::uint64_t base = 0;
+        std::memcpy(&base, b.data() + threadTableOffset(b), 8);
+        b[static_cast<std::size_t>(base)] = 0x7f;
+    }));
 }
 #endif // WO_REPLAY_BIN && WO_REPLAY_TRACE_DIR
 

@@ -86,7 +86,7 @@ TEST(SystemLifecycle, ResetReplaysBitIdentically)
     // tick, registers, memory, trace and stats.
     for (const char *machine : {"bus", "net", "net-u"}) {
         const MachineSpec &m = machineOrThrow(machine);
-        PolicyKind pk = m.cached ? PolicyKind::Def2Drf0 : PolicyKind::Sc;
+        PolicyKind pk = m.base.cached ? PolicyKind::Def2Drf0 : PolicyKind::Sc;
         MultiProgram prog = randomDrf0Program(workload(7));
         SystemConfig cfg = m.config(pk, 11);
 
@@ -268,7 +268,7 @@ TEST(SystemPool, PooledRunsMatchFreshRunsAcrossManyRandomPrograms)
     for (const char *machine : {"bus", "net", "net-u"}) {
         const MachineSpec &m = machineOrThrow(machine);
         std::vector<PolicyKind> policies =
-            m.cached ? std::vector<PolicyKind>{PolicyKind::Sc,
+            m.base.cached ? std::vector<PolicyKind>{PolicyKind::Sc,
                                                PolicyKind::Def2Drf0}
                      : std::vector<PolicyKind>{PolicyKind::Sc,
                                                PolicyKind::Def1};

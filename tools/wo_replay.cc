@@ -33,7 +33,7 @@
  *   --json[=FILE]     machine-readable result
  *
  * Exit status: 0 race-free (or gen/info success), 1 races found or replay
- * failed, 2 bad usage / unreadable trace.
+ * failed, 2 bad usage / unreadable or corrupt trace.
  */
 
 #include <fstream>
@@ -118,6 +118,15 @@ emitJson(const std::string &json_file, const std::string &mode, bool ok,
     return 0;
 }
 
+/** Diagnose an unreadable or corrupt trace; returns exit status 2. */
+int
+badTrace(const std::string &file, const ReplayTraceReader &reader)
+{
+    std::cerr << "wo-replay: cannot read trace " << file << ": "
+              << reader.error() << "\n";
+    return 2;
+}
+
 int
 cmdGen(const std::vector<std::string> &args)
 {
@@ -154,10 +163,8 @@ cmdGen(const std::vector<std::string> &args)
         return 2;
     }
     ReplayTraceReader reader;
-    if (!reader.open(file)) {
-        std::cerr << "wo-replay: generated trace unreadable?\n";
-        return 2;
-    }
+    if (!reader.open(file))
+        return badTrace(file, reader);
     std::cout << workload << " trace: " << reader.numThreads()
               << " threads, " << reader.totalRecords() << " records -> "
               << file << "\n";
@@ -170,10 +177,8 @@ cmdInfo(const std::vector<std::string> &args)
     if (args.size() != 1 || args[0].empty() || args[0][0] == '-')
         return usage(std::cerr);
     ReplayTraceReader reader;
-    if (!reader.open(args[0])) {
-        std::cerr << "wo-replay: cannot read trace " << args[0] << "\n";
-        return 2;
-    }
+    if (!reader.open(args[0]))
+        return badTrace(args[0], reader);
     std::cout << args[0] << ": " << reader.numThreads() << " threads, "
               << reader.totalRecords() << " records, "
               << reader.initials().size() << " initial values\n";
@@ -214,12 +219,12 @@ cmdVerify(const std::vector<std::string> &args)
         return usage(std::cerr);
 
     ReplayTraceReader reader;
-    if (!reader.open(file)) {
-        std::cerr << "wo-replay: cannot read trace " << file << "\n";
-        return 2;
-    }
+    if (!reader.open(file))
+        return badTrace(file, reader);
     ReplayEngine engine(reader, opt);
     ReplayResult res = engine.run();
+    if (reader.failed())
+        return badTrace(file, reader);
     if (!res.ok) {
         std::cerr << "wo-replay: " << res.error << "\n";
         return 1;
@@ -283,10 +288,8 @@ cmdSim(const std::vector<std::string> &args)
         return usage(std::cerr);
 
     ReplayTraceReader reader;
-    if (!reader.open(file)) {
-        std::cerr << "wo-replay: cannot read trace " << file << "\n";
-        return 2;
-    }
+    if (!reader.open(file))
+        return badTrace(file, reader);
     SystemReplayResult res;
     try {
         res = replayOnSystem(reader, opt);
