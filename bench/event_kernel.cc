@@ -8,7 +8,10 @@
  *
  * Three workloads, each a schedule/dispatch loop driven by the same
  * deterministic Rng stream on both kernels (the fired (tick, order)
- * sequence is checksummed and must agree before anything is timed):
+ * sequence is checksummed and must agree before anything is timed).
+ * Delays are uniform in [1, 64], so one event in 64 lands exactly
+ * EventQueue::kWheelSpan ahead and takes the overflow heap; the rest
+ * take the calendar ring:
  *
  *  1. steady-churn — a rolling window of small-capture callbacks, the
  *     simulator's steady state (every event fits the in-record storage

@@ -232,7 +232,9 @@ Cache::commitOnLine(const CacheOp &op, Line &line, bool gp_now, Tick delay)
         // synchronization's commit: misses numbered below next_miss_seq_.
         if (!line.reserved) {
             line.reserved = true;
-            ++reserved_count_;
+            reserved_.insert(std::lower_bound(reserved_.begin(),
+                                              reserved_.end(), op.addr),
+                             op.addr);
             stats_.inc(stat_.reserves);
             if (sink_)
                 emitEvent(TraceKind::ReserveSet, op.addr, counter_);
@@ -624,7 +626,7 @@ Cache::decrementCounter(std::uint64_t miss_seq)
 void
 Cache::updateReservations()
 {
-    if (reserved_count_ == 0)
+    if (reserved_.empty())
         return;
     // A reserve clears once every miss generated before its
     // synchronization committed has completed; later misses (e.g. a sync
@@ -638,16 +640,20 @@ Cache::updateReservations()
         return;
     }
     std::vector<Addr> released;
-    for (auto &[a, l] : lines_) {
-        if (l.reserved && l.reservedUpTo <= min_outstanding) {
+    auto kept = reserved_.begin();
+    for (Addr a : reserved_) {
+        Line &l = lines_.at(a); // reserved lines are never dropped
+        if (l.reservedUpTo <= min_outstanding) {
             l.reserved = false;
-            --reserved_count_;
             released.push_back(a);
             if (sink_)
                 emitEvent(TraceKind::ReserveClear, a, counter_);
+        } else {
+            *kept++ = a;
         }
     }
-    if (reserved_count_ == 0)
+    reserved_.erase(kept, reserved_.end());
+    if (reserved_.empty())
         misses_while_reserved_ = 0;
     if (released.empty())
         return;
@@ -673,7 +679,7 @@ void
 Cache::onCounterZero()
 {
     misses_while_reserved_ = 0;
-    assert(reserved_count_ == 0 &&
+    assert(reserved_.empty() &&
            "updateReservations must have cleared every reserve");
     // Any recall still queued would belong to a reserved line.
     assert(stalled_recalls_.empty());

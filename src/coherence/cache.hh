@@ -125,7 +125,7 @@ class Cache : public MemPort
     int counter() const { return counter_; }
 
     /** True if any line currently has its reserve bit set. */
-    bool anyReserved() const { return reserved_count_ > 0; }
+    bool anyReserved() const { return !reserved_.empty(); }
 
     /** Directly install a line (test setup only). */
     void pokeLine(Addr addr, LineState state, Word data);
@@ -153,7 +153,7 @@ class Cache : public MemPort
         outstanding_miss_seqs_.clear();
         next_miss_seq_ = 0;
         counter_ = 0;
-        reserved_count_ = 0;
+        reserved_.clear();
         misses_while_reserved_ = 0;
     }
 
@@ -287,7 +287,9 @@ class Cache : public MemPort
     std::set<std::uint64_t> outstanding_miss_seqs_;
     std::uint64_t next_miss_seq_ = 0;
     int counter_ = 0;
-    int reserved_count_ = 0;
+    /** Addresses of the lines whose reserve bit is set, ascending, so
+     * updateReservations visits only reserved lines, in address order. */
+    std::vector<Addr> reserved_;
     int misses_while_reserved_ = 0;
 
     /** Structured tracing (null = disabled path). */

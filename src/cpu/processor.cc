@@ -1,6 +1,8 @@
 #include "cpu/processor.hh"
 
+#include <algorithm>
 #include <cassert>
+#include <stdexcept>
 
 #include "obs/trace_sink.hh"
 
@@ -56,7 +58,8 @@ Processor::reset(const Program &program)
     reg_busy_.assign(nregs, false);
     halted_ = false;
     halt_tick_ = kNoTick;
-    ops_.clear();
+    op_base_ = 1;
+    live_ops_ = 0;
     addr_blocked_.clear();
     write_buffer_.clear();
     wb_drain_in_flight_ = false;
@@ -91,7 +94,43 @@ Processor::start()
 bool
 Processor::quiescent() const
 {
-    return ops_.empty() && write_buffer_.empty() && !wb_drain_in_flight_;
+    return live_ops_ == 0 && write_buffer_.empty() && !wb_drain_in_flight_;
+}
+
+Processor::OpRecord &
+Processor::openOp()
+{
+    if (last_id_ - op_base_ >= ops_.size()) {
+        // The window outgrew the ring: double it, keeping each live
+        // record at its id's slot.
+        std::vector<OpRecord> grown(2 * ops_.size());
+        for (std::uint64_t id = op_base_; id < last_id_; ++id)
+            grown[id & (grown.size() - 1)] = slot(id);
+        ops_ = std::move(grown);
+    }
+    OpRecord &rec = slot(last_id_);
+    rec = OpRecord{};
+    rec.live = true;
+    ++live_ops_;
+    return rec;
+}
+
+Processor::OpRecord &
+Processor::liveOp(std::uint64_t id, const char *event)
+{
+    if (id < op_base_ || id > last_id_ || !slot(id).live)
+        throw std::logic_error(name_ + ": " + event +
+                               " for unknown op id " + std::to_string(id));
+    return slot(id);
+}
+
+void
+Processor::retireOp(std::uint64_t id)
+{
+    slot(id).live = false;
+    --live_ops_;
+    while (op_base_ <= last_id_ && !slot(op_base_).live)
+        ++op_base_;
 }
 
 void
@@ -341,16 +380,16 @@ Processor::issueMemOp(const Instruction &insn, StallReason *why)
     if (writeBuffer_) {
         if (kind == AccessKind::DataWrite) {
             std::uint64_t id = nextId();
-            OpRecord rec;
+            OpRecord &rec = openOp();
             rec.kind = kind;
             rec.addr = insn.addr;
-            rec.committed = true; // architecturally complete at insert
+            // Architecturally complete at insert (the trace's commit
+            // tick); `committed` waits for the drain's notification.
             rec.fromWriteBuffer = true;
             rec.issueTick = eq_.now();
             rec.traceId = recordTraceAccess(kind, insn.addr, write_value);
             if (trace_ && rec.traceId >= 0)
                 trace_->mutableAt(rec.traceId).commitTick = eq_.now();
-            ops_[id] = rec;
             ++not_gp_;
             write_buffer_.push_back({id, insn.addr, write_value,
                                      eq_.now()});
@@ -398,7 +437,7 @@ Processor::issueMemOp(const Instruction &insn, StallReason *why)
     }
 
     // Ordinary issue.
-    if (addr_blocked_.count(insn.addr)) {
+    if (addrBlocked(insn.addr)) {
         *why = StallReason::SameAddr;
         return false; // same-address ordering (condition 1)
     }
@@ -413,13 +452,12 @@ Processor::issueMemOp(const Instruction &insn, StallReason *why)
     }
 
     std::uint64_t id = nextId();
-    OpRecord rec;
+    OpRecord &rec = openOp();
     rec.kind = kind;
     rec.addr = insn.addr;
     rec.destReg = readsMemory(kind) ? insn.dst : -1;
     rec.issueTick = eq_.now();
     rec.traceId = recordTraceAccess(kind, insn.addr, write_value);
-    ops_[id] = rec;
 
     ++outstanding_;
     ++not_gp_;
@@ -427,7 +465,7 @@ Processor::issueMemOp(const Instruction &insn, StallReason *why)
         ++syncs_not_committed_;
         ++syncs_not_gp_;
     }
-    addr_blocked_.insert(insn.addr);
+    addr_blocked_.push_back(insn.addr);
     if (rec.destReg >= 0)
         reg_busy_[rec.destReg] = true;
 
@@ -453,7 +491,7 @@ Processor::drainWriteBuffer()
     // holds one miss per address, so the head must wait while an
     // ordinary access to its line is outstanding. opCommitted clears the
     // block and re-invokes the drain.
-    if (addr_blocked_.count(head.addr))
+    if (addrBlocked(head.addr))
         return;
     Tick ready = head.insertTick + cfg_.wbDrainDelay;
     Tick delay = ready > eq_.now() ? ready - eq_.now() : 0;
@@ -475,18 +513,17 @@ Processor::drainWriteBuffer()
 void
 Processor::opCommitted(std::uint64_t id, Word read_value)
 {
-    auto it = ops_.find(id);
-    assert(it != ops_.end() && "commit for unknown op");
-    OpRecord &rec = it->second;
+    OpRecord &rec = liveOp(id, "commit");
 
     if (rec.fromWriteBuffer) {
         // The head drain reached the cache; release the buffer slot.
         assert(!write_buffer_.empty() && write_buffer_.front().id == id);
         write_buffer_.pop_front();
         wb_drain_in_flight_ = false;
+        rec.committed = true;
         drainWriteBuffer();
         if (rec.gp) // GP raced ahead of the commit notification
-            ops_.erase(it);
+            retireOp(id);
         scheduleAdvance(0);
         return;
     }
@@ -496,7 +533,12 @@ Processor::opCommitted(std::uint64_t id, Word read_value)
     --outstanding_;
     if (isSync(rec.kind))
         --syncs_not_committed_;
-    addr_blocked_.erase(rec.addr);
+    auto blocked =
+        std::find(addr_blocked_.begin(), addr_blocked_.end(), rec.addr);
+    if (blocked != addr_blocked_.end()) {
+        *blocked = addr_blocked_.back();
+        addr_blocked_.pop_back();
+    }
     drainWriteBuffer(); // a buffered write to rec.addr may be waiting
     if (rec.destReg >= 0) {
         regs_[rec.destReg] = read_value;
@@ -511,16 +553,14 @@ Processor::opCommitted(std::uint64_t id, Word read_value)
     if (sink_)
         emitOpEvent(TraceKind::Commit, rec, id);
     if (rec.gp)
-        ops_.erase(it);
+        retireOp(id);
     scheduleAdvance(0);
 }
 
 void
 Processor::opGloballyPerformed(std::uint64_t id)
 {
-    auto it = ops_.find(id);
-    assert(it != ops_.end() && "gp for unknown op");
-    OpRecord &rec = it->second;
+    OpRecord &rec = liveOp(id, "gp");
     assert(!rec.gp);
     rec.gp = true;
     --not_gp_;
@@ -536,9 +576,8 @@ Processor::opGloballyPerformed(std::uint64_t id)
         // installed CoverageMap without interning any stats.
         lat_gp_.coverOnly(eq_.now() - rec.issueTick);
     }
-    bool done = rec.committed;
-    if (done)
-        ops_.erase(it);
+    if (rec.committed)
+        retireOp(id);
     scheduleAdvance(0);
 }
 

@@ -16,10 +16,9 @@
 #ifndef WO_CPU_PROCESSOR_HH
 #define WO_CPU_PROCESSOR_HH
 
+#include <algorithm>
 #include <array>
 #include <deque>
-#include <map>
-#include <set>
 #include <vector>
 
 #include "consistency/policy.hh"
@@ -42,8 +41,6 @@ struct ProcessorConfig
      * memory system (models waiting for an idle bus slot); this is what
      * actually lets a subsequent read overtake the write. */
     Tick wbDrainDelay = 6;
-
-    bool operator==(const ProcessorConfig &) const = default;
 };
 
 /** One simulated processor. */
@@ -57,11 +54,12 @@ class Processor : public CacheClient
     static constexpr Tick kCycle = 1;
 
     /** @p writeBuffer enables the store buffer (reads pass pending
-     * writes); only legal when @p policy allows it. */
+     * writes); only legal when @p policy allows it. Every System
+     * processor runs the default @p cfg; unit tests vary it. */
     Processor(EventQueue &eq, StatSet &stats, ProcId id,
               const Program &program, MemPort &port,
               const ConsistencyPolicy &policy, ExecutionTrace *trace,
-              bool writeBuffer, const ProcessorConfig &cfg);
+              bool writeBuffer, const ProcessorConfig &cfg = {});
 
     /** Kick off execution (schedules the first dispatch). */
     void start();
@@ -132,9 +130,12 @@ class Processor : public CacheClient
         AccessKind kind = AccessKind::DataRead;
         Addr addr = 0;
         int destReg = -1;
+        /** The port's commit notification arrived (for a buffered
+         * write: its drain's). */
         bool committed = false;
         bool gp = false;
         bool fromWriteBuffer = false;
+        bool live = false; ///< issued and not yet committed + GP
         Tick issueTick = 0;
     };
 
@@ -158,6 +159,21 @@ class Processor : public CacheClient
     ProcState snapshot() const;
     bool regBusy(int r) const { return r >= 0 && reg_busy_[r]; }
     std::uint64_t nextId() { return ++last_id_; }
+
+    /** Open the record of the op just issued (id last_id_). */
+    OpRecord &openOp();
+    /** The live record of op @p id; throws std::logic_error, in every
+     * build type, naming @p event and the id if there is none. */
+    OpRecord &liveOp(std::uint64_t id, const char *event);
+    /** Drop op @p id's record and pop retired slots off the front. */
+    void retireOp(std::uint64_t id);
+    OpRecord &slot(std::uint64_t id) { return ops_[id & (ops_.size() - 1)]; }
+    bool
+    addrBlocked(Addr a) const
+    {
+        return std::find(addr_blocked_.begin(), addr_blocked_.end(), a) !=
+               addr_blocked_.end();
+    }
     int recordTraceAccess(AccessKind kind, Addr addr, Word write_value);
 
     EventQueue &eq_;
@@ -190,8 +206,19 @@ class Processor : public CacheClient
     bool halted_ = false;
     Tick halt_tick_ = kNoTick;
 
-    std::map<std::uint64_t, OpRecord> ops_;
-    std::set<Addr> addr_blocked_;
+    /**
+     * Op records by id. nextId() issues ids densely, so the records of
+     * ids [op_base_, last_id_] sit in a power-of-two ring indexed by
+     * id; retired slots pop off the front. The window spans the oldest
+     * live op to the newest, so it stays near kMaxOutstanding plus the
+     * write buffer's depth.
+     */
+    std::vector<OpRecord> ops_ = std::vector<OpRecord>(16);
+    std::uint64_t op_base_ = 1;
+    int live_ops_ = 0;
+    /** Addresses with an uncommitted ordinary access (condition 1 keeps
+     * at most one per address, and at most kMaxOutstanding in all). */
+    std::vector<Addr> addr_blocked_;
     std::deque<WbEntry> write_buffer_;
     bool wb_drain_in_flight_ = false;
 

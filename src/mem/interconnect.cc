@@ -1,6 +1,7 @@
 #include "mem/interconnect.hh"
 
-#include <cassert>
+#include <algorithm>
+#include <stdexcept>
 
 #include "obs/trace_sink.hh"
 
@@ -49,7 +50,21 @@ toString(MsgType t)
 void
 Interconnect::attach(NodeId id, Handler h)
 {
+    if (id < 0)
+        throw std::logic_error(name_ + ": attach to negative node id " +
+                               std::to_string(id));
+    if (id >= numNodes())
+        handlers_.resize(static_cast<std::size_t>(id) + 1);
     handlers_[id] = std::move(h);
+}
+
+void
+Interconnect::checkDestination(const Msg &msg) const
+{
+    if (msg.dst < 0 || msg.dst >= numNodes() || !handlers_[msg.dst])
+        throw std::logic_error(name_ + ": message to unattached node " +
+                               std::to_string(msg.dst) + " (from node " +
+                               std::to_string(msg.src) + ")");
 }
 
 void
@@ -85,16 +100,15 @@ Interconnect::deliverAt(Tick when, Msg msg)
         // CoverageMap (no stats interned, reports unchanged).
         lat_msg_.coverOnly(when - eq_.now());
     }
-    eq_.scheduleAt(when, [this, msg = std::move(msg)] {
-        auto it = handlers_.find(msg.dst);
-        assert(it != handlers_.end() && "message to unattached node");
-        it->second(msg);
-    });
+    // Each send() ran checkDestination; attach() never removes one.
+    eq_.scheduleAt(when,
+                   [this, msg = std::move(msg)] { handlers_[msg.dst](msg); });
 }
 
 void
 Bus::send(Msg msg)
 {
+    checkDestination(msg);
     // Arbitrate: the bus carries one message at a time.
     Tick start = std::max(eq_.now(), free_at_);
     free_at_ = start + cfg_.occupancy;
@@ -104,13 +118,26 @@ Bus::send(Msg msg)
 void
 GeneralNetwork::send(Msg msg)
 {
+    checkDestination(msg);
+    const std::size_t n = static_cast<std::size_t>(numNodes());
+    if (msg.src < 0 || static_cast<std::size_t>(msg.src) >= n)
+        throw std::logic_error(name_ + ": message from node " +
+                               std::to_string(msg.src) +
+                               " beyond every attached node");
+    if (table_nodes_ != n) {
+        // A node attached since the last send: re-lay the table.
+        std::vector<Tick> grown(n * n, 0);
+        for (std::size_t s = 0; s < table_nodes_; ++s)
+            for (std::size_t d = 0; d < table_nodes_; ++d)
+                grown[s * n + d] = next_delivery_[s * table_nodes_ + d];
+        next_delivery_ = std::move(grown);
+        table_nodes_ = n;
+    }
     Tick lat = cfg_.base + (cfg_.jitter ? rng_.below(cfg_.jitter + 1) : 0);
-    Tick when = eq_.now() + lat;
-    auto key = std::make_pair(msg.src, msg.dst);
-    auto it = last_delivery_.find(key);
-    if (it != last_delivery_.end() && when <= it->second)
-        when = it->second + 1; // point-to-point FIFO
-    last_delivery_[key] = when;
+    Tick &next = next_delivery_[static_cast<std::size_t>(msg.src) * n +
+                                static_cast<std::size_t>(msg.dst)];
+    Tick when = std::max(eq_.now() + lat, next); // point-to-point FIFO
+    next = when + 1;
     deliverAt(when, std::move(msg));
 }
 

@@ -19,7 +19,6 @@
 #define WO_MEM_INTERCONNECT_HH
 
 #include <functional>
-#include <map>
 #include <vector>
 
 #include "mem/message.hh"
@@ -49,7 +48,10 @@ class Interconnect
 
     virtual ~Interconnect() = default;
 
-    /** Register the message handler for node @p id. */
+    /** Register the message handler for node @p id. Node ids are
+     * dense small integers (System numbers L1s, then L2s, then
+     * directories or memory banks), so handlers live in a vector
+     * indexed by id. */
     void attach(NodeId id, Handler h);
 
     /**
@@ -76,8 +78,15 @@ class Interconnect
     const LatencyHistogram &msgLatencyHistogram() const { return lat_msg_; }
 
   protected:
+    /** One past the highest attached node id. */
+    NodeId numNodes() const { return static_cast<NodeId>(handlers_.size()); }
+
     /** Deliver at absolute time @p when (keeps stats). */
     void deliverAt(Tick when, Msg msg);
+
+    /** Throw std::logic_error, in every build type, unless @p msg's
+     * destination has a handler. */
+    void checkDestination(const Msg &msg) const;
 
     EventQueue &eq_;
     StatSet &stats_;
@@ -85,7 +94,7 @@ class Interconnect
     /** Interned handles for the per-message hot path. */
     StatHandle stat_msgs_;
     StatHandle stat_latency_total_;
-    std::map<NodeId, Handler> handlers_;
+    std::vector<Handler> handlers_; ///< by node id; empty = unattached
     std::uint64_t sent_ = 0;
 
     /** Structured tracing (null = disabled path). */
@@ -159,14 +168,17 @@ class GeneralNetwork : public Interconnect
         Interconnect::reset(seed);
         cfg_.seed = seed;
         rng_ = Rng(seed);
-        last_delivery_.clear();
+        next_delivery_.assign(next_delivery_.size(), 0);
     }
 
   private:
     Config cfg_;
     Rng rng_;
-    /** Last delivery time per (src, dst), for point-to-point FIFO. */
-    std::map<std::pair<NodeId, NodeId>, Tick> last_delivery_;
+    /** Earliest next delivery tick per (src, dst) pair, at
+     * [src * table_nodes_ + dst], for point-to-point FIFO; 0 = no
+     * delivery yet. Re-laid when a node attaches after a send. */
+    std::vector<Tick> next_delivery_;
+    std::size_t table_nodes_ = 0;
 };
 
 } // namespace wo

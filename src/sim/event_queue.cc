@@ -1,6 +1,6 @@
 #include "sim/event_queue.hh"
 
-#include <cassert>
+#include <bit>
 
 namespace wo {
 
@@ -9,23 +9,17 @@ EventQueue::~EventQueue()
     destroyPending();
 }
 
-EventQueue::Event *
-EventQueue::allocate()
+void
+EventQueue::refill()
 {
-    if (!free_list_) {
-        slabs_.push_back(std::make_unique<Event[]>(kSlabEvents));
-        Event *chunk = slabs_.back().get();
-        // Chain the fresh chunk in address order (order is irrelevant
-        // for determinism — firing order comes from (when, seq) alone).
-        for (std::size_t i = 0; i < kSlabEvents - 1; ++i)
-            chunk[i].next_free = &chunk[i + 1];
-        chunk[kSlabEvents - 1].next_free = nullptr;
-        free_list_ = chunk;
-    }
-    Event *ev = free_list_;
-    free_list_ = ev->next_free;
-    ev->next_free = nullptr;
-    return ev;
+    slabs_.push_back(std::make_unique<Event[]>(kSlabEvents));
+    Event *chunk = slabs_.back().get();
+    // Chain the fresh chunk in address order (order is irrelevant for
+    // determinism — firing order comes from (when, seq) alone).
+    for (std::size_t i = 0; i < kSlabEvents - 1; ++i)
+        chunk[i].next_free = &chunk[i + 1];
+    chunk[kSlabEvents - 1].next_free = nullptr;
+    free_list_ = chunk;
 }
 
 void
@@ -40,6 +34,17 @@ EventQueue::release(Event *ev)
 void
 EventQueue::destroyPending()
 {
+    for (Bucket &b : wheel_) {
+        for (Event *ev = b.head; ev;) {
+            Event *next = ev->next_free;
+            ev->destroy(*ev);
+            release(ev);
+            ev = next;
+        }
+        b = Bucket{};
+    }
+    occupied_ = 0;
+    wheel_count_ = 0;
     for (HeapEntry &e : heap_) {
         e.ev->destroy(*e.ev);
         release(e.ev);
@@ -79,44 +84,63 @@ EventQueue::siftDown(std::size_t i)
 }
 
 bool
-EventQueue::step()
+EventQueue::fireNext(Tick max_ticks)
 {
-    if (heap_.empty())
-        return false;
-    HeapEntry top = heap_.front();
-    heap_.front() = heap_.back();
-    heap_.pop_back();
-    if (!heap_.empty())
-        siftDown(0);
-    assert(top.when >= now_);
-    now_ = top.when;
+    Tick when = kNoTick;
+    if (occupied_) {
+        // Rotate so bit 0 is now's bucket: the lowest set bit is the
+        // next busy tick's distance from now.
+        when = now_ + std::countr_zero(std::rotr(
+                          occupied_, static_cast<int>(now_ & kWheelMask)));
+    }
+    Event *ev;
+    if (!heap_.empty() && heap_.front().when <= when) {
+        // Ties go to the overflow tier: it holds the earlier seq.
+        when = heap_.front().when;
+        if (when > max_ticks)
+            return false;
+        ev = heap_.front().ev;
+        heap_.front() = heap_.back();
+        heap_.pop_back();
+        if (!heap_.empty())
+            siftDown(0);
+    } else {
+        if (!occupied_ || when > max_ticks)
+            return false;
+        Bucket &b = wheel_[when & kWheelMask];
+        ev = b.head;
+        b.head = ev->next_free;
+        if (!b.head) {
+            b.tail = nullptr;
+            occupied_ &= ~(std::uint64_t{1} << (when & kWheelMask));
+        }
+        --wheel_count_;
+    }
+    now_ = when;
     ++executed_;
     // Fire in place: the record is stable while its callback schedules
     // further events (slab storage never relocates), and is recycled
     // only after the callback returns.
-    top.ev->invoke(*top.ev);
-    top.ev->destroy(*top.ev);
-    release(top.ev);
+    ev->invoke(*ev);
+    ev->destroy(*ev);
+    release(ev);
     return true;
 }
 
 bool
 EventQueue::run(Tick max_ticks)
 {
-    while (!heap_.empty()) {
-        if (heap_.front().when > max_ticks)
-            return false;
-        step();
+    while (fireNext(max_ticks)) {
     }
-    return true;
+    return empty();
 }
 
 void
 EventQueue::reset(bool drain)
 {
-    if (!heap_.empty() && !drain)
+    if (!empty() && !drain)
         throw std::logic_error(
-            "EventQueue::reset: " + std::to_string(heap_.size()) +
+            "EventQueue::reset: " + std::to_string(pending()) +
             " events still pending (pass drain=true to drop them "
             "deliberately)");
     destroyPending();

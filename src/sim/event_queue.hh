@@ -11,9 +11,19 @@
  * slab-allocated records (small-buffer storage for the callable, heap
  * fallback only for oversized captures) and recycled through a free list,
  * so the steady-state schedule/fire path performs no per-event
- * allocation. The pending set is a binary heap of (tick, seq, record*)
- * triples; ordering is identical to the historical
- * std::priority_queue<std::function> kernel (see
+ * allocation.
+ *
+ * The pending set has two tiers. An event due less than kWheelSpan ticks
+ * ahead goes into a calendar ring: one FIFO bucket per tick, linked
+ * through the records themselves, with a 64-bit occupancy mask to find
+ * the next busy tick. Every bucket event lies in [now, now + kWheelSpan),
+ * so each bucket holds exactly one tick, and appending keeps it in
+ * schedule order. A farther event goes into an overflow binary heap of
+ * (tick, seq, record*) triples. On a tie the overflow tier fires first:
+ * an overflow event for tick t was scheduled at or before t - kWheelSpan,
+ * and a bucket event for t after it, so the overflow event has the
+ * smaller sequence number. Ordering is therefore identical to the
+ * historical std::priority_queue<std::function> kernel (see
  * sim/legacy_event_queue.hh, kept as the differential oracle), so runs
  * are bit-for-bit identical to it.
  */
@@ -21,6 +31,7 @@
 #ifndef WO_SIM_EVENT_QUEUE_HH
 #define WO_SIM_EVENT_QUEUE_HH
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -73,8 +84,20 @@ class EventQueue
                 ", now=" + std::to_string(now_) + ")");
         Event *ev = allocate();
         bindCallback(*ev, std::forward<F>(fn));
-        heap_.push_back(HeapEntry{when, next_seq_++, ev});
-        siftUp(heap_.size() - 1);
+        if (when - now_ < kWheelSpan) {
+            Bucket &b = wheel_[when & kWheelMask];
+            if (b.tail)
+                b.tail->next_free = ev;
+            else
+                b.head = ev;
+            b.tail = ev;
+            occupied_ |= std::uint64_t{1} << (when & kWheelMask);
+            ++wheel_count_;
+        } else {
+            heap_.push_back(HeapEntry{when, next_seq_, ev});
+            siftUp(heap_.size() - 1);
+        }
+        ++next_seq_;
     }
 
     /** Schedule @p fn to run @p delay ticks from now. */
@@ -86,10 +109,10 @@ class EventQueue
     }
 
     /** True when no events remain. */
-    bool empty() const { return heap_.empty(); }
+    bool empty() const { return wheel_count_ == 0 && heap_.empty(); }
 
     /** Number of events still pending. */
-    std::size_t pending() const { return heap_.size(); }
+    std::size_t pending() const { return wheel_count_ + heap_.size(); }
 
     /** Total number of events executed so far. */
     std::uint64_t executed() const { return executed_; }
@@ -98,7 +121,7 @@ class EventQueue
      * Run a single event (the earliest). Returns false if the queue was
      * empty.
      */
-    bool step();
+    bool step() { return fireNext(kNoTick); }
 
     /**
      * Run until the queue drains or @p max_ticks is exceeded.
@@ -120,7 +143,15 @@ class EventQueue
      */
     void reset(bool drain = false);
 
+    /** Ticks ahead (exclusive) served by the calendar ring; farther
+     * events go to the overflow heap. */
+    static constexpr Tick kWheelSpan = 64;
+
   private:
+    static constexpr Tick kWheelMask = kWheelSpan - 1;
+    static_assert((kWheelSpan & kWheelMask) == 0 && kWheelSpan <= 64,
+                  "the occupancy mask is one 64-bit word");
+
     /** Bytes of in-record callable storage. Sized to hold the kernel's
      * common customers — a captured [this] plus a Msg by value — without
      * spilling; larger callables fall back to one heap allocation. */
@@ -133,6 +164,7 @@ class EventQueue
      * One pooled event record. The callable lives in `storage` (or, if
      * it does not fit, `storage` holds a pointer to a heap copy);
      * `invoke`/`destroy` are the manual vtable for the erased type.
+     * `next_free` links the free list, or a pending record's bucket.
      */
     struct Event
     {
@@ -143,7 +175,15 @@ class EventQueue
             storage[kInlineCallbackBytes];
     };
 
-    /** Heap element: all ordering state, plus the payload pointer. */
+    /** One calendar tick: a FIFO of records in schedule order. */
+    struct Bucket
+    {
+        Event *head = nullptr;
+        Event *tail = nullptr;
+    };
+
+    /** Overflow-heap element: all ordering state, plus the payload
+     * pointer. */
     struct HeapEntry
     {
         Tick when;
@@ -188,13 +228,31 @@ class EventQueue
         return a.seq < b.seq;
     }
 
-    Event *allocate();
+    Event *
+    allocate()
+    {
+        if (!free_list_)
+            refill();
+        Event *ev = free_list_;
+        free_list_ = ev->next_free;
+        ev->next_free = nullptr;
+        return ev;
+    }
+
+    /** Fire the earliest pending event if it is due by @p max_ticks;
+     * false if none is. */
+    bool fireNext(Tick max_ticks);
+
+    void refill();
     void release(Event *ev);
     void destroyPending();
     void siftUp(std::size_t i);
     void siftDown(std::size_t i);
 
-    std::vector<HeapEntry> heap_; ///< binary min-heap by (when, seq)
+    std::array<Bucket, kWheelSpan> wheel_{}; ///< indexed by tick mod span
+    std::uint64_t occupied_ = 0; ///< bit i: wheel_[i] is non-empty
+    std::size_t wheel_count_ = 0;
+    std::vector<HeapEntry> heap_; ///< overflow min-heap by (when, seq)
     std::vector<std::unique_ptr<Event[]>> slabs_;
     Event *free_list_ = nullptr;
     Tick now_ = 0;

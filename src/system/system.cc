@@ -90,7 +90,7 @@ System::System(const MultiProgram &program, const SystemConfig &cfg)
                             : static_cast<MemPort &>(*uncached_ports_[p]);
         procs_.push_back(std::make_unique<Processor>(
             eq_, stats_, p, program_.program(p), port, *policy_, &trace_,
-            cfg_.writeBuffer, cfg_.proc));
+            cfg_.writeBuffer));
     }
 
     // Shares the between-runs install path: initial-value pokes,

@@ -65,7 +65,6 @@ struct SystemConfig
     GeneralNetwork::Config net;
     CacheConfig cache;
     MidCacheConfig l2; ///< per-processor L2 (cacheLevels == 2)
-    ProcessorConfig proc;
 
     /** Give up (livelock guard) after this many ticks. */
     Tick maxTicks = 5000000;

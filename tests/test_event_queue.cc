@@ -7,6 +7,7 @@
 
 #include <array>
 #include <functional>
+#include <memory>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -239,6 +240,187 @@ TEST(EventQueue, MatchesLegacyKernelFireSequence)
         auto legacy = randomSelfSchedulingTrace<LegacyEventQueue>(seed);
         ASSERT_GT(pooled.size(), 64u) << "seed " << seed;
         EXPECT_EQ(pooled, legacy) << "seed " << seed;
+    }
+}
+
+/** The calendar ring's span: delays below it stay in the ring, the
+ * rest go to the overflow heap. */
+constexpr Tick kW = EventQueue::kWheelSpan;
+
+/** Delays that straddle the ring's span (W - 1, W, W + 1, anything up
+ * to 4W), mixed with short ones so ticks collide across the tiers. */
+Tick
+straddlingDelay(Rng &rng)
+{
+    switch (rng.below(6)) {
+      case 0: return kW - 1;
+      case 1: return kW;
+      case 2: return kW + 1;
+      case 3: return rng.below(4 * kW + 1);
+      default: return rng.below(5);
+    }
+}
+
+/** Drop every pending event: the pooled kernel's deliberate drain, or
+ * the legacy kernel's unconditional reset. */
+void drainReset(EventQueue &q) { q.reset(/*drain=*/true); }
+void drainReset(LegacyEventQueue &q) { q.reset(); }
+
+/**
+ * A randomized self-scheduling workload whose delays straddle the
+ * calendar ring's span, so events reach both tiers and tie across
+ * them. Rng draws happen inside callbacks: any divergence in firing
+ * order cascades into different traces.
+ */
+template <class Q>
+class TwoTierWorkload
+{
+  public:
+    explicit TwoTierWorkload(std::uint64_t seed) : rng_(seed) {}
+
+    /** Schedule @p n root events within 4W ticks of now. */
+    void
+    seed(int n)
+    {
+        for (int i = 0; i < n; ++i)
+            schedule(q.now() + rng_.below(4 * kW));
+    }
+
+    /** One event in each tier: one tick ahead and 2W ticks ahead. */
+    void
+    seedBothTiers()
+    {
+        schedule(q.now() + 1);
+        schedule(q.now() + 2 * kW);
+    }
+
+    Q q;
+    std::vector<std::pair<Tick, std::uint64_t>> trace;
+
+  private:
+    void
+    schedule(Tick when)
+    {
+        std::uint64_t id = next_id_++;
+        q.scheduleAt(when, [this, id] { fire(id); });
+    }
+
+    void
+    fire(std::uint64_t id)
+    {
+        trace.emplace_back(q.now(), id);
+        if (trace.size() >= 6000)
+            return;
+        for (std::uint64_t c = rng_.below(3); c > 0; --c)
+            schedule(q.now() + straddlingDelay(rng_));
+    }
+
+    Rng rng_;
+    std::uint64_t next_id_ = 0;
+};
+
+const std::uint64_t kTwoTierSeeds[] = {1, 7, 42, 20260806};
+
+TEST(EventQueue, StraddlingDelaysMatchLegacyKernel)
+{
+    for (std::uint64_t seed : kTwoTierSeeds) {
+        TwoTierWorkload<EventQueue> pooled(seed);
+        TwoTierWorkload<LegacyEventQueue> legacy(seed);
+        pooled.seed(64);
+        legacy.seed(64);
+        EXPECT_TRUE(pooled.q.run());
+        EXPECT_TRUE(legacy.q.run());
+        ASSERT_GT(pooled.trace.size(), 1000u) << "seed " << seed;
+        EXPECT_EQ(pooled.trace, legacy.trace) << "seed " << seed;
+        EXPECT_EQ(pooled.q.executed(), legacy.q.executed());
+    }
+}
+
+TEST(EventQueue, OverflowEventFiresBeforeSameTickRingEvent)
+{
+    // A and B are scheduled at tick 0 for ticks W and W + 1, beyond the
+    // ring, so they wait in the overflow heap. C and D are scheduled
+    // later for the same ticks, within the ring. Each tick fires in
+    // schedule order: the overflow event first.
+    auto order = [](auto &q) {
+        std::vector<char> fired;
+        q.scheduleAt(kW, [&] { fired.push_back('A'); });
+        q.scheduleAt(kW + 1, [&] { fired.push_back('B'); });
+        q.scheduleAt(1, [&] {
+            q.scheduleAt(kW, [&] { fired.push_back('C'); });
+        });
+        q.scheduleAt(2, [&] {
+            q.scheduleAt(kW + 1, [&] { fired.push_back('D'); });
+            q.scheduleAt(kW + 1, [&] { fired.push_back('E'); });
+        });
+        EXPECT_TRUE(q.run());
+        return fired;
+    };
+    EventQueue pooled;
+    LegacyEventQueue legacy;
+    const std::vector<char> want = {'A', 'C', 'B', 'D', 'E'};
+    EXPECT_EQ(order(pooled), want);
+    EXPECT_EQ(order(legacy), want);
+}
+
+TEST(EventQueue, TickLimitStopsWithBothTiersPendingLikeLegacy)
+{
+    for (std::uint64_t seed : kTwoTierSeeds) {
+        TwoTierWorkload<EventQueue> pooled(seed);
+        TwoTierWorkload<LegacyEventQueue> legacy(seed);
+        pooled.seed(64);
+        legacy.seed(64);
+        // Stop short of the pair seeded into each tier, every time.
+        for (Tick limit = 0; limit < 40 * kW; limit += kW / 2 + 3) {
+            pooled.seedBothTiers();
+            legacy.seedBothTiers();
+            EXPECT_FALSE(pooled.q.run(limit)) << "seed " << seed;
+            EXPECT_FALSE(legacy.q.run(limit)) << "seed " << seed;
+            ASSERT_EQ(pooled.q.now(), legacy.q.now()) << "seed " << seed;
+            ASSERT_EQ(pooled.q.pending(), legacy.q.pending())
+                << "seed " << seed << " limit " << limit;
+            ASSERT_EQ(pooled.trace, legacy.trace)
+                << "seed " << seed << " limit " << limit;
+        }
+        EXPECT_TRUE(pooled.q.run());
+        EXPECT_TRUE(legacy.q.run());
+        EXPECT_EQ(pooled.trace, legacy.trace) << "seed " << seed;
+    }
+}
+
+TEST(EventQueue, DrainResetWithBothTiersMatchesLegacy)
+{
+    for (std::uint64_t seed : kTwoTierSeeds) {
+        TwoTierWorkload<EventQueue> pooled(seed);
+        TwoTierWorkload<LegacyEventQueue> legacy(seed);
+        auto held = std::make_shared<int>(0);
+        for (int round = 0; round < 3; ++round) {
+            pooled.seed(64);
+            legacy.seed(64);
+            pooled.seedBothTiers();
+            legacy.seedBothTiers();
+            // Captured copies of `held` show every dropped callable is
+            // destroyed, from the ring and from the overflow heap; both
+            // fall beyond the tick limit below.
+            pooled.q.scheduleAfter(kW - 1, [held] {});
+            pooled.q.scheduleAfter(3 * kW, [held] {});
+            EXPECT_FALSE(pooled.q.run(pooled.q.now() + kW / 2));
+            EXPECT_FALSE(legacy.q.run(legacy.q.now() + kW / 2));
+            ASSERT_EQ(pooled.q.pending(), legacy.q.pending() + 2);
+            drainReset(pooled.q);
+            drainReset(legacy.q);
+            EXPECT_EQ(held.use_count(), 1) << "seed " << seed;
+            EXPECT_TRUE(pooled.q.empty());
+            EXPECT_EQ(pooled.q.pending(), 0u);
+            EXPECT_EQ(pooled.q.now(), 0u);
+            EXPECT_EQ(pooled.q.executed(), 0u);
+            ASSERT_EQ(pooled.trace, legacy.trace) << "seed " << seed;
+        }
+        pooled.seed(64);
+        legacy.seed(64);
+        EXPECT_TRUE(pooled.q.run());
+        EXPECT_TRUE(legacy.q.run());
+        EXPECT_EQ(pooled.trace, legacy.trace) << "seed " << seed;
     }
 }
 

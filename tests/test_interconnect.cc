@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "mem/interconnect.hh"
@@ -25,6 +27,21 @@ mk(NodeId src, NodeId dst, Addr addr = 0, Word v = 0)
     m.addr = addr;
     m.value = v;
     return m;
+}
+
+/** Run @p fn, expecting a std::logic_error whose message holds
+ * @p needle. */
+template <typename F>
+void
+expectLogicError(F &&fn, const std::string &needle)
+{
+    try {
+        fn();
+        ADD_FAILURE() << "no std::logic_error (wanted \"" << needle << "\")";
+    } catch (const std::logic_error &e) {
+        EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(Bus, DeliversWithFixedLatency)
@@ -124,6 +141,66 @@ TEST(Network, DeterministicForSeed)
     };
     EXPECT_EQ(run_once(5), run_once(5));
     EXPECT_NE(run_once(5), run_once(6));
+}
+
+TEST(Bus, MessageToUnattachedNodeThrowsNamingIt)
+{
+    // Checked at send, in every build type: handlers are indexed by
+    // node id, so an unchecked delivery would read out of bounds.
+    EventQueue eq;
+    StatSet stats;
+    Bus bus(eq, stats, Bus::Config{});
+    bus.attach(2, [](const Msg &) {});
+    expectLogicError([&] { bus.send(mk(2, 7)); }, "unattached node 7");
+    expectLogicError([&] { bus.send(mk(2, 1)); }, "unattached node 1");
+    expectLogicError([&] { bus.send(mk(2, -1)); }, "unattached node -1");
+    EXPECT_TRUE(eq.empty());
+    EXPECT_EQ(bus.sent(), 0u);
+}
+
+TEST(Network, MessageToUnattachedNodeThrowsNamingIt)
+{
+    EventQueue eq;
+    StatSet stats;
+    GeneralNetwork net(eq, stats, GeneralNetwork::Config{});
+    net.attach(0, [](const Msg &) {});
+    net.attach(2, [](const Msg &) {});
+    // Node 1 is a hole below the highest attached id.
+    expectLogicError([&] { net.send(mk(0, 1)); }, "unattached node 1");
+    expectLogicError([&] { net.send(mk(0, 3)); }, "unattached node 3");
+    // The point-to-point table is indexed by source too.
+    expectLogicError([&] { net.send(mk(9, 2)); }, "from node 9");
+    EXPECT_TRUE(eq.empty());
+    EXPECT_EQ(net.sent(), 0u);
+}
+
+TEST(Network, AttachAfterSendKeepsPointToPointFifo)
+{
+    // A node attached mid-stream widens the (src, dst) table; the
+    // pairs already in flight keep their FIFO order.
+    EventQueue eq;
+    StatSet stats;
+    GeneralNetwork::Config cfg;
+    cfg.base = 2;
+    cfg.jitter = 20;
+    cfg.seed = 11;
+    GeneralNetwork net(eq, stats, cfg);
+    std::vector<Word> to1, to5;
+    net.attach(1, [&](const Msg &m) { to1.push_back(m.value); });
+    for (Word i = 0; i < 20; ++i)
+        net.send(mk(0, 1, 0, i));
+    net.attach(5, [&](const Msg &m) { to5.push_back(m.value); });
+    for (Word i = 20; i < 40; ++i) {
+        net.send(mk(0, 1, 0, i));
+        net.send(mk(1, 5, 0, i));
+    }
+    eq.run();
+    ASSERT_EQ(to1.size(), 40u);
+    for (Word i = 0; i < 40; ++i)
+        EXPECT_EQ(to1[i], i);
+    ASSERT_EQ(to5.size(), 20u);
+    for (Word i = 0; i < 20; ++i)
+        EXPECT_EQ(to5[i], i + 20);
 }
 
 TEST(MemoryModule, ServicesReadsWritesRmw)

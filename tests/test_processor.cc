@@ -9,6 +9,8 @@
 
 #include <deque>
 #include <memory>
+#include <stdexcept>
+#include <string>
 
 #include "consistency/def1_policy.hh"
 #include "consistency/def2_drf0_policy.hh"
@@ -41,6 +43,11 @@ class MockPort : public MemPort
         Word read_val = old;
         std::uint64_t id = op.id;
         eq_.scheduleAfter(commit_lat_, [this, id, read_val] {
+            if (gpFirst) {
+                client_->opGloballyPerformed(id);
+                client_->opCommitted(id, read_val);
+                return;
+            }
             client_->opCommitted(id, read_val);
             if (gp_extra_ == 0) {
                 client_->opGloballyPerformed(id);
@@ -54,6 +61,10 @@ class MockPort : public MemPort
 
     std::vector<CacheOp> requests;
     std::map<Addr, Word> mem;
+    /** Deliver each globally-performed notification just before its
+     * commit notification, as a cache does when a write-ack overtakes
+     * a delayed commit. */
+    bool gpFirst = false;
 
   private:
     EventQueue &eq_;
@@ -269,6 +280,77 @@ TEST(Processor, StallCyclesAccumulateUnderSc)
     ASSERT_TRUE(slow.run());
     ASSERT_TRUE(fast.run());
     EXPECT_GT(slow.proc.stallCycles(), fast.proc.stallCycles() + 50);
+}
+
+/** Run @p fn, expecting a std::logic_error whose message holds
+ * @p needle. */
+template <typename F>
+void
+expectLogicError(F &&fn, const std::string &needle)
+{
+    try {
+        fn();
+        ADD_FAILURE() << "no std::logic_error (wanted \"" << needle << "\")";
+    } catch (const std::logic_error &e) {
+        EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(Processor, NotificationForUnknownOpIdThrowsNamingIt)
+{
+    // Checked in every build type: op records sit in a window indexed
+    // by id, so an unchecked lookup would read out of bounds.
+    ProgramBuilder b;
+    b.store(5, 9).halt();
+    ScPolicy pol;
+    Harness h(b.build(), pol);
+    expectLogicError([&] { h.proc.opCommitted(3, 0); },
+                     "commit for unknown op id 3");
+    expectLogicError([&] { h.proc.opGloballyPerformed(3); },
+                     "gp for unknown op id 3");
+    ASSERT_TRUE(h.run());
+    // Op 1 retired: a repeated notification is as unknown as a forged
+    // one.
+    expectLogicError([&] { h.proc.opCommitted(1, 0); },
+                     "proc0: commit for unknown op id 1");
+    expectLogicError([&] { h.proc.opGloballyPerformed(1); },
+                     "proc0: gp for unknown op id 1");
+}
+
+TEST(Processor, OpWindowGrowsBehindALongLivedOp)
+{
+    // Buffered writes hold their op ids until they drain, one at a
+    // time, while the loads between them issue and retire: the window
+    // from the oldest live op to the newest outgrows its first slots.
+    ProgramBuilder b;
+    for (int i = 0; i < 40; ++i)
+        b.store(100 + i, static_cast<Word>(i + 1)).load(0, 200 + i);
+    b.load(1, 139).halt();
+    RelaxedPolicy pol;
+    ProcessorConfig pcfg;
+    pcfg.wbDrainDelay = 50;
+    Harness h(b.build(), pol, true, pcfg, 5, 0);
+    ASSERT_TRUE(h.run());
+    EXPECT_EQ(h.proc.registers()[1], 40u);
+    EXPECT_EQ(h.trace.accesses().size(), 81u);
+    for (int i = 0; i < 40; ++i)
+        EXPECT_EQ(h.port.mem[100 + i], static_cast<Word>(i + 1));
+}
+
+TEST(Processor, BufferedWriteWhoseGpOvertakesItsDrainCommitRetires)
+{
+    // The drained write stays live until its commit notification
+    // arrives too; retiring it at the GP made the commit an unknown id.
+    ProgramBuilder b;
+    b.store(5, 9).store(6, 8).load(0, 5).halt();
+    RelaxedPolicy pol;
+    Harness h(b.build(), pol, true);
+    h.port.gpFirst = true;
+    ASSERT_TRUE(h.run());
+    EXPECT_EQ(h.proc.registers()[0], 9u);
+    EXPECT_EQ(h.port.mem[5], 9u);
+    EXPECT_EQ(h.port.mem[6], 8u);
 }
 
 TEST(Processor, EmptyProgramHaltsImmediately)
