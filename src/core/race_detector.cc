@@ -17,7 +17,6 @@ RaceDetector::reset(int numProcs)
     clocks_.resize(static_cast<std::size_t>(numProcs));
     for (VectorClock &c : clocks_)
         c.clear();
-    release_.clear();
     vars_.clear();
     races_.clear();
     seen_ = 0;
@@ -45,17 +44,16 @@ RaceDetector::onAccess(const Access &a)
     ++seen_;
 
     VectorClock &cp = clocks_[static_cast<std::size_t>(a.proc)];
+    VarState &v = vars_[a.addr];
     if (a.sync()) {
         // Acquire: the previous sync at this location (and everything
-        // happening-before it) happens-before this access.
-        auto it = release_.find(a.addr);
-        if (it != release_.end())
-            cp.join(it->second);
+        // happening-before it) happens-before this access. The release
+        // clock is empty until the location's first sync.
+        cp.join(v.release);
     }
     const std::uint32_t c = cp.tick(a.proc);
     const bool rd = a.reads();
     const bool wr = a.writes();
-    VarState &v = vars_[a.addr];
 
     if (mode_ == RaceDetectMode::AllRaces) {
         // Check against every prior conflicting access here. Each test
@@ -130,7 +128,7 @@ RaceDetector::onAccess(const Access &a)
     if (a.sync()) {
         // Release: this access's full clock (own tick included) becomes
         // the so-edge source for the next sync at this location.
-        release_[a.addr] = cp;
+        v.release = cp;
     }
 }
 

@@ -113,11 +113,14 @@ class RaceDetector
         int id = -1;
     };
 
+    /** Everything the detector keeps about one address, so an access
+     * costs one hash lookup. */
     struct VarState
     {
-        Epoch write;      ///< epoch of the last write component
+        VectorClock release; ///< clock of the last sync here (so source)
+        Epoch write;         ///< epoch of the last write component
         int writeId = -1;
-        Epoch read;       ///< last read, while reads are totally ordered
+        Epoch read;          ///< last read, while reads are totally ordered
         int readId = -1;
         std::vector<ReadSlot> readsByProc; ///< non-empty once widened
         std::vector<HistEntry> hist;       ///< AllRaces mode only
@@ -128,7 +131,6 @@ class RaceDetector
     RaceDetectMode mode_;
     int nprocs_ = 0;
     std::vector<VectorClock> clocks_;
-    std::unordered_map<Addr, VectorClock> release_;
     std::unordered_map<Addr, VarState> vars_;
     std::vector<Race> races_;
     std::uint64_t seen_ = 0;

@@ -95,7 +95,7 @@ StreamingDrf0Checker::feedTopo(const ExecutionTrace &trace,
                                const std::vector<int> &batch)
 {
     const std::size_t n = batch.size();
-    const std::vector<Access> &acc = trace.accesses();
+    const std::span<const Access> acc = trace.accesses();
     auto member = [&](int k) -> const Access & {
         const int id = batch[static_cast<std::size_t>(k)];
         return acc[static_cast<std::size_t>(id - trace.firstId())];
@@ -164,7 +164,7 @@ int
 StreamingDrf0Checker::drainWindow(const ExecutionTrace &trace, Tick now)
 {
     const std::size_t tail = startPass(trace);
-    const std::vector<Access> &acc = trace.accesses();
+    const std::span<const Access> acc = trace.accesses();
 
     // Admission horizon H: an access may be ordered now only if its
     // commit tick is strictly below every commit tick we do not yet
@@ -230,7 +230,7 @@ StreamingDrf0Checker::finish(const ExecutionTrace &trace)
             onAccess(a);
         return;
     }
-    const std::vector<Access> &acc = trace.accesses();
+    const std::span<const Access> acc = trace.accesses();
     batch_.clear();
     for (std::size_t i = tail; i < acc.size(); ++i) {
         if (!isFed(acc[i]))

@@ -1,9 +1,9 @@
 #include "core/trace.hh"
 
 #include <algorithm>
-#include <cassert>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 
 namespace wo {
 
@@ -26,22 +26,11 @@ prunePrefix(std::vector<int> &ids, int firstLive)
 int
 ExecutionTrace::add(Access a)
 {
-    a.id = base_ + static_cast<int>(accesses_.size());
-    if (a.proc >= 0) {
-        if (static_cast<std::size_t>(a.proc) >= byProc_.size())
-            byProc_.resize(static_cast<std::size_t>(a.proc) + 1);
-        IndexList &pi = byProc_[static_cast<std::size_t>(a.proc)];
-        pi.ids.push_back(a.id);
-        pi.dirty = true;
-    }
-    if (a.sync()) {
-        IndexList &si = syncs_[a.addr];
-        si.ids.push_back(a.id);
-        si.dirty = true;
-    }
+    a.id = size();
+    if (a.proc >= nprocs_)
+        nprocs_ = a.proc + 1;
     accesses_.push_back(a);
-    if (static_cast<int>(accesses_.size()) > high_water_)
-        high_water_ = static_cast<int>(accesses_.size());
+    high_water_ = std::max(high_water_, resident());
     return a.id;
 }
 
@@ -52,9 +41,39 @@ ExecutionTrace::reserve(int n)
 }
 
 void
+ExecutionTrace::throwNotResident(int id) const
+{
+    throw std::out_of_range("trace id " + std::to_string(id) +
+                            " is not resident in [" + std::to_string(base_) +
+                            ", " + std::to_string(size()) + ")");
+}
+
+void
+ExecutionTrace::catchUp() const
+{
+    if (byProc_.size() < static_cast<std::size_t>(nprocs_))
+        byProc_.resize(static_cast<std::size_t>(nprocs_));
+    for (; indexed_ < size(); ++indexed_) {
+        const Access &a = live(indexed_);
+        if (a.proc >= 0) {
+            IndexList &pi = byProc_[static_cast<std::size_t>(a.proc)];
+            pi.ids.push_back(a.id);
+            pi.dirty = true;
+        }
+        if (a.sync()) {
+            IndexList &si = syncs_[a.addr];
+            si.ids.push_back(a.id);
+            si.dirty = true;
+        }
+    }
+}
+
+void
 ExecutionTrace::popLast()
 {
-    assert(!accesses_.empty());
+    if (resident() == 0)
+        throw std::logic_error("ExecutionTrace::popLast on an empty window");
+    catchUp();
     const Access &a = accesses_.back();
     if (a.proc >= 0) {
         IndexList &pi = byProc_[static_cast<std::size_t>(a.proc)];
@@ -70,19 +89,32 @@ ExecutionTrace::popLast()
             it->second.dirty = true;
     }
     accesses_.pop_back();
+    --indexed_;
     // Keep numProcs() == highest present processor + 1.
     while (!byProc_.empty() && byProc_.back().ids.empty())
         byProc_.pop_back();
+    nprocs_ = static_cast<int>(byProc_.size());
 }
 
 void
 ExecutionTrace::popFront(int n)
 {
-    assert(n >= 0 && n <= static_cast<int>(accesses_.size()));
+    if (n < 0 || n > resident())
+        throw std::logic_error("ExecutionTrace::popFront(" +
+                               std::to_string(n) + ") outside [0, " +
+                               std::to_string(resident()) + "]");
     if (n == 0)
         return;
     base_ += n;
-    accesses_.erase(accesses_.begin(), accesses_.begin() + n);
+    dead_ += n;
+    // Move the survivors down only once the dead prefix reaches a quarter
+    // of the live window, so each retired access costs O(1) moves.
+    if (4 * static_cast<std::int64_t>(dead_) >= resident()) {
+        accesses_.erase(accesses_.begin(), accesses_.begin() + dead_);
+        dead_ = 0;
+    }
+    // Accesses retired before any query indexed them are never indexed.
+    indexed_ = std::max(indexed_, base_);
     // The append-order id lists are ascending, so retirement is a prefix
     // erase; the sorted views are rebuilt lazily on next query.
     for (IndexList &pi : byProc_) {
@@ -106,21 +138,25 @@ ExecutionTrace::clear()
     initials_.clear();
     byProc_.clear();
     syncs_.clear();
+    indexed_ = 0;
     base_ = 0;
+    dead_ = 0;
+    nprocs_ = 0;
     high_water_ = 0;
 }
 
 const std::vector<int> &
 ExecutionTrace::accessesOf(ProcId proc) const
 {
-    if (proc < 0 || static_cast<std::size_t>(proc) >= byProc_.size())
+    if (proc < 0 || proc >= nprocs_)
         return kNoIds;
-    const IndexList &pi = byProc_[static_cast<std::size_t>(proc)];
+    catchUp();
+    IndexList &pi = byProc_[static_cast<std::size_t>(proc)];
     if (pi.dirty) {
         pi.sorted = pi.ids;
         auto lt = [this](int x, int y) {
-            const Access &ax = accesses_[static_cast<std::size_t>(x - base_)];
-            const Access &ay = accesses_[static_cast<std::size_t>(y - base_)];
+            const Access &ax = live(x);
+            const Access &ay = live(y);
             if (ax.poIndex != ay.poIndex)
                 return ax.poIndex < ay.poIndex;
             return x < y;
@@ -135,15 +171,16 @@ ExecutionTrace::accessesOf(ProcId proc) const
 const std::vector<int> &
 ExecutionTrace::syncsAt(Addr addr) const
 {
+    catchUp();
     auto it = syncs_.find(addr);
     if (it == syncs_.end())
         return kNoIds;
-    const IndexList &si = it->second;
+    IndexList &si = it->second;
     if (si.dirty) {
         si.sorted = si.ids;
         auto lt = [this](int x, int y) {
-            const Access &ax = accesses_[static_cast<std::size_t>(x - base_)];
-            const Access &ay = accesses_[static_cast<std::size_t>(y - base_)];
+            const Access &ax = live(x);
+            const Access &ay = live(y);
             if (ax.commitTick != ay.commitTick)
                 return ax.commitTick < ay.commitTick;
             return x < y;
@@ -159,7 +196,7 @@ std::vector<Addr>
 ExecutionTrace::addrs() const
 {
     std::set<Addr> s;
-    for (const auto &a : accesses_)
+    for (const Access &a : accesses())
         s.insert(a.addr);
     return {s.begin(), s.end()};
 }
@@ -167,6 +204,7 @@ ExecutionTrace::addrs() const
 std::vector<Addr>
 ExecutionTrace::syncAddrs() const
 {
+    catchUp();
     std::vector<Addr> out;
     out.reserve(syncs_.size());
     for (const auto &[addr, ids] : syncs_)
@@ -191,7 +229,7 @@ std::string
 ExecutionTrace::toString() const
 {
     std::ostringstream oss;
-    for (const auto &a : accesses_)
+    for (const Access &a : accesses())
         oss << "  #" << a.id << " " << a.toString() << '\n';
     return oss.str();
 }

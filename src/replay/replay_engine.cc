@@ -45,8 +45,9 @@ ReplayEngine::maybeRetire()
 {
     if (opt_.window <= 0)
         return;
-    // Batch retirement: erase-from-front costs O(resident), so retire in
-    // half-window chunks to keep the amortized cost per access constant.
+    // Retire in half-window batches. popFront() costs O(retired)
+    // amortized at any batch size; the batch fixes the reported window
+    // high-water mark (window + window / 2).
     if (trace_.resident() >= opt_.window + opt_.window / 2) {
         int n = checker_.retireReady(trace_);
         int excess = trace_.resident() - opt_.window;
@@ -104,8 +105,9 @@ ReplayEngine::tryStep(int t)
         emit(t, AccessKind::DataWrite, r.addr, 0, r.value);
         break;
     case ReplayOp::Rmw: {
-        Word old = load(r.addr);
-        mem_[r.addr] = r.value;
+        Word &slot = mem_[r.addr];
+        const Word old = slot;
+        slot = r.value;
         emit(t, AccessKind::SyncRmw, r.addr, old, r.value);
         break;
     }
@@ -119,9 +121,10 @@ ReplayEngine::tryStep(int t)
         emit(t, AccessKind::SyncWrite, r.addr, 0, r.value);
         break;
     case ReplayOp::LockAcquire: {
-        if (load(r.addr) != 0)
+        Word &slot = mem_[r.addr];
+        if (slot != 0)
             return false; // lock held
-        mem_[r.addr] = 1;
+        slot = 1;
         emit(t, AccessKind::SyncRmw, r.addr, 0, 1);
         break;
     }

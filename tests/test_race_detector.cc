@@ -211,6 +211,47 @@ TEST(RaceDetector, ResetReusesCleanly)
     EXPECT_FALSE(det.hasRace());
 }
 
+TEST(RaceDetector, ResetForgetsReleaseClocks)
+{
+    // Before reset, P0 runs ahead and releases sync location 9 at a high
+    // P0 clock. After reset, P1's sync at 9 must acquire nothing: a stale
+    // release clock would cover P0's fresh write and hide the race.
+    RaceDetector det(2, RaceDetectMode::FirstRace);
+    ExecutionTrace before;
+    for (int i = 0; i < 3; ++i)
+        before.add(mk(0, i, AccessKind::DataWrite, 2, i));
+    before.add(mk(0, 3, AccessKind::SyncWrite, 9, 3));
+    for (const Access &a : before.accesses())
+        det.onAccess(a);
+    ASSERT_FALSE(det.hasRace());
+
+    det.reset(2);
+    ExecutionTrace after;
+    int w0 = after.add(mk(0, 0, AccessKind::DataWrite, 1, 0));
+    after.add(mk(1, 0, AccessKind::SyncRead, 9, 1));
+    int w1 = after.add(mk(1, 1, AccessKind::DataWrite, 1, 2));
+    for (const Access &a : after.accesses())
+        det.onAccess(a);
+    ASSERT_EQ(det.races().size(), 1u);
+    EXPECT_EQ(det.races()[0], (Race{w0, w1}));
+}
+
+TEST(RaceDetector, DataAccessDoesNotAcquireSyncRelease)
+{
+    // P0 writes location 4 as data, then releases it with a sync read.
+    // P1's data write to 4 is ordered after neither: only sync accesses
+    // acquire a location's release clock, so the data/data pair races.
+    ExecutionTrace t;
+    int w0 = t.add(mk(0, 0, AccessKind::DataWrite, 4, 0));
+    int s0 = t.add(mk(0, 1, AccessKind::SyncRead, 4, 1));
+    int w1 = t.add(mk(1, 0, AccessKind::DataWrite, 4, 2));
+    RaceDetector first = feed(t, RaceDetectMode::FirstRace);
+    ASSERT_EQ(first.races().size(), 1u);
+    EXPECT_EQ(first.races()[0], (Race{w0, w1}));
+    RaceDetector all = feed(t, RaceDetectMode::AllRaces);
+    EXPECT_EQ(all.races(), (std::vector<Race>{{w0, w1}, {s0, w1}}));
+}
+
 TEST(RaceDetector, GrowsWithUnseenProcessors)
 {
     // Constructed for 1 processor but fed accesses from processor 3.

@@ -4,14 +4,17 @@
  *
  * Pins the bounded-retention invariants (retired + resident == size,
  * stable ids, index-cache correctness across popFront/popLast/clear,
- * high-water tracking) and proves the StreamingDrf0Checker byte-identical
- * to the whole-trace bitset oracle across window sizes — including
- * windows so small that every access is retired almost immediately.
+ * high-water tracking, Release-build rejection of out-of-window pops),
+ * checks the lazy index and deferred compaction against a naive rescan,
+ * and proves the StreamingDrf0Checker byte-identical to the whole-trace
+ * bitset oracle across window sizes — including windows so small that
+ * every access is retired almost immediately.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -156,6 +159,227 @@ TEST(TraceWindow, IndexCachesSurvivePopFront)
     EXPECT_EQ(t.accessesOf(0), (std::vector<int>{4}));
     std::vector<Addr> sa = t.syncAddrs();
     EXPECT_TRUE(std::find(sa.begin(), sa.end(), 50) == sa.end());
+}
+
+TEST(TraceWindow, PopFrontOutsideWindowThrowsNamingIt)
+{
+    ExecutionTrace t;
+    for (int i = 0; i < 10; ++i)
+        t.add(mk(0, i, AccessKind::DataWrite, 1, i));
+    t.popFront(1); // leaves a retired prefix in storage
+    for (int n : {-1, 10}) {
+        try {
+            t.popFront(n);
+            FAIL() << "popFront(" << n << ") accepted on 9 resident";
+        } catch (const std::logic_error &e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find("popFront(" + std::to_string(n) + ")"),
+                      std::string::npos)
+                << what;
+            EXPECT_NE(what.find("[0, 9]"), std::string::npos) << what;
+        }
+    }
+    // A rejected call leaves the window untouched.
+    EXPECT_EQ(t.firstId(), 1);
+    EXPECT_EQ(t.resident(), 9);
+    EXPECT_EQ(t.at(1).poIndex, 1);
+    // The retired id is rejected even while it is still in storage.
+    EXPECT_THROW(t.at(0), std::out_of_range);
+    EXPECT_THROW(t.at(10), std::out_of_range);
+}
+
+TEST(TraceWindow, PopLastOnEmptyWindowThrows)
+{
+    ExecutionTrace t;
+    EXPECT_THROW(t.popLast(), std::logic_error);
+    t.add(mk(0, 0, AccessKind::DataWrite, 1, 0));
+    t.add(mk(0, 1, AccessKind::DataWrite, 1, 1));
+    t.popFront(2);
+    EXPECT_THROW(t.popLast(), std::logic_error);
+    EXPECT_EQ(t.size(), 2);
+    EXPECT_EQ(t.resident(), 0);
+}
+
+/**
+ * A plain-vector model of the windowed trace: every access ever added
+ * (by id), the first resident id, and the counters, with every index
+ * query answered by a rescan of the resident range.
+ */
+struct NaiveTrace
+{
+    std::vector<Access> all;
+    int base = 0;
+    int procs = 0;
+    int highWater = 0;
+
+    int size() const { return static_cast<int>(all.size()); }
+    int resident() const { return size() - base; }
+
+    void add(Access a)
+    {
+        a.id = size();
+        all.push_back(a);
+        procs = std::max(procs, a.proc + 1);
+        highWater = std::max(highWater, resident());
+    }
+
+    void popLast()
+    {
+        all.pop_back();
+        auto present = [&](ProcId p) {
+            for (int id = base; id < size(); ++id) {
+                if (all[static_cast<std::size_t>(id)].proc == p)
+                    return true;
+            }
+            return false;
+        };
+        while (procs > 0 && !present(procs - 1))
+            --procs;
+    }
+
+    void clear() { *this = NaiveTrace(); }
+
+    std::vector<int> accessesOf(ProcId p) const
+    {
+        std::vector<int> ids;
+        if (p < 0)
+            return ids; // the initializing writes have no program order
+        for (int id = base; id < size(); ++id) {
+            if (all[static_cast<std::size_t>(id)].proc == p)
+                ids.push_back(id);
+        }
+        std::stable_sort(ids.begin(), ids.end(), [&](int x, int y) {
+            return all[static_cast<std::size_t>(x)].poIndex <
+                   all[static_cast<std::size_t>(y)].poIndex;
+        });
+        return ids;
+    }
+
+    std::vector<int> syncsAt(Addr addr) const
+    {
+        std::vector<int> ids;
+        for (int id = base; id < size(); ++id) {
+            const Access &a = all[static_cast<std::size_t>(id)];
+            if (a.sync() && a.addr == addr)
+                ids.push_back(id);
+        }
+        std::stable_sort(ids.begin(), ids.end(), [&](int x, int y) {
+            return all[static_cast<std::size_t>(x)].commitTick <
+                   all[static_cast<std::size_t>(y)].commitTick;
+        });
+        return ids;
+    }
+
+    std::vector<Addr> syncAddrs() const
+    {
+        std::vector<Addr> out;
+        for (int id = base; id < size(); ++id) {
+            const Access &a = all[static_cast<std::size_t>(id)];
+            if (a.sync())
+                out.push_back(a.addr);
+        }
+        std::sort(out.begin(), out.end());
+        out.erase(std::unique(out.begin(), out.end()), out.end());
+        return out;
+    }
+};
+
+void
+expectSameAccess(const Access &got, const Access &want)
+{
+    EXPECT_EQ(got.id, want.id);
+    EXPECT_EQ(got.proc, want.proc);
+    EXPECT_EQ(got.poIndex, want.poIndex);
+    EXPECT_EQ(got.kind, want.kind);
+    EXPECT_EQ(got.addr, want.addr);
+    EXPECT_EQ(got.commitTick, want.commitTick);
+}
+
+TEST(TraceWindow, LazyIndexAndDeferredCompactionMatchNaiveRescan)
+{
+    // Seeded interleavings of add/popFront/popLast/clear with queries at
+    // arbitrary points: before any query, between a query and more adds,
+    // and with popFront landing both below and at-or-above the last
+    // query's size (the index watermark). Program and commit orders are
+    // shuffled against trace order so the sorted views do real work.
+    constexpr AccessKind kinds[] = {
+        AccessKind::DataRead, AccessKind::DataWrite, AccessKind::SyncRead,
+        AccessKind::SyncWrite, AccessKind::SyncRmw};
+    int popsBelowMark = 0;
+    int popsPastMark = 0;
+    for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+        Rng rng(seed);
+        ExecutionTrace t;
+        NaiveTrace ref;
+        int queriedAt = 0; // ref.size() at the last index query
+        for (int step = 0; step < 400; ++step) {
+            const std::uint64_t op = rng.below(100);
+            if (op < 55) {
+                Access a;
+                a.proc = rng.chance(1, 20)
+                             ? kNoProc
+                             : static_cast<ProcId>(rng.below(4));
+                a.poIndex = ref.size() + static_cast<int>(rng.below(6));
+                a.kind = kinds[rng.below(5)];
+                a.addr = static_cast<Addr>(rng.below(5));
+                a.commitTick = static_cast<Tick>(rng.below(50));
+                a.gpTick = a.commitTick;
+                ASSERT_EQ(t.add(a), ref.size());
+                ref.add(a);
+            } else if (op < 70) {
+                const int n =
+                    static_cast<int>(rng.below(
+                        static_cast<std::uint64_t>(ref.resident()) + 1));
+                t.popFront(n);
+                ref.base += n;
+                if (n > 0)
+                    ++(ref.base < queriedAt ? popsBelowMark : popsPastMark);
+            } else if (op < 76) {
+                if (ref.resident() == 0)
+                    continue;
+                t.popLast(); // indexes everything first
+                ref.popLast();
+                queriedAt = ref.size();
+            } else if (op < 78) {
+                t.clear();
+                ref.clear();
+                queriedAt = 0;
+            } else {
+                // Query a random subset, as a whole-trace reader would.
+                const ProcId p = static_cast<ProcId>(rng.below(6)) - 1;
+                EXPECT_EQ(t.accessesOf(p), ref.accessesOf(p));
+                const Addr addr = static_cast<Addr>(rng.below(6));
+                EXPECT_EQ(t.syncsAt(addr), ref.syncsAt(addr));
+                if (rng.chance(1, 2)) {
+                    EXPECT_EQ(t.syncAddrs(), ref.syncAddrs());
+                }
+                queriedAt = ref.size();
+            }
+            ASSERT_EQ(t.size(), ref.size()) << "seed " << seed;
+            ASSERT_EQ(t.firstId(), ref.base);
+            ASSERT_EQ(t.resident(), ref.resident());
+            ASSERT_EQ(t.retired(), ref.base);
+            ASSERT_EQ(t.numProcs(), ref.procs) << "seed " << seed;
+            ASSERT_EQ(t.windowHighWater(), ref.highWater);
+            std::span<const Access> view = t.accesses();
+            ASSERT_EQ(view.size(), static_cast<std::size_t>(ref.resident()));
+            for (int id = ref.base; id < ref.size(); ++id) {
+                const Access &want = ref.all[static_cast<std::size_t>(id)];
+                expectSameAccess(t.at(id), want);
+                expectSameAccess(
+                    view[static_cast<std::size_t>(id - ref.base)], want);
+            }
+        }
+        // Final full comparison of every index.
+        for (ProcId p = -1; p < 5; ++p)
+            EXPECT_EQ(t.accessesOf(p), ref.accessesOf(p)) << "seed " << seed;
+        for (Addr addr = 0; addr < 6; ++addr)
+            EXPECT_EQ(t.syncsAt(addr), ref.syncsAt(addr)) << "seed " << seed;
+        EXPECT_EQ(t.syncAddrs(), ref.syncAddrs()) << "seed " << seed;
+    }
+    // The seeds exercise both retirement paths of the lazy index.
+    EXPECT_GT(popsBelowMark, 0);
+    EXPECT_GT(popsPastMark, 0);
 }
 
 TEST(TraceWindow, StreamingMatchesOracleAcrossWindowSizes)
