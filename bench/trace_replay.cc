@@ -20,10 +20,15 @@
  *     reports accesses/second.
  *
  * Timings are std::chrono::steady_clock wall time of the replay phase
- * only (trace generation writes to a temp file beforehand). --quick
- * shrinks trace sizes for CI smoke runs; the JSON schema is identical.
+ * only (trace generation writes to a temp file beforehand). One replay
+ * of a throughput trace takes ~0.15 s, and single runs of it varied by
+ * up to 22% on one host, so every throughput and system-replay row is
+ * the median of kRepeats replays of the same trace, published with its
+ * first and third quartiles (`.q1`/`.q3` keys). --quick shrinks trace
+ * sizes for CI smoke runs; the JSON schema is identical.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -92,6 +97,53 @@ fmtCount(std::uint64_t n)
     else
         oss << n;
     return oss.str();
+}
+
+/** Replays behind every throughput and system-replay row. */
+constexpr int kRepeats = 9;
+
+/** First quartile, median and third quartile (nearest rank). */
+struct Quartiles
+{
+    std::uint64_t q1 = 0;
+    std::uint64_t median = 0;
+    std::uint64_t q3 = 0;
+};
+
+Quartiles
+quartiles(std::vector<std::uint64_t> v)
+{
+    std::sort(v.begin(), v.end());
+    const std::size_t n = v.size();
+    return {v[n / 4], v[n / 2], v[(3 * n) / 4]};
+}
+
+/** Record @p q under @p key (the median) and @p key.q1 / @p key.q3. */
+void
+setQuartiles(StatSet &stats, const std::string &key, const Quartiles &q)
+{
+    stats.set(key, q.median);
+    stats.set(key + ".q1", q.q1);
+    stats.set(key + ".q3", q.q3);
+}
+
+/** "median [q1-q3]" with fmtCount-style numbers. */
+std::string
+fmtQuartiles(const Quartiles &q, std::string (*fmt)(std::uint64_t))
+{
+    return fmt(q.median) + " [" + fmt(q.q1) + "-" + fmt(q.q3) + "]";
+}
+
+std::string
+fmtMs(std::uint64_t ns)
+{
+    return std::to_string(ns / 1000000) + " ms";
+}
+
+std::string
+fmtUs(std::uint64_t ns)
+{
+    return std::to_string(ns / 1000) + " us";
 }
 
 struct ReplayTiming
@@ -262,8 +314,8 @@ benchThroughput(StatSet &stats, bool quick)
     benchutil::banner(
         "Streaming verification throughput (FirstRace, window 64k)");
     const std::uint64_t target = quick ? 100000 : 1000000;
-    benchutil::Table table(
-        {"workload", "records", "accesses", "wall", "accesses/sec"});
+    benchutil::Table table({"workload", "records", "accesses",
+                            "wall [q1-q3]", "accesses/sec [q1-q3]"});
     for (const char *wl : {"spinlock", "barrier", "prodcons"}) {
         TraceGenConfig cfg;
         cfg.threads = 4;
@@ -273,25 +325,36 @@ benchThroughput(StatSet &stats, bool quick)
             std::exit(2);
         ReplayOptions opt;
         opt.window = 1 << 16;
-        ReplayTiming t = timeReplay(path, opt);
+        ReplayTiming t;
+        std::vector<std::uint64_t> walls, rates;
+        for (int r = 0; r < kRepeats; ++r) {
+            t = timeReplay(path, opt);
+            walls.push_back(t.wallNs);
+            rates.push_back(t.accPerSec);
+        }
         std::remove(path.c_str());
+        const Quartiles wall = quartiles(walls);
+        const Quartiles rate = quartiles(rates);
 
         std::string key = std::string("throughput.") + wl;
         stats.set(key + ".records", t.result.recordsReplayed);
         stats.set(key + ".accesses", t.result.accesses);
-        stats.set(key + ".wall_ns", t.wallNs);
-        stats.set(key + ".accesses_per_sec", t.accPerSec);
+        stats.set(key + ".repeats", kRepeats);
+        setQuartiles(stats, key + ".wall_ns", wall);
+        setQuartiles(stats, key + ".accesses_per_sec", rate);
         stats.set(key + ".window_high_water",
                   static_cast<std::uint64_t>(t.result.windowHighWater));
-        std::ostringstream wall;
-        wall << t.wallNs / 1000000 << " ms";
         table.addRow({wl, fmtCount(t.result.recordsReplayed),
-                      fmtCount(t.result.accesses), wall.str(),
-                      fmtCount(t.accPerSec)});
+                      fmtCount(t.result.accesses),
+                      fmtQuartiles(wall, fmtMs),
+                      fmtQuartiles(rate, fmtCount)});
     }
     table.print();
     std::cout << "\n(replay + online DRF0 verification, single thread; "
-                 "trace generation and file I/O setup excluded)\n";
+                 "median of "
+              << kRepeats
+              << " replays of each trace; trace generation and file I/O "
+                 "setup excluded)\n";
 }
 
 void
@@ -304,35 +367,41 @@ benchSystemReplay(StatSet &stats, bool quick)
     std::string path = tmpTracePath("sys");
     if (!writeSpinlockTrace(path, cfg))
         std::exit(2);
-    ReplayTraceReader reader;
-    if (!reader.open(path))
-        std::exit(2);
     SystemReplayOptions opt;
     opt.window = 1 << 10;
     opt.chunkTicks = 2048;
-    auto t0 = std::chrono::steady_clock::now();
-    SystemReplayResult res = replayOnSystem(reader, opt);
-    auto t1 = std::chrono::steady_clock::now();
-    std::remove(path.c_str());
-    if (!res.ok) {
-        std::cerr << "trace_replay: system replay failed: " << res.error
-                  << "\n";
-        std::exit(2);
+    SystemReplayResult res;
+    std::vector<std::uint64_t> walls, rates;
+    for (int r = 0; r < kRepeats; ++r) {
+        ReplayTraceReader reader;
+        if (!reader.open(path))
+            std::exit(2);
+        auto t0 = std::chrono::steady_clock::now();
+        res = replayOnSystem(reader, opt);
+        auto t1 = std::chrono::steady_clock::now();
+        if (!res.ok) {
+            std::cerr << "trace_replay: system replay failed: " << res.error
+                      << "\n";
+            std::exit(2);
+        }
+        std::uint64_t ns = static_cast<std::uint64_t>(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
+                .count());
+        walls.push_back(ns);
+        rates.push_back(ns ? res.accesses * 1000000000ull / ns : 0);
     }
-    std::uint64_t ns = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
-            .count());
+    std::remove(path.c_str());
+    const Quartiles wall = quartiles(walls);
     stats.set("system.accesses", res.accesses);
-    stats.set("system.wall_ns", ns);
-    stats.set("system.accesses_per_sec",
-              ns ? res.accesses * 1000000000ull / ns : 0);
+    stats.set("system.repeats", kRepeats);
+    setQuartiles(stats, "system.wall_ns", wall);
+    setQuartiles(stats, "system.accesses_per_sec", quartiles(rates));
     stats.set("system.finish_tick",
               static_cast<std::uint64_t>(res.finishTick));
-    benchutil::Table table({"machine", "accesses", "ticks", "wall"});
-    std::ostringstream wall;
-    wall << ns / 1000000 << " ms";
+    benchutil::Table table(
+        {"machine", "accesses", "ticks", "wall [q1-q3]"});
     table.addRow({"bus", std::to_string(res.accesses),
-                  std::to_string(res.finishTick), wall.str()});
+                  std::to_string(res.finishTick), fmtQuartiles(wall, fmtUs)});
     table.print();
     std::cout << "\n(full cache/interconnect simulation driven from the "
                  "recorded trace; the logical engine above is the scale "

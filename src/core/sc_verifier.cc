@@ -1,14 +1,21 @@
 #include "core/sc_verifier.hh"
 
-#include <map>
+#include <algorithm>
 #include <sstream>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 namespace wo {
 
 namespace {
+
+/** splitmix64's finalizer: every input bit reaches every output bit. */
+inline std::uint64_t
+mix64(std::uint64_t x)
+{
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+    return x ^ (x >> 31);
+}
 
 /** FNV-1a style hash over a span of key words. */
 inline std::uint64_t
@@ -17,7 +24,7 @@ hashKeySpan(const std::uint64_t *v, std::size_t len)
     // Salt with the span length and each element's position so keys
     // that are permutations of each other (frequent among frontier
     // states: same values at swapped indices) do not collide into the
-    // same bucket chains.
+    // same probe runs.
     std::uint64_t h = 1469598103934665603ull ^
                       (0x9e3779b97f4a7c15ull * (len + 1));
     std::uint64_t pos = 0;
@@ -29,222 +36,377 @@ hashKeySpan(const std::uint64_t *v, std::size_t len)
 }
 
 /**
- * A set of fixed-length keys stored back to back in one arena, so
- * visiting a new search state costs no allocation (amortized) and
- * membership tests touch contiguous memory.
+ * Open addressing with linear probing at load factor <= 1/2, emptied in
+ * O(1) by bumping an epoch: a slot whose stamp is not the current epoch
+ * is free. Capacity survives clear(), so a warm table allocates nothing.
+ * Slot must have a `stamp` member; an all-zero stamp is never current.
  */
-class KeyArenaSet
+template <class Slot>
+class EpochSlots
 {
   public:
-    KeyArenaSet() = default;
-    KeyArenaSet(const KeyArenaSet &) = delete;
-    KeyArenaSet &operator=(const KeyArenaSet &) = delete;
-
-    /** Must be called before the first insert. */
     void
-    setKeyLen(std::size_t keyLen)
+    clear()
     {
-        len_ = keyLen ? keyLen : 1;
+        count_ = 0;
+        if (++epoch_ == 0) { // wrapped: stale stamps would look live
+            for (Slot &s : slots_)
+                s.stamp = 0;
+            epoch_ = 1;
+        }
     }
 
-    /** Insert the key currently staged at the arena's end. */
-    bool
-    insert(const std::vector<std::uint64_t> &key)
+    bool live(const Slot &s) const { return s.stamp == epoch_; }
+
+    /** Probe from @p hash until @p match(slot) or a free slot. */
+    template <class Match>
+    std::size_t
+    probe(std::uint64_t hash, Match match) const
     {
-        arena_.insert(arena_.end(), key.begin(), key.end());
-        arena_.resize((count_ + 1) * len_); // pad (defensive; key==len_)
-        Ref cand{static_cast<std::uint32_t>(count_)};
-        auto [it, fresh] = set_.emplace(cand);
-        (void)it;
-        if (fresh)
-            ++count_;
-        else
-            arena_.resize(count_ * len_);
-        return fresh;
+        const std::size_t mask = slots_.size() - 1;
+        std::size_t i = static_cast<std::size_t>(hash) & mask;
+        while (live(slots_[i]) && !match(slots_[i]))
+            i = (i + 1) & mask;
+        return i;
+    }
+
+    /** Make room for one more entry; @p hashOf rehashes live slots. */
+    template <class HashOf>
+    void
+    reserveOne(HashOf hashOf)
+    {
+        if (2 * (count_ + 1) <= slots_.size())
+            return;
+        std::vector<Slot> old = std::move(slots_);
+        slots_.assign(std::max<std::size_t>(16, 2 * old.size()), Slot{});
+        auto noMatch = [](const Slot &) { return false; };
+        for (const Slot &s : old) {
+            if (live(s))
+                slots_[probe(hashOf(s), noMatch)] = s;
+        }
+    }
+
+    /** Fill free slot @p i (from probe()). */
+    void
+    put(std::size_t i, Slot s)
+    {
+        s.stamp = epoch_;
+        slots_[i] = s;
+        ++count_;
+    }
+
+    const Slot &operator[](std::size_t i) const { return slots_[i]; }
+    std::size_t size() const { return count_; }
+
+  private:
+    std::vector<Slot> slots_;
+    std::uint32_t epoch_ = 1;
+    std::size_t count_ = 0;
+};
+
+/** Key -> dense int id; Hash maps a Key to 64 well-mixed bits. */
+template <class Key, std::uint64_t (*Hash)(const Key &)>
+class FlatIdTable
+{
+  public:
+    void clear() { slots_.clear(); }
+
+    /** The id of @p key, inserting @p id if it is absent; second is
+     * true on insertion. */
+    std::pair<int, bool>
+    emplace(const Key &key, int id)
+    {
+        slots_.reserveOne([](const Slot &s) { return Hash(s.key); });
+        std::size_t i = at(key);
+        if (slots_.live(slots_[i]))
+            return {slots_[i].id, false};
+        slots_.put(i, {key, id, 0});
+        return {id, true};
+    }
+
+    /** The id of @p key, or -1. */
+    int
+    find(const Key &key) const
+    {
+        if (slots_.size() == 0)
+            return -1;
+        std::size_t i = at(key);
+        return slots_.live(slots_[i]) ? slots_[i].id : -1;
     }
 
   private:
-    struct Ref
+    struct Slot
     {
-        std::uint32_t index;
-    };
-    struct Hash
-    {
-        const KeyArenaSet *owner;
-        std::size_t
-        operator()(const Ref &r) const
-        {
-            return static_cast<std::size_t>(hashKeySpan(
-                owner->arena_.data() + r.index * owner->len_,
-                owner->len_));
-        }
-    };
-    struct Eq
-    {
-        const KeyArenaSet *owner;
-        bool
-        operator()(const Ref &a, const Ref &b) const
-        {
-            const std::uint64_t *base = owner->arena_.data();
-            return std::equal(base + a.index * owner->len_,
-                              base + (a.index + 1) * owner->len_,
-                              base + b.index * owner->len_);
-        }
+        Key key{};
+        int id = -1;
+        std::uint32_t stamp = 0;
     };
 
-    std::size_t len_ = 1;
-    std::size_t count_ = 0;
-    std::vector<std::uint64_t> arena_;
-    std::unordered_set<Ref, Hash, Eq> set_{16, Hash{this}, Eq{this}};
-};
-
-class Search
-{
-  public:
-    Search(const ExecutionTrace &trace, const ScVerifierLimits &limits)
-        : acc_(trace.accesses().data()), limits_(limits)
+    std::size_t
+    at(const Key &key) const
     {
-        int nprocs = trace.numProcs();
-        for (ProcId p = 0; p < nprocs; ++p)
-            seqs_.push_back(trace.accessesOf(p));
-        idx_.assign(seqs_.size(), 0);
-        remaining_ = trace.size();
-
-        // Intern addresses once: every per-location structure below is
-        // a dense vector indexed by address id, never a std::map.
-        std::unordered_map<Addr, int> addrId;
-        addrId.reserve(static_cast<std::size_t>(trace.size()));
-        std::vector<ProcId> toucher; // kNoProc = shared, -2 = unseen
-        auto intern = [&](Addr a) {
-            auto [it, fresh] =
-                addrId.emplace(a, static_cast<int>(mem_.size()));
-            if (fresh) {
-                mem_.push_back(trace.initialValue(a));
-                toucher.push_back(-2);
-            }
-            return it->second;
-        };
-
-        int n = trace.size();
-        accAddr_.resize(static_cast<std::size_t>(n));
-        accWriteSlot_.assign(static_cast<std::size_t>(n), -1);
-        accReadSlot_.assign(static_cast<std::size_t>(n), -1);
-
-        // Pass 1: addresses, single-toucher flags, and one counting
-        // slot per distinct (location, written value) pair.
-        std::map<std::pair<int, Word>, int> slotOf;
-        for (const Access &a : trace.accesses()) {
-            int aid = intern(a.addr);
-            accAddr_[static_cast<std::size_t>(a.id)] = aid;
-            if (toucher[static_cast<std::size_t>(aid)] == -2)
-                toucher[static_cast<std::size_t>(aid)] = a.proc;
-            else if (toucher[static_cast<std::size_t>(aid)] != a.proc)
-                toucher[static_cast<std::size_t>(aid)] = kNoProc;
-            if (a.writes()) {
-                auto [it, fresh] = slotOf.emplace(
-                    std::make_pair(aid, a.valueWritten),
-                    static_cast<int>(writersLeft_.size()));
-                if (fresh)
-                    writersLeft_.push_back(0);
-                accWriteSlot_[static_cast<std::size_t>(a.id)] = it->second;
-                ++writersLeft_[static_cast<std::size_t>(it->second)];
-            }
-        }
-        // Pass 2: point each read at the slot counting pending writes
-        // of its expected value (-1: no write anywhere produces it).
-        for (const Access &a : trace.accesses()) {
-            if (!a.reads())
-                continue;
-            auto it = slotOf.find(std::make_pair(
-                accAddr_[static_cast<std::size_t>(a.id)], a.valueRead));
-            if (it != slotOf.end())
-                accReadSlot_[static_cast<std::size_t>(a.id)] = it->second;
-        }
-        private_.resize(toucher.size());
-        for (std::size_t i = 0; i < toucher.size(); ++i) {
-            private_[i] = toucher[i] != kNoProc;
-            if (!private_[i])
-                sharedAddrs_.push_back(static_cast<int>(i));
-        }
-        keyScratch_.reserve(idx_.size() + sharedAddrs_.size());
-        visited_.setKeyLen(idx_.size() + sharedAddrs_.size());
+        return slots_.probe(Hash(key),
+                            [&](const Slot &s) { return s.key == key; });
     }
 
-    ScReport
-    run()
+    EpochSlots<Slot> slots_;
+};
+
+std::uint64_t
+hashAddr(const Addr &a)
+{
+    return mix64(a);
+}
+
+/** One (location, written value) pair. The value is the full 64-bit
+ * Word: two writes differing only in their high half are distinct. */
+struct LocValue
+{
+    int addrId = 0;
+    Word value = 0;
+    bool operator==(const LocValue &) const = default;
+};
+
+std::uint64_t
+hashLocValue(const LocValue &k)
+{
+    return mix64(k.value ^ mix64(static_cast<std::uint64_t>(k.addrId)));
+}
+
+/**
+ * A set of fixed-length keys stored back to back in one arena, so
+ * visiting a new search state appends to reused storage and membership
+ * tests touch contiguous memory.
+ */
+class VisitedSet
+{
+  public:
+    /** Forget every key; keys are @p keyLen words from now on. */
+    void
+    reset(std::size_t keyLen)
     {
+        len_ = keyLen;
+        arena_.clear();
+        slots_.clear();
+    }
+
+    /** Insert the len-word key at @p key; false if already present. */
+    bool
+    insert(const std::uint64_t *key)
+    {
+        slots_.reserveOne([](const Slot &s) { return s.hash; });
+        const std::uint64_t h = hashKeySpan(key, len_);
+        std::size_t i = slots_.probe(h, [&](const Slot &s) {
+            return s.hash == h &&
+                   std::equal(key, key + len_,
+                              arena_.data() + s.index * len_);
+        });
+        if (slots_.live(slots_[i]))
+            return false;
+        slots_.put(i, {h, static_cast<std::uint32_t>(slots_.size()), 0});
+        arena_.insert(arena_.end(), key, key + len_);
+        return true;
+    }
+
+  private:
+    struct Slot
+    {
+        std::uint64_t hash = 0;
+        std::uint32_t index = 0; ///< key number in arena_
+        std::uint32_t stamp = 0;
+    };
+
+    std::size_t len_ = 0;
+    std::vector<std::uint64_t> arena_;
+    EpochSlots<Slot> slots_;
+};
+
+} // namespace
+
+/**
+ * Every buffer of the search. load() refills them for one trace with
+ * clear()/assign(), which keep capacity, so a warm workspace checks a
+ * trace no larger than an earlier one without allocating (the one
+ * exception is the witness copied into an Sc report).
+ */
+class ScVerifier::Workspace
+{
+  public:
+    ScReport
+    check(const ExecutionTrace &trace, const ScVerifierLimits &limits)
+    {
+        load(trace, limits);
+        bool found = dfs();
         ScReport report;
-        bool found = dfs(report);
-        finish(report, found);
+        report.statesExplored = states_;
+        if (found) {
+            report.verdict = ScVerdict::Sc;
+            report.witnessOrder = witness_;
+        } else {
+            report.verdict = capped_ ? ScVerdict::Unknown : ScVerdict::NotSc;
+        }
         return report;
     }
 
   private:
     void
-    finish(ScReport &report, bool found)
+    load(const ExecutionTrace &trace, const ScVerifierLimits &limits)
     {
-        report.statesExplored = states_;
-        if (found) {
-            report.verdict = ScVerdict::Sc;
-        } else if (capped_) {
-            report.verdict = ScVerdict::Unknown;
-            report.witnessOrder.clear();
-        } else {
-            report.verdict = ScVerdict::NotSc;
-            report.witnessOrder.clear();
+        acc_ = trace.accesses().data();
+        maxStates_ = limits.maxStates;
+        states_ = 0;
+        capped_ = false;
+        witness_.clear();
+        undo_.clear();
+        remaining_ = trace.size();
+
+        // seqs_ only grows, so a processor's list keeps its capacity
+        // across traces with fewer processors; idx_.size() is the
+        // processor count.
+        const auto nprocs = static_cast<std::size_t>(trace.numProcs());
+        idx_.assign(nprocs, 0);
+        if (seqs_.size() < nprocs)
+            seqs_.resize(nprocs);
+        for (std::size_t p = 0; p < nprocs; ++p)
+            seqs_[p].clear();
+        info_.assign(static_cast<std::size_t>(trace.size()), AccInfo{});
+        addrId_.clear();
+        mem_.clear();
+        toucher_.clear();
+        writersLeft_.clear();
+        slotOf_.clear();
+
+        // One pass: intern addresses (every per-location structure is a
+        // dense vector indexed by address id), note single touchers,
+        // give every distinct (location, written value) pair a
+        // pending-write counter, and list each processor's ids in
+        // program order (by poIndex, ties by id, as
+        // ExecutionTrace::accessesOf lists them).
+        bool inOrder = true;
+        for (const Access &a : trace.accesses()) {
+            auto [aid, fresh] =
+                addrId_.emplace(a.addr, static_cast<int>(mem_.size()));
+            if (fresh) {
+                mem_.push_back(0);
+                toucher_.push_back(a.proc);
+            } else if (toucher_[static_cast<std::size_t>(aid)] != a.proc) {
+                toucher_[static_cast<std::size_t>(aid)] = kNoProc;
+            }
+            AccInfo &info = info_[static_cast<std::size_t>(a.id)];
+            info.addr = aid;
+            if (a.writes()) {
+                auto [slot, added] =
+                    slotOf_.emplace({aid, a.valueWritten},
+                                    static_cast<int>(writersLeft_.size()));
+                if (added)
+                    writersLeft_.push_back(0);
+                info.writeSlot = slot;
+                ++writersLeft_[static_cast<std::size_t>(slot)];
+            }
+            if (a.proc >= 0) {
+                auto &seq = seqs_[static_cast<std::size_t>(a.proc)];
+                // Ids ascend in recording order, so the list is sorted
+                // unless some poIndex steps back.
+                if (!seq.empty() && acc_[seq.back()].poIndex > a.poIndex)
+                    inOrder = false;
+                seq.push_back(a.id);
+            }
         }
+        if (!inOrder) {
+            auto programOrder = [this](int x, int y) {
+                const Access &ax = acc_[x];
+                const Access &ay = acc_[y];
+                if (ax.poIndex != ay.poIndex)
+                    return ax.poIndex < ay.poIndex;
+                return x < y;
+            };
+            for (std::size_t p = 0; p < nprocs; ++p)
+                std::sort(seqs_[p].begin(), seqs_[p].end(), programOrder);
+        }
+        for (const auto &[addr, value] : trace.initials()) {
+            int aid = addrId_.find(addr);
+            if (aid >= 0)
+                mem_[static_cast<std::size_t>(aid)] = value;
+        }
+
+        sharedAddrs_.clear();
+        for (std::size_t i = 0; i < toucher_.size(); ++i) {
+            if (toucher_[i] == kNoProc)
+                sharedAddrs_.push_back(static_cast<int>(i));
+        }
+        keyScratch_.resize(nprocs + sharedAddrs_.size());
+        visited_.reset(keyScratch_.size());
     }
 
     /**
      * Fill the reusable key buffer with this frontier state: per-proc
      * indices plus the values of *shared* locations only. A private
      * location's value is a function of its owner's index, so including
-     * it would only bloat the key. Reusing one scratch vector means a
-     * revisited state costs no allocation at all.
+     * it would only bloat the key.
      */
-    const std::vector<std::uint64_t> &
+    const std::uint64_t *
     key()
     {
-        keyScratch_.clear();
+        std::uint64_t *k = keyScratch_.data();
         for (std::size_t i : idx_)
-            keyScratch_.push_back(i);
+            *k++ = i;
         for (int aid : sharedAddrs_)
-            keyScratch_.push_back(mem_[static_cast<std::size_t>(aid)]);
-        return keyScratch_;
+            *k++ = mem_[static_cast<std::size_t>(aid)];
+        return keyScratch_.data();
+    }
+
+    /** @p p's next access (idx_[p] < seqs_[p].size()). */
+    const Access &
+    head(std::size_t p) const
+    {
+        return acc_[seqs_[p][idx_[p]]];
+    }
+
+    int
+    addrOf(const Access &a) const
+    {
+        return info_[static_cast<std::size_t>(a.id)].addr;
     }
 
     void
-    apply(const Access &a, std::size_t p, ScReport &report)
+    apply(const Access &a, std::size_t p)
     {
-        int aid = accAddr_[static_cast<std::size_t>(a.id)];
+        int aid = addrOf(a);
         if (a.writes()) {
-            drain_undo_.push_back(
-                {aid, mem_[static_cast<std::size_t>(aid)], true});
+            undo_.push_back({aid, mem_[static_cast<std::size_t>(aid)], true});
             mem_[static_cast<std::size_t>(aid)] = a.valueWritten;
             --writersLeft_[static_cast<std::size_t>(
-                accWriteSlot_[static_cast<std::size_t>(a.id)])];
+                info_[static_cast<std::size_t>(a.id)].writeSlot)];
         } else {
-            drain_undo_.push_back({aid, ~Word{0}, false});
+            undo_.push_back({aid, ~Word{0}, false});
         }
         ++idx_[p];
         --remaining_;
-        report.witnessOrder.push_back(a.id);
+        witness_.push_back(a.id);
     }
 
     void
-    unapply(std::size_t p, ScReport &report)
+    unapply(std::size_t p)
     {
-        const DrainUndo &u = drain_undo_.back();
+        const DrainUndo &u = undo_.back();
         if (u.restore) {
             mem_[static_cast<std::size_t>(u.addrId)] = u.oldValue;
             ++writersLeft_[static_cast<std::size_t>(
-                accWriteSlot_[static_cast<std::size_t>(
-                    report.witnessOrder.back())])];
+                info_[static_cast<std::size_t>(witness_.back())].writeSlot)];
         }
-        drain_undo_.pop_back();
+        undo_.pop_back();
         --idx_[p];
         ++remaining_;
-        report.witnessOrder.pop_back();
+        witness_.pop_back();
+    }
+
+    /** Undo the @p n most recent applies (the witness's tail names
+     * their processors). */
+    void
+    unwind(int n)
+    {
+        for (; n > 0; --n)
+            unapply(static_cast<std::size_t>(acc_[witness_.back()].proc));
     }
 
     /**
@@ -261,35 +423,26 @@ class Search
      * @return number of accesses drained, or -1 on a global failure.
      */
     int
-    drain(ScReport &report)
+    drain()
     {
         int drained = 0;
         bool progress = true;
         while (progress) {
             progress = false;
-            for (std::size_t p = 0; p < seqs_.size(); ++p) {
+            for (std::size_t p = 0; p < idx_.size(); ++p) {
                 if (idx_[p] >= seqs_[p].size())
                     continue;
-                const Access &a = acc_[seqs_[p][idx_[p]]];
-                std::size_t aid = static_cast<std::size_t>(
-                    accAddr_[static_cast<std::size_t>(a.id)]);
-                if (private_[aid]) {
+                const Access &a = head(p);
+                const auto aid = static_cast<std::size_t>(addrOf(a));
+                if (toucher_[aid] != kNoProc) { // private
                     if (a.reads() && mem_[aid] != a.valueRead) {
                         // Private state is deterministic: no
                         // interleaving can fix this read. Roll back and
                         // fail the whole branch.
-                        while (drained > 0) {
-                            // Find which proc the top entry belongs to:
-                            // witnessOrder's back id maps to its proc.
-                            const Access &top =
-                                acc_[report.witnessOrder.back()];
-                            unapply(static_cast<std::size_t>(top.proc),
-                                    report);
-                            --drained;
-                        }
+                        unwind(drained);
                         return -1;
                     }
-                    apply(a, p, report);
+                    apply(a, p);
                     ++drained;
                     progress = true;
                     continue;
@@ -298,7 +451,7 @@ class Search
                     continue; // not enabled
                 if (!a.writes() || a.valueWritten == mem_[aid]) {
                     // Silent: enabled and leaves memory unchanged.
-                    apply(a, p, report);
+                    apply(a, p);
                     ++drained;
                     progress = true;
                 }
@@ -314,19 +467,20 @@ class Search
      * conservative and keeps this sound.)
      */
     bool
-    deadlocked() const
+    deadlocked()
     {
-        for (std::size_t p = 0; p < seqs_.size(); ++p) {
+        for (std::size_t p = 0; p < idx_.size(); ++p) {
             if (idx_[p] >= seqs_[p].size())
                 continue;
-            const Access &a = acc_[seqs_[p][idx_[p]]];
+            const Access &a = head(p);
             if (!a.reads())
                 continue;
-            std::size_t aid = static_cast<std::size_t>(
-                accAddr_[static_cast<std::size_t>(a.id)]);
-            if (mem_[aid] == a.valueRead)
+            if (mem_[static_cast<std::size_t>(addrOf(a))] == a.valueRead)
                 continue;
-            int slot = accReadSlot_[static_cast<std::size_t>(a.id)];
+            AccInfo &info = info_[static_cast<std::size_t>(a.id)];
+            if (info.readSlot == kUnresolved)
+                info.readSlot = slotOf_.find({info.addr, a.valueRead});
+            const int slot = info.readSlot;
             if (slot < 0 ||
                 writersLeft_[static_cast<std::size_t>(slot)] == 0)
                 return true;
@@ -338,7 +492,7 @@ class Search
     bool
     acquireState()
     {
-        if (states_ >= limits_.maxStates) {
+        if (states_ >= maxStates_) {
             capped_ = true;
             return false;
         }
@@ -347,24 +501,19 @@ class Search
     }
 
     bool
-    dfs(ScReport &report)
+    dfs()
     {
-        int drained = drain(report);
+        int drained = drain();
         if (drained < 0)
             return false;
-        bool found = dfsBranch(report);
-        if (!found) {
-            while (drained > 0) {
-                const Access &top = acc_[report.witnessOrder.back()];
-                unapply(static_cast<std::size_t>(top.proc), report);
-                --drained;
-            }
-        }
+        bool found = dfsBranch();
+        if (!found)
+            unwind(drained);
         return found;
     }
 
     bool
-    dfsBranch(ScReport &report)
+    dfsBranch()
     {
         if (remaining_ == 0)
             return true;
@@ -375,22 +524,32 @@ class Search
         if (!acquireState())
             return false;
 
-        for (std::size_t p = 0; p < seqs_.size(); ++p) {
+        for (std::size_t p = 0; p < idx_.size(); ++p) {
             if (idx_[p] >= seqs_[p].size())
                 continue;
-            const Access &a = acc_[seqs_[p][idx_[p]]];
+            const Access &a = head(p);
             if (a.reads() &&
-                mem_[static_cast<std::size_t>(
-                    accAddr_[static_cast<std::size_t>(a.id)])] !=
-                    a.valueRead)
+                mem_[static_cast<std::size_t>(addrOf(a))] != a.valueRead)
                 continue; // not enabled: read value would be wrong
-            apply(a, p, report);
-            if (dfs(report))
+            apply(a, p);
+            if (dfs())
                 return true;
-            unapply(p, report);
+            unapply(p);
         }
         return false;
     }
+
+    static constexpr int kUnresolved = -2; ///< AccInfo::readSlot not yet found
+
+    /** What the search reads of one access, by trace id. */
+    struct AccInfo
+    {
+        int addr = 0;       ///< address id
+        int writeSlot = -1; ///< writersLeft_ counter of (addr, written)
+        /** Counter of (addr, read value), or -1 if no write produces
+         * it; looked up on first need, by deadlocked(). */
+        int readSlot = kUnresolved;
+    };
 
     struct DrainUndo
     {
@@ -399,32 +558,41 @@ class Search
         bool restore = true;
     };
 
-    const Access *acc_; ///< trace.accesses().data(), hot-path lookups
-    const ScVerifierLimits &limits_;
-    std::vector<std::vector<int>> seqs_;
-    std::vector<std::size_t> idx_;
+    const Access *acc_ = nullptr; ///< trace.accesses().data()
+    std::uint64_t maxStates_ = 0;
+    std::vector<std::vector<int>> seqs_; ///< per-proc ids, program order
+    std::vector<std::size_t> idx_;       ///< frontier, per processor
+    FlatIdTable<Addr, hashAddr> addrId_;     ///< address -> address id
+    FlatIdTable<LocValue, hashLocValue> slotOf_; ///< -> writersLeft_ slot
     std::vector<Word> mem_;         ///< frontier memory, by address id
-    std::vector<char> private_;     ///< single-toucher flag, by address id
-    std::vector<int> accAddr_;      ///< access id -> address id
-    std::vector<int> accWriteSlot_; ///< access id -> (addr, value) slot
-    std::vector<int> accReadSlot_;  ///< access id -> slot, or -1
+    /** Sole toucher by address id; kNoProc once a second processor
+     * touches it (a shared address). */
+    std::vector<ProcId> toucher_;
+    std::vector<AccInfo> info_;     ///< by access id
     std::vector<int> writersLeft_;  ///< pending writes per (addr, value)
-    std::vector<int> sharedAddrs_; ///< address ids with >1 toucher
+    std::vector<int> sharedAddrs_;  ///< address ids with >1 toucher
     std::vector<std::uint64_t> keyScratch_; ///< reused by key()
-    std::vector<DrainUndo> drain_undo_;
+    std::vector<DrainUndo> undo_;
+    std::vector<int> witness_; ///< applied trace ids, oldest first
     int remaining_ = 0;
     std::uint64_t states_ = 0;
     bool capped_ = false;
-    KeyArenaSet visited_;
+    VisitedSet visited_;
 };
 
-} // namespace
+ScVerifier::ScVerifier() : ws_(std::make_unique<Workspace>()) {}
+ScVerifier::~ScVerifier() = default;
+
+ScReport
+ScVerifier::check(const ExecutionTrace &trace, const ScVerifierLimits &limits)
+{
+    return ws_->check(trace, limits);
+}
 
 ScReport
 verifySc(const ExecutionTrace &trace, const ScVerifierLimits &limits)
 {
-    Search s(trace, limits);
-    return s.run();
+    return ScVerifier().check(trace, limits);
 }
 
 std::string

@@ -21,16 +21,31 @@
  *
  * Hot-path representation: addresses are interned once up front so all
  * per-location state (frontier memory, single-toucher flags, pending
- * write counts) lives in dense vectors, not std::map nodes. A
- * per-(location, value) remaining-write count prunes any state in which
- * some processor's next read can no longer be satisfied by any pending
- * write.
+ * write counts) lives in dense vectors indexed by address id. A
+ * per-(location, value) remaining-write count, keyed on the full 64-bit
+ * value, prunes any state in which some processor's next read can no
+ * longer be satisfied by any pending write.
+ *
+ * Reusable workspace: a corpus job's trace is tiny (a few dozen accesses,
+ * a handful of search states), so building the search's tables costs
+ * more than searching them. ScVerifier owns every buffer the search
+ * uses: the frontier, frontier memory, the address and (location, value)
+ * tables, the undo stack, the witness and the visited-state set. The
+ * tables are open-addressed arrays emptied in O(1) by an epoch bump, and
+ * every buffer keeps its capacity between calls, so a warm check()
+ * allocates nothing but the witness it returns. Campaign workers each
+ * own one verifier, next to their SystemPool: a workspace is not
+ * thread-safe, and one per worker needs no locking or thread-local
+ * state. verifySc() is the one-shot form on a fresh workspace; both run
+ * the same search, so verdicts and statesExplored never depend on what
+ * a workspace checked before.
  */
 
 #ifndef WO_CORE_SC_VERIFIER_HH
 #define WO_CORE_SC_VERIFIER_HH
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -68,10 +83,30 @@ struct ScVerifierLimits
 };
 
 /**
- * Check whether @p trace has a sequentially consistent explanation.
- *
- * Initial memory values are taken from the trace's initials (default 0).
+ * The SC verifier with a reusable workspace (see the file comment).
+ * Not thread-safe: give each thread its own.
  */
+class ScVerifier
+{
+  public:
+    ScVerifier();
+    ~ScVerifier();
+
+    /**
+     * Check whether @p trace has a sequentially consistent explanation.
+     * Initial memory values are taken from the trace's initials
+     * (default 0). The trace must hold every access it recorded
+     * (nothing retired by popFront).
+     */
+    ScReport check(const ExecutionTrace &trace,
+                   const ScVerifierLimits &limits = {});
+
+  private:
+    class Workspace;
+    std::unique_ptr<Workspace> ws_;
+};
+
+/** One-shot check: ScVerifier().check(@p trace, @p limits). */
 ScReport verifySc(const ExecutionTrace &trace,
                   const ScVerifierLimits &limits = {});
 

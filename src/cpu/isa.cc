@@ -5,27 +5,6 @@
 
 namespace wo {
 
-bool
-isSync(AccessKind k)
-{
-    return k == AccessKind::SyncRead || k == AccessKind::SyncWrite ||
-           k == AccessKind::SyncRmw;
-}
-
-bool
-readsMemory(AccessKind k)
-{
-    return k == AccessKind::DataRead || k == AccessKind::SyncRead ||
-           k == AccessKind::SyncRmw;
-}
-
-bool
-writesMemory(AccessKind k)
-{
-    return k == AccessKind::DataWrite || k == AccessKind::SyncWrite ||
-           k == AccessKind::SyncRmw;
-}
-
 std::string
 toString(AccessKind k)
 {

@@ -50,13 +50,28 @@ enum class AccessKind {
 };
 
 /** True for the three synchronization access kinds. */
-bool isSync(AccessKind k);
+constexpr bool
+isSync(AccessKind k)
+{
+    return k == AccessKind::SyncRead || k == AccessKind::SyncWrite ||
+           k == AccessKind::SyncRmw;
+}
 
 /** True if the access kind has a read component. */
-bool readsMemory(AccessKind k);
+constexpr bool
+readsMemory(AccessKind k)
+{
+    return k == AccessKind::DataRead || k == AccessKind::SyncRead ||
+           k == AccessKind::SyncRmw;
+}
 
 /** True if the access kind has a write component. */
-bool writesMemory(AccessKind k);
+constexpr bool
+writesMemory(AccessKind k)
+{
+    return k == AccessKind::DataWrite || k == AccessKind::SyncWrite ||
+           k == AccessKind::SyncRmw;
+}
 
 /** Short mnemonic, e.g. "R", "W", "S(r)", "S(w)", "S(rw)". */
 std::string toString(AccessKind k);

@@ -517,7 +517,10 @@ Processor::opCommitted(std::uint64_t id, Word read_value)
 
     if (rec.fromWriteBuffer) {
         // The head drain reached the cache; release the buffer slot.
-        assert(!write_buffer_.empty() && write_buffer_.front().id == id);
+        if (write_buffer_.empty() || write_buffer_.front().id != id)
+            throw std::logic_error(
+                name_ + ": buffered-write commit for op id " +
+                std::to_string(id) + ", which is not the write-buffer head");
         write_buffer_.pop_front();
         wb_drain_in_flight_ = false;
         rec.committed = true;
@@ -528,7 +531,9 @@ Processor::opCommitted(std::uint64_t id, Word read_value)
         return;
     }
 
-    assert(!rec.committed);
+    if (rec.committed)
+        throw std::logic_error(name_ + ": duplicate commit for op id " +
+                               std::to_string(id));
     rec.committed = true;
     --outstanding_;
     if (isSync(rec.kind))
@@ -561,7 +566,9 @@ void
 Processor::opGloballyPerformed(std::uint64_t id)
 {
     OpRecord &rec = liveOp(id, "gp");
-    assert(!rec.gp);
+    if (rec.gp)
+        throw std::logic_error(name_ + ": duplicate gp for op id " +
+                               std::to_string(id));
     rec.gp = true;
     --not_gp_;
     if (isSync(rec.kind))

@@ -1,7 +1,6 @@
 #include "cpu/program.hh"
 
 #include <algorithm>
-#include <set>
 #include <sstream>
 
 namespace wo {
@@ -17,15 +16,62 @@ Program::maxRegister() const
     return m;
 }
 
+namespace {
+
+/**
+ * Distinct addresses as a sorted vector. Duplicates are squeezed out
+ * whenever the unsorted tail outgrows the distinct prefix, so memory
+ * stays O(distinct addresses) even for a program of millions of memory
+ * instructions (a replayed trace).
+ */
+class AddrSet
+{
+  public:
+    void
+    add(Addr a)
+    {
+        v_.push_back(a);
+        if (v_.size() >= 2 * distinct_ + 64)
+            compact();
+    }
+
+    std::vector<Addr>
+    take()
+    {
+        compact();
+        return std::move(v_);
+    }
+
+  private:
+    void
+    compact()
+    {
+        std::sort(v_.begin(), v_.end());
+        v_.erase(std::unique(v_.begin(), v_.end()), v_.end());
+        distinct_ = v_.size();
+    }
+
+    std::vector<Addr> v_;
+    std::size_t distinct_ = 0;
+};
+
+void
+addMemOps(const Program &p, AddrSet &out)
+{
+    for (const auto &i : p.code()) {
+        if (i.isMemOp())
+            out.add(i.addr);
+    }
+}
+
+} // namespace
+
 std::vector<Addr>
 Program::touchedAddrs() const
 {
-    std::set<Addr> s;
-    for (const auto &i : code_) {
-        if (i.isMemOp())
-            s.insert(i.addr);
-    }
-    return {s.begin(), s.end()};
+    AddrSet s;
+    addMemOps(*this, s);
+    return s.take();
 }
 
 std::string
@@ -112,14 +158,12 @@ MultiProgram::contentHash() const
 std::vector<Addr>
 MultiProgram::touchedAddrs() const
 {
-    std::set<Addr> s;
-    for (const auto &p : programs_) {
-        for (Addr a : p.touchedAddrs())
-            s.insert(a);
-    }
+    AddrSet s;
+    for (const auto &p : programs_)
+        addMemOps(p, s);
     for (const auto &[a, v] : initials_)
-        s.insert(a);
-    return {s.begin(), s.end()};
+        s.add(a);
+    return s.take();
 }
 
 std::string

@@ -41,11 +41,13 @@ class Program
     /** Highest register index referenced, or -1 for none. */
     int maxRegister() const;
 
-    /** All distinct addresses referenced by memory ops. */
+    /** All distinct addresses referenced by memory ops, ascending. */
     std::vector<Addr> touchedAddrs() const;
 
     /** Multi-line disassembly. */
     std::string toString() const;
+
+    bool operator==(const Program &) const = default;
 
   private:
     std::vector<Instruction> code_;
@@ -90,7 +92,8 @@ class MultiProgram
     /** Registers needed per processor (max over all programs, >= 1). */
     int numRegisters() const;
 
-    /** Union of addresses touched by any processor. */
+    /** Union of addresses touched by any processor or given an initial
+     * value, ascending. */
     std::vector<Addr> touchedAddrs() const;
 
     /**
@@ -104,6 +107,10 @@ class MultiProgram
 
     /** Multi-line disassembly of the whole workload. */
     std::string toString() const;
+
+    /** Same name, instruction streams and initials (in declaration
+     * order). */
+    bool operator==(const MultiProgram &) const = default;
 
   private:
     std::string name_;

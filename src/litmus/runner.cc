@@ -56,6 +56,7 @@ struct Worker
 {
     CoverageMap cov; ///< declared before pool: its Systems point here
     SystemPool pool;
+    ScVerifier verifier; ///< reused by every job's SC check
     std::vector<StatSet> perKey;
     StatSet retired;
 };
@@ -154,7 +155,8 @@ simulate(const CompiledLitmus &test, const TestPlan &plan,
         out.hit = evalCond(test.clause.cond, r, test.addrOf);
         out.key = outcomeKey(plan.vars, r, test.addrOf);
         if (options.verify) {
-            ScReport sc = verifySc(sys.trace(), {options.maxVerifyStates});
+            ScReport sc =
+                w.verifier.check(sys.trace(), {options.maxVerifyStates});
             out.scStatus = sc.verdict == ScVerdict::Sc      ? 0
                            : sc.verdict == ScVerdict::NotSc ? 1
                                                             : 2;

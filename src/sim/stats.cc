@@ -29,10 +29,7 @@ StatSet::handle(const std::string &name, Kind kind)
 void
 StatSet::set(const std::string &name, std::uint64_t value)
 {
-    Slot &s = slots_[handle(name).idx_];
-    s.value = value;
-    s.touched = true;
-    dirty_ = true;
+    set(handle(name), value);
 }
 
 const StatSet::Slot *

@@ -98,6 +98,15 @@ class StatSet
         dirty_ = true;
     }
 
+    /** Set the counter behind @p h to an absolute value (hot path). */
+    void set(StatHandle h, std::uint64_t value)
+    {
+        Slot &s = slots_[h.idx_];
+        s.value = value;
+        s.touched = true;
+        dirty_ = true;
+    }
+
     /** Add @p delta to counter @p name (created at zero on first use). */
     void inc(const std::string &name, std::uint64_t delta = 1)
     {

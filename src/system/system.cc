@@ -32,7 +32,7 @@ System::checkConfig(const MultiProgram &program, const SystemConfig &cfg)
 }
 
 System::System(const MultiProgram &program, const SystemConfig &cfg)
-    : program_(program), cfg_(cfg)
+    : program_(program), touched_(program_.touchedAddrs()), cfg_(cfg)
 {
     checkConfig(program_, cfg_);
     policy_ = makePolicy(cfg_.policy);
@@ -173,16 +173,17 @@ System::loadProgram(const MultiProgram &program)
             " processors but the system was built with " +
             std::to_string(procs_.size()));
     }
-    if (&program != &program_)
+    if (&program != &program_ && program != program_) {
         program_ = program;
+        touched_ = program_.touchedAddrs();
+    }
 
     int nprocs = static_cast<int>(procs_.size());
-    std::vector<Addr> addrs = program_.touchedAddrs();
-    for (Addr a : addrs)
+    for (Addr a : touched_)
         trace_.setInitial(a, program_.initialValue(a));
 
     if (cfg_.cached) {
-        for (Addr a : addrs)
+        for (Addr a : touched_)
             dirs_[a % cfg_.numDirs]->poke(a, program_.initialValue(a));
         if (cfg_.warmCaches) {
             // The directory's sharers are the nodes it talks to: the
@@ -190,7 +191,7 @@ System::loadProgram(const MultiProgram &program)
             std::set<NodeId> all;
             for (ProcId p = 0; p < nprocs; ++p)
                 all.insert(cfg_.cacheLevels == 2 ? nprocs + p : p);
-            for (Addr a : addrs) {
+            for (Addr a : touched_) {
                 Word v = program_.initialValue(a);
                 for (ProcId p = 0; p < nprocs; ++p) {
                     caches_[p]->pokeLine(a, LineState::Shared, v);
@@ -202,7 +203,7 @@ System::loadProgram(const MultiProgram &program)
             }
         }
     } else {
-        for (Addr a : addrs)
+        for (Addr a : touched_)
             mems_[a % cfg_.numMemModules]->poke(a, program_.initialValue(a));
     }
 
@@ -283,8 +284,12 @@ System::runStreaming(Tick chunkTicks,
     }
     for (auto &p : procs_)
         p->finalizeObs();
-    stats_.set("system.finish_tick", finishTick());
-    stats_.set("system.completed", ok ? 1 : 0);
+    if (!finishTickStat_.valid()) {
+        finishTickStat_ = stats_.handle("system.finish_tick");
+        completedStat_ = stats_.handle("system.completed");
+    }
+    stats_.set(finishTickStat_, finishTick());
+    stats_.set(completedStat_, ok ? 1 : 0);
     if (trace_.retired() > 0) {
         // Bounded retention was used: make it observable. Whole-trace
         // runs never emit these, keeping their reports byte-identical.
@@ -323,7 +328,7 @@ RunResult
 System::result() const
 {
     RunResult r;
-    for (Addr a : program_.touchedAddrs()) {
+    for (Addr a : touched_) {
         Word v = 0;
         if (cfg_.cached) {
             v = dirs_[a % cfg_.numDirs]->peek(a);
@@ -380,7 +385,7 @@ System::auditCoherence() const
         return st == LineState::Modified;
     };
     int nprocs = static_cast<int>(procs_.size());
-    for (Addr a : program_.touchedAddrs()) {
+    for (Addr a : touched_) {
         const Directory &dir = *dirs_[a % cfg_.numDirs];
         Directory::LineAudit da = dir.audit(a);
         if (da.busy) {

@@ -161,7 +161,10 @@ class System
      * poked exactly as construction does (including warm-cache
      * pre-loading) and every processor is rebound and reset. The program
      * must have the same processor count as the one the system was built
-     * with; throws std::invalid_argument otherwise.
+     * with; throws std::invalid_argument otherwise. The system keeps a
+     * copy of the program and of its touched addresses, and re-copies
+     * and re-derives them only when @p program differs from the one it
+     * holds, so reloading the same program copies nothing.
      */
     void loadProgram(const MultiProgram &program);
 
@@ -228,6 +231,8 @@ class System
     void setTraceSink(TraceSink *sink);
 
     MultiProgram program_;
+    /** program_.touchedAddrs(), refreshed whenever program_ changes. */
+    std::vector<Addr> touched_;
     SystemConfig cfg_;
     /** False between reset(cfg) and the next loadProgram(). */
     bool loaded_ = true;
@@ -242,6 +247,10 @@ class System
     std::vector<std::unique_ptr<Directory>> dirs_;
     std::vector<std::unique_ptr<MemoryModule>> mems_;
     std::vector<std::unique_ptr<Processor>> procs_;
+    /** system.finish_tick and system.completed, resolved by the first
+     * run at the point a by-name set would intern them. */
+    StatHandle finishTickStat_;
+    StatHandle completedStat_;
 };
 
 } // namespace wo

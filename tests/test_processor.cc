@@ -318,6 +318,53 @@ TEST(Processor, NotificationForUnknownOpIdThrowsNamingIt)
                      "proc0: gp for unknown op id 1");
 }
 
+TEST(Processor, DuplicateCommitThrowsNamingIt)
+{
+    // Checked in every build type: a second commit of a live op would
+    // decrement the outstanding count twice.
+    ProgramBuilder b;
+    b.store(5, 9).halt();
+    ScPolicy pol;
+    Harness h(b.build(), pol);
+    h.proc.start();
+    h.eq.run(1); // op 1 issued; the port answers at tick 5
+    h.proc.opCommitted(1, 0);
+    expectLogicError([&] { h.proc.opCommitted(1, 0); },
+                     "proc0: duplicate commit for op id 1");
+}
+
+TEST(Processor, DuplicateGpThrowsNamingIt)
+{
+    // A second globally-performed notice would decrement the not-yet-GP
+    // count twice; the op stays live until its commit arrives.
+    ProgramBuilder b;
+    b.store(5, 9).halt();
+    ScPolicy pol;
+    Harness h(b.build(), pol);
+    h.proc.start();
+    h.eq.run(1);
+    h.proc.opGloballyPerformed(1);
+    expectLogicError([&] { h.proc.opGloballyPerformed(1); },
+                     "proc0: duplicate gp for op id 1");
+}
+
+TEST(Processor, BufferedWriteCommitForNonHeadThrows)
+{
+    // Buffered writes drain head first, one at a time: a commit for any
+    // other buffered write is a protocol bug, not a reordering.
+    ProgramBuilder b;
+    b.store(5, 9).store(6, 8).halt();
+    RelaxedPolicy pol;
+    ProcessorConfig pcfg;
+    pcfg.wbDrainDelay = 50;
+    Harness h(b.build(), pol, true, pcfg);
+    h.proc.start();
+    h.eq.run(10); // both stores buffered, neither drained
+    expectLogicError([&] { h.proc.opCommitted(2, 0); },
+                     "proc0: buffered-write commit for op id 2, which is "
+                     "not the write-buffer head");
+}
+
 TEST(Processor, OpWindowGrowsBehindALongLivedOp)
 {
     // Buffered writes hold their op ids until they drain, one at a

@@ -1,11 +1,22 @@
 /**
  * @file
- * Unit tests for the sequential-consistency verifier.
+ * Unit tests for the sequential-consistency verifier, and for reusing
+ * one ScVerifier workspace across traces of different shapes.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
 #include "core/sc_verifier.hh"
+#include "litmus/compiler.hh"
+#include "litmus/runner.hh"
+#include "system/machine_spec.hh"
+#include "system/system.hh"
 
 namespace wo {
 namespace {
@@ -296,6 +307,122 @@ TEST(ScVerifier, PendingWritePruningFailsFast)
     ScReport r = verifySc(t);
     EXPECT_EQ(r.verdict, ScVerdict::NotSc);
     EXPECT_LT(r.statesExplored, 5u);
+}
+
+TEST(ScVerifier, WriteValuesDifferingAbove32BitsStayDistinct)
+{
+    // P0's head read wants x == 5. The only write to x stores 5 + 2^32,
+    // equal to 5 in its low 32 bits, and comes last in P1's program,
+    // after P1 and P2 interleave six writes each to y. Keyed on the
+    // full value, the pending-write pruning sees that no write produces
+    // 5 and rejects the root state; a table that kept only the low 32
+    // bits would count the 2^32 + 5 write as pending and search the y
+    // interleavings until the state cap gives up with Unknown.
+    const Word high = (Word{1} << 32) + 5;
+    ExecutionTrace t;
+    t.add(rd(0, 0, 0, 5));
+    for (int i = 0; i < 6; ++i) {
+        t.add(wr(1, i, 1, static_cast<Word>(10 + i)));
+        t.add(wr(2, i, 1, static_cast<Word>(20 + i)));
+    }
+    t.add(wr(1, 6, 0, high));
+    ScVerifierLimits lim;
+    lim.maxStates = 50;
+    ScReport r = ScVerifier().check(t, lim);
+    EXPECT_EQ(r.verdict, ScVerdict::NotSc);
+    EXPECT_LT(r.statesExplored, 5u);
+
+    // Reading the high value back is satisfiable; reading 5 is not.
+    ExecutionTrace readBack;
+    readBack.add(wr(0, 0, 0, high));
+    readBack.add(rd(1, 0, 0, high));
+    EXPECT_TRUE(verifySc(readBack).sc());
+    readBack.add(rd(1, 1, 0, 5));
+    EXPECT_EQ(verifySc(readBack).verdict, ScVerdict::NotSc);
+}
+
+/** Distinct addresses in @p t. */
+std::size_t
+numAddrs(const ExecutionTrace &t)
+{
+    return t.addrs().size();
+}
+
+TEST(ScVerifier, ReusedVerifierMatchesFreshAcrossCorpusTraces)
+{
+    // Corpus traces from several machines and policies, including
+    // Relaxed runs that are not SC, checked by one workspace in an order
+    // where both the processor and the address count rise and fall.
+    // Every third check runs under a one-state cap, so a capped search
+    // is followed by a full one. Each report must equal a fresh
+    // verifier's, witness included.
+    std::vector<ExecutionTrace> traces;
+    const char *files[] = {"sb", "iriw", "tas_counter", "mp_spin",
+                           "peterson", "wrc", "barrier", "corr"};
+    for (const char *f : files) {
+        litmus_dsl::CompiledLitmus test = litmus_dsl::compileLitmusFile(
+            std::string(WO_LITMUS_DIR) + "/" + f + ".litmus");
+        for (const char *m : {"bus", "net", "net-u", "net-l2-moesi"}) {
+            for (PolicyKind pk : {PolicyKind::Relaxed, PolicyKind::Def2Drf0}) {
+                for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+                    SystemConfig cfg = machineOrThrow(m).config(pk, seed);
+                    try {
+                        System::checkConfig(test.program, cfg);
+                    } catch (const std::invalid_argument &) {
+                        continue;
+                    }
+                    System sys(test.program, cfg);
+                    if (sys.run())
+                        traces.push_back(sys.trace());
+                }
+            }
+        }
+    }
+    ASSERT_GE(traces.size(), 100u);
+
+    // Zig-zag between the smallest and the largest remaining trace.
+    std::sort(traces.begin(), traces.end(),
+              [](const ExecutionTrace &a, const ExecutionTrace &b) {
+                  if (a.numProcs() != b.numProcs())
+                      return a.numProcs() < b.numProcs();
+                  if (numAddrs(a) != numAddrs(b))
+                      return numAddrs(a) < numAddrs(b);
+                  return a.size() < b.size();
+              });
+    std::vector<const ExecutionTrace *> order;
+    for (std::size_t lo = 0, hi = traces.size(); lo < hi;) {
+        order.push_back(&traces[lo++]);
+        if (lo < hi)
+            order.push_back(&traces[--hi]);
+    }
+
+    ScVerifier reused;
+    int procsUp = 0, procsDown = 0, addrsUp = 0, addrsDown = 0;
+    std::set<ScVerdict> verdicts;
+    for (std::size_t i = 0; i < order.size(); ++i) {
+        const ExecutionTrace &t = *order[i];
+        if (i > 0) {
+            const ExecutionTrace &prev = *order[i - 1];
+            procsUp += t.numProcs() > prev.numProcs();
+            procsDown += t.numProcs() < prev.numProcs();
+            addrsUp += numAddrs(t) > numAddrs(prev);
+            addrsDown += numAddrs(t) < numAddrs(prev);
+        }
+        ScVerifierLimits lim;
+        if (i % 3 == 2)
+            lim.maxStates = 1;
+        ScReport got = reused.check(t, lim);
+        ScReport want = ScVerifier().check(t, lim);
+        verdicts.insert(got.verdict);
+        EXPECT_EQ(got.verdict, want.verdict) << "trace " << i;
+        EXPECT_EQ(got.statesExplored, want.statesExplored) << "trace " << i;
+        EXPECT_EQ(got.witnessOrder, want.witnessOrder) << "trace " << i;
+    }
+    EXPECT_GT(procsUp, 0);
+    EXPECT_GT(procsDown, 0);
+    EXPECT_GT(addrsUp, 0);
+    EXPECT_GT(addrsDown, 0);
+    EXPECT_EQ(verdicts.size(), 3u); // Sc, NotSc and capped Unknown
 }
 
 } // namespace

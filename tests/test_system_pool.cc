@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "consistency/policy.hh"
+#include "cpu/program_builder.hh"
 #include "litmus/runner.hh"
 #include "obs/coverage.hh"
 #include "obs/coverage_report.hh"
@@ -210,6 +211,61 @@ TEST(SystemLifecycle, ProcessorCountMismatchThrows)
     EXPECT_THROW(sys.run(), std::logic_error);
     sys.loadProgram(two);
     EXPECT_TRUE(sys.run());
+}
+
+/** Two-processor store-buffering shape on @p x and @p y, with @p y
+ * initialised to @p init. */
+MultiProgram
+storeBuffering(Addr x, Addr y, Word init)
+{
+    MultiProgram prog("sb");
+    ProgramBuilder p0, p1;
+    p0.store(x, 1).load(0, y).halt();
+    p1.store(y, 2).load(0, x).halt();
+    prog.addProgram(p0.build());
+    prog.addProgram(p1.build());
+    prog.setInitial(y, init);
+    return prog;
+}
+
+/** The keys of @p m. */
+template <class Map>
+std::vector<Addr>
+keysOf(const Map &m)
+{
+    std::vector<Addr> keys;
+    for (const auto &[k, v] : m)
+        keys.push_back(k);
+    return keys;
+}
+
+TEST(SystemPool, ProgramSwapRefreshesTouchedAddresses)
+{
+    // A pooled System keeps its program and the program's touched
+    // addresses across reloads of the same program. A program with the
+    // same processor count but other addresses must replace both, and
+    // going back must restore the first: the final-memory keys, the
+    // trace's initial values and the outcome match a fresh construction
+    // on every run. "net" pre-loads every touched line into the caches,
+    // so stale addresses would also skew the simulation.
+    const MultiProgram a = storeBuffering(10, 11, 4);
+    const MultiProgram b = storeBuffering(40, 52, 7);
+    const SystemConfig cfg =
+        machineOrThrow("net").config(PolicyKind::Def2Drf0, 3);
+    SystemPool pool;
+    for (const MultiProgram *prog : {&a, &b, &a, &a}) {
+        System &sys = pool.acquire("net/def2drf0", *prog, cfg);
+        System fresh(*prog, cfg);
+        ASSERT_TRUE(sys.run());
+        ASSERT_TRUE(fresh.run());
+        EXPECT_EQ(keysOf(sys.result().finalMemory),
+                  prog->touchedAddrs());
+        EXPECT_EQ(sys.trace().initials(), fresh.trace().initials());
+        EXPECT_EQ(sys.result(), fresh.result());
+        EXPECT_EQ(snapshot(sys, true), snapshot(fresh, true));
+    }
+    EXPECT_EQ(pool.builds(), 1u);
+    EXPECT_EQ(pool.reuses(), 3u);
 }
 
 TEST(SystemPool, ReusesCompatibleAndRebuildsIncompatible)
