@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
 
 #include "consistency/policy.hh"
 #include "obs/coverage.hh"
@@ -41,7 +42,43 @@ Cache::Cache(EventQueue &eq, Interconnect &net, StatSet &stats, NodeId node,
     stat_.recallNacks = stats_.handle(name_ + ".recall_nacks");
     stat_.recallsQueued = stats_.handle(name_ + ".recalls_queued");
     stat_.recallsServiced = stats_.handle(name_ + ".recalls_serviced");
+    inflight_fills_.assign(
+        static_cast<std::size_t>(cfg_.numSets > 0 ? cfg_.numSets : 1), 0);
     net_.attach(node_, [this](const Msg &m) { handle(m); });
+}
+
+void
+Cache::Line::reset()
+{
+    state = LineState::Shared;
+    data = 0;
+    reserved = false;
+    reservedUpTo = 0;
+    pendingGp = false;
+    pendingGpMissSeq = 0;
+    gpWaiters.clear();
+    lastUse = 0;
+}
+
+void
+Cache::reset()
+{
+    slots_.reset();
+    std::fill(inflight_fills_.begin(), inflight_fills_.end(), 0);
+    stalled_recalls_.clear();
+    stalled_ops_.clear();
+    outstanding_miss_seqs_.clear();
+    next_miss_seq_ = 0;
+    counter_ = 0;
+    reserved_.clear();
+    misses_while_reserved_ = 0;
+}
+
+void
+Cache::invariantFailed(const char *what, Addr addr) const
+{
+    throw std::logic_error(name_ + " (node " + std::to_string(node_) +
+                           "), line " + std::to_string(addr) + ": " + what);
 }
 
 void
@@ -124,29 +161,36 @@ Cache::dirFor(Addr addr) const
 Cache::Line *
 Cache::findLine(Addr addr)
 {
-    auto it = lines_.find(addr);
-    return it == lines_.end() ? nullptr : &it->second;
+    Slot *s = slots_.find(addr);
+    return s && s->valid ? &s->line : nullptr;
+}
+
+Cache::Line &
+Cache::installLine(Slot &slot)
+{
+    slot.line.reset();
+    slot.valid = true;
+    return slot.line;
 }
 
 void
 Cache::pokeLine(Addr addr, LineState state, Word data)
 {
-    Line l;
+    Line &l = installLine(slots_.get(addr));
     l.state = state;
     l.data = data;
-    lines_[addr] = l;
 }
 
 bool
 Cache::peekLine(Addr addr, LineState *state, Word *data) const
 {
-    auto it = lines_.find(addr);
-    if (it == lines_.end())
+    const Slot *s = slots_.find(addr);
+    if (!s || !s->valid)
         return false;
     if (state)
-        *state = it->second.state;
+        *state = s->line.state;
     if (data)
-        *data = it->second.data;
+        *data = s->line.data;
     return true;
 }
 
@@ -169,34 +213,39 @@ Cache::makeRoomFor(Addr addr)
     if (cfg_.numSets <= 0)
         return true;
     int set = setOf(addr);
-    std::vector<Addr> in_set;
-    for (const auto &[a, l] : lines_) {
-        if (setOf(a) == set)
-            in_set.push_back(a);
+    in_set_.clear();
+    for (std::size_t i = 0; i < slots_.size(); ++i) {
+        if (slots_.slot(i).valid && setOf(slots_.addrAt(i)) == set)
+            in_set_.push_back(i);
     }
-    if (static_cast<int>(in_set.size()) + inflight_fills_[set] < cfg_.ways) {
+    if (static_cast<int>(in_set_.size()) + inflight_fills_[set] <
+        cfg_.ways) {
         ++inflight_fills_[set];
         return true;
     }
     // Pick the least-recently-used evictable victim. Reserved lines are
     // never flushed (condition 5); lines with a pending globally-perform
-    // or an open miss are transaction-locked.
-    Addr victim = 0;
+    // or an open miss are transaction-locked. Slots ascend by address
+    // and only a strictly older line displaces the pick, so a tie on
+    // lastUse goes to the lower address.
+    std::size_t victim_slot = 0;
     bool found = false;
     Tick best = 0;
-    for (Addr a : in_set) {
-        Line &l = lines_[a];
-        if (l.reserved || l.pendingGp || mshrs_.count(a))
+    for (std::size_t i : in_set_) {
+        const Slot &s = slots_.slot(i);
+        if (s.line.reserved || s.line.pendingGp || s.mshrLive)
             continue;
-        if (!found || l.lastUse < best) {
-            victim = a;
-            best = l.lastUse;
+        if (!found || s.line.lastUse < best) {
+            victim_slot = i;
+            best = s.line.lastUse;
             found = true;
         }
     }
     if (!found)
         return false;
-    Line &v = lines_[victim];
+    Slot &vs = slots_.slot(victim_slot);
+    const Addr victim = slots_.addrAt(victim_slot);
+    Line &v = vs.line;
     switch (proto_->on(v.state, LineEvent::Evict).action) {
       case LineAction::WritebackData:
         sendToDir(MsgType::PutX, victim, v.data, false);
@@ -213,7 +262,7 @@ Cache::makeRoomFor(Addr addr)
         assert(false && "unexpected eviction action");
     }
     traceState(victim, v.state, LineState::Invalid);
-    lines_.erase(victim);
+    vs.valid = false;
     ++inflight_fills_[set];
     return true;
 }
@@ -261,7 +310,8 @@ Cache::commitOnLine(const CacheOp &op, Line &line, bool gp_now, Tick delay)
 void
 Cache::access(const CacheOp &op)
 {
-    Line *l = findLine(op.addr);
+    Slot *slot = slots_.find(op.addr);
+    Line *l = slot && slot->valid ? &slot->line : nullptr;
     if (l)
         l->lastUse = eq_.now();
     bool as_write = treatedAsWrite(op.kind);
@@ -295,7 +345,7 @@ Cache::access(const CacheOp &op)
     // accesses (condition 1), so a second miss to a line with an MSHR
     // outstanding should not happen; if one slips through anyway, stall
     // it until the fill rather than clobbering the live MSHR.
-    if (mshrs_.find(op.addr) != mshrs_.end()) {
+    if (slot && slot->mshrLive) {
         assert(false && "processor must order same-address accesses");
         missStalled(op, MissStall::MshrConflict);
         return;
@@ -331,7 +381,7 @@ Cache::access(const CacheOp &op)
 
     Mshr m;
     m.seq = next_miss_seq_++;
-    outstanding_miss_seqs_.insert(m.seq);
+    outstanding_miss_seqs_.push_back(m.seq);
     m.op = op;
     switch (t.action) {
       case LineAction::IssueUpgrade:
@@ -346,7 +396,9 @@ Cache::access(const CacheOp &op)
       default:
         assert(false && "access classified neither hit nor miss");
     }
-    mshrs_[op.addr] = m;
+    Slot &s = slot ? *slot : slots_.get(op.addr);
+    s.mshr = m;
+    s.mshrLive = true;
     sendToDir(m.sent, op.addr, 0, isSync(op.kind));
 }
 
@@ -381,10 +433,11 @@ Cache::handle(const Msg &msg)
 void
 Cache::handleFill(const Msg &msg)
 {
-    auto it = mshrs_.find(msg.addr);
-    assert(it != mshrs_.end() && "fill without MSHR");
-    Mshr m = it->second;
-    mshrs_.erase(it);
+    Slot *slot = slots_.find(msg.addr);
+    if (!slot || !slot->mshrLive)
+        invariantFailed("fill without MSHR", msg.addr);
+    const Mshr m = slot->mshr;
+    slot->mshrLive = false;
 
     if (m.sent != MsgType::Upgrade) {
         int set = setOf(msg.addr);
@@ -398,29 +451,27 @@ Cache::handleFill(const Msg &msg)
             // Read miss completes: line arrives shared (Forward under
             // MESIF — the most recent requester is the designated
             // responder).
-            Line l;
+            Line &l = installLine(*slot);
             l.state =
                 proto_->on(LineState::Invalid, LineEvent::FillShared).next;
             l.data = msg.value;
             l.lastUse = eq_.now();
-            lines_[msg.addr] = l;
             traceState(msg.addr, LineState::Invalid, l.state);
-            commitOnLine(m.op, lines_[msg.addr], true);
+            commitOnLine(m.op, l, true);
             decrementCounter(m.seq);
         } else {
             // Write/sync miss on a previously-shared line: the directory
             // forwarded the line in parallel with invalidations. Commit
             // now; globally performed at the WriteAck.
-            Line l;
+            Line &l = installLine(*slot);
             l.state = proto_->on(LineState::Invalid, LineEvent::FillModified)
                           .next;
             l.data = msg.value;
             l.pendingGp = true;
             l.pendingGpMissSeq = m.seq;
             l.lastUse = eq_.now();
-            lines_[msg.addr] = l;
             traceState(msg.addr, LineState::Invalid, l.state);
-            commitOnLine(m.op, lines_[msg.addr], false);
+            commitOnLine(m.op, l, false);
             // Counter decremented by the WriteAck.
         }
         break;
@@ -428,34 +479,33 @@ Cache::handleFill(const Msg &msg)
       case MsgType::DataE: {
         // Clean-exclusive fill (read miss, no other copies): globally
         // performed immediately; a later store upgrades silently.
-        Line l;
+        Line &l = installLine(*slot);
         l.state =
             proto_->on(LineState::Invalid, LineEvent::FillExclusive).next;
         l.data = msg.value;
         l.lastUse = eq_.now();
-        lines_[msg.addr] = l;
         traceState(msg.addr, LineState::Invalid, l.state);
-        commitOnLine(m.op, lines_[msg.addr], true);
+        commitOnLine(m.op, l, true);
         decrementCounter(m.seq);
         break;
       }
       case MsgType::DataEx: {
         // Exclusive data, no invalidations outstanding: commit and
         // globally performed together.
-        Line l;
+        Line &l = installLine(*slot);
         l.state =
             proto_->on(LineState::Invalid, LineEvent::FillModified).next;
         l.data = msg.value;
         l.lastUse = eq_.now();
-        lines_[msg.addr] = l;
         traceState(msg.addr, LineState::Invalid, l.state);
-        commitOnLine(m.op, lines_[msg.addr], true);
+        commitOnLine(m.op, l, true);
         decrementCounter(m.seq);
         break;
       }
       case MsgType::UpgradeAck: {
-        Line *l = findLine(msg.addr);
-        assert(l && "upgrade ack without a line");
+        if (!slot->valid)
+            invariantFailed("upgrade ack without a line", msg.addr);
+        Line *l = &slot->line;
         // Throws if the line is not in a shared-family state.
         LineState next =
             proto_->on(l->state, LineEvent::UpgradeOwnership).next;
@@ -490,7 +540,7 @@ Cache::handleInv(const Msg &msg)
         assert(t.action == LineAction::AckInvalidate);
         assert(!l->reserved && "shared lines are never reserved");
         traceState(msg.addr, l->state, t.next);
-        lines_.erase(msg.addr);
+        eraseLine(msg.addr);
         stats_.inc(stat_.invalidations);
         if (sink_)
             emitEvent(TraceKind::InvApplied, msg.addr);
@@ -585,7 +635,7 @@ Cache::serviceRecall(const Msg &msg)
         break;
       case LineAction::RespondDataInv:
         traceState(msg.addr, l->state, LineState::Invalid);
-        lines_.erase(msg.addr);
+        eraseLine(msg.addr);
         resp.type = MsgType::RecallInvData;
         break;
       default:
@@ -601,13 +651,17 @@ void
 Cache::handleWriteAck(const Msg &msg)
 {
     Line *l = findLine(msg.addr);
-    assert(l && l->pendingGp && "write ack without a pending write");
+    if (!l || !l->pendingGp)
+        invariantFailed("write ack without a pending write", msg.addr);
     l->pendingGp = false;
-    std::vector<std::uint64_t> waiters;
-    waiters.swap(l->gpWaiters);
-    for (std::uint64_t id : waiters)
+    const std::uint64_t miss_seq = l->pendingGpMissSeq;
+    // Copy rather than swap, so each line keeps its own storage.
+    gp_buf_.assign(l->gpWaiters.begin(), l->gpWaiters.end());
+    l->gpWaiters.clear();
+    for (std::uint64_t id : gp_buf_)
         client_->opGloballyPerformed(id);
-    decrementCounter(l->pendingGpMissSeq);
+    gp_buf_.clear();
+    decrementCounter(miss_seq);
 }
 
 void
@@ -617,7 +671,10 @@ Cache::decrementCounter(std::uint64_t miss_seq)
     --counter_;
     if (sink_)
         emitEvent(TraceKind::CounterDec, kNoTraceAddr, counter_);
-    outstanding_miss_seqs_.erase(miss_seq);
+    auto seq = std::lower_bound(outstanding_miss_seqs_.begin(),
+                                outstanding_miss_seqs_.end(), miss_seq);
+    if (seq != outstanding_miss_seqs_.end() && *seq == miss_seq)
+        outstanding_miss_seqs_.erase(seq);
     updateReservations();
     if (counter_ == 0)
         onCounterZero();
@@ -634,18 +691,21 @@ Cache::updateReservations()
     // scheme deadlock-free across multiple synchronization variables.
     std::uint64_t min_outstanding =
         outstanding_miss_seqs_.empty() ? ~std::uint64_t{0}
-                                       : *outstanding_miss_seqs_.begin();
+                                       : outstanding_miss_seqs_.front();
     if (!cfg_.epochReserveClearing && !outstanding_miss_seqs_.empty()) {
         // Naive mode: reserves persist until the counter reads zero.
         return;
     }
-    std::vector<Addr> released;
+    released_.clear();
     auto kept = reserved_.begin();
     for (Addr a : reserved_) {
-        Line &l = lines_.at(a); // reserved lines are never dropped
+        Line *line = findLine(a);
+        if (!line)
+            invariantFailed("reserved line dropped", a);
+        Line &l = *line;
         if (l.reservedUpTo <= min_outstanding) {
             l.reserved = false;
-            released.push_back(a);
+            released_.push_back(a);
             if (sink_)
                 emitEvent(TraceKind::ReserveClear, a, counter_);
         } else {
@@ -655,24 +715,24 @@ Cache::updateReservations()
     reserved_.erase(kept, reserved_.end());
     if (reserved_.empty())
         misses_while_reserved_ = 0;
-    if (released.empty())
+    if (released_.empty())
         return;
-    // Service recalls that were queued on the released lines.
-    std::deque<Msg> keep;
-    std::deque<Msg> recalls;
-    recalls.swap(stalled_recalls_);
-    for (const Msg &m : recalls) {
+    // Service recalls that were queued on the released lines, in arrival
+    // order; the rest stay queued in the same order. serviceRecall only
+    // sends, so it never queues a recall of its own meanwhile.
+    recalls_buf_.swap(stalled_recalls_);
+    for (const Msg &m : recalls_buf_) {
         bool freed = false;
-        for (Addr a : released) {
+        for (Addr a : released_) {
             if (m.addr == a)
                 freed = true;
         }
         if (freed)
             serviceRecall(m);
         else
-            keep.push_back(m);
+            stalled_recalls_.push_back(m);
     }
-    stalled_recalls_ = std::move(keep);
+    recalls_buf_.clear();
 }
 
 void
@@ -693,10 +753,12 @@ Cache::retryStalled()
 {
     if (stalled_ops_.empty())
         return;
-    std::deque<CacheOp> ops;
-    ops.swap(stalled_ops_);
-    for (const CacheOp &op : ops)
+    // access() may stall an op again (into the emptied stalled_ops_) but
+    // never retries, so retry_ops_ is not reentered.
+    retry_ops_.swap(stalled_ops_);
+    for (const CacheOp &op : retry_ops_)
         access(op);
+    retry_ops_.clear();
 }
 
 } // namespace wo

@@ -28,9 +28,6 @@
 #define WO_COHERENCE_CACHE_HH
 
 #include <cstdint>
-#include <deque>
-#include <map>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -39,6 +36,7 @@
 #include "cpu/mem_port.hh"
 #include "mem/interconnect.hh"
 #include "obs/trace_event.hh"
+#include "sim/addr_table.hh"
 #include "sim/event_queue.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
@@ -136,26 +134,17 @@ class Cache : public MemPort
     /** Incoming message handler (attached to the interconnect). */
     void handle(const Msg &msg);
 
+    /** Give exactly @p addrs (ascending) a line and MSHR slot each (a
+     * System binds its program's touched addresses once per program). */
+    void bindAddrs(const std::vector<Addr> &addrs) { slots_.bind(addrs); }
+
     /**
      * Restore construction-time state for reuse: every line, MSHR,
-     * stalled queue and the outstanding-access counter are dropped.
-     * The client and interconnect attachment persist. Must only be
-     * called between runs (no messages in flight).
+     * stalled queue and the outstanding-access counter are dropped, in
+     * place (storage is kept). The client and interconnect attachment
+     * persist. Must only be called between runs (no messages in flight).
      */
-    void
-    reset()
-    {
-        lines_.clear();
-        mshrs_.clear();
-        inflight_fills_.clear();
-        stalled_recalls_.clear();
-        stalled_ops_.clear();
-        outstanding_miss_seqs_.clear();
-        next_miss_seq_ = 0;
-        counter_ = 0;
-        reserved_.clear();
-        misses_while_reserved_ = 0;
-    }
+    void reset();
 
     /** Attach a structured trace sink (nullptr detaches). Emits
      * hit/miss, counter, reserve-bit, invalidation and recall events;
@@ -184,6 +173,9 @@ class Cache : public MemPort
         std::uint64_t pendingGpMissSeq = 0;
         std::vector<std::uint64_t> gpWaiters;
         Tick lastUse = 0;
+
+        /** Back to a freshly installed line, keeping storage. */
+        void reset();
     };
 
     struct Mshr
@@ -191,6 +183,24 @@ class Cache : public MemPort
         MsgType sent = MsgType::GetS;
         CacheOp op;
         std::uint64_t seq = 0; ///< miss sequence number
+    };
+
+    /** One address's state: its line, if present, and its MSHR, if a
+     * miss is outstanding. */
+    struct Slot
+    {
+        Line line;
+        bool valid = false; ///< the line is present
+        Mshr mshr;
+        bool mshrLive = false;
+
+        void
+        reset()
+        {
+            line.reset();
+            valid = false;
+            mshrLive = false;
+        }
     };
 
     /** Coherence-level treatment of an access under this config. */
@@ -222,6 +232,16 @@ class Cache : public MemPort
     void retryStalled();
 
     Line *findLine(Addr addr);
+
+    /** Make @p slot's line present and fresh; returns it. */
+    Line &installLine(Slot &slot);
+
+    /** Drop @p addr's line (which must be present). */
+    void eraseLine(Addr addr) { slots_.find(addr)->valid = false; }
+
+    /** Throw std::logic_error naming this cache and @p addr. */
+    [[noreturn]] void invariantFailed(const char *what, Addr addr) const;
+
     int setOf(Addr addr) const;
     NodeId dirFor(Addr addr) const;
 
@@ -279,18 +299,29 @@ class Cache : public MemPort
     };
     StatHandles stat_;
 
-    std::map<Addr, Line> lines_;
-    std::map<Addr, Mshr> mshrs_;
-    std::map<int, int> inflight_fills_; ///< per-set fills in flight
-    std::deque<Msg> stalled_recalls_;
-    std::deque<CacheOp> stalled_ops_;
-    std::set<std::uint64_t> outstanding_miss_seqs_;
+    AddrTable<Slot> slots_;
+    std::vector<int> inflight_fills_; ///< per-set fills in flight
+    std::vector<Msg> stalled_recalls_;
+    std::vector<CacheOp> stalled_ops_;
+    /** Sequence numbers of the misses still outstanding, ascending:
+     * numbers only grow, so a new miss appends. */
+    std::vector<std::uint64_t> outstanding_miss_seqs_;
     std::uint64_t next_miss_seq_ = 0;
     int counter_ = 0;
     /** Addresses of the lines whose reserve bit is set, ascending, so
      * updateReservations visits only reserved lines, in address order. */
     std::vector<Addr> reserved_;
     int misses_while_reserved_ = 0;
+
+    /** Buffers the handlers reuse, so none allocates once warm:
+     * makeRoomFor's slots in the set, updateReservations' released lines
+     * and the recalls it re-examines, retryStalled's ops, and the
+     * write-ack's globally-performed waiters. */
+    std::vector<std::size_t> in_set_;
+    std::vector<Addr> released_;
+    std::vector<Msg> recalls_buf_;
+    std::vector<CacheOp> retry_ops_;
+    std::vector<std::uint64_t> gp_buf_;
 
     /** Structured tracing (null = disabled path). */
     TraceSink *sink_ = nullptr;

@@ -31,7 +31,23 @@ Directory::poke(Addr addr, Word value)
 }
 
 void
-Directory::pokeShared(Addr addr, const std::set<NodeId> &sharers)
+Directory::Line::reset()
+{
+    st = St::Uncached;
+    sharers.clear();
+    owner = -1;
+    forwarder = -1;
+    mem = 0;
+    busy = false;
+    cur = Msg{};
+    pendingInvAcks = 0;
+    waitingRecall = false;
+    dataSent = false;
+    waiting.clear();
+}
+
+void
+Directory::pokeShared(Addr addr, const NodeSet &sharers)
 {
     Line &l = lineOf(addr);
     l.st = sharers.empty() ? St::Uncached : St::Shared;
@@ -43,14 +59,15 @@ Directory::pokeShared(Addr addr, const std::set<NodeId> &sharers)
 Word
 Directory::peek(Addr addr) const
 {
-    auto it = lines_.find(addr);
-    return it == lines_.end() ? 0 : it->second.mem;
+    const Line *l = lines_.find(addr);
+    return l ? l->mem : 0;
 }
 
 bool
 Directory::idle() const
 {
-    for (const auto &[a, l] : lines_) {
+    for (std::size_t i = 0; i < lines_.size(); ++i) {
+        const Line &l = lines_.slot(i);
         if (l.busy || !l.waiting.empty())
             return false;
     }
@@ -61,24 +78,24 @@ Directory::LineAudit
 Directory::audit(Addr addr) const
 {
     LineAudit a;
-    auto it = lines_.find(addr);
-    if (it == lines_.end())
+    const Line *l = lines_.find(addr);
+    if (!l)
         return a;
     a.known = true;
-    a.exclusive = it->second.st == St::Exclusive;
-    a.shared = it->second.st == St::Shared;
-    a.owned = it->second.st == St::Owned;
-    a.owner = it->second.owner;
-    a.forwarder = it->second.forwarder;
-    a.sharers = it->second.sharers;
-    a.busy = it->second.busy;
+    a.exclusive = l->st == St::Exclusive;
+    a.shared = l->st == St::Shared;
+    a.owned = l->st == St::Owned;
+    a.owner = l->owner;
+    a.forwarder = l->forwarder;
+    a.sharers = l->sharers;
+    a.busy = l->busy;
     return a;
 }
 
 Directory::Line &
 Directory::lineOf(Addr addr)
 {
-    return lines_[addr];
+    return lines_.get(addr);
 }
 
 void
@@ -316,19 +333,18 @@ Directory::startRequest(Line &line, const Msg &msg)
         // to the full GetX path — the requester's MSHR accepts either
         // response.
         bool honored =
-            (line.st == St::Shared && line.sharers.count(msg.src)) ||
+            (line.st == St::Shared && line.sharers.contains(msg.src)) ||
             (line.st == St::Owned && line.owner == msg.src);
         if (honored) {
-            std::set<NodeId> others = line.sharers;
-            others.erase(msg.src);
             line.forwarder = -1;
-            if (others.empty()) {
+            if (line.sharers.size() ==
+                (line.sharers.contains(msg.src) ? 1 : 0)) {
                 line.st = St::Exclusive;
                 line.owner = msg.src;
                 line.sharers.clear();
                 reply(msg, MsgType::UpgradeAck, 0, 0);
             } else {
-                startUpgradeInvs(line, msg, others);
+                startUpgradeInvs(line, msg);
             }
         } else {
             startGetX(line, msg);
@@ -337,16 +353,21 @@ Directory::startRequest(Line &line, const Msg &msg)
 }
 
 void
-Directory::startUpgradeInvs(Line &line, const Msg &msg,
-                            const std::set<NodeId> &others)
+Directory::startUpgradeInvs(Line &line, const Msg &msg)
 {
+    // Every sharer but the upgrader is invalidated, in ascending node
+    // order; the sharer list itself is rewritten by finishWrite.
+    const int others = line.sharers.size() -
+                       (line.sharers.contains(msg.src) ? 1 : 0);
     line.busy = true;
     line.cur = msg;
-    line.pendingInvAcks = static_cast<int>(others.size());
-    reply(msg, MsgType::UpgradeAck, 0, static_cast<int>(others.size()));
-    for (NodeId n : others)
-        sendTo(n, MsgType::Inv, msg.addr);
-    stats_.inc(stat_.invalidations, others.size());
+    line.pendingInvAcks = others;
+    reply(msg, MsgType::UpgradeAck, 0, others);
+    line.sharers.forEach([&](NodeId n) {
+        if (n != msg.src)
+            sendTo(n, MsgType::Inv, msg.addr);
+    });
+    stats_.inc(stat_.invalidations, static_cast<std::uint64_t>(others));
 }
 
 void
@@ -429,11 +450,12 @@ Directory::startGetX(Line &line, const Msg &msg)
         // invalidations; the final WriteAck marks global performance.
         line.busy = true;
         line.cur = msg;
-        line.pendingInvAcks = static_cast<int>(line.sharers.size());
+        line.pendingInvAcks = line.sharers.size();
         reply(msg, MsgType::Data, line.mem);
-        for (NodeId n : line.sharers)
-            sendTo(n, MsgType::Inv, msg.addr);
-        stats_.inc(stat_.invalidations, line.sharers.size());
+        line.sharers.forEach(
+            [&](NodeId n) { sendTo(n, MsgType::Inv, msg.addr); });
+        stats_.inc(stat_.invalidations,
+                   static_cast<std::uint64_t>(line.pendingInvAcks));
         break;
       }
       case St::Exclusive:
@@ -457,11 +479,12 @@ Directory::startGetX(Line &line, const Msg &msg)
         stats_.inc(stat_.recalls);
         line.sharers.erase(msg.src);
         line.forwarder = -1;
-        line.pendingInvAcks = static_cast<int>(line.sharers.size());
-        for (NodeId n : line.sharers)
-            sendTo(n, MsgType::Inv, msg.addr);
-        if (!line.sharers.empty())
-            stats_.inc(stat_.invalidations, line.sharers.size());
+        line.pendingInvAcks = line.sharers.size();
+        line.sharers.forEach(
+            [&](NodeId n) { sendTo(n, MsgType::Inv, msg.addr); });
+        if (line.pendingInvAcks > 0)
+            stats_.inc(stat_.invalidations,
+                       static_cast<std::uint64_t>(line.pendingInvAcks));
         break;
       }
     }

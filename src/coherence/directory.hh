@@ -21,15 +21,16 @@
 #ifndef WO_COHERENCE_DIRECTORY_HH
 #define WO_COHERENCE_DIRECTORY_HH
 
-#include <deque>
-#include <map>
-#include <set>
 #include <string>
+#include <vector>
 
+#include "coherence/node_set.hh"
 #include "coherence/protocol.hh"
 #include "mem/interconnect.hh"
 #include "obs/trace_event.hh"
+#include "sim/addr_table.hh"
 #include "sim/event_queue.hh"
+#include "sim/fifo_vector.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 
@@ -55,7 +56,7 @@ class Directory
 
     /** Install a warm Shared state with the given sharer set (test and
      * warm-start setup; the caches must be poked to match). */
-    void pokeShared(Addr addr, const std::set<NodeId> &sharers);
+    void pokeShared(Addr addr, const NodeSet &sharers);
 
     /** Read the directory's (possibly stale while a line is owned)
      * backing store. */
@@ -73,7 +74,7 @@ class Directory
         bool owned = false; ///< MOESI: dirty at owner, sharers read
         NodeId owner = -1;
         NodeId forwarder = -1; ///< MESIF designated responder
-        std::set<NodeId> sharers;
+        NodeSet sharers;
         bool busy = false;
     };
 
@@ -83,9 +84,13 @@ class Directory
     /** Incoming message handler. */
     void handle(const Msg &msg);
 
-    /** Drop every line (state and backing store) for reuse. Must only
-     * be called between runs (no open transactions). */
-    void reset() { lines_.clear(); }
+    /** Give exactly @p addrs (ascending) a line each (a System binds
+     * its program's touched addresses once per program). */
+    void bindAddrs(const std::vector<Addr> &addrs) { lines_.bind(addrs); }
+
+    /** Clear every line (state and backing store) in place for reuse.
+     * Must only be called between runs (no open transactions). */
+    void reset() { lines_.reset(); }
 
     /** Attach a structured trace sink (nullptr detaches). Emits
      * invalidate-sent, recall-sent and write-ack-sent events. */
@@ -102,7 +107,7 @@ class Directory
     struct Line
     {
         St st = St::Uncached;
-        std::set<NodeId> sharers;
+        NodeSet sharers;
         NodeId owner = -1;
 
         /** MESIF: the sharer designated to service the next read (-1 =
@@ -119,15 +124,17 @@ class Directory
          * WriteAck remains (Owned writes wait on a recall AND
          * invalidation acks; whichever finishes last completes). */
         bool dataSent = false;
-        std::deque<Msg> waiting; ///< queued requests
+        FifoVector<Msg> waiting; ///< queued requests
+
+        /** Back to a fresh Uncached line, keeping storage. */
+        void reset();
     };
 
     void process(const Msg &msg);
     void startRequest(Line &line, const Msg &msg);
     void startGetS(Line &line, const Msg &msg);
     void startGetX(Line &line, const Msg &msg);
-    void startUpgradeInvs(Line &line, const Msg &msg,
-                          const std::set<NodeId> &others);
+    void startUpgradeInvs(Line &line, const Msg &msg);
     void finishWrite(Line &line);
 
     /** Complete the pending request after the recalled holder kept no
@@ -168,7 +175,7 @@ class Directory
     };
     StatHandles stat_;
 
-    std::map<Addr, Line> lines_;
+    AddrTable<Line> lines_;
 
     /** Structured tracing (null = disabled path). */
     TraceSink *sink_ = nullptr;

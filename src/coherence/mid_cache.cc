@@ -1,6 +1,8 @@
 #include "coherence/mid_cache.hh"
 
+#include <algorithm>
 #include <cassert>
+#include <stdexcept>
 
 #include "obs/trace_sink.hh"
 
@@ -25,7 +27,28 @@ MidCache::MidCache(EventQueue &eq, Interconnect &net, StatSet &stats,
     stat_.innerInvs = stats_.handle(name_ + ".inner_invs");
     stat_.evictStalls = stats_.handle(name_ + ".evict_stalls");
     stat_.putacks = stats_.handle(name_ + ".putacks");
+    inflight_fills_.assign(
+        static_cast<std::size_t>(cfg_.numSets > 0 ? cfg_.numSets : 1), 0);
     net_.attach(node_, [this](const Msg &m) { handle(m); });
+}
+
+void
+MidCache::Line::reset()
+{
+    st = LineState::Shared;
+    inner = InnerSt::None;
+    data = 0;
+    pendingGp = false;
+    probe = Probe::None;
+    deferredProbes.clear();
+    lastUse = 0;
+}
+
+void
+MidCache::invariantFailed(const char *what, Addr addr) const
+{
+    throw std::logic_error(name_ + " (node " + std::to_string(node_) +
+                           "), line " + std::to_string(addr) + ": " + what);
 }
 
 void
@@ -68,50 +91,67 @@ MidCache::dirFor(Addr addr) const
 MidCache::Line *
 MidCache::findLine(Addr addr)
 {
-    auto it = lines_.find(addr);
-    return it == lines_.end() ? nullptr : &it->second;
+    Slot *s = slots_.find(addr);
+    return s && s->valid ? &s->line : nullptr;
+}
+
+MidCache::Line &
+MidCache::installLine(Slot &slot)
+{
+    slot.line.reset();
+    slot.valid = true;
+    return slot.line;
+}
+
+void
+MidCache::openMshr(Addr addr, MsgType sent, const Msg &inner)
+{
+    Slot &s = slots_.get(addr);
+    s.mshr = Mshr{sent, inner};
+    s.mshrLive = true;
+    ++live_mshrs_;
 }
 
 void
 MidCache::pokeLine(Addr addr, LineState state, Word data, bool inner_shared)
 {
-    Line l;
+    Line &l = installLine(slots_.get(addr));
     l.st = state;
     l.inner = inner_shared ? InnerSt::Shared : InnerSt::None;
     l.data = data;
-    lines_[addr] = l;
 }
 
 bool
 MidCache::peekLine(Addr addr, LineState *state, Word *data) const
 {
-    auto it = lines_.find(addr);
-    if (it == lines_.end())
+    const Slot *s = slots_.find(addr);
+    if (!s || !s->valid)
         return false;
     if (state)
-        *state = it->second.st;
+        *state = s->line.st;
     if (data)
-        *data = it->second.data;
+        *data = s->line.data;
     return true;
 }
 
 void
 MidCache::reset()
 {
-    lines_.clear();
-    mshrs_.clear();
-    inflight_fills_.clear();
+    slots_.reset();
+    live_mshrs_ = 0;
+    std::fill(inflight_fills_.begin(), inflight_fills_.end(), 0);
     stalled_reqs_.clear();
 }
 
 bool
 MidCache::idle() const
 {
-    if (!mshrs_.empty() || !stalled_reqs_.empty())
+    if (live_mshrs_ > 0 || !stalled_reqs_.empty())
         return false;
-    for (const auto &[a, l] : lines_) {
-        if (l.probe != Probe::None || l.pendingGp ||
-            !l.deferredProbes.empty())
+    for (std::size_t i = 0; i < slots_.size(); ++i) {
+        const Slot &s = slots_.slot(i);
+        if (s.valid && (s.line.probe != Probe::None || s.line.pendingGp ||
+                        !s.line.deferredProbes.empty()))
             return false;
     }
     return true;
@@ -238,7 +278,8 @@ MidCache::process(const Msg &msg)
 void
 MidCache::innerRequest(const Msg &msg)
 {
-    Line *l = findLine(msg.addr);
+    Slot *slot = slots_.find(msg.addr);
+    Line *l = slot && slot->valid ? &slot->line : nullptr;
 
     // A line mid-probe is in flux (the L1's demotion answer is in
     // flight); serving a hit now would break inclusion. Park the request
@@ -247,8 +288,9 @@ MidCache::innerRequest(const Msg &msg)
         stalled_reqs_.push_back(msg);
         return;
     }
-    assert(!mshrs_.count(msg.addr) &&
-           "the L1 sent a second request for a line with one in flight");
+    if (slot && slot->mshrLive)
+        invariantFailed("second L1 request while one is in flight",
+                        msg.addr);
 
     if (msg.type == MsgType::GetS) {
         if (l) {
@@ -274,7 +316,7 @@ MidCache::innerRequest(const Msg &msg)
             stalled_reqs_.push_back(msg);
             return;
         }
-        mshrs_[msg.addr] = Mshr{MsgType::GetS, msg};
+        openMshr(msg.addr, MsgType::GetS, msg);
         ++inflight_fills_[setOf(msg.addr)];
         sendOut(MsgType::GetS, msg, 0);
         return;
@@ -296,7 +338,7 @@ MidCache::innerRequest(const Msg &msg)
             // Shared / Forward / Owned here: data is valid, only
             // ownership is missing.
             l->lastUse = eq_.now();
-            mshrs_[msg.addr] = Mshr{MsgType::Upgrade, msg};
+            openMshr(msg.addr, MsgType::Upgrade, msg);
             sendOut(MsgType::Upgrade, msg, 0);
             return;
         }
@@ -305,7 +347,7 @@ MidCache::innerRequest(const Msg &msg)
             stalled_reqs_.push_back(msg);
             return;
         }
-        mshrs_[msg.addr] = Mshr{MsgType::GetX, msg};
+        openMshr(msg.addr, MsgType::GetX, msg);
         ++inflight_fills_[setOf(msg.addr)];
         sendOut(MsgType::GetX, msg, 0);
         return;
@@ -325,7 +367,7 @@ MidCache::innerRequest(const Msg &msg)
     stats_.inc(stat_.misses);
     if (l) {
         l->lastUse = eq_.now();
-        mshrs_[msg.addr] = Mshr{MsgType::Upgrade, msg};
+        openMshr(msg.addr, MsgType::Upgrade, msg);
         sendOut(MsgType::Upgrade, msg, 0);
         return;
     }
@@ -337,7 +379,7 @@ MidCache::innerRequest(const Msg &msg)
         stalled_reqs_.push_back(msg);
         return;
     }
-    mshrs_[msg.addr] = Mshr{MsgType::GetX, msg};
+    openMshr(msg.addr, MsgType::GetX, msg);
     ++inflight_fills_[setOf(msg.addr)];
     sendOut(MsgType::GetX, msg, 0);
 }
@@ -349,7 +391,9 @@ MidCache::innerPut(const Msg &msg)
     if (msg.type == MsgType::PutX) {
         // Dirty data comes home; inclusion guarantees the line exists
         // (probes absorb a racing writeback before erasing it).
-        assert(l && "L1 writeback to a line the L2 does not hold");
+        if (!l)
+            invariantFailed("L1 writeback to a line the L2 does not hold",
+                            msg.addr);
         assert(l->st == LineState::Exclusive ||
                l->st == LineState::Modified || l->st == LineState::Owned);
         l->data = msg.value;
@@ -381,14 +425,14 @@ MidCache::innerProbeResponse(const Msg &msg)
       case MsgType::InvAck:
         if (probe == Probe::OuterInv) {
             traceState(msg.addr, l->st, LineState::Invalid);
-            lines_.erase(msg.addr);
+            eraseLine(msg.addr);
             Msg ack;
             ack.addr = msg.addr;
             sendOut(MsgType::InvAck, ack, 0);
         } else if (probe == Probe::RecallInvViaInv) {
             Word v = l->data;
             traceState(msg.addr, l->st, LineState::Invalid);
-            lines_.erase(msg.addr);
+            eraseLine(msg.addr);
             Msg resp;
             resp.addr = msg.addr;
             sendOut(MsgType::RecallInvData, resp, v);
@@ -450,7 +494,7 @@ MidCache::innerProbeResponse(const Msg &msg)
         {
             Word v = l->data;
             traceState(msg.addr, l->st, LineState::Invalid);
-            lines_.erase(msg.addr);
+            eraseLine(msg.addr);
             Msg resp;
             resp.addr = msg.addr;
             sendOut(MsgType::RecallInvData, resp, v);
@@ -467,7 +511,7 @@ MidCache::innerProbeResponse(const Msg &msg)
                    LineAction::RespondDataInv);
             Word v = l->data;
             traceState(msg.addr, l->st, LineState::Invalid);
-            lines_.erase(msg.addr);
+            eraseLine(msg.addr);
             Msg resp;
             resp.addr = msg.addr;
             sendOut(MsgType::RecallInvData, resp, v);
@@ -519,7 +563,7 @@ MidCache::writebackAndErase(Addr addr, Line &line)
         assert(false && "line state has no eviction action");
     }
     traceState(addr, line.st, LineState::Invalid);
-    lines_.erase(addr);
+    eraseLine(addr);
 }
 
 void
@@ -528,9 +572,12 @@ MidCache::finishEvictProbe(Addr addr, Line &line)
     // The inner copy is gone (or absorbed); write the line back, then
     // answer any probe that arrived mid-eviction with a nack — our
     // writeback, FIFO-ahead of it, wins the race at the directory.
-    std::deque<Msg> deferred = std::move(line.deferredProbes);
+    // Copy rather than swap, so each line keeps its own storage.
+    deferred_buf_.assign(line.deferredProbes.begin(),
+                             line.deferredProbes.end());
+    line.deferredProbes.clear();
     writebackAndErase(addr, line);
-    for (const Msg &p : deferred) {
+    for (const Msg &p : deferred_buf_) {
         Msg resp;
         resp.addr = addr;
         if (p.type == MsgType::Inv)
@@ -538,6 +585,7 @@ MidCache::finishEvictProbe(Addr addr, Line &line)
         else
             sendOut(MsgType::RecallNack, resp, 0);
     }
+    deferred_buf_.clear();
     retryStalled();
 }
 
@@ -548,16 +596,21 @@ MidCache::makeRoomFor(Addr addr)
         return true;
     int set = setOf(addr);
     int occupied = inflight_fills_[set];
+    // Slots ascend by address and only a strictly older line displaces
+    // a pick, so a tie on lastUse goes to the lower address.
     Addr victim = 0;
-    const Line *victim_line = nullptr;
+    Line *victim_line = nullptr;
     Addr demotable = 0;
-    const Line *demotable_line = nullptr;
-    for (const auto &[a, l] : lines_) {
-        if (setOf(a) != set)
+    Line *demotable_line = nullptr;
+    for (std::size_t i = 0; i < slots_.size(); ++i) {
+        Slot &s = slots_.slot(i);
+        const Addr a = slots_.addrAt(i);
+        if (!s.valid || setOf(a) != set)
             continue;
         ++occupied;
+        Line &l = s.line;
         if (l.probe != Probe::None || l.pendingGp ||
-            !l.deferredProbes.empty() || mshrs_.count(a))
+            !l.deferredProbes.empty() || s.mshrLive)
             continue;
         if (l.inner == InnerSt::None) {
             if (!victim_line || l.lastUse < victim_line->lastUse) {
@@ -573,13 +626,13 @@ MidCache::makeRoomFor(Addr addr)
     if (occupied < cfg_.ways)
         return true;
     if (victim_line) {
-        writebackAndErase(victim, lines_.at(victim));
+        writebackAndErase(victim, *victim_line);
         return true;
     }
     if (demotable_line) {
         // Every candidate still lives in the L1: recall the LRU one.
         // The request stalls until the L1's answer frees the way.
-        Line &l = lines_.at(demotable);
+        Line &l = *demotable_line;
         if (l.inner == InnerSt::Shared) {
             l.probe = Probe::EvictInv;
             stats_.inc(stat_.innerInvs);
@@ -597,25 +650,31 @@ MidCache::makeRoomFor(Addr addr)
 void
 MidCache::retryStalled()
 {
-    std::deque<Msg> pending = std::move(stalled_reqs_);
-    stalled_reqs_.clear();
-    for (const Msg &m : pending)
+    if (stalled_reqs_.empty())
+        return;
+    // innerRequest may park a request again (into the emptied
+    // stalled_reqs_) but never retries, so retry_reqs_ is not reentered.
+    retry_reqs_.swap(stalled_reqs_);
+    for (const Msg &m : retry_reqs_)
         innerRequest(m);
+    retry_reqs_.clear();
 }
 
 void
 MidCache::outerFill(const Msg &msg)
 {
-    auto it = mshrs_.find(msg.addr);
-    assert(it != mshrs_.end() && "fill with no request outstanding");
-    Mshr m = it->second;
-    mshrs_.erase(it);
+    Slot *slot = slots_.find(msg.addr);
+    if (!slot || !slot->mshrLive)
+        invariantFailed("fill with no request outstanding", msg.addr);
+    const Mshr m = slot->mshr;
+    slot->mshrLive = false;
+    --live_mshrs_;
     if (m.sent != MsgType::Upgrade) {
-        auto f = inflight_fills_.find(setOf(msg.addr));
-        if (f != inflight_fills_.end() && f->second > 0)
-            --f->second;
+        int &fills = inflight_fills_[setOf(msg.addr)];
+        if (fills > 0)
+            --fills;
     }
-    Line &l = lines_[msg.addr];
+    Line &l = slot->valid ? slot->line : installLine(*slot);
     l.lastUse = eq_.now();
 
     switch (msg.type) {
@@ -695,7 +754,8 @@ void
 MidCache::outerWriteAck(const Msg &msg)
 {
     Line *l = findLine(msg.addr);
-    assert(l && l->pendingGp && "write-ack with no write pending");
+    if (!l || !l->pendingGp)
+        invariantFailed("write-ack with no write pending", msg.addr);
     l->pendingGp = false;
     Msg fwd;
     fwd.addr = msg.addr;
@@ -731,7 +791,7 @@ MidCache::outerInv(const Msg &msg)
     assert(l->inner == InnerSt::None &&
            "directory invalidated a line the L1 owns");
     traceState(msg.addr, l->st, LineState::Invalid);
-    lines_.erase(msg.addr);
+    eraseLine(msg.addr);
     Msg ack;
     ack.addr = msg.addr;
     sendOut(MsgType::InvAck, ack, 0);
@@ -797,7 +857,7 @@ MidCache::outerRecall(const Msg &msg)
     assert(proto_->on(l->st, ev).action == LineAction::RespondDataInv);
     Word v = l->data;
     traceState(msg.addr, l->st, LineState::Invalid);
-    lines_.erase(msg.addr);
+    eraseLine(msg.addr);
     Msg resp;
     resp.addr = msg.addr;
     sendOut(MsgType::RecallInvData, resp, v);

@@ -26,13 +26,13 @@
 #ifndef WO_COHERENCE_MID_CACHE_HH
 #define WO_COHERENCE_MID_CACHE_HH
 
-#include <deque>
-#include <map>
 #include <string>
+#include <vector>
 
 #include "coherence/protocol.hh"
 #include "mem/interconnect.hh"
 #include "obs/trace_event.hh"
+#include "sim/addr_table.hh"
 #include "sim/event_queue.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
@@ -86,8 +86,12 @@ class MidCache
     /** Look up a line's state; returns false if not present. */
     bool peekLine(Addr addr, LineState *state, Word *data) const;
 
-    /** Drop every line, MSHR and queue for reuse. Must only be called
-     * between runs (no messages in flight). */
+    /** Give exactly @p addrs (ascending) a line and MSHR slot each (a
+     * System binds its program's touched addresses once per program). */
+    void bindAddrs(const std::vector<Addr> &addrs) { slots_.bind(addrs); }
+
+    /** Drop every line, MSHR and queue in place (storage is kept) for
+     * reuse. Must only be called between runs (no messages in flight). */
     void reset();
 
     /** Attach a structured trace sink (nullptr detaches). */
@@ -119,17 +123,38 @@ class MidCache
         /** A write committed here awaits the directory's WriteAck. */
         bool pendingGp = false;
         Probe probe = Probe::None;
-        /** Outer probe that arrived during an eviction probe; answered
+        /** Outer probes that arrived during an eviction probe; answered
          * (with a nack — our writeback wins the race) once the eviction
          * completes. */
-        std::deque<Msg> deferredProbes;
+        std::vector<Msg> deferredProbes;
         Tick lastUse = 0;
+
+        /** Back to a freshly installed line, keeping storage. */
+        void reset();
     };
 
     struct Mshr
     {
         MsgType sent = MsgType::GetS; ///< outer request type
         Msg inner;                    ///< the L1 request being serviced
+    };
+
+    /** One address's state: its line, if present, and its MSHR, if an
+     * outer request is outstanding. */
+    struct Slot
+    {
+        Line line;
+        bool valid = false; ///< the line is present
+        Mshr mshr;
+        bool mshrLive = false;
+
+        void
+        reset()
+        {
+            line.reset();
+            valid = false;
+            mshrLive = false;
+        }
     };
 
     void process(const Msg &msg);
@@ -174,6 +199,19 @@ class MidCache
     static const char *probeName(Probe p);
 
     Line *findLine(Addr addr);
+
+    /** Make @p slot's line present and fresh; returns it. */
+    Line &installLine(Slot &slot);
+
+    /** Drop @p addr's line (which must be present). */
+    void eraseLine(Addr addr) { slots_.find(addr)->valid = false; }
+
+    /** Open an MSHR for @p addr. */
+    void openMshr(Addr addr, MsgType sent, const Msg &inner);
+
+    /** Throw std::logic_error naming this L2 and @p addr. */
+    [[noreturn]] void invariantFailed(const char *what, Addr addr) const;
+
     int setOf(Addr addr) const;
     NodeId dirFor(Addr addr) const;
 
@@ -208,10 +246,15 @@ class MidCache
     };
     StatHandles stat_;
 
-    std::map<Addr, Line> lines_;
-    std::map<Addr, Mshr> mshrs_;
-    std::map<int, int> inflight_fills_; ///< per-set fills in flight
-    std::deque<Msg> stalled_reqs_;      ///< inner requests awaiting room
+    AddrTable<Slot> slots_;
+    int live_mshrs_ = 0;
+    std::vector<int> inflight_fills_; ///< per-set fills in flight
+    std::vector<Msg> stalled_reqs_;   ///< inner requests awaiting room
+
+    /** Buffers the handlers reuse, so none allocates once warm:
+     * retryStalled's requests and finishEvictProbe's deferred probes. */
+    std::vector<Msg> retry_reqs_;
+    std::vector<Msg> deferred_buf_;
 
     /** Structured tracing (null = disabled path). */
     TraceSink *sink_ = nullptr;

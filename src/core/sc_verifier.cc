@@ -227,13 +227,14 @@ class VisitedSet
  * Every buffer of the search. load() refills them for one trace with
  * clear()/assign(), which keep capacity, so a warm workspace checks a
  * trace no larger than an earlier one without allocating (the one
- * exception is the witness copied into an Sc report).
+ * exception is the witness copied into an Sc report, when asked for).
  */
 class ScVerifier::Workspace
 {
   public:
     ScReport
-    check(const ExecutionTrace &trace, const ScVerifierLimits &limits)
+    check(const ExecutionTrace &trace, const ScVerifierLimits &limits,
+          bool keepWitness)
     {
         load(trace, limits);
         bool found = dfs();
@@ -241,7 +242,8 @@ class ScVerifier::Workspace
         report.statesExplored = states_;
         if (found) {
             report.verdict = ScVerdict::Sc;
-            report.witnessOrder = witness_;
+            if (keepWitness)
+                report.witnessOrder = witness_;
         } else {
             report.verdict = capped_ ? ScVerdict::Unknown : ScVerdict::NotSc;
         }
@@ -584,9 +586,10 @@ ScVerifier::ScVerifier() : ws_(std::make_unique<Workspace>()) {}
 ScVerifier::~ScVerifier() = default;
 
 ScReport
-ScVerifier::check(const ExecutionTrace &trace, const ScVerifierLimits &limits)
+ScVerifier::check(const ExecutionTrace &trace, const ScVerifierLimits &limits,
+                  bool keepWitness)
 {
-    return ws_->check(trace, limits);
+    return ws_->check(trace, limits, keepWitness);
 }
 
 ScReport

@@ -33,7 +33,7 @@
  * tables, the undo stack, the witness and the visited-state set. The
  * tables are open-addressed arrays emptied in O(1) by an epoch bump, and
  * every buffer keeps its capacity between calls, so a warm check()
- * allocates nothing but the witness it returns. Campaign workers each
+ * allocates nothing but the witness it returns, if asked for one. Campaign workers each
  * own one verifier, next to their SystemPool: a workspace is not
  * thread-safe, and one per worker needs no locking or thread-local
  * state. verifySc() is the one-shot form on a fresh workspace; both run
@@ -96,10 +96,13 @@ class ScVerifier
      * Check whether @p trace has a sequentially consistent explanation.
      * Initial memory values are taken from the trace's initials
      * (default 0). The trace must hold every access it recorded
-     * (nothing retired by popFront).
+     * (nothing retired by popFront). With @p keepWitness false an Sc
+     * report's witnessOrder stays empty, sparing its copy (a verdict-only
+     * caller); the search is the same either way.
      */
     ScReport check(const ExecutionTrace &trace,
-                   const ScVerifierLimits &limits = {});
+                   const ScVerifierLimits &limits = {},
+                   bool keepWitness = true);
 
   private:
     class Workspace;

@@ -215,14 +215,24 @@ ExecutionTrace::syncAddrs() const
 void
 ExecutionTrace::setInitial(Addr addr, Word value)
 {
-    initials_[addr] = value;
+    // Callers set initials in ascending address order (a System walks
+    // its sorted touched list), so the common case appends.
+    auto it = std::lower_bound(
+        initials_.begin(), initials_.end(), addr,
+        [](const std::pair<Addr, Word> &e, Addr a) { return e.first < a; });
+    if (it != initials_.end() && it->first == addr)
+        it->second = value;
+    else
+        initials_.insert(it, {addr, value});
 }
 
 Word
 ExecutionTrace::initialValue(Addr addr) const
 {
-    auto it = initials_.find(addr);
-    return it == initials_.end() ? 0 : it->second;
+    auto it = std::lower_bound(
+        initials_.begin(), initials_.end(), addr,
+        [](const std::pair<Addr, Word> &e, Addr a) { return e.first < a; });
+    return it != initials_.end() && it->first == addr ? it->second : 0;
 }
 
 std::string

@@ -136,8 +136,11 @@ class ExecutionTrace
     /** Initial value of @p addr (default 0). */
     Word initialValue(Addr addr) const;
 
-    /** All explicitly-set initial values. */
-    const std::map<Addr, Word> &initials() const { return initials_; }
+    /** All explicitly-set initial values, ascending by address. */
+    const std::vector<std::pair<Addr, Word>> &initials() const
+    {
+        return initials_;
+    }
 
     /** Multi-line dump for debugging and reports (resident window only). */
     std::string toString() const;
@@ -173,7 +176,7 @@ class ExecutionTrace
 
     /** accesses_ holds dead_ retired accesses, then the resident ones. */
     std::vector<Access> accesses_;
-    std::map<Addr, Word> initials_;
+    std::vector<std::pair<Addr, Word>> initials_; ///< sorted by address
     mutable std::vector<IndexList> byProc_;
     mutable std::map<Addr, IndexList> syncs_;
     mutable int indexed_ = 0; ///< ids below this are in the indices

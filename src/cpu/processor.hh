@@ -18,7 +18,6 @@
 
 #include <algorithm>
 #include <array>
-#include <deque>
 #include <vector>
 
 #include "consistency/policy.hh"
@@ -28,6 +27,7 @@
 #include "obs/latency_histogram.hh"
 #include "obs/trace_event.hh"
 #include "sim/event_queue.hh"
+#include "sim/fifo_vector.hh"
 #include "sim/stats.hh"
 
 namespace wo {
@@ -219,7 +219,7 @@ class Processor : public CacheClient
     /** Addresses with an uncommitted ordinary access (condition 1 keeps
      * at most one per address, and at most kMaxOutstanding in all). */
     std::vector<Addr> addr_blocked_;
-    std::deque<WbEntry> write_buffer_;
+    FifoVector<WbEntry> write_buffer_;
     bool wb_drain_in_flight_ = false;
 
     int outstanding_ = 0;

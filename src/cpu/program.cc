@@ -19,14 +19,17 @@ Program::maxRegister() const
 namespace {
 
 /**
- * Distinct addresses as a sorted vector. Duplicates are squeezed out
- * whenever the unsorted tail outgrows the distinct prefix, so memory
- * stays O(distinct addresses) even for a program of millions of memory
+ * Distinct addresses as a sorted vector, built in a caller's vector
+ * (whose storage is reused). Duplicates are squeezed out whenever the
+ * unsorted tail outgrows the distinct prefix, so memory stays
+ * O(distinct addresses) even for a program of millions of memory
  * instructions (a replayed trace).
  */
 class AddrSet
 {
   public:
+    explicit AddrSet(std::vector<Addr> &out) : v_(out) { v_.clear(); }
+
     void
     add(Addr a)
     {
@@ -35,14 +38,6 @@ class AddrSet
             compact();
     }
 
-    std::vector<Addr>
-    take()
-    {
-        compact();
-        return std::move(v_);
-    }
-
-  private:
     void
     compact()
     {
@@ -51,7 +46,8 @@ class AddrSet
         distinct_ = v_.size();
     }
 
-    std::vector<Addr> v_;
+  private:
+    std::vector<Addr> &v_;
     std::size_t distinct_ = 0;
 };
 
@@ -69,9 +65,11 @@ addMemOps(const Program &p, AddrSet &out)
 std::vector<Addr>
 Program::touchedAddrs() const
 {
-    AddrSet s;
+    std::vector<Addr> out;
+    AddrSet s(out);
     addMemOps(*this, s);
-    return s.take();
+    s.compact();
+    return out;
 }
 
 std::string
@@ -158,12 +156,20 @@ MultiProgram::contentHash() const
 std::vector<Addr>
 MultiProgram::touchedAddrs() const
 {
-    AddrSet s;
+    std::vector<Addr> out;
+    touchedAddrs(out);
+    return out;
+}
+
+void
+MultiProgram::touchedAddrs(std::vector<Addr> &out) const
+{
+    AddrSet s(out);
     for (const auto &p : programs_)
         addMemOps(p, s);
     for (const auto &[a, v] : initials_)
         s.add(a);
-    return s.take();
+    s.compact();
 }
 
 std::string

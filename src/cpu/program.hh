@@ -96,6 +96,9 @@ class MultiProgram
      * value, ascending. */
     std::vector<Addr> touchedAddrs() const;
 
+    /** touchedAddrs() into @p out, reusing its storage. */
+    void touchedAddrs(std::vector<Addr> &out) const;
+
     /**
      * 64-bit content hash over the instruction streams and initial
      * memory values (the name is excluded — it cannot affect any

@@ -1,7 +1,9 @@
 #include "litmus/expect.hh"
 
-#include <sstream>
+#include <charconv>
 #include <tuple>
+
+#include "system/system.hh"
 
 namespace wo {
 namespace litmus_dsl {
@@ -31,6 +33,33 @@ memValue(const RunResult &r, const std::map<std::string, Addr> &addrOf,
     return mit == r.finalMemory.end() ? 0 : mit->second;
 }
 
+/** Append "label=value", the one rendering of an outcome-key term. */
+void
+appendTerm(std::string &out, const std::string &label, Word value)
+{
+    char digits[24];
+    const auto end =
+        std::to_chars(digits, digits + sizeof digits, value).ptr;
+    out += label;
+    out += '=';
+    out.append(digits, end);
+}
+
+ObservedVar
+termVar(const Cond &c)
+{
+    ObservedVar v;
+    if (c.kind == Cond::Kind::RegTerm) {
+        v.isReg = true;
+        v.proc = c.proc;
+        v.reg = c.reg;
+    } else {
+        v.isReg = false;
+        v.loc = c.loc;
+    }
+    return v;
+}
+
 void
 collectVars(const Cond &c, std::vector<ObservedVar> &out)
 {
@@ -43,15 +72,7 @@ collectVars(const Cond &c, std::vector<ObservedVar> &out)
         break;
       case Cond::Kind::RegTerm:
       case Cond::Kind::MemTerm: {
-        ObservedVar v;
-        if (c.kind == Cond::Kind::RegTerm) {
-            v.isReg = true;
-            v.proc = c.proc;
-            v.reg = c.reg;
-        } else {
-            v.isReg = false;
-            v.loc = c.loc;
-        }
+        ObservedVar v = termVar(c);
         for (const ObservedVar &seen : out) {
             if (seen == v)
                 return;
@@ -129,16 +150,112 @@ std::string
 outcomeKey(const std::vector<ObservedVar> &vars, const RunResult &r,
            const std::map<std::string, Addr> &addrOf)
 {
-    std::ostringstream oss;
+    std::string key;
     for (std::size_t i = 0; i < vars.size(); ++i) {
         if (i)
-            oss << ' ';
+            key += ' ';
         const ObservedVar &v = vars[i];
-        Word val = v.isReg ? regValue(r, v.proc, v.reg)
-                           : memValue(r, addrOf, v.loc);
-        oss << v.toString() << '=' << val;
+        appendTerm(key, v.toString(),
+                   v.isReg ? regValue(r, v.proc, v.reg)
+                           : memValue(r, addrOf, v.loc));
     }
-    return oss.str();
+    return key;
+}
+
+ClauseVars::ClauseVars(const Cond &cond,
+                       const std::map<std::string, Addr> &addrOf)
+    : vars_(observedVars(cond))
+{
+    for (const ObservedVar &v : vars_) {
+        Var r;
+        r.isReg = v.isReg;
+        r.proc = v.proc;
+        r.reg = v.reg;
+        if (!v.isReg) {
+            auto it = addrOf.find(v.loc);
+            r.known = it != addrOf.end();
+            r.addr = r.known ? it->second : 0;
+        }
+        r.label = v.toString();
+        resolved_.push_back(std::move(r));
+    }
+    flatten(cond);
+}
+
+void
+ClauseVars::flatten(const Cond &c)
+{
+    const auto self = static_cast<int>(nodes_.size());
+    Node n;
+    n.kind = c.kind;
+    n.op = c.op;
+    n.value = c.value;
+    if (c.kind == Cond::Kind::RegTerm || c.kind == Cond::Kind::MemTerm) {
+        const ObservedVar v = termVar(c);
+        for (std::size_t i = 0; i < vars_.size(); ++i) {
+            if (vars_[i] == v)
+                n.var = static_cast<int>(i);
+        }
+    }
+    nodes_.push_back(n);
+    for (const Cond &k : c.kids)
+        flatten(k);
+    nodes_[static_cast<std::size_t>(self)].end =
+        static_cast<int>(nodes_.size());
+}
+
+Word
+ClauseVars::valueOf(const System &sys, const Var &v) const
+{
+    if (v.isReg)
+        return sys.registerValue(v.proc, v.reg);
+    return v.known ? sys.finalValue(v.addr) : 0;
+}
+
+bool
+ClauseVars::eval(const System &sys, int node) const
+{
+    const Node &n = nodes_[static_cast<std::size_t>(node)];
+    switch (n.kind) {
+      case Cond::Kind::And:
+        for (int k = node + 1; k < n.end;
+             k = nodes_[static_cast<std::size_t>(k)].end) {
+            if (!eval(sys, k))
+                return false;
+        }
+        return true;
+      case Cond::Kind::Or:
+        for (int k = node + 1; k < n.end;
+             k = nodes_[static_cast<std::size_t>(k)].end) {
+            if (eval(sys, k))
+                return true;
+        }
+        return false;
+      case Cond::Kind::Not:
+        return !eval(sys, node + 1);
+      case Cond::Kind::RegTerm:
+      case Cond::Kind::MemTerm: {
+        Word v = valueOf(sys, resolved_[static_cast<std::size_t>(n.var)]);
+        return n.op == CmpOp::Eq ? v == n.value : v != n.value;
+      }
+    }
+    return false;
+}
+
+bool
+ClauseVars::holds(const System &sys) const
+{
+    return !nodes_.empty() && eval(sys, 0);
+}
+
+void
+ClauseVars::appendKey(const System &sys, std::string &out) const
+{
+    for (std::size_t i = 0; i < resolved_.size(); ++i) {
+        if (i)
+            out += ' ';
+        appendTerm(out, resolved_[i].label, valueOf(sys, resolved_[i]));
+    }
 }
 
 } // namespace litmus_dsl

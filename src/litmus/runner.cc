@@ -83,8 +83,8 @@ scPromised(PolicyKind policy, bool drf0)
 /** What every job of one test reads, planned before the fan. */
 struct TestPlan
 {
-    std::vector<ObservedVar> vars; ///< the clause's outcome-key variables
-    std::vector<char> runnable;    ///< per cell: the machine takes the policy
+    ClauseVars clause;          ///< the clause, resolved against the test
+    std::vector<char> runnable; ///< per cell: the machine takes the policy
 };
 
 /** @p r projected onto @p test's clause outcome key: the same projection
@@ -93,7 +93,8 @@ std::string
 projectKey(const CompiledLitmus &test, const TestPlan &plan,
            const RunResult &r)
 {
-    return outcomeKey(plan.vars, clauseOutcome(test, r), test.addrOf);
+    return outcomeKey(plan.clause.vars(), clauseOutcome(test, r),
+                      test.addrOf);
 }
 
 /**
@@ -151,12 +152,11 @@ simulate(const CompiledLitmus &test, const TestPlan &plan,
     out.ran = true;
     out.finished = sys.run();
     if (out.finished) {
-        RunResult r = clauseOutcome(test, sys.result());
-        out.hit = evalCond(test.clause.cond, r, test.addrOf);
-        out.key = outcomeKey(plan.vars, r, test.addrOf);
+        out.hit = plan.clause.holds(sys);
+        plan.clause.appendKey(sys, out.key);
         if (options.verify) {
-            ScReport sc =
-                w.verifier.check(sys.trace(), {options.maxVerifyStates});
+            ScReport sc = w.verifier.check(
+                sys.trace(), {options.maxVerifyStates}, /*keepWitness=*/false);
             out.scStatus = sc.verdict == ScVerdict::Sc      ? 0
                            : sc.verdict == ScVerdict::NotSc ? 1
                                                             : 2;
@@ -491,7 +491,7 @@ runCorpus(const std::vector<CompiledLitmus> &tests,
         report.tests[t].name = test.name;
         report.tests[t].file = test.file;
         report.tests[t].clause = toString(test.clause);
-        plans[t].vars = observedVars(test.clause.cond);
+        plans[t].clause = ClauseVars(test.clause.cond, test.addrOf);
         plans[t].runnable.assign(cells.size(), 1);
         for (std::size_t ci = 0; ci < cells.size(); ++ci) {
             try {

@@ -17,8 +17,8 @@ MemoryModule::MemoryModule(EventQueue &eq, Interconnect &net, StatSet &stats,
 Word
 MemoryModule::peek(Addr addr) const
 {
-    auto it = store_.find(addr);
-    return it == store_.end() ? 0 : it->second;
+    const Word *w = store_.find(addr);
+    return w ? *w : 0;
 }
 
 void
@@ -59,14 +59,14 @@ MemoryModule::handle(const Msg &msg)
             resp.value = peek(req.addr);
             break;
           case MsgType::MemWriteReq:
-            store_[req.addr] = req.value;
+            store_.get(req.addr) = req.value;
             resp.type = MsgType::MemWriteResp;
             resp.value = req.value;
             break;
           case MsgType::MemRmwReq:
             resp.type = MsgType::MemRmwResp;
             resp.value = peek(req.addr); // old value returned
-            store_[req.addr] = req.value;
+            store_.get(req.addr) = req.value;
             break;
           default:
             assert(false && "memory module got a non-memory message");

@@ -11,9 +11,10 @@
 #ifndef WO_MEM_MEMORY_MODULE_HH
 #define WO_MEM_MEMORY_MODULE_HH
 
-#include <map>
+#include <vector>
 
 #include "mem/interconnect.hh"
+#include "sim/addr_table.hh"
 #include "sim/event_queue.hh"
 #include "sim/stats.hh"
 
@@ -35,16 +36,21 @@ class MemoryModule
     void handle(const Msg &msg);
 
     /** Directly set backing-store contents (initialization). */
-    void poke(Addr addr, Word value) { store_[addr] = value; }
+    void poke(Addr addr, Word value) { store_.get(addr) = value; }
 
     /** Directly read backing-store contents (final state inspection). */
     Word peek(Addr addr) const;
 
-    /** Drop all contents and pending service time for reuse. */
+    /** Give exactly @p addrs (ascending) a word each (a System binds its
+     * program's touched addresses once per program). */
+    void bindAddrs(const std::vector<Addr> &addrs) { store_.bind(addrs); }
+
+    /** Zero all contents in place and drop pending service time for
+     * reuse. */
     void
     reset()
     {
-        store_.clear();
+        store_.reset();
         free_at_ = 0;
     }
 
@@ -58,7 +64,7 @@ class MemoryModule
     StatSet &stats_;
     NodeId node_;
     StatHandle stat_requests_; ///< interned "mem.requests"
-    std::map<Addr, Word> store_;
+    AddrTable<Word> store_;
     Tick free_at_ = 0;
 
     /** Structured tracing (null = disabled path). */

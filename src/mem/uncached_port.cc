@@ -1,5 +1,6 @@
 #include "mem/uncached_port.hh"
 
+#include <algorithm>
 #include <cassert>
 
 #include "obs/trace_sink.hh"
@@ -56,7 +57,7 @@ UncachedPort::request(const CacheOp &op)
         m.value = op.writeValue;
         break;
     }
-    pending_[op.id] = Pending{op};
+    pending_.push_back(op);
     stats_.inc(stat_requests_);
     if (sink_)
         emitEvent(TraceKind::PortRequest, op, m.dst);
@@ -66,9 +67,10 @@ UncachedPort::request(const CacheOp &op)
 void
 UncachedPort::handle(const Msg &msg)
 {
-    auto it = pending_.find(msg.reqId);
+    auto it = std::find_if(pending_.begin(), pending_.end(),
+                           [&](const CacheOp &p) { return p.id == msg.reqId; });
     assert(it != pending_.end() && "response without a pending request");
-    CacheOp op = it->second.op;
+    CacheOp op = *it;
     pending_.erase(it);
     assert(client_);
 

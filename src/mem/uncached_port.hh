@@ -11,7 +11,7 @@
 #ifndef WO_MEM_UNCACHED_PORT_HH
 #define WO_MEM_UNCACHED_PORT_HH
 
-#include <map>
+#include <vector>
 
 #include "cpu/mem_port.hh"
 #include "mem/interconnect.hh"
@@ -43,7 +43,8 @@ class UncachedPort : public MemPort
     /** Incoming response handler. */
     void handle(const Msg &msg);
 
-    /** Drop in-flight requests for reuse (the client stays attached). */
+    /** Drop in-flight requests for reuse (the client stays attached);
+     * storage is kept. */
     void reset() { pending_.clear(); }
 
     /** Attach a structured trace sink (nullptr detaches). Emits one
@@ -51,10 +52,6 @@ class UncachedPort : public MemPort
     void setTraceSink(TraceSink *sink) { sink_ = sink; }
 
   private:
-    struct Pending
-    {
-        CacheOp op;
-    };
 
     /** Emit one structured trace event (sink_ must be non-null). */
     void emitEvent(TraceKind kind, const CacheOp &op, NodeId peer);
@@ -68,7 +65,10 @@ class UncachedPort : public MemPort
     std::string name_;
     StatHandle stat_requests_; ///< interned name_ + ".requests"
     CacheClient *client_ = nullptr;
-    std::map<std::uint64_t, Pending> pending_;
+    /** In-flight requests, found by op id: a processor has only a
+     * handful outstanding, so a scan beats a node map, and the vector
+     * keeps its storage between runs. */
+    std::vector<CacheOp> pending_;
 
     /** Structured tracing (null = disabled path). */
     TraceSink *sink_ = nullptr;

@@ -1,6 +1,5 @@
 #include "system/system.hh"
 
-#include <set>
 #include <sstream>
 #include <stdexcept>
 
@@ -96,6 +95,7 @@ System::System(const MultiProgram &program, const SystemConfig &cfg)
     // Shares the between-runs install path: initial-value pokes,
     // warm-cache pre-loading and processor (re)binding live in one
     // place, so a reset-reuse run starts from byte-identical state.
+    bindAddrs();
     loadProgram(program_);
     setTraceSink(cfg_.traceSink);
 }
@@ -123,6 +123,16 @@ System::compatibleWith(const MultiProgram &program,
            structurallyCompatible(cfg);
 }
 
+bool
+System::reuseFor(const MultiProgram &program, const SystemConfig &cfg)
+{
+    if (!compatibleWith(program, cfg))
+        return false;
+    resetCompatible(cfg);
+    loadProgram(program);
+    return true;
+}
+
 void
 System::reset(const SystemConfig &cfg)
 {
@@ -132,6 +142,12 @@ System::reset(const SystemConfig &cfg)
             "built topology (only net.seed, maxTicks, traceSink and "
             "coverage may vary between runs)");
     }
+    resetCompatible(cfg);
+}
+
+void
+System::resetCompatible(const SystemConfig &cfg)
+{
     // Deliberate drain: a run that hit its livelock tick limit leaves
     // events pending, and abandoning them is exactly what reuse wants.
     eq_.reset(/*drain=*/true);
@@ -175,7 +191,8 @@ System::loadProgram(const MultiProgram &program)
     }
     if (&program != &program_ && program != program_) {
         program_ = program;
-        touched_ = program_.touchedAddrs();
+        program_.touchedAddrs(touched_);
+        bindAddrs();
     }
 
     int nprocs = static_cast<int>(procs_.size());
@@ -188,7 +205,7 @@ System::loadProgram(const MultiProgram &program)
         if (cfg_.warmCaches) {
             // The directory's sharers are the nodes it talks to: the
             // L1s directly, or the L2s when a mid level is present.
-            std::set<NodeId> all;
+            NodeSet all;
             for (ProcId p = 0; p < nprocs; ++p)
                 all.insert(cfg_.cacheLevels == 2 ? nprocs + p : p);
             for (Addr a : touched_) {
@@ -210,6 +227,29 @@ System::loadProgram(const MultiProgram &program)
     for (ProcId p = 0; p < nprocs; ++p)
         procs_[p]->reset(program_.program(p));
     loaded_ = true;
+}
+
+void
+System::bindAddrs()
+{
+    for (auto &c : caches_)
+        c->bindAddrs(touched_);
+    for (auto &m : mids_)
+        m->bindAddrs(touched_);
+    // A bank serves the addresses congruent to its index.
+    auto bindBanks = [this](auto &banks) {
+        const auto n = static_cast<Addr>(banks.size());
+        for (Addr b = 0; b < n; ++b) {
+            bank_addrs_.clear();
+            for (Addr a : touched_) {
+                if (a % n == b)
+                    bank_addrs_.push_back(a);
+            }
+            banks[b]->bindAddrs(bank_addrs_);
+        }
+    };
+    bindBanks(dirs_);
+    bindBanks(mems_);
 }
 
 void
@@ -324,36 +364,50 @@ System::midCache(ProcId p)
     return cfg_.cacheLevels == 2 ? mids_.at(p).get() : nullptr;
 }
 
+Word
+System::finalValue(Addr a) const
+{
+    if (!cfg_.cached)
+        return mems_[a % cfg_.numMemModules]->peek(a);
+    Word v = dirs_[a % cfg_.numDirs]->peek(a);
+    // A dirty cached copy is the authoritative value; the innermost
+    // level wins (an L1's M/O copy is newer than the L2 mirror behind
+    // it).
+    for (const auto &m : mids_) {
+        LineState st;
+        Word d;
+        if (m->peekLine(a, &st, &d) &&
+            (st == LineState::Modified || st == LineState::Owned))
+            v = d;
+    }
+    for (const auto &c : caches_) {
+        LineState st;
+        Word d;
+        if (c->peekLine(a, &st, &d) &&
+            (st == LineState::Modified || st == LineState::Owned))
+            v = d;
+    }
+    return v;
+}
+
+Word
+System::registerValue(ProcId p, int reg) const
+{
+    if (p < 0 || p >= static_cast<ProcId>(procs_.size()) || reg < 0)
+        return 0;
+    const std::vector<Word> &regs = procs_[static_cast<std::size_t>(p)]
+                                        ->registers();
+    return static_cast<std::size_t>(reg) < regs.size()
+               ? regs[static_cast<std::size_t>(reg)]
+               : 0;
+}
+
 RunResult
 System::result() const
 {
     RunResult r;
-    for (Addr a : touched_) {
-        Word v = 0;
-        if (cfg_.cached) {
-            v = dirs_[a % cfg_.numDirs]->peek(a);
-            // A dirty cached copy is the authoritative value; the
-            // innermost level wins (an L1's M/O copy is newer than the
-            // L2 mirror behind it).
-            for (const auto &m : mids_) {
-                LineState st;
-                Word d;
-                if (m->peekLine(a, &st, &d) &&
-                    (st == LineState::Modified || st == LineState::Owned))
-                    v = d;
-            }
-            for (const auto &c : caches_) {
-                LineState st;
-                Word d;
-                if (c->peekLine(a, &st, &d) &&
-                    (st == LineState::Modified || st == LineState::Owned))
-                    v = d;
-            }
-        } else {
-            v = mems_[a % cfg_.numMemModules]->peek(a);
-        }
-        r.finalMemory[a] = v;
-    }
+    for (Addr a : touched_)
+        r.finalMemory[a] = finalValue(a);
     int nregs = program_.numRegisters();
     for (const auto &p : procs_) {
         std::vector<Word> regs = p->registers();
@@ -410,7 +464,7 @@ System::auditCoherence() const
                 ++owner_copies;
                 owner_holder = node;
                 owner_owned = st == LineState::Owned;
-            } else if (!da.sharers.count(node)) {
+            } else if (!da.sharers.contains(node)) {
                 problems.push_back(
                     who + " holds line " + std::to_string(a) +
                     " shared but is not in the directory sharer set");
@@ -441,7 +495,7 @@ System::auditCoherence() const
                                "exclusively");
         }
         if (da.forwarder != -1 &&
-            (!da.shared || !da.sharers.count(da.forwarder))) {
+            (!da.shared || !da.sharers.contains(da.forwarder))) {
             problems.push_back(
                 "line " + std::to_string(a) +
                 " has a forwarder that is not a tracked sharer");

@@ -173,9 +173,25 @@ class System
     bool compatibleWith(const MultiProgram &program,
                         const SystemConfig &cfg) const;
 
+    /** reset(@p cfg) + loadProgram(@p program) if compatibleWith() them,
+     * testing compatibility once; returns false (and changes nothing)
+     * otherwise. SystemPool's reuse path. */
+    bool reuseFor(const MultiProgram &program, const SystemConfig &cfg);
+
     /** Observable outcome (registers padded to the workload's register
      * count so results compare against idealized outcomes). */
     RunResult result() const;
+
+    /** Final value of @p addr: the directory's (or memory module's)
+     * copy, overridden by a dirty (Modified or Owned) cached copy, the
+     * innermost level winning. result() reads memory through this, and
+     * an address the program never touches reads its initial value, 0.
+     * Allocates nothing. */
+    Word finalValue(Addr addr) const;
+
+    /** Register @p reg of processor @p p, 0 where result() would pad or
+     * for a processor that does not exist; reads in place. */
+    Word registerValue(ProcId p, int reg) const;
 
     /** The recorded execution trace. */
     const ExecutionTrace &trace() const { return trace_; }
@@ -225,6 +241,14 @@ class System
      * coverage. */
     bool structurallyCompatible(const SystemConfig &cfg) const;
 
+    /** reset(cfg) once @p cfg is known to be structurally compatible. */
+    void resetCompatible(const SystemConfig &cfg);
+
+    /** Give every per-address table (directory lines, cache lines and
+     * MSHRs, memory words) exactly the addresses of touched_ it serves;
+     * run once per program change. */
+    void bindAddrs();
+
     /** Rewire the structured trace sink on every component (nullptr
      * detaches); construction and reset(cfg) apply cfg.traceSink
      * through this. */
@@ -233,6 +257,8 @@ class System
     MultiProgram program_;
     /** program_.touchedAddrs(), refreshed whenever program_ changes. */
     std::vector<Addr> touched_;
+    /** bindAddrs()'s per-bank share of touched_ (reused). */
+    std::vector<Addr> bank_addrs_;
     SystemConfig cfg_;
     /** False between reset(cfg) and the next loadProgram(). */
     bool loaded_ = true;

@@ -64,12 +64,9 @@ SystemPool::acquire(const std::string &key, const MultiProgram &program,
                     const SystemConfig &cfg)
 {
     auto it = cells_.find(key);
-    if (it != cells_.end() && it->second->compatibleWith(program, cfg)) {
+    if (it != cells_.end() && it->second->reuseFor(program, cfg)) {
         ++reuses_;
-        System &sys = *it->second;
-        sys.reset(cfg);
-        sys.loadProgram(program);
-        return sys;
+        return *it->second;
     }
     auto sys = std::make_unique<System>(program, cfg);
     ++builds_; // only a construction that succeeded counts

@@ -9,12 +9,15 @@
 
 #include <map>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "coherence/cache.hh"
 #include "coherence/directory.hh"
 #include "consistency/policy.hh"
 #include "mem/interconnect.hh"
+#include "obs/trace_sink.hh"
 #include "sim/event_queue.hh"
 
 namespace wo {
@@ -426,6 +429,174 @@ TEST(Protocol, DirectoryIdleAfterQuiescence)
     }
     rig.run();
     EXPECT_TRUE(rig.dir->idle());
+}
+
+template <class F>
+void
+expectLogicError(F &&fn, const std::string &needle)
+{
+    try {
+        fn();
+        ADD_FAILURE() << "no std::logic_error (wanted \"" << needle << "\")";
+    } catch (const std::logic_error &e) {
+        EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+            << e.what();
+    }
+}
+
+/** A message from the directory (node 1 in a one-cache rig) to cache 0. */
+Msg
+fromDir(MsgType type, Addr addr)
+{
+    Msg m;
+    m.type = type;
+    m.src = 1;
+    m.dst = 0;
+    m.addr = addr;
+    return m;
+}
+
+TEST(ProtocolInvariant, FillWithoutMshrThrowsNamingIt)
+{
+    // Checked in every build type: per-address state lives in dense
+    // slots, so an unchecked fill would read a stale MSHR slot.
+    Rig rig(1);
+    expectLogicError(
+        [&] { rig.caches[0]->handle(fromDir(MsgType::Data, 5)); },
+        "cache0 (node 0), line 5: fill without MSHR");
+    // Also once the address has a slot: its miss has completed.
+    rig.caches[0]->access(rig.op(1, AccessKind::DataRead, 5));
+    rig.run();
+    expectLogicError(
+        [&] { rig.caches[0]->handle(fromDir(MsgType::DataEx, 5)); },
+        "cache0 (node 0), line 5: fill without MSHR");
+}
+
+TEST(ProtocolInvariant, UpgradeAckWithoutLineThrowsNamingIt)
+{
+    // A write miss on an absent line sends GetX; an UpgradeAck answering
+    // it finds no line to upgrade.
+    Rig rig(1);
+    rig.caches[0]->access(rig.op(1, AccessKind::DataWrite, 5, 7));
+    expectLogicError(
+        [&] { rig.caches[0]->handle(fromDir(MsgType::UpgradeAck, 5)); },
+        "cache0 (node 0), line 5: upgrade ack without a line");
+}
+
+TEST(ProtocolInvariant, WriteAckWithoutPendingWriteThrowsNamingIt)
+{
+    Rig rig(1);
+    expectLogicError(
+        [&] { rig.caches[0]->handle(fromDir(MsgType::WriteAck, 5)); },
+        "cache0 (node 0), line 5: write ack without a pending write");
+    // A present line whose write is already globally performed.
+    rig.caches[0]->access(rig.op(1, AccessKind::DataWrite, 5, 7));
+    rig.run();
+    ASSERT_TRUE(rig.clients[0]->isGp(1));
+    expectLogicError(
+        [&] { rig.caches[0]->handle(fromDir(MsgType::WriteAck, 5)); },
+        "cache0 (node 0), line 5: write ack without a pending write");
+}
+
+TEST(ProtocolOrder, NodeSetIteratesAscendingPastOneWord)
+{
+    // Node ids past 63 spill into extra words (a replayed trace may run
+    // thousands of processors); iteration stays ascending across them.
+    NodeSet s{200, 3, 70, 64, 0};
+    std::vector<NodeId> seen;
+    s.forEach([&](NodeId n) { seen.push_back(n); });
+    EXPECT_EQ(seen, (std::vector<NodeId>{0, 3, 64, 70, 200}));
+    EXPECT_EQ(s.size(), 5);
+    EXPECT_TRUE(s.contains(70));
+    EXPECT_FALSE(s.contains(71));
+    EXPECT_FALSE(s.contains(5000));
+    s.erase(70);
+    s.erase(5000); // absent, beyond every word: a no-op
+    EXPECT_FALSE(s.contains(70));
+    EXPECT_EQ(s.size(), 4);
+    s.clear();
+    EXPECT_TRUE(s.empty());
+    EXPECT_FALSE(s.contains(200));
+}
+
+/** Destinations of the directory's invalidate-sent events, in order. */
+std::vector<NodeId>
+invTargets(const TraceBuffer &buf)
+{
+    std::vector<NodeId> out;
+    for (const TraceEvent &ev : buf.events()) {
+        if (ev.comp == TraceComp::Dir && ev.kind == TraceKind::InvSent)
+            out.push_back(ev.dst);
+    }
+    return out;
+}
+
+TEST(ProtocolOrder, WriteMissInvalidatesSharersInAscendingNodeOrder)
+{
+    // Sharers join in the order 3, 1, 2; the invalidations still go out
+    // in ascending node order.
+    Rig rig(4);
+    TraceBuffer buf;
+    rig.dir->setTraceSink(&buf);
+    rig.dir->poke(5, 1);
+    rig.caches[3]->access(rig.op(1, AccessKind::DataRead, 5));
+    rig.caches[1]->access(rig.op(2, AccessKind::DataRead, 5));
+    rig.caches[2]->access(rig.op(3, AccessKind::DataRead, 5));
+    rig.run();
+    EXPECT_TRUE(invTargets(buf).empty());
+
+    rig.caches[0]->access(rig.op(4, AccessKind::DataWrite, 5, 9));
+    rig.run();
+    EXPECT_EQ(invTargets(buf), (std::vector<NodeId>{1, 2, 3}));
+    EXPECT_TRUE(rig.clients[0]->isGp(4));
+}
+
+TEST(ProtocolOrder, UpgradeInvalidatesOtherSharersInAscendingNodeOrder)
+{
+    // Cache 2 upgrades a line that caches 3, 0 and 1 share with it.
+    Rig rig(4);
+    TraceBuffer buf;
+    rig.dir->setTraceSink(&buf);
+    rig.dir->poke(5, 1);
+    rig.caches[3]->access(rig.op(1, AccessKind::DataRead, 5));
+    rig.caches[0]->access(rig.op(2, AccessKind::DataRead, 5));
+    rig.caches[2]->access(rig.op(3, AccessKind::DataRead, 5));
+    rig.caches[1]->access(rig.op(4, AccessKind::DataRead, 5));
+    rig.run();
+
+    rig.caches[2]->access(rig.op(5, AccessKind::DataWrite, 5, 9));
+    rig.run();
+    EXPECT_EQ(invTargets(buf), (std::vector<NodeId>{0, 1, 3}));
+    EXPECT_EQ(rig.stats.get("cache2.misses"), 2u);
+    EXPECT_TRUE(rig.clients[2]->isGp(5));
+}
+
+TEST(ProtocolOrder, EvictionTieOnLastUseEvictsTheLowerAddress)
+{
+    // A 1-set x 2-way cache holding two lines of equal lastUse (poked
+    // lines were never used): the next miss evicts the lower address,
+    // whichever line was installed first.
+    for (bool lower_first : {true, false}) {
+        SCOPED_TRACE(lower_first ? "lower installed first"
+                                 : "higher installed first");
+        CacheConfig ccfg;
+        ccfg.numSets = 1;
+        ccfg.ways = 2;
+        Rig rig(1, ccfg);
+        Cache &c = *rig.caches[0];
+        for (Addr a : lower_first ? std::vector<Addr>{4, 6}
+                                  : std::vector<Addr>{6, 4}) {
+            rig.dir->pokeShared(a, {0});
+            c.pokeLine(a, LineState::Shared, 0);
+        }
+        c.access(rig.op(1, AccessKind::DataRead, 8));
+        rig.run();
+        EXPECT_TRUE(rig.clients[0]->isCommitted(1));
+        EXPECT_FALSE(c.peekLine(4, nullptr, nullptr));
+        EXPECT_TRUE(c.peekLine(6, nullptr, nullptr));
+        EXPECT_TRUE(c.peekLine(8, nullptr, nullptr));
+        EXPECT_EQ(rig.stats.get("cache0.silent_drops"), 1u);
+    }
 }
 
 } // namespace

@@ -8,9 +8,15 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "coherence/cache.hh"
+#include "coherence/directory.hh"
+#include "coherence/mid_cache.hh"
+#include "consistency/policy.hh"
 #include "cpu/program_builder.hh"
 #include "litmus/compiler.hh"
 #include "litmus/expect.hh"
@@ -153,6 +159,182 @@ TEST(Hierarchy, BoundedBothLevelsStaysCoherentUnderContention)
         ASSERT_TRUE(sys.run());
         EXPECT_EQ(sys.result().finalMemory.at(0), 8u);
         EXPECT_TRUE(sys.auditCoherence().empty());
+    }
+}
+
+/** Counts the L1's commit notifications. */
+struct CommitCounter : CacheClient
+{
+    void opCommitted(std::uint64_t, Word) override { ++committed; }
+    void opGloballyPerformed(std::uint64_t) override {}
+    void counterReadsZero() override {}
+    int committed = 0;
+};
+
+/** A processor-less MSI stack: L1 (node 0) -> private L2 of one set
+ * and two ways (node 1) -> directory (node 2), on a jitter-free
+ * network. */
+struct L2Rig
+{
+    L2Rig()
+    {
+        GeneralNetwork::Config ncfg;
+        ncfg.base = 3;
+        ncfg.jitter = 0;
+        net = std::make_unique<GeneralNetwork>(eq, stats, ncfg);
+        dir = std::make_unique<Directory>(eq, *net, stats, 2,
+                                          ProtocolKind::Msi, "dir0");
+        MidCacheConfig l2cfg;
+        l2cfg.numSets = 1;
+        l2cfg.ways = 2;
+        l2 = std::make_unique<MidCache>(eq, *net, stats, 1, 0, 2, 1,
+                                        ProtocolKind::Msi, l2cfg,
+                                        "l2cache0");
+        l1 = std::make_unique<Cache>(eq, *net, stats, 0, 1, 1,
+                                     ProtocolKind::Msi, *policy,
+                                     CacheConfig{}, "cache0");
+        l1->setPortClient(&client);
+    }
+
+    /** Install @p addr Shared in the L2 (and, if @p in_l1, in the L1
+     * too), with the directory listing the L2 as its sharer. */
+    void
+    pokeShared(Addr addr, bool in_l1)
+    {
+        dir->pokeShared(addr, {1});
+        l2->pokeLine(addr, LineState::Shared, 0, in_l1);
+        if (in_l1)
+            l1->pokeLine(addr, LineState::Shared, 0);
+    }
+
+    void
+    read(std::uint64_t id, Addr addr)
+    {
+        CacheOp op;
+        op.id = id;
+        op.kind = AccessKind::DataRead;
+        op.addr = addr;
+        l1->access(op);
+        while (!eq.empty())
+            eq.step();
+    }
+
+    std::unique_ptr<ConsistencyPolicy> policy =
+        makePolicy(PolicyKind::Def2Drf0);
+    EventQueue eq;
+    StatSet stats;
+    std::unique_ptr<GeneralNetwork> net;
+    std::unique_ptr<Directory> dir;
+    std::unique_ptr<MidCache> l2;
+    std::unique_ptr<Cache> l1;
+    CommitCounter client;
+};
+
+template <class F>
+void
+expectLogicError(F &&fn, const std::string &needle)
+{
+    try {
+        fn();
+        ADD_FAILURE() << "no std::logic_error (wanted \"" << needle << "\")";
+    } catch (const std::logic_error &e) {
+        EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+            << e.what();
+    }
+}
+
+/** Deliver @p type for line 8 to the rig's L2 from node @p src (0 = its
+ * L1, 2 = the directory) and run until the L2 processes it. */
+void
+deliverToL2(L2Rig &rig, MsgType type, NodeId src)
+{
+    Msg m;
+    m.type = type;
+    m.src = src;
+    m.dst = 1;
+    m.addr = 8;
+    rig.l2->handle(m);
+    while (!rig.eq.empty())
+        rig.eq.step();
+}
+
+TEST(HierarchyInvariant, SecondL1RequestInFlightThrowsNamingIt)
+{
+    // Checked in every build type: the L2's MSHRs live in dense
+    // per-address slots, so a second request would overwrite the live
+    // one unchecked.
+    L2Rig rig;
+    Msg get;
+    get.type = MsgType::GetS;
+    get.src = 0;
+    get.dst = 1;
+    get.addr = 8;
+    rig.l2->handle(get);
+    rig.l2->handle(get);
+    expectLogicError(
+        [&] {
+            while (!rig.eq.empty())
+                rig.eq.step();
+        },
+        "l2cache0 (node 1), line 8: second L1 request while one is in "
+        "flight");
+}
+
+TEST(HierarchyInvariant, WritebackToLineTheL2LacksThrowsNamingIt)
+{
+    L2Rig rig;
+    expectLogicError([&] { deliverToL2(rig, MsgType::PutX, 0); },
+                     "l2cache0 (node 1), line 8: L1 writeback to a line "
+                     "the L2 does not hold");
+}
+
+TEST(HierarchyInvariant, FillWithNoRequestOutstandingThrowsNamingIt)
+{
+    L2Rig rig;
+    expectLogicError([&] { deliverToL2(rig, MsgType::Data, 2); },
+                     "l2cache0 (node 1), line 8: fill with no request "
+                     "outstanding");
+}
+
+TEST(HierarchyInvariant, WriteAckWithNoWritePendingThrowsNamingIt)
+{
+    L2Rig rig;
+    expectLogicError([&] { deliverToL2(rig, MsgType::WriteAck, 2); },
+                     "l2cache0 (node 1), line 8: write-ack with no write "
+                     "pending");
+    // Also for a line the L2 holds with nothing pending.
+    rig.read(1, 8);
+    ASSERT_TRUE(rig.l2->peekLine(8, nullptr, nullptr));
+    expectLogicError([&] { deliverToL2(rig, MsgType::WriteAck, 2); },
+                     "l2cache0 (node 1), line 8: write-ack with no write "
+                     "pending");
+}
+
+TEST(HierarchyOrder, L2EvictionTieOnLastUseEvictsTheLowerAddress)
+{
+    // Two L2 lines of equal lastUse (poked lines were never used), both
+    // gone from the L1 or both still in it: the next miss evicts, or
+    // first back-probes, the lower address, whichever was installed
+    // first.
+    for (bool in_l1 : {false, true}) {
+        for (bool lower_first : {true, false}) {
+            SCOPED_TRACE(std::string(in_l1 ? "held by the L1" : "L2 only") +
+                         (lower_first ? ", lower installed first"
+                                      : ", higher installed first"));
+            L2Rig rig;
+            for (Addr a : lower_first ? std::vector<Addr>{4, 6}
+                                      : std::vector<Addr>{6, 4})
+                rig.pokeShared(a, in_l1);
+            rig.read(1, 8);
+            EXPECT_EQ(rig.client.committed, 1);
+            EXPECT_FALSE(rig.l2->peekLine(4, nullptr, nullptr));
+            EXPECT_TRUE(rig.l2->peekLine(6, nullptr, nullptr));
+            EXPECT_TRUE(rig.l2->peekLine(8, nullptr, nullptr));
+            EXPECT_FALSE(rig.l1->peekLine(4, nullptr, nullptr));
+            EXPECT_EQ(rig.l1->peekLine(6, nullptr, nullptr), in_l1);
+            EXPECT_EQ(rig.stats.get("l2cache0.inner_invs"), in_l1 ? 1u : 0u);
+            EXPECT_TRUE(rig.l2->idle());
+        }
     }
 }
 

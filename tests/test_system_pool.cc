@@ -44,6 +44,8 @@ snapshot(System &sys, bool finished)
         oss << "tick=" << sys.finishTick() << "\n"
             << "result=" << sys.result().toString() << "\n"
             << "trace=" << sys.trace().toString() << "\n";
+        for (const std::string &problem : sys.auditCoherence())
+            oss << "audit: " << problem << "\n";
     }
     sys.stats().dump(oss);
     return oss.str();
@@ -374,9 +376,12 @@ litmusCorpus()
 
 TEST(SystemPool, PooledRunsMatchFreshRunsAcrossLitmusCorpus)
 {
-    // The shipped litmus corpus on the default machines under every
+    // The shipped litmus corpus on every registered machine under every
     // runner policy, 3 seeds each, exactly as wo-litmus acquires its
-    // Systems: every pooled run must match a fresh construction.
+    // Systems: every pooled run must match a fresh construction. The
+    // fleet covers eviction (bus-cap), L2s and MESIF forwarders, so the
+    // in-place reset of every per-address table is compared with fresh
+    // construction wherever it runs.
     std::vector<litmus_dsl::CompiledLitmus> tests = litmusCorpus();
     ASSERT_GE(tests.size(), 15u);
     const std::vector<PolicyKind> policies =
@@ -384,7 +389,7 @@ TEST(SystemPool, PooledRunsMatchFreshRunsAcrossLitmusCorpus)
     SystemPool pool;
     int checked = 0;
     for (const litmus_dsl::CompiledLitmus &test : tests) {
-        for (const MachineSpec *m : litmus_dsl::defaultMachines()) {
+        for (const MachineSpec *m : parseMachineList("*")) {
             for (PolicyKind pk : policies) {
                 const std::string key = m->name + "/" + toString(pk);
                 for (int seed = 0; seed < 3; ++seed) {
