@@ -16,7 +16,6 @@
 #include "bench_util.hh"
 #include "core/idealized.hh"
 #include "core/sc_verifier.hh"
-#include "cpu/program_builder.hh"
 #include "system/system.hh"
 #include "workload/campaign.hh"
 #include "workload/random_gen.hh"
@@ -186,38 +185,6 @@ BM_OutcomeEnumeration(benchmark::State &state)
         benchmark::Counter(static_cast<double>(outcomes));
 }
 BENCHMARK(BM_OutcomeEnumeration)->DenseRange(2, 4);
-
-void
-BM_ExhaustiveInterleavings(benchmark::State &state)
-{
-    // Straight-line Dekker-style programs: interleavings grow
-    // combinatorially with length.
-    int len = static_cast<int>(state.range(0));
-    MultiProgram mp("scaling");
-    for (int p = 0; p < 2; ++p) {
-        ProgramBuilder b;
-        for (int i = 0; i < len; ++i) {
-            b.store(static_cast<Addr>(p * 100 + i), i);
-        }
-        b.halt();
-        mp.addProgram(b.build());
-    }
-    std::uint64_t execs = 0;
-    for (auto _ : state) {
-        std::uint64_t n = 0;
-        forEachExecution(mp, {},
-                         [&](const ExecutionTrace &, const RunResult &,
-                             bool) {
-                             ++n;
-                             return true;
-                         });
-        execs = n;
-        benchmark::DoNotOptimize(n);
-    }
-    state.counters["interleavings"] =
-        benchmark::Counter(static_cast<double>(execs));
-}
-BENCHMARK(BM_ExhaustiveInterleavings)->DenseRange(2, 7);
 
 void
 BM_SimulatorThroughput(benchmark::State &state)

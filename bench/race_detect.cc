@@ -5,18 +5,14 @@
  *
  *   $ race_detect [--quick] [--json=FILE]
  *
- * Two sections, each printed as a table and recorded in a StatSet that
- * is dumped as JSON (default file: BENCH_race_detect.json):
+ * Per-trace checking on synthetic traces of 100..10k accesses, race-free
+ * and racy, checkTraceBitset() vs checkTrace() — the O(n^2/64) -> O(n*P)
+ * comparison — printed as a table and recorded in a StatSet that is
+ * dumped as JSON (default file: BENCH_race_detect.json).
  *
- *  1. per-trace checking on synthetic traces of 100..10k accesses,
- *     race-free and racy, checkTraceBitset() vs checkTrace() — the
- *     tentpole O(n^2/64) -> O(n*P) comparison;
- *  2. the sampled program check, online early-exit vs an offline
- *     reference that runs every schedule to completion and race-checks
- *     the full trace with the bitset oracle.
- *
- * End-to-end corpus time, DRF0 stage included, is bench/e2e's
- * corpus-default workload.
+ * The program-level DRF0 check (checkProgram's state search) is timed
+ * per corpus test in EXPERIMENTS.md; end-to-end corpus time, DRF0 stage
+ * included, is bench/e2e's corpus-default workload.
  *
  * All timings are best-of-N std::chrono::steady_clock measurements.
  * --quick shrinks repetitions for CI smoke runs; the measured shape (and
@@ -33,11 +29,8 @@
 
 #include "bench_util.hh"
 #include "core/drf0_checker.hh"
-#include "core/idealized.hh"
-#include "core/race_detector.hh"
 #include "sim/rng.hh"
 #include "sim/stats.hh"
-#include "workload/random_gen.hh"
 
 namespace {
 
@@ -164,99 +157,6 @@ benchTraceChecks(StatSet &stats, bool quick)
               << "enumeration in both checkers)\n";
 }
 
-/** The pre-vector-clock sampled check: same schedule stream, every
- * execution run to completion and bitset-checked offline. */
-Drf0ProgramReport
-offlineSampled(const MultiProgram &program, int num_schedules,
-               std::uint64_t seed, int max_steps = 10000)
-{
-    Drf0ProgramReport report;
-    report.bounded = true;
-    Rng rng(seed);
-    int nprocs = program.numProcs();
-    for (int s = 0; s < num_schedules && report.obeysDrf0; ++s) {
-        IdealizedMachine m(program);
-        int steps = 0;
-        while (!m.allHalted() && steps < max_steps) {
-            ProcId p = static_cast<ProcId>(rng.below(nprocs));
-            while (m.halted(p))
-                p = (p + 1) % nprocs;
-            m.step(p);
-            ++steps;
-        }
-        ++report.executions;
-        Drf0TraceReport tr = checkTraceBitset(m.trace());
-        if (!tr.raceFree) {
-            report.obeysDrf0 = false;
-            report.witness = m.trace();
-            report.witnessReport = tr;
-        }
-    }
-    return report;
-}
-
-void
-benchSampledCheck(StatSet &stats, bool quick)
-{
-    benchutil::banner(
-        "Sampled program check: online early-exit vs offline");
-    const int schedules = quick ? 60 : 200;
-    const int reps = quick ? 2 : 5;
-    RandomWorkloadConfig cfg;
-    cfg.numProcs = 3;
-    cfg.numLocks = 2;
-    cfg.locsPerLock = 3;
-    cfg.privateLocs = 2;
-    cfg.sectionsPerProc = 3;
-    cfg.opsPerSection = 3;
-    cfg.privateOpsBetween = 2;
-    cfg.spinAcquire = true;
-    cfg.seed = 11;
-
-    benchutil::Table table(
-        {"program", "schedules", "offline", "online", "speedup"});
-    struct Case
-    {
-        const char *label;
-        MultiProgram program;
-    };
-    std::vector<Case> cases;
-    cases.push_back({"drf0-spinlock", randomDrf0Program(cfg)});
-    cases.push_back({"racy-unguarded", randomRacyProgram(cfg, 2)});
-    for (Case &c : cases) {
-        Drf0ProgramReport on = checkProgramSampled(c.program, schedules, 9);
-        Drf0ProgramReport off = offlineSampled(c.program, schedules, 9);
-        if (on.obeysDrf0 != off.obeysDrf0 ||
-            on.executions != off.executions) {
-            std::cerr << "BUG: sampled checkers disagree on " << c.label
-                      << "\n";
-            std::exit(1);
-        }
-        std::uint64_t off_ns = bestNs(reps, [&] {
-            Drf0ProgramReport r = offlineSampled(c.program, schedules, 9);
-            if (r.obeysDrf0 != off.obeysDrf0)
-                std::exit(1);
-        });
-        std::uint64_t on_ns = bestNs(reps, [&] {
-            Drf0ProgramReport r =
-                checkProgramSampled(c.program, schedules, 9);
-            if (r.obeysDrf0 != off.obeysDrf0)
-                std::exit(1);
-        });
-        std::uint64_t speedup_milli = on_ns ? off_ns * 1000 / on_ns : 0;
-        std::string key = std::string("sampled.") + c.label;
-        stats.set(key + ".offline_ns", off_ns);
-        stats.set(key + ".online_ns", on_ns);
-        stats.set(key + ".speedup_milli", speedup_milli);
-        stats.set(key + ".executions", on.executions);
-        table.addRow({c.label, std::to_string(schedules), fmtNs(off_ns),
-                      fmtNs(on_ns), fmtSpeedup(speedup_milli)});
-    }
-    table.print();
-    std::cout << "\n(verdicts, execution counts and witnesses are "
-                 "checked identical before timing)\n";
-}
-
 } // namespace
 
 int
@@ -279,7 +179,6 @@ main(int argc, char **argv)
     StatSet stats;
     stats.set("quick", quick ? 1 : 0);
     benchTraceChecks(stats, quick);
-    benchSampledCheck(stats, quick);
 
     std::ofstream out(json_file);
     if (!out) {

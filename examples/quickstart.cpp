@@ -9,8 +9,9 @@
 
 #include <iostream>
 
-#include "core/contract.hh"
 #include "core/drf0_checker.hh"
+#include "core/idealized.hh"
+#include "core/sc_verifier.hh"
 #include "cpu/program_builder.hh"
 #include "system/machine_spec.hh"
 #include "system/system.hh"
@@ -41,9 +42,9 @@ main()
     program.addProgram(consumer.build());
 
     // 1. The software side of the contract: does the program obey DRF0?
-    Drf0ProgramReport drf0 = checkProgramSampled(program, 200, /*seed=*/1);
-    std::cout << "program obeys DRF0 (sampled over "
-              << drf0.executions << " idealized executions): "
+    Drf0ProgramReport drf0 = checkProgram(program);
+    std::cout << "program obeys DRF0 (exact, " << drf0.states
+              << " idealized states searched): "
               << (drf0.obeysDrf0 ? "yes" : "NO") << "\n";
 
     // 2. Run it on weakly ordered hardware: a 2-processor cache-coherent
@@ -63,12 +64,16 @@ main()
     std::cout << "finished at tick " << sys.finishTick() << "\n";
 
     // 3. The hardware side of the contract: the execution appears
-    //    sequentially consistent (Definition 2).
-    ContractOptions opts;
-    opts.checkOutcomeSet = true;
-    ContractReport report =
-        checkExecution(program, sys.trace(), &result, opts);
-    std::cout << "contract check: " << report.toString() << "\n";
+    //    sequentially consistent (Definition 2), and its result is one
+    //    the idealized architecture can produce.
+    ScReport sc = verifySc(sys.trace());
+    std::cout << "SC verification: " << sc.toString() << "\n";
+    OutcomeSet ideal = enumerateOutcomes(program);
+    bool in_set = ideal.outcomes.count(result) > 0;
+    std::cout << "outcome " << (in_set ? "in" : "NOT in")
+              << " the idealized outcome set\n";
 
-    return report.appearsSc && result.registers[1][1] == 42 ? 0 : 1;
+    bool ok = drf0.obeysDrf0 && sc.sc() && in_set &&
+              result.registers[1][1] == 42;
+    return ok ? 0 : 1;
 }

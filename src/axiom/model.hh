@@ -42,7 +42,7 @@ namespace axiom {
 /** Program-level facts a conditional model may depend on. */
 struct ModelContext
 {
-    /** Sampled DRF0 verdict for the whole program (see
+    /** DRF0 verdict for the whole program (see
      * core/drf0_checker.hh); drf0sc promises SC only when true. */
     bool programDrf0 = false;
 };

@@ -3,10 +3,9 @@
 #include <algorithm>
 #include <map>
 #include <sstream>
+#include <unordered_set>
 
-#include "core/idealized.hh"
 #include "core/stream_checker.hh"
-#include "sim/rng.hh"
 
 namespace wo {
 
@@ -26,6 +25,57 @@ normalizeRaces(const ExecutionTrace &trace, std::vector<Race> &races)
                       return aa < ab;
                   return a < b;
               });
+}
+
+/** FNV-1a over the words of an IdealizedMachine::stateKey(). */
+struct StateKeyHash
+{
+    std::size_t operator()(const std::vector<std::uint64_t> &key) const
+    {
+        std::uint64_t h = 1469598103934665603ull;
+        for (std::uint64_t w : key)
+            h = (h ^ w) * 1099511628211ull;
+        return static_cast<std::size_t>(h);
+    }
+};
+
+/** The next instruction of processor @p p, if it accesses memory. */
+const Instruction *
+pendingAccess(const MultiProgram &program, const IdealizedMachine &m,
+              ProcId p)
+{
+    if (m.halted(p))
+        return nullptr;
+    const Instruction &insn = program.program(p).at(m.pc(p));
+    return insn.isMemOp() ? &insn : nullptr;
+}
+
+/** Two processors whose next instructions race: one address, at least
+ * one write, not both syncs. Returns false when no pair does. */
+bool
+pendingRace(const MultiProgram &program, const IdealizedMachine &m,
+            ProcId &first, ProcId &second)
+{
+    const int n = program.numProcs();
+    for (ProcId p = 0; p < n; ++p) {
+        const Instruction *a = pendingAccess(program, m, p);
+        if (!a)
+            continue;
+        AccessKind ka = a->accessKind();
+        for (ProcId q = p + 1; q < n; ++q) {
+            const Instruction *b = pendingAccess(program, m, q);
+            if (!b || b->addr != a->addr)
+                continue;
+            AccessKind kb = b->accessKind();
+            if ((writesMemory(ka) || writesMemory(kb)) &&
+                !(isSync(ka) && isSync(kb))) {
+                first = p;
+                second = q;
+                return true;
+            }
+        }
+    }
+    return false;
 }
 
 } // namespace
@@ -71,76 +121,48 @@ checkTraceBitset(const ExecutionTrace &trace)
 }
 
 Drf0ProgramReport
-checkProgram(const MultiProgram &program, const Drf0CheckLimits &limits)
+checkProgram(const MultiProgram &program, const EnumLimits &limits)
 {
     Drf0ProgramReport report;
-    EnumLimits el;
-    el.maxStepsPerExecution = limits.maxStepsPerExecution;
-    el.maxExecutions = limits.maxExecutions;
-
-    bool exhaustive = forEachExecution(
-        program, el,
-        [&](const ExecutionTrace &trace, const RunResult &, bool) {
-            ++report.executions;
-            Drf0TraceReport tr = checkTrace(trace);
-            if (!tr.raceFree) {
-                report.obeysDrf0 = false;
-                report.witness = trace;
-                report.witnessReport = tr;
-                return false; // one racy witness is enough
-            }
-            return true;
-        });
-    if (!exhaustive && report.obeysDrf0)
-        report.bounded = true;
-    return report;
-}
-
-Drf0ProgramReport
-checkProgramSampled(const MultiProgram &program, int num_schedules,
-                    std::uint64_t seed, int max_steps_per_execution)
-{
-    Drf0ProgramReport report;
-    report.bounded = true;
-    Rng rng(seed);
-    int nprocs = program.numProcs();
-    RaceDetector det(nprocs, RaceDetectMode::FirstRace);
-    for (int s = 0; s < num_schedules && report.obeysDrf0; ++s) {
-        // Snapshot the RNG so a racy schedule can be replayed in full
-        // for the witness (the stream itself is shared across schedules,
-        // exactly as the offline checker consumed it).
-        Rng sched_rng = rng;
-        IdealizedMachine m(program);
-        det.reset(nprocs);
-        m.attachRaceDetector(&det);
-        int steps = 0;
-        while (!m.allHalted() && steps < max_steps_per_execution) {
-            // Pick a random non-halted processor.
-            ProcId p = static_cast<ProcId>(rng.below(nprocs));
-            while (m.halted(p))
-                p = (p + 1) % nprocs;
+    IdealizedMachine m(program);
+    std::unordered_set<std::vector<std::uint64_t>, StateKeyHash> visited;
+    // One entry per state on the current path: the next processor to try
+    // stepping from it. The path lives in the machine's undo stack.
+    std::vector<ProcId> path;
+    const ProcId n = program.numProcs();
+    bool fresh = visited.insert(m.stateKey()).second;
+    while (fresh) {
+        ++report.states;
+        ProcId p, q;
+        if (pendingRace(program, m, p, q)) {
             m.step(p);
-            ++steps;
-            if (det.hasRace())
-                break; // online early exit: first race decides
-        }
-        ++report.executions;
-        if (det.hasRace()) {
+            m.step(q);
             report.obeysDrf0 = false;
-            // Rebuild the full-trace witness the offline checker would
-            // have reported: replay this schedule to completion.
-            IdealizedMachine w(program);
-            Rng replay = sched_rng;
-            int wsteps = 0;
-            while (!w.allHalted() && wsteps < max_steps_per_execution) {
-                ProcId p = static_cast<ProcId>(replay.below(nprocs));
-                while (w.halted(p))
-                    p = (p + 1) % nprocs;
-                w.step(p);
-                ++wsteps;
-            }
-            report.witness = w.trace();
+            report.witness = m.trace();
             report.witnessReport = checkTrace(report.witness);
+            return report;
+        }
+        if (report.states >= limits.maxStates) {
+            report.bounded = true;
+            return report;
+        }
+        path.push_back(0);
+        fresh = false;
+        // Step to the next unvisited state, backtracking as needed.
+        while (!fresh && !path.empty()) {
+            ProcId &next = path.back();
+            while (next < n && m.halted(next))
+                ++next;
+            if (next == n) {
+                path.pop_back();
+                if (!path.empty())
+                    m.unstep();
+                continue;
+            }
+            m.step(next++);
+            fresh = visited.insert(m.stateKey()).second;
+            if (!fresh)
+                m.unstep();
         }
     }
     return report;

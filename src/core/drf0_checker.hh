@@ -11,16 +11,14 @@
  * Two entry points are provided:
  *  - checkTrace(): classify one concrete execution (used for the Figure 2
  *    example and counter-example, and for dynamic race reporting);
- *  - checkProgram(): exhaustively enumerate idealized executions of a
- *    program and classify each (the literal Definition 3 quantifier).
+ *  - checkProgram(): decide Definition 3 for a program, exactly, by a
+ *    memoized search over the idealized machine's states.
  *
- * Race detection runs on one vector-clock engine
- * (core/race_detector.hh): checkTrace() is the StreamingDrf0Checker
+ * checkTrace() is the vector-clock StreamingDrf0Checker
  * (core/stream_checker.hh) fed the whole trace, O(n * P) per trace
- * instead of the O(n^2/64) dense happens-before closure; the sampled
- * program check attaches a detector online, aborting an execution at its
- * first race. The closure (core/happens_before.hh) survives as
- * checkTraceBitset(), the differential oracle.
+ * instead of the O(n^2/64) dense happens-before closure. The closure
+ * (core/happens_before.hh) survives as checkTraceBitset(), the
+ * differential oracle.
  */
 
 #ifndef WO_CORE_DRF0_CHECKER_HH
@@ -31,6 +29,7 @@
 #include <vector>
 
 #include "core/happens_before.hh"
+#include "core/idealized.hh"
 #include "core/race_detector.hh"
 #include "core/trace.hh"
 #include "cpu/program.hh"
@@ -47,35 +46,23 @@ struct Drf0TraceReport
     std::string toString(const ExecutionTrace &trace) const;
 };
 
-/** Outcome of exhaustively checking a program. */
+/** Outcome of checking a program against Definition 3. */
 struct Drf0ProgramReport
 {
-    /** True iff every explored idealized execution was race-free. */
+    /** True iff no reachable idealized state has a race pending. */
     bool obeysDrf0 = true;
 
-    /** True if enumeration hit a cap, so the verdict is only a bounded
-     * guarantee. */
+    /** True if the search hit its state cap before finding a race, so
+     * the verdict is only a bounded guarantee. */
     bool bounded = false;
 
-    /** Number of complete idealized executions explored. */
-    std::uint64_t executions = 0;
+    /** Distinct idealized-machine states visited. */
+    std::uint64_t states = 0;
 
-    /** A witness racy execution, when one was found. */
+    /** A witness racy execution, when one was found: the path to the
+     * racing state followed by the two racing accesses. */
     ExecutionTrace witness;
     Drf0TraceReport witnessReport;
-};
-
-/** Limits for exhaustive program checking. */
-struct Drf0CheckLimits
-{
-    /** Max instructions executed along one interleaving. */
-    int maxStepsPerExecution = 300;
-
-    /** Max interleavings explored (complete or capped). Exhaustive
-     * enumeration is exponential in interleavings; programs with
-     * unbounded spin loops will hit this cap and get a bounded verdict —
-     * use checkProgramSampled() for those. */
-    std::uint64_t maxExecutions = 50000;
 };
 
 /** Classify one execution: find every conflicting pair not ordered by the
@@ -90,29 +77,21 @@ Drf0TraceReport checkTrace(const ExecutionTrace &trace);
  * the same races as checkTrace() on every acyclic trace. */
 Drf0TraceReport checkTraceBitset(const ExecutionTrace &trace);
 
-/** Exhaustively check a program over idealized executions
- * (Definition 3). */
-Drf0ProgramReport checkProgram(const MultiProgram &program,
-                               const Drf0CheckLimits &limits = {});
-
 /**
- * Bounded DRF0 check over randomly scheduled idealized executions.
+ * Decide whether @p program obeys DRF0 (Definition 3).
  *
- * For programs whose interleaving space is too large to enumerate
- * (anything with unbounded spin loops), run @p num_schedules seeded random
- * interleavings and race-check each trace. A race found proves the
- * program violates DRF0; a clean run is evidence, not proof (the report
- * is always marked bounded).
- *
- * Races are detected online by a vector-clock detector attached to the
- * interpreter, so a racy schedule is abandoned at its first race; the
- * witness is then rebuilt by replaying that schedule to completion, which
- * keeps the report identical to the offline full-trace check.
+ * A program races iff some reachable state of the idealized machine has
+ * two processors whose next instructions are memory accesses to one
+ * address, at least one of them a write, not both syncs. (Any race can
+ * be moved until its accesses are adjacent: every access not
+ * happens-before the second one can be scheduled after it.) The check is
+ * an iterative depth-first search over IdealizedMachine::stateKey()
+ * states with a visited set, so spin loops end when they revisit a
+ * state. Only @p limits.maxStates applies: reaching it with no race
+ * found makes the verdict bounded.
  */
-Drf0ProgramReport checkProgramSampled(const MultiProgram &program,
-                                      int num_schedules,
-                                      std::uint64_t seed = 1,
-                                      int max_steps_per_execution = 10000);
+Drf0ProgramReport checkProgram(const MultiProgram &program,
+                               const EnumLimits &limits = {});
 
 } // namespace wo
 

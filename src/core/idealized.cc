@@ -1,9 +1,8 @@
 #include "core/idealized.hh"
 
 #include <algorithm>
-#include <cassert>
-
-#include "core/race_detector.hh"
+#include <functional>
+#include <stdexcept>
 
 namespace wo {
 
@@ -161,18 +160,14 @@ IdealizedMachine::step(ProcId p)
     pcs_[p] = next_pc;
     undo_.push_back(u);
     ++steps_;
-    if (u.recordedAccess && detector_)
-        detector_->onAccess(trace_.accesses().back());
     return true;
 }
 
 void
 IdealizedMachine::unstep()
 {
-    assert(!undo_.empty());
-    // Online detection cannot rewind: backtracking enumeration must not
-    // attach a detector.
-    assert(detector_ == nullptr);
+    if (undo_.empty())
+        throw std::logic_error("IdealizedMachine::unstep: no step to undo");
     UndoRecord u = undo_.back();
     undo_.pop_back();
     pcs_[u.proc] = u.oldPc;
@@ -254,55 +249,6 @@ enumerateOutcomes(const MultiProgram &program, const EnumLimits &limits)
     };
     dfs(0);
     return out;
-}
-
-bool
-forEachExecution(
-    const MultiProgram &program, const EnumLimits &limits,
-    const std::function<bool(const ExecutionTrace &, const RunResult &,
-                             bool complete)> &visit)
-{
-    IdealizedMachine m(program);
-    std::uint64_t execs = 0;
-    bool capped = false;
-    bool stopped = false;
-
-    std::function<void(int)> dfs = [&](int depth) {
-        if (stopped)
-            return;
-        if (m.allHalted()) {
-            ++execs;
-            if (!visit(m.trace(), m.result(), true))
-                stopped = true;
-            if (execs >= limits.maxExecutions) {
-                capped = true;
-                stopped = true;
-            }
-            return;
-        }
-        if (depth >= limits.maxStepsPerExecution) {
-            capped = true;
-            ++execs;
-            if (!visit(m.trace(), m.result(), false))
-                stopped = true;
-            if (execs >= limits.maxExecutions) {
-                capped = true;
-                stopped = true;
-            }
-            return;
-        }
-        for (ProcId p = 0; p < program.numProcs(); ++p) {
-            if (m.halted(p))
-                continue;
-            m.step(p);
-            dfs(depth + 1);
-            m.unstep();
-            if (stopped)
-                return;
-        }
-    };
-    dfs(0);
-    return !capped && !stopped;
 }
 
 RunResult

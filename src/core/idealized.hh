@@ -5,20 +5,18 @@
  * of this machine; Definition 2 compares hardware results against its
  * outcome set.
  *
- * Three services are provided:
- *  - single-step interpretation (IdealizedMachine), used to replay specific
- *    interleavings;
+ * Two services are provided:
+ *  - single-step interpretation with undo (IdealizedMachine), used to
+ *    replay specific interleavings and by the state searches (the DRF0
+ *    program check, core/drf0_checker.hh);
  *  - exhaustive enumeration of the set of sequentially consistent outcomes
- *    (memoized over machine states);
- *  - exhaustive enumeration of executions with their traces (unmemoized),
- *    used by the DRF0 program checker.
+ *    (memoized over machine states).
  */
 
 #ifndef WO_CORE_IDEALIZED_HH
 #define WO_CORE_IDEALIZED_HH
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <set>
 #include <vector>
@@ -28,8 +26,6 @@
 
 namespace wo {
 
-class RaceDetector;
-
 /**
  * Interpreter state for one idealized (atomic, in-program-order)
  * execution.
@@ -38,16 +34,6 @@ class IdealizedMachine
 {
   public:
     explicit IdealizedMachine(const MultiProgram &program);
-
-    /**
-     * Attach an online race detector: every memory access is streamed
-     * into it as it executes (trace order is a linear extension of the
-     * happens-before relation on this machine), so callers can poll
-     * RaceDetector::hasRace() after each step() and abandon the
-     * execution at its first race. Only accesses recorded after
-     * attachment are observed; incompatible with unstep().
-     */
-    void attachRaceDetector(RaceDetector *det) { detector_ = det; }
 
     /** True when processor @p p reached Halt. */
     bool halted(ProcId p) const { return halted_[p]; }
@@ -67,7 +53,8 @@ class IdealizedMachine
      */
     bool step(ProcId p);
 
-    /** Undo the most recent step (for backtracking enumeration). */
+    /** Undo the most recent step (for backtracking searches). Throws
+     * std::logic_error when there is no step to undo. */
     void unstep();
 
     /** Current value of a memory location. */
@@ -104,7 +91,6 @@ class IdealizedMachine
     };
 
     const MultiProgram &program_;
-    RaceDetector *detector_ = nullptr;
     std::vector<int> pcs_;
     std::vector<std::vector<Word>> regs_;
     std::vector<bool> halted_;
@@ -119,13 +105,11 @@ class IdealizedMachine
 /** Limits on exhaustive enumeration. */
 struct EnumLimits
 {
-    /** Max instructions along any single interleaving. */
+    /** Max instructions along any single interleaving (outcome
+     * enumeration and runWithSchedule). */
     int maxStepsPerExecution = 10000;
 
-    /** Max complete interleavings (unmemoized enumeration). */
-    std::uint64_t maxExecutions = 2000000;
-
-    /** Max distinct states (memoized outcome enumeration). */
+    /** Max distinct states (outcome enumeration and the DRF0 check). */
     std::uint64_t maxStates = 5000000;
 };
 
@@ -148,21 +132,6 @@ struct OutcomeSet
  */
 OutcomeSet enumerateOutcomes(const MultiProgram &program,
                              const EnumLimits &limits = {});
-
-/**
- * Visit every idealized execution of @p program (every interleaving).
- *
- * The callback receives the trace and outcome; @c complete is false when
- * the interleaving was cut off by the per-execution step cap. Return false
- * from the callback to stop the enumeration early.
- *
- * @return true if the enumeration covered everything (no caps hit and not
- *         stopped early).
- */
-bool forEachExecution(
-    const MultiProgram &program, const EnumLimits &limits,
-    const std::function<bool(const ExecutionTrace &, const RunResult &,
-                             bool complete)> &visit);
 
 /**
  * Replay a specific interleaving: entries of @p schedule name the

@@ -52,9 +52,8 @@ struct Race
 
 /** What the detector reports. */
 enum class RaceDetectMode {
-    /** Stop at the first race: the hot-path mode for online DRF0
-     * verdicts (checkProgramSampled, checkProgram). Per-address state is
-     * pure FastTrack epochs. */
+    /** Stop at the first race: the hot-path mode for streamed replay
+     * verdicts. Per-address state is pure FastTrack epochs. */
     FirstRace,
 
     /** Report every unordered conflicting pair, exactly the set the

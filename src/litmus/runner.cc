@@ -98,18 +98,16 @@ projectKey(const CompiledLitmus &test, const TestPlan &plan,
 }
 
 /**
- * The analysis job of one test. The sampled DRF0 verdict gates which
- * policies promise SC results for the program (spin loops rule out
- * exhaustive enumeration). With the axiom stage on, each model's allowed
- * outcomes under that verdict follow, projected onto clause outcome
- * keys. Writes only @p tr's analysis fields.
+ * The analysis job of one test. The DRF0 verdict gates which policies
+ * promise SC results for the program. With the axiom stage on, each
+ * model's allowed outcomes under that verdict follow, projected onto
+ * clause outcome keys. Writes only @p tr's analysis fields.
  */
 void
 analyzeTest(const CompiledLitmus &test, const TestPlan &plan,
             const RunnerOptions &options, TestReport &tr)
 {
-    Drf0ProgramReport drf0 = checkProgramSampled(
-        test.program, options.drf0Schedules, options.baseSeed);
+    Drf0ProgramReport drf0 = checkProgram(test.program);
     tr.drf0 = drf0.obeysDrf0;
     tr.drf0Bounded = drf0.bounded;
     if (!options.axiomCheck)
@@ -564,7 +562,8 @@ printReport(std::ostream &os, const CorpusReport &report, bool histograms,
         os << "== " << tr.name << "  (" << tr.file << ")\n";
         os << "   clause : " << tr.clause << "\n";
         os << "   program: "
-           << (tr.drf0 ? "DRF0 (sampled)" : "racy (sampled)") << "\n";
+           << (tr.drf0 ? "DRF0" : "racy")
+           << (tr.drf0Bounded ? " (bounded)" : " (exact)") << "\n";
         if (tr.axiomChecked) {
             os << "   axiom  : "
                << (tr.axiomComplete ? "complete" : "truncated");

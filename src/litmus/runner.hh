@@ -6,7 +6,7 @@
  * per-test outcome histograms plus PASS/FAIL verdicts.
  *
  * runCorpus is one campaign fan over the whole corpus: one analysis job
- * per test (the sampled DRF0 verdict, then the axiomatic allowed sets
+ * per test (the exact DRF0 verdict, then the axiomatic allowed sets
  * under it), then every test's simulation jobs, one per (cell, seed).
  * The calling thread judges the tests in order once the fan is done.
  *
@@ -20,7 +20,7 @@
  *  - `forbidden (c)`: c must never be observed under a policy that
  *    promises sequential consistency for the program — SC and Def1
  *    always, the Definition 2 implementations when the program is DRF0
- *    (sampled check). Hits under Relaxed (or under Def2 for racy
+ *    (exact check). Hits under Relaxed (or under Def2 for racy
  *    programs) are contract-permitted and only reported.
  *  - `forbidden always (c)`: enforced under every policy (coherence and
  *    fence tests, whose guarantee survives even the Relaxed machine).
@@ -76,7 +76,8 @@ struct RunnerOptions
     std::uint64_t baseSeed = 1;  ///< campaign seed-stream base
     bool verify = true;          ///< SC-verify every recorded trace
     std::uint64_t maxVerifyStates = 1000000;
-    int drf0Schedules = 200;     ///< sampled DRF0 check per test
+    /// Kept only for bench/e2e's replica; deleted in ROADMAP item 6 step 2.
+    static constexpr int drf0Schedules = 200;
 
     /**
      * Record coverage counters (protocol transitions, stall reasons,
@@ -162,8 +163,8 @@ struct TestReport
     std::string file;
     std::string clause; ///< rendered source form
 
-    bool drf0 = false;        ///< sampled DRF0 verdict
-    bool drf0Bounded = true;  ///< verdict is a bounded guarantee
+    bool drf0 = false;        ///< DRF0 verdict (checkProgram)
+    bool drf0Bounded = false; ///< the check hit its state cap
 
     std::vector<CellReport> cells; ///< policy-major, variant-minor order
 

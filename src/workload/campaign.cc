@@ -83,11 +83,9 @@ workerSystemPool()
 }
 
 Drf0ProgramReport
-Drf0Memo::check(const MultiProgram &program, int numSchedules,
-                std::uint64_t seed, int maxStepsPerExecution)
+Drf0Memo::check(const MultiProgram &program, int, std::uint64_t)
 {
-    Key key{program.contentHash(), numSchedules, seed,
-            maxStepsPerExecution};
+    const std::uint64_t key = program.contentHash();
     {
         std::lock_guard<std::mutex> lock(mu_);
         auto it = memo_.find(key);
@@ -98,8 +96,7 @@ Drf0Memo::check(const MultiProgram &program, int numSchedules,
     }
     // Compute outside the lock; a concurrent duplicate of the same key
     // computes the identical report, so first-insert-wins is harmless.
-    Drf0ProgramReport report = checkProgramSampled(
-        program, numSchedules, seed, maxStepsPerExecution);
+    Drf0ProgramReport report = checkProgram(program);
     std::lock_guard<std::mutex> lock(mu_);
     ++misses_;
     auto [it, inserted] = memo_.emplace(key, std::move(report));

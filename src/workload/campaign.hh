@@ -24,7 +24,6 @@
 #include <mutex>
 #include <stdexcept>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "core/drf0_checker.hh"
@@ -104,39 +103,34 @@ std::uint64_t consumeSeedFlag(int &argc, char **argv,
                               std::uint64_t fallback = 1);
 
 /**
- * Memoized sampled DRF0 verdicts, keyed by program content.
+ * Memoized DRF0 verdicts, keyed by program content.
  *
  * Campaign-style workloads check the same compiled program repeatedly —
  * across corpus passes, policy sweeps, and duplicate litmus bodies that
- * differ only in name or clause. The verdict of checkProgramSampled()
- * depends only on (program content, schedule count, seed, step cap), so
- * one sampled check per distinct key suffices. Thread-safe; the sampled
- * check itself runs outside the lock.
+ * differ only in name or clause. checkProgram()'s verdict depends only
+ * on the program's content, so one check per distinct contentHash()
+ * suffices. Thread-safe; the check itself runs outside the lock.
  */
 class Drf0Memo
 {
   public:
     /**
-     * checkProgramSampled() with memoization: the first call for a key
-     * runs the sampled check, later calls return the stored report
-     * (byte-identical — same witness, same races).
+     * checkProgram() with memoization: the first call for a program
+     * runs the check, later calls return the stored report (same
+     * witness, same races).
      */
-    Drf0ProgramReport check(const MultiProgram &program, int numSchedules,
-                            std::uint64_t seed,
-                            int maxStepsPerExecution = 10000);
+    // Args 2-3 kept only for bench/e2e; deleted in ROADMAP item 6 step 2.
+    Drf0ProgramReport check(const MultiProgram &program, int, std::uint64_t);
 
     /** Calls answered from the memo. */
     std::uint64_t hits() const;
 
-    /** Calls that ran the sampled check. */
+    /** Calls that ran the check. */
     std::uint64_t misses() const;
 
   private:
-    /** (contentHash, numSchedules, seed, maxSteps). */
-    using Key = std::tuple<std::uint64_t, int, std::uint64_t, int>;
-
     mutable std::mutex mu_;
-    std::map<Key, Drf0ProgramReport> memo_;
+    std::map<std::uint64_t, Drf0ProgramReport> memo_;
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;
 };

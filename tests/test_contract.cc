@@ -16,7 +16,7 @@
 #include <string>
 #include <tuple>
 
-#include "core/contract.hh"
+#include "core/idealized.hh"
 #include "core/sc_verifier.hh"
 #include "litmus/compiler.hh"
 #include "litmus/expect.hh"
@@ -222,11 +222,11 @@ TEST(ContractOutcome, RandomDrf0OutcomeMatchesSomeScExplanation)
     System sys(mp, cfg);
     ASSERT_TRUE(sys.run());
     RunResult hw = sys.result();
-    ContractOptions opts;
-    opts.checkOutcomeSet = true;
-    ContractReport rep = checkExecution(mp, sys.trace(), &hw, opts);
-    EXPECT_TRUE(rep.appearsSc) << rep.toString();
-    EXPECT_TRUE(rep.outcomeInScSet) << hw.toString();
+    ScReport sc = verifySc(sys.trace());
+    EXPECT_TRUE(sc.sc()) << sc.toString();
+    OutcomeSet ideal = enumerateOutcomes(mp);
+    EXPECT_FALSE(ideal.bounded);
+    EXPECT_EQ(ideal.outcomes.count(hw), 1u) << hw.toString();
 }
 
 } // namespace

@@ -499,7 +499,6 @@ TEST(CoverageRunner, PoolAndThreadCountDoNotChangeCoverage)
 
     RunnerOptions opt;
     opt.seeds = 2;
-    opt.drf0Schedules = 40;
     opt.coverage = true;
     opt.policies = {PolicyKind::Sc, PolicyKind::Relaxed};
 
@@ -535,7 +534,6 @@ TEST(CoverageRunner, OutcomeRowsAreHistogramCountsOrZero)
 
     RunnerOptions opt;
     opt.seeds = 3;
-    opt.drf0Schedules = 40;
     opt.coverage = true;
     opt.policies = {PolicyKind::Sc, PolicyKind::Def2Drf0,
                     PolicyKind::Relaxed};

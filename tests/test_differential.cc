@@ -10,6 +10,7 @@
 
 #include "core/idealized.hh"
 #include "core/sc_verifier.hh"
+#include "idealized_paths.hh"
 #include "sim/rng.hh"
 #include "workload/random_gen.hh"
 

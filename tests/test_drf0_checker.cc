@@ -5,8 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/drf0_checker.hh"
 #include "cpu/program_builder.hh"
+#include "idealized_paths.hh"
 
 namespace wo {
 namespace {
@@ -96,11 +99,29 @@ TEST(Drf0Trace, SyncDataConflictOnSameLocationIsRace)
     EXPECT_FALSE(checkTrace(t).raceFree);
 }
 
+/** Two processors each spin-acquire lock 1 with TAS, write 0, unlock. */
+MultiProgram
+spinLocked()
+{
+    MultiProgram mp("spinlocked");
+    const Addr X = 0, L = 1;
+    for (int p = 0; p < 2; ++p) {
+        ProgramBuilder b;
+        b.label("acq")
+            .tas(0, L)
+            .bne(0, 0, "acq")
+            .store(X, static_cast<Word>(p + 1))
+            .unset(L)
+            .halt();
+        mp.addProgram(b.build());
+    }
+    return mp;
+}
+
 TEST(Drf0Program, ProperlyLockedProgramObeysDrf0)
 {
     // Both processors try once to TAS-acquire a lock; only a holder
-    // writes x. (Bounded retry keeps the interleaving space enumerable —
-    // unbounded spins make exhaustive enumeration exponential.)
+    // writes x.
     MultiProgram mp("locked");
     const Addr X = 0, L = 1;
     for (int p = 0; p < 2; ++p) {
@@ -116,28 +137,19 @@ TEST(Drf0Program, ProperlyLockedProgramObeysDrf0)
     Drf0ProgramReport r = checkProgram(mp);
     EXPECT_TRUE(r.obeysDrf0) << r.witnessReport.toString(r.witness);
     EXPECT_FALSE(r.bounded);
-    EXPECT_GT(r.executions, 0u);
+    EXPECT_GT(r.states, 0u);
 }
 
 TEST(Drf0Program, SpinLockProgramSampledIsRaceFree)
 {
-    // The unbounded-spin version, checked over sampled schedules.
-    MultiProgram mp("spinlocked");
-    const Addr X = 0, L = 1;
-    for (int p = 0; p < 2; ++p) {
-        ProgramBuilder b;
-        b.label("acq")
-            .tas(0, L)
-            .bne(0, 0, "acq")
-            .store(X, static_cast<Word>(p + 1))
-            .unset(L)
-            .halt();
-        mp.addProgram(b.build());
-    }
-    Drf0ProgramReport r = checkProgramSampled(mp, 200, 7);
+    // The unbounded-spin version: the state search ends (spins revisit
+    // states) with an exact verdict, and no sampled schedule races.
+    MultiProgram mp = spinLocked();
+    Drf0ProgramReport r = checkProgram(mp);
     EXPECT_TRUE(r.obeysDrf0) << r.witnessReport.toString(r.witness);
-    EXPECT_TRUE(r.bounded);
-    EXPECT_EQ(r.executions, 200u);
+    EXPECT_FALSE(r.bounded);
+    ExecutionTrace walk;
+    EXPECT_TRUE(randomWalkRace(mp, 7, 200, walk).raceFree);
 }
 
 TEST(Drf0Program, SampledCheckFindsObviousRace)
@@ -148,8 +160,13 @@ TEST(Drf0Program, SampledCheckFindsObviousRace)
     p1.load(0, 0).halt();
     mp.addProgram(p0.build());
     mp.addProgram(p1.build());
-    Drf0ProgramReport r = checkProgramSampled(mp, 50, 3);
+    ExecutionTrace walk;
+    EXPECT_FALSE(randomWalkRace(mp, 3, 50, walk).raceFree);
+    Drf0ProgramReport r = checkProgram(mp);
     EXPECT_FALSE(r.obeysDrf0);
+    EXPECT_FALSE(r.bounded);
+    // The race is pending in the initial state.
+    EXPECT_EQ(r.states, 1u);
 }
 
 TEST(Drf0Program, DekkerViolatesDrf0)
@@ -164,6 +181,28 @@ TEST(Drf0Program, DekkerViolatesDrf0)
     EXPECT_FALSE(r.obeysDrf0);
     EXPECT_FALSE(r.witnessReport.raceFree);
     EXPECT_GT(r.witness.size(), 0);
+}
+
+TEST(Drf0Program, WitnessEndsWithTheRacingPair)
+{
+    // P1's racing store to 0 only becomes pending after both processors
+    // pass their sync on 1, so the witness carries that path first.
+    MultiProgram mp("late-race");
+    ProgramBuilder p0, p1;
+    p0.unset(1, 1).load(0, 0).halt();
+    p1.test(0, 1).store(0, 7).halt();
+    mp.addProgram(p0.build());
+    mp.addProgram(p1.build());
+    Drf0ProgramReport r = checkProgram(mp);
+    ASSERT_FALSE(r.obeysDrf0);
+    const ExecutionTrace &w = r.witness;
+    ASSERT_GE(w.size(), 2);
+    Race last{w.at(w.size() - 2).id, w.at(w.size() - 1).id};
+    EXPECT_TRUE(conflict(w.at(last.first), w.at(last.second)));
+    for (const Drf0TraceReport &rep : {r.witnessReport, checkTraceBitset(w)})
+        EXPECT_NE(std::find(rep.races.begin(), rep.races.end(), last),
+                  rep.races.end())
+            << rep.toString(w);
 }
 
 TEST(Drf0Program, SingleProcessorAlwaysDrf0)
@@ -187,10 +226,9 @@ TEST(Drf0Program, FlagSpinWithDataReadIsRacy)
     p1.store(F, 1).halt();
     mp.addProgram(p0.build());
     mp.addProgram(p1.build());
-    Drf0CheckLimits lim;
-    lim.maxStepsPerExecution = 40;
-    Drf0ProgramReport r = checkProgram(mp, lim);
+    Drf0ProgramReport r = checkProgram(mp);
     EXPECT_FALSE(r.obeysDrf0);
+    EXPECT_FALSE(r.bounded);
 }
 
 TEST(Drf0Program, FlagSpinWithSyncOpsIsDrf0)
@@ -203,12 +241,21 @@ TEST(Drf0Program, FlagSpinWithSyncOpsIsDrf0)
     p1.unset(F, 1).halt();
     mp.addProgram(p0.build());
     mp.addProgram(p1.build());
-    Drf0CheckLimits lim;
-    lim.maxStepsPerExecution = 40;
-    Drf0ProgramReport r = checkProgram(mp, lim);
-    // Executions are infinite (unfair schedules spin forever), so the
-    // check is bounded, but no race exists in any explored prefix.
+    Drf0ProgramReport r = checkProgram(mp);
+    // Unfair schedules spin forever, but they revisit finitely many
+    // states, so the verdict is exact.
     EXPECT_TRUE(r.obeysDrf0);
+    EXPECT_FALSE(r.bounded);
+}
+
+TEST(Drf0Program, StateCapMakesVerdictBounded)
+{
+    EnumLimits lim;
+    lim.maxStates = 3;
+    Drf0ProgramReport r = checkProgram(spinLocked(), lim);
+    EXPECT_TRUE(r.obeysDrf0);
+    EXPECT_TRUE(r.bounded);
+    EXPECT_EQ(r.states, 3u);
 }
 
 } // namespace

@@ -6,11 +6,8 @@
  *  - checkTrace() and checkTraceBitset() must agree on the verdict AND
  *    on the exact normalized race set, across the shipped litmus corpus
  *    and hundreds of random (program, schedule) combinations;
- *  - the online early-exit inside checkProgramSampled() must never
- *    change a verdict, execution count, or witness relative to an
- *    offline reference that race-checks every full trace;
  *  - the campaign Drf0Memo must return reports identical to the direct
- *    sampled check.
+ *    program check.
  */
 
 #include <gtest/gtest.h>
@@ -48,42 +45,6 @@ randomTrace(const MultiProgram &mp, std::uint64_t seed, int prefix = 200)
     ExecutionTrace trace;
     runWithSchedule(mp, sched, &trace);
     return trace;
-}
-
-/**
- * The pre-vector-clock sampled check: identical schedule stream to
- * checkProgramSampled() (one shared Rng, same processor draws), but
- * every execution runs to completion and is race-checked offline with
- * the bitset oracle. The online early-exit must be invisible next to
- * this.
- */
-Drf0ProgramReport
-offlineSampled(const MultiProgram &program, int num_schedules,
-               std::uint64_t seed, int max_steps = 10000)
-{
-    Drf0ProgramReport report;
-    report.bounded = true;
-    Rng rng(seed);
-    int nprocs = program.numProcs();
-    for (int s = 0; s < num_schedules && report.obeysDrf0; ++s) {
-        IdealizedMachine m(program);
-        int steps = 0;
-        while (!m.allHalted() && steps < max_steps) {
-            ProcId p = static_cast<ProcId>(rng.below(nprocs));
-            while (m.halted(p))
-                p = (p + 1) % nprocs;
-            m.step(p);
-            ++steps;
-        }
-        ++report.executions;
-        Drf0TraceReport tr = checkTraceBitset(m.trace());
-        if (!tr.raceFree) {
-            report.obeysDrf0 = false;
-            report.witness = m.trace();
-            report.witnessReport = tr;
-        }
-    }
-    return report;
 }
 
 RandomWorkloadConfig
@@ -147,47 +108,28 @@ TEST(Drf0Differential, RandomRacyProgramsAgree)
     }
 }
 
-TEST(Drf0Differential, OnlineEarlyExitNeverChangesSampledVerdict)
-{
-    for (std::uint64_t seed = 1; seed <= 12; ++seed) {
-        MultiProgram racy = randomRacyProgram(smallCfg(seed, 2), 2);
-        MultiProgram clean = randomDrf0Program(smallCfg(seed, 2));
-        for (const MultiProgram *mp : {&racy, &clean}) {
-            Drf0ProgramReport online =
-                checkProgramSampled(*mp, 30, seed);
-            Drf0ProgramReport offline = offlineSampled(*mp, 30, seed);
-            EXPECT_EQ(online.obeysDrf0, offline.obeysDrf0)
-                << mp->name() << " seed " << seed;
-            EXPECT_EQ(online.executions, offline.executions)
-                << mp->name() << " seed " << seed;
-            EXPECT_EQ(online.witness.size(), offline.witness.size())
-                << mp->name() << " seed " << seed;
-            EXPECT_EQ(online.witnessReport.races,
-                      offline.witnessReport.races)
-                << mp->name() << " seed " << seed;
-        }
-    }
-}
-
 TEST(Drf0Differential, MemoReturnsIdenticalReports)
 {
     MultiProgram mp = randomRacyProgram(smallCfg(3, 2), 2);
     Drf0Memo memo;
-    Drf0ProgramReport direct = checkProgramSampled(mp, 40, 5);
+    Drf0ProgramReport direct = checkProgram(mp);
     Drf0ProgramReport first = memo.check(mp, 40, 5);
     Drf0ProgramReport second = memo.check(mp, 40, 5);
     EXPECT_EQ(memo.misses(), 1u);
     EXPECT_EQ(memo.hits(), 1u);
     for (const Drf0ProgramReport *r : {&first, &second}) {
         EXPECT_EQ(r->obeysDrf0, direct.obeysDrf0);
-        EXPECT_EQ(r->executions, direct.executions);
+        EXPECT_EQ(r->states, direct.states);
         EXPECT_EQ(r->witness.size(), direct.witness.size());
         EXPECT_EQ(r->witnessReport.races, direct.witnessReport.races);
     }
-    // Different schedule count or seed is a different key.
+    // The verdict depends on the program alone: the sampling arguments
+    // do not split the key, a different program does.
     memo.check(mp, 40, 6);
     memo.check(mp, 41, 5);
-    EXPECT_EQ(memo.misses(), 3u);
+    EXPECT_EQ(memo.misses(), 1u);
+    memo.check(randomDrf0Program(smallCfg(3, 2)), 40, 5);
+    EXPECT_EQ(memo.misses(), 2u);
 }
 
 TEST(Drf0Differential, ContentHashIgnoresNameAndInitialsOrder)

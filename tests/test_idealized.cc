@@ -1,13 +1,16 @@
 /**
  * @file
- * Unit tests for the idealized (atomic, program-order) architecture and
- * its enumeration services.
+ * Unit tests for the idealized (atomic, program-order) architecture, its
+ * outcome enumeration, and the test-only path enumeration.
  */
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "core/idealized.hh"
 #include "cpu/program_builder.hh"
+#include "idealized_paths.hh"
 
 namespace wo {
 namespace {
@@ -87,6 +90,20 @@ TEST(IdealizedMachine, StepUnstepRoundTrips)
     m.unstep();
     m.unstep();
     EXPECT_EQ(m.stateKey(), key0);
+    EXPECT_EQ(m.trace().size(), 0);
+}
+
+TEST(IdealizedMachine, UnstepPastTheStartThrows)
+{
+    // The state searches pair every step with one unstep; an extra
+    // unstep is a caller bug, reported in every build type.
+    MultiProgram mp = dekker();
+    IdealizedMachine m(mp);
+    EXPECT_THROW(m.unstep(), std::logic_error);
+    m.step(0);
+    m.unstep();
+    EXPECT_THROW(m.unstep(), std::logic_error);
+    EXPECT_EQ(m.pc(0), 0);
     EXPECT_EQ(m.trace().size(), 0);
 }
 

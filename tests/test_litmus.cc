@@ -46,7 +46,7 @@ TEST(Litmus, RacyMessagePassingViolatesDrf0)
 
 TEST(Litmus, SyncMessagePassingIsDrf0)
 {
-    Drf0ProgramReport rep = checkProgramSampled(syncMessagePassing(), 300, 5);
+    Drf0ProgramReport rep = checkProgram(syncMessagePassing());
     EXPECT_TRUE(rep.obeysDrf0)
         << rep.witnessReport.toString(rep.witness);
 }
@@ -64,7 +64,7 @@ TEST(Litmus, SyncMessagePassingIdealizedDeliversDatum)
 TEST(Litmus, Figure3IsDrf0AndDeliversX)
 {
     MultiProgram mp = figure3Scenario();
-    Drf0ProgramReport rep = checkProgramSampled(mp, 300, 11);
+    Drf0ProgramReport rep = checkProgram(mp);
     EXPECT_TRUE(rep.obeysDrf0)
         << rep.witnessReport.toString(rep.witness);
     OutcomeSet set = enumerateOutcomes(mp);
@@ -79,7 +79,7 @@ TEST(Litmus, LockCountersAreDrf0AndCountCorrectly)
     for (bool tttas : {false, true}) {
         MultiProgram mp = tttas ? tttasLockCounter(3, 2)
                                 : tasLockCounter(3, 2);
-        Drf0ProgramReport rep = checkProgramSampled(mp, 150, 3);
+        Drf0ProgramReport rep = checkProgram(mp);
         EXPECT_TRUE(rep.obeysDrf0)
             << mp.name() << "\n"
             << rep.witnessReport.toString(rep.witness);
@@ -93,7 +93,7 @@ TEST(Litmus, LockCountersAreDrf0AndCountCorrectly)
 TEST(Litmus, BarrierIsDrf0AndPublishes)
 {
     MultiProgram mp = syncBarrier(3);
-    Drf0ProgramReport rep = checkProgramSampled(mp, 150, 9);
+    Drf0ProgramReport rep = checkProgram(mp);
     EXPECT_TRUE(rep.obeysDrf0)
         << rep.witnessReport.toString(rep.witness);
     RunResult r = runWithSchedule(mp, {});

@@ -394,7 +394,6 @@ TEST(LitmusRunner, ReportsAreIdenticalAcrossThreadCounts)
 
     RunnerOptions opt;
     opt.seeds = 4;
-    opt.drf0Schedules = 40;
     opt.coverage = true;
     opt.policies = {PolicyKind::Sc, PolicyKind::Relaxed};
 
@@ -447,7 +446,6 @@ TEST(LitmusRunner, FailureLinesNameAWoTraceRepro)
     RunnerOptions opt;
     opt.seeds = 5;
     opt.baseSeed = kBase;
-    opt.drf0Schedules = 40;
     opt.policies = {PolicyKind::Relaxed};
     const std::vector<const MachineSpec *> machines = defaultMachines();
 
@@ -535,7 +533,6 @@ TEST(LitmusRunner, CoverageBreaksDownPerMachine)
     RunnerOptions opt;
     opt.seeds = 4;
     opt.threads = 2;
-    opt.drf0Schedules = 40;
     opt.coverage = true;
     opt.policies = {PolicyKind::Sc, PolicyKind::Relaxed};
 
@@ -619,7 +616,6 @@ TEST(LitmusRunner, JsonReportEscapesControlCharacters)
     corpus.push_back(compileLitmus(parseLitmus(kMp, "a\rb\x01.litmus")));
     RunnerOptions opt;
     opt.seeds = 1;
-    opt.drf0Schedules = 10;
     opt.policies = {PolicyKind::Sc};
     std::ostringstream js;
     writeJsonReport(js, runCorpus(corpus, opt));

@@ -4,9 +4,9 @@
  * reproducible from its .litmus source. The DSL interns addresses
  * itself (data first, then sync), so equivalence is structural —
  * instruction-for-instruction equality modulo a consistent address
- * bijection — plus identical checker verdicts (sampled DRF0 on the
- * same schedules; SC verification of real machine runs for the pairs
- * whose address maps coincide exactly).
+ * bijection — plus identical checker verdicts (the exact DRF0 check;
+ * SC verification of real machine runs for the pairs whose address maps
+ * coincide exactly).
  */
 
 #include <gtest/gtest.h>
@@ -85,14 +85,11 @@ expectIsomorphic(const MultiProgram &dsl, const MultiProgram &ref)
     }
 }
 
-/** DSL-vs-builder sampled DRF0 verdicts on the same schedule stream. */
+/** DSL-vs-builder DRF0 verdicts. */
 void
-expectSameDrf0Verdict(const MultiProgram &dsl, const MultiProgram &ref,
-                      int schedules = 120)
+expectSameDrf0Verdict(const MultiProgram &dsl, const MultiProgram &ref)
 {
-    Drf0ProgramReport a = checkProgramSampled(dsl, schedules, 5);
-    Drf0ProgramReport b = checkProgramSampled(ref, schedules, 5);
-    EXPECT_EQ(a.obeysDrf0, b.obeysDrf0);
+    EXPECT_EQ(checkProgram(dsl).obeysDrf0, checkProgram(ref).obeysDrf0);
 }
 
 struct Pair

@@ -20,15 +20,13 @@ namespace {
 
 TEST(Peterson, UnlabeledVersionIsRacy)
 {
-    Drf0ProgramReport rep =
-        checkProgramSampled(petersonCounter(false, 1), 100, 3);
+    Drf0ProgramReport rep = checkProgram(petersonCounter(false, 1));
     EXPECT_FALSE(rep.obeysDrf0);
 }
 
 TEST(Peterson, LabeledVersionIsDrf0)
 {
-    Drf0ProgramReport rep =
-        checkProgramSampled(petersonCounter(true, 1), 300, 3);
+    Drf0ProgramReport rep = checkProgram(petersonCounter(true, 1));
     EXPECT_TRUE(rep.obeysDrf0)
         << rep.witnessReport.toString(rep.witness);
 }

@@ -11,11 +11,9 @@
 #include <gtest/gtest.h>
 
 #include "core/drf0_checker.hh"
-#include "core/idealized.hh"
 #include "core/race_detector.hh"
 #include "core/trace.hh"
 #include "core/vector_clock.hh"
-#include "cpu/program_builder.hh"
 
 namespace wo {
 namespace {
@@ -277,30 +275,6 @@ TEST(RaceDetector, InitializingWritesAreIgnored)
     det.onAccess(r);
     EXPECT_FALSE(det.hasRace());
     EXPECT_EQ(det.accessesSeen(), 1u);
-}
-
-TEST(RaceDetector, OnlineAttachmentMatchesOfflineCheck)
-{
-    // Stream a whole idealized execution through an attached detector;
-    // its verdict must match the offline trace check.
-    MultiProgram mp("mp");
-    ProgramBuilder p0, p1;
-    p0.store(0, 1).unset(1, 1).halt();
-    p1.test(0, 1).load(0, 0).halt();
-    mp.addProgram(p0.build());
-    mp.addProgram(p1.build());
-
-    IdealizedMachine m(mp);
-    RaceDetector det(mp.numProcs(), RaceDetectMode::AllRaces);
-    m.attachRaceDetector(&det);
-    while (!m.allHalted()) {
-        for (ProcId p = 0; p < mp.numProcs(); ++p) {
-            if (!m.halted(p))
-                m.step(p);
-        }
-    }
-    Drf0TraceReport offline = checkTrace(m.trace());
-    EXPECT_EQ(det.hasRace(), !offline.raceFree);
 }
 
 TEST(Drf0Trace, CyclicHbIsRejected)

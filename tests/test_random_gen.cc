@@ -66,7 +66,8 @@ TEST(RandomGen, Drf0ProgramsAreRaceFreeSampled)
 {
     for (std::uint64_t seed = 1; seed <= 8; ++seed) {
         MultiProgram mp = randomDrf0Program(smallCfg(seed));
-        Drf0ProgramReport rep = checkProgramSampled(mp, 60, seed * 11);
+        Drf0ProgramReport rep = checkProgram(mp);
+        EXPECT_FALSE(rep.bounded) << "seed " << seed;
         EXPECT_TRUE(rep.obeysDrf0)
             << "seed " << seed << "\n"
             << rep.witnessReport.toString(rep.witness);
@@ -90,7 +91,7 @@ TEST(RandomGen, RacyProgramsHaveRaces)
     int racy_found = 0;
     for (std::uint64_t seed = 1; seed <= 8; ++seed) {
         MultiProgram mp = randomRacyProgram(smallCfg(seed), 3);
-        Drf0ProgramReport rep = checkProgramSampled(mp, 60, seed * 13);
+        Drf0ProgramReport rep = checkProgram(mp);
         if (!rep.obeysDrf0)
             ++racy_found;
     }

@@ -6,7 +6,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/contract.hh"
+#include "core/idealized.hh"
 #include "core/sc_verifier.hh"
 #include "cpu/program_builder.hh"
 #include "system/system.hh"
@@ -226,12 +226,11 @@ TEST(SystemDrf0, OutcomeWithinIdealizedSet)
     System sys(mp, cfg);
     ASSERT_TRUE(sys.run());
     RunResult hw = sys.result();
-    ContractOptions opts;
-    opts.checkOutcomeSet = true;
-    ContractReport rep = checkExecution(mp, sys.trace(), &hw, opts);
-    EXPECT_TRUE(rep.appearsSc) << rep.toString();
-    EXPECT_TRUE(rep.outcomeChecked);
-    EXPECT_TRUE(rep.outcomeInScSet) << hw.toString();
+    ScReport sc = verifySc(sys.trace());
+    EXPECT_TRUE(sc.sc()) << sc.toString();
+    OutcomeSet ideal = enumerateOutcomes(mp);
+    EXPECT_FALSE(ideal.bounded);
+    EXPECT_EQ(ideal.outcomes.count(hw), 1u) << hw.toString();
 }
 
 TEST(SystemEviction, SmallCacheStillCorrect)

@@ -41,13 +41,13 @@ wrc(bool labeled)
 
 TEST(Wrc, LabeledVersionIsDrf0)
 {
-    Drf0ProgramReport r = checkProgramSampled(wrc(true), 200, 3);
+    Drf0ProgramReport r = checkProgram(wrc(true));
     EXPECT_TRUE(r.obeysDrf0) << r.witnessReport.toString(r.witness);
 }
 
 TEST(Wrc, DataVersionIsRacy)
 {
-    Drf0ProgramReport r = checkProgramSampled(wrc(false), 100, 3);
+    Drf0ProgramReport r = checkProgram(wrc(false));
     EXPECT_FALSE(r.obeysDrf0);
 }
 

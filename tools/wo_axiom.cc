@@ -19,7 +19,7 @@
  *                     allows it, and the rejecting relation cycle when
  *                     a model forbids it
  *   --drf0=auto|yes|no  the program-DRF0 fact "drf0sc" conditions on
- *                     [auto: sampled via the PR-3 detector]
+ *                     [auto: wo-litmus's exact check]
  *   --stats           print enumeration work counters
  *   --json[=FILE]     machine-readable report (to FILE, else stdout)
  *
@@ -156,10 +156,6 @@ main(int argc, char **argv)
         return 2;
     }
 
-    // --drf0=auto runs wo-litmus's sampled check at its default
-    // schedule count and seed.
-    const RunnerOptions runner_defaults;
-
     std::ostringstream js;
     js << "{\n  \"tests\": [\n";
 
@@ -173,13 +169,13 @@ main(int argc, char **argv)
             return outcomeKey(vars, clauseOutcome(test, r), test.addrOf);
         };
 
+        // --drf0=auto runs wo-litmus's check: the exact DRF0 search.
         axiom::ModelContext ctx;
+        const char *drf0_how = " (forced)";
         if (drf0_mode == "auto") {
-            ctx.programDrf0 =
-                checkProgramSampled(test.program,
-                                    runner_defaults.drf0Schedules,
-                                    runner_defaults.baseSeed)
-                    .obeysDrf0;
+            Drf0ProgramReport drf0 = checkProgram(test.program);
+            ctx.programDrf0 = drf0.obeysDrf0;
+            drf0_how = drf0.bounded ? " (bounded)" : " (exact)";
         } else {
             ctx.programDrf0 = drf0_mode == "yes";
         }
@@ -191,8 +187,7 @@ main(int argc, char **argv)
         std::cout << "== " << test.name << "  (" << test.file << ")\n";
         std::cout << "   clause : " << toString(test.clause) << "\n";
         std::cout << "   drf0   : " << (ctx.programDrf0 ? "yes" : "no")
-                  << (drf0_mode == "auto" ? " (sampled)" : " (forced)")
-                  << "\n";
+                  << drf0_how << "\n";
         std::cout << "   axiom  : "
                   << (res.complete ? "complete" : "truncated") << "\n";
         js << "    {\"name\": \"" << jsonEscape(test.name)
