@@ -15,7 +15,7 @@
  *             (MOESI keeps dirty lines cache-resident);
  *   readfan   one writer, many repeat readers (MESIF forwards, MOESI
  *             serves from O without writing back);
- *   barrier   syncBarrier(4), a balanced mix of all of the above.
+ *   barrier   barrier(4), a balanced mix of all of the above.
  *
  * Every job is run once for verification (all processors halt, the
  * end-of-run coherence audit is clean) while per-protocol stats are
@@ -41,7 +41,7 @@
 #include "sim/stats.hh"
 #include "system/machine_spec.hh"
 #include "system/system.hh"
-#include "workload/litmus.hh"
+#include "workload/random_gen.hh"
 
 namespace {
 
@@ -136,9 +136,9 @@ run()
 
     std::vector<Workload> workloads;
     workloads.push_back({"private", privateAccumulate(4, 6)});
-    workloads.push_back({"migratory", tasLockCounter(4, 3)});
+    workloads.push_back({"migratory", lockCounter(LockKind::Tas, 4, 3)});
     workloads.push_back({"readfan", readFan(3, 6)});
-    workloads.push_back({"barrier", syncBarrier(4)});
+    workloads.push_back({"barrier", barrier(4)});
 
     std::vector<Cell> cells;
     for (int levels : {1, 2}) {

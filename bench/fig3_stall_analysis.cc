@@ -2,7 +2,8 @@
  * @file
  * Figure 3 reproduction: where the old and new definitions stall.
  *
- * Scenario (P0 and P1 share datum x and synchronize on s):
+ * Scenario (P0 and P1 share datum x and synchronize on s), run from the
+ * corpus file tests/litmus/figure3.litmus with 3 cycles of other work:
  *   P0: W(x); other work; Unset(s); more work.
  *   P1: TestAndSet(s) until acquired; other work; R(x).
  *
@@ -20,8 +21,8 @@
 
 #include "bench_util.hh"
 #include "core/sc_verifier.hh"
+#include "litmus/compiler.hh"
 #include "system/system.hh"
-#include "workload/litmus.hh"
 
 namespace {
 
@@ -42,7 +43,10 @@ runFig3(PolicyKind pk, Tick write_gp_delay, std::uint64_t seed = 1)
     // needs invalidations before it is globally performed.
     SystemConfig cfg = machineOrThrow("net").config(pk, seed);
     cfg.cache.invApplyDelay = write_gp_delay;
-    System sys(figure3Scenario(/*work_nops=*/5), cfg);
+    static const MultiProgram figure3 =
+        litmus_dsl::compileLitmusFile(WO_LITMUS_DIR "/figure3.litmus")
+            .program;
+    System sys(figure3, cfg);
     Fig3Point pt{};
     if (!sys.run()) {
         std::cerr << "fig3 run failed to complete under "

@@ -17,7 +17,7 @@
 #include "bench_util.hh"
 #include "core/sc_verifier.hh"
 #include "system/system.hh"
-#include "workload/litmus.hh"
+#include "workload/random_gen.hh"
 
 namespace {
 
@@ -45,7 +45,7 @@ runSpin(const MachineSpec &m, const MultiProgram &mp, PolicyKind pk,
     if (!r.completed)
         return r;
     r.finish = sys.finishTick();
-    r.counter = sys.result().finalMemory.at(litmus::kCounter);
+    r.counter = sys.result().finalMemory.at(kLockCounterAddr);
     r.sc = verifySc(sys.trace()).sc();
     return r;
 }
@@ -66,9 +66,10 @@ printSec6Table(const MachineSpec &m, bool named)
         MultiProgram mp;
     };
     std::vector<W> workloads;
-    workloads.push_back({"TAS spin", tasLockCounter(procs, rounds)});
     workloads.push_back(
-        {"Test-and-TAS spin", tttasLockCounter(procs, rounds)});
+        {"TAS spin", lockCounter(LockKind::Tas, procs, rounds)});
+    workloads.push_back({"Test-and-TAS spin",
+                         lockCounter(LockKind::Tttas, procs, rounds)});
     for (const auto &w : workloads) {
         for (PolicyKind pk :
              {PolicyKind::Sc, PolicyKind::Def1, PolicyKind::Def2Drf0,
@@ -100,7 +101,7 @@ BM_SpinCounter(benchmark::State &state)
 {
     PolicyKind pk = static_cast<PolicyKind>(state.range(0));
     const int procs = 4, rounds = 2;
-    MultiProgram mp = tttasLockCounter(procs, rounds);
+    MultiProgram mp = lockCounter(LockKind::Tttas, procs, rounds);
     std::uint64_t seed = 1;
     std::uint64_t total_ticks = 0, runs = 0;
     for (auto _ : state) {

@@ -18,7 +18,7 @@
  * nonzero when coverage overhead exceeds PCT (the CI gate is 3).
  *
  * The measurement loop matches the PR-4 event-kernel gate: 600 runs
- * (240 with --quick) of tasLockCounter(4,4) + tttasLockCounter(4,4) on
+ * (240 with --quick) of lockCounter(Tas, 4, 4) + lockCounter(Tttas, 4, 4) on
  * net-cold under Def2Drf0, seeds 1..runs, accumulating executed-event
  * counts. Off and coverage passes run as interleaved back-to-back
  * pairs; the reported coverage cost is the median pairwise overhead
@@ -42,7 +42,7 @@
 #include "obs/trace_sink.hh"
 #include "system/machine_spec.hh"
 #include "system/system.hh"
-#include "workload/litmus.hh"
+#include "workload/random_gen.hh"
 
 namespace {
 
@@ -67,8 +67,8 @@ struct Sample
 Sample
 measure(int runs, TraceSink *sink, CoverageMap *cov = nullptr)
 {
-    MultiProgram tas = tasLockCounter(4, 4);
-    MultiProgram tttas = tttasLockCounter(4, 4);
+    MultiProgram tas = lockCounter(LockKind::Tas, 4, 4);
+    MultiProgram tttas = lockCounter(LockKind::Tttas, 4, 4);
 
     // Warm caches / allocator before timing.
     for (int i = 0; i < 5; ++i) {
@@ -151,8 +151,8 @@ main(int argc, char **argv)
 
     // The traced pass uses a fresh buffer per run so memory stays
     // bounded and each run pays the realistic append cost from empty.
-    MultiProgram tas = tasLockCounter(4, 4);
-    MultiProgram tttas = tttasLockCounter(4, 4);
+    MultiProgram tas = lockCounter(LockKind::Tas, 4, 4);
+    MultiProgram tttas = lockCounter(LockKind::Tttas, 4, 4);
     Sample on;
     for (int r = 0; r < 3; ++r) {
         Sample pass;

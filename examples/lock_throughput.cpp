@@ -18,7 +18,7 @@
 #include "core/sc_verifier.hh"
 #include "system/machine_spec.hh"
 #include "system/system.hh"
-#include "workload/litmus.hh"
+#include "workload/random_gen.hh"
 
 int
 main(int argc, char **argv)
@@ -33,9 +33,8 @@ main(int argc, char **argv)
               << "policy" << std::setw(14) << "finish ticks"
               << std::setw(10) << "counter" << "appears SC\n";
 
-    for (bool tttas : {false, true}) {
-        MultiProgram mp = tttas ? tttasLockCounter(procs, rounds)
-                                : tasLockCounter(procs, rounds);
+    for (LockKind kind : {LockKind::Tas, LockKind::Tttas}) {
+        MultiProgram mp = lockCounter(kind, procs, rounds);
         for (PolicyKind pk :
              {PolicyKind::Sc, PolicyKind::Def1, PolicyKind::Def2Drf0,
               PolicyKind::Def2Drf1}) {
@@ -52,7 +51,7 @@ main(int argc, char **argv)
             std::cout << std::setw(20) << mp.name() << std::setw(16)
                       << toString(pk) << std::setw(14) << sys.finishTick()
                       << std::setw(10)
-                      << r.finalMemory.at(litmus::kCounter)
+                      << r.finalMemory.at(kLockCounterAddr)
                       << (sc ? "yes" : "NO") << "\n";
         }
     }

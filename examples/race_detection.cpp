@@ -14,7 +14,6 @@
 #include "core/trace_render.hh"
 #include "litmus/compiler.hh"
 #include "workload/figures.hh"
-#include "workload/litmus.hh"
 
 int
 main()
@@ -52,7 +51,9 @@ main()
     }
 
     std::cout << "--- The fix: synchronize with Test/Unset ---\n";
-    MultiProgram fixed = syncMessagePassing();
+    MultiProgram fixed =
+        litmus_dsl::compileLitmusFile(WO_LITMUS_DIR "/mp_sync.litmus")
+            .program;
     std::cout << fixed.toString();
     Drf0ProgramReport rf = checkProgram(fixed);
     std::cout << "obeys DRF0: " << (rf.obeysDrf0 ? "yes" : "no") << " ("

@@ -120,4 +120,52 @@ randomRacyProgram(const RandomWorkloadConfig &cfg, int unguarded)
     return generate(cfg, unguarded);
 }
 
+MultiProgram
+lockCounter(LockKind kind, int procs, int rounds)
+{
+    const Addr lock = 1;
+    MultiProgram mp(kind == LockKind::Tas ? "tas-counter"
+                                          : "tttas-counter");
+    for (int p = 0; p < procs; ++p) {
+        ProgramBuilder b;
+        b.movi(2, 0); // round counter
+        b.label("round");
+        b.label("acq");
+        if (kind == LockKind::Tttas)
+            b.label("testspin").test(0, lock).bne(0, 0, "testspin");
+        b.tas(0, lock).bne(0, 0, "acq");
+        // Critical section: increment the shared counter.
+        b.load(1, kLockCounterAddr).addi(1, 1, 1)
+            .storeReg(kLockCounterAddr, 1);
+        b.unset(lock);
+        b.addi(2, 2, 1).bne(2, static_cast<Word>(rounds), "round");
+        b.halt();
+        mp.addProgram(b.build());
+    }
+    return mp;
+}
+
+MultiProgram
+barrier(int procs)
+{
+    const Addr count = 100, lock = 101, release = 102;
+    MultiProgram mp("sync-barrier");
+    for (int p = 0; p < procs; ++p) {
+        ProgramBuilder b;
+        Addr mine = 10 + static_cast<Addr>(p);
+        Addr neighbour = 10 + static_cast<Addr>((p + 1) % procs);
+        b.store(mine, static_cast<Word>(1000 + p));
+        b.label("acq").tas(0, lock).bne(0, 0, "acq");
+        // The count is a sync variable, so it is written with Unset.
+        b.load(1, count).addi(1, 1, 1).unsetReg(count, 1);
+        b.unset(lock);
+        // The last arriver releases everyone.
+        b.bne(1, static_cast<Word>(procs), "wait").unset(release, 1);
+        b.label("wait").test(2, release).beq(2, 0, "wait");
+        b.load(3, neighbour).halt();
+        mp.addProgram(b.build());
+    }
+    return mp;
+}
+
 } // namespace wo

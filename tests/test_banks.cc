@@ -13,7 +13,6 @@
 #include "litmus/compiler.hh"
 #include "litmus/expect.hh"
 #include "system/system.hh"
-#include "workload/litmus.hh"
 #include "workload/random_gen.hh"
 
 namespace wo {
@@ -47,9 +46,9 @@ TEST(Banks, MultiDirectoryMutualExclusionExact)
     SystemConfig cfg;
     cfg.policy = PolicyKind::Def2Drf1;
     cfg.numDirs = 3;
-    System sys(tttasLockCounter(procs, rounds), cfg);
+    System sys(lockCounter(LockKind::Tttas, procs, rounds), cfg);
     ASSERT_TRUE(sys.run());
-    EXPECT_EQ(sys.result().finalMemory.at(litmus::kCounter),
+    EXPECT_EQ(sys.result().finalMemory.at(kLockCounterAddr),
               static_cast<Word>(procs * rounds));
 }
 

@@ -21,7 +21,6 @@
 #include "litmus/compiler.hh"
 #include "litmus/expect.hh"
 #include "system/system.hh"
-#include "workload/litmus.hh"
 #include "workload/random_gen.hh"
 
 namespace wo {
@@ -106,7 +105,7 @@ TEST_P(MutualExclusionSweep, LockCounterIsExactOnWeakHardware)
     // conforming implementation — the counter never loses an increment.
     auto [policy, seed] = GetParam();
     const int procs = 4, rounds = 3;
-    MultiProgram mp = tttasLockCounter(procs, rounds);
+    MultiProgram mp = lockCounter(LockKind::Tttas, procs, rounds);
 
     SystemConfig cfg;
     cfg.policy = policy;
@@ -114,7 +113,7 @@ TEST_P(MutualExclusionSweep, LockCounterIsExactOnWeakHardware)
     System sys(mp, cfg);
     ASSERT_TRUE(sys.run()) << toString(policy) << " seed " << seed;
     RunResult r = sys.result();
-    EXPECT_EQ(r.finalMemory.at(litmus::kCounter),
+    EXPECT_EQ(r.finalMemory.at(kLockCounterAddr),
               static_cast<Word>(procs * rounds))
         << toString(policy) << " seed " << seed;
     EXPECT_TRUE(verifySc(sys.trace()).sc()) << toString(policy);
@@ -148,7 +147,7 @@ TEST(ContractBarrier, BarrierPublishesOnAllWeakImplementations)
                           PolicyKind::Def2Drf0, PolicyKind::Def2Drf1}) {
         for (std::uint64_t seed = 1; seed <= 3; ++seed) {
             const int procs = 4;
-            MultiProgram mp = syncBarrier(procs);
+            MultiProgram mp = barrier(procs);
             SystemConfig cfg;
             cfg.policy = pk;
             cfg.net.seed = seed;

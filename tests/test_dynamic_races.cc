@@ -14,7 +14,6 @@
 #include "core/drf0_checker.hh"
 #include "litmus/compiler.hh"
 #include "system/system.hh"
-#include "workload/litmus.hh"
 #include "workload/random_gen.hh"
 
 namespace wo {
@@ -77,9 +76,12 @@ TEST(DynamicRaces, DekkerTraceOnScHardwareStillRacy)
 
 TEST(DynamicRaces, SyncMessagePassingTraceOrdersTheConflict)
 {
+    const litmus_dsl::CompiledLitmus mp =
+        litmus_dsl::compileLitmusFile(WO_LITMUS_DIR "/mp_sync.litmus");
+    const Addr data = mp.addrOf.at("data");
     SystemConfig cfg;
     cfg.policy = PolicyKind::Def2Drf0;
-    System sys(syncMessagePassing(), cfg);
+    System sys(mp.program, cfg);
     ASSERT_TRUE(sys.run());
     const ExecutionTrace &t = sys.trace();
     Drf0TraceReport rep = checkTrace(t);
@@ -88,9 +90,9 @@ TEST(DynamicRaces, SyncMessagePassingTraceOrdersTheConflict)
     HappensBefore hb(t);
     int w = -1, r = -1;
     for (const auto &a : t.accesses()) {
-        if (a.addr == litmus::kData && a.kind == AccessKind::DataWrite)
+        if (a.addr == data && a.kind == AccessKind::DataWrite)
             w = a.id;
-        if (a.addr == litmus::kData && a.kind == AccessKind::DataRead)
+        if (a.addr == data && a.kind == AccessKind::DataRead)
             r = a.id;
     }
     ASSERT_GE(w, 0);
@@ -102,7 +104,7 @@ TEST(DynamicRaces, BarrierTraceRaceFreeOnWeakHardware)
 {
     SystemConfig cfg;
     cfg.policy = PolicyKind::Def2Drf1;
-    System sys(syncBarrier(4), cfg);
+    System sys(barrier(4), cfg);
     ASSERT_TRUE(sys.run());
     Drf0TraceReport rep = checkTrace(sys.trace());
     EXPECT_TRUE(rep.raceFree) << rep.toString(sys.trace());

@@ -22,7 +22,7 @@
 #include "litmus/expect.hh"
 #include "system/machine_spec.hh"
 #include "system/system.hh"
-#include "workload/litmus.hh"
+#include "workload/random_gen.hh"
 
 namespace wo {
 namespace {
@@ -57,11 +57,13 @@ TEST(Hierarchy, TwoLevelMachinesForbidScViolationsAndAuditClean)
 
 TEST(Hierarchy, TwoLevelMachinesDeliverSyncMessagePassing)
 {
+    const MultiProgram mp =
+        compileLitmusFile(WO_LITMUS_DIR "/mp_sync.litmus").program;
     for (const char *m : {"bus-l2", "net-l2", "net-l2-moesi"}) {
         SCOPED_TRACE(m);
         SystemConfig cfg =
             machineOrThrow(m).config(PolicyKind::Def2Drf0, 11);
-        System sys(syncMessagePassing(), cfg);
+        System sys(mp, cfg);
         ASSERT_TRUE(sys.run());
         // P1's data read must see the 42 published before the flag.
         EXPECT_EQ(sys.result().registers.at(1).at(1), 42u);
@@ -155,7 +157,7 @@ TEST(Hierarchy, BoundedBothLevelsStaysCoherentUnderContention)
         cfg.cache.ways = 1;
         cfg.l2.numSets = 2;
         cfg.l2.ways = 2;
-        System sys(tasLockCounter(4, 2), cfg);
+        System sys(lockCounter(LockKind::Tas, 4, 2), cfg);
         ASSERT_TRUE(sys.run());
         EXPECT_EQ(sys.result().finalMemory.at(0), 8u);
         EXPECT_TRUE(sys.auditCoherence().empty());

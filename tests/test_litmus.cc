@@ -2,7 +2,7 @@
  * @file
  * Unit tests for the litmus programs, validated on the idealized
  * architecture and the DRF0 checker: the corpus files the paper's
- * arguments use and the parametric builders of workload/litmus.hh.
+ * arguments use and the parametric generators of workload/random_gen.hh.
  */
 
 #include <gtest/gtest.h>
@@ -13,7 +13,7 @@
 #include "core/idealized.hh"
 #include "litmus/compiler.hh"
 #include "litmus/expect.hh"
-#include "workload/litmus.hh"
+#include "workload/random_gen.hh"
 
 namespace wo {
 namespace {
@@ -46,14 +46,14 @@ TEST(Litmus, RacyMessagePassingViolatesDrf0)
 
 TEST(Litmus, SyncMessagePassingIsDrf0)
 {
-    Drf0ProgramReport rep = checkProgram(syncMessagePassing());
+    Drf0ProgramReport rep = checkProgram(corpus("mp_sync.litmus").program);
     EXPECT_TRUE(rep.obeysDrf0)
         << rep.witnessReport.toString(rep.witness);
 }
 
 TEST(Litmus, SyncMessagePassingIdealizedDeliversDatum)
 {
-    OutcomeSet set = enumerateOutcomes(syncMessagePassing());
+    OutcomeSet set = enumerateOutcomes(corpus("mp_sync.litmus").program);
     for (const auto &r : set.outcomes) {
         if (r.allHalted)
             EXPECT_EQ(r.registers[1][1], 42u);
@@ -63,7 +63,7 @@ TEST(Litmus, SyncMessagePassingIdealizedDeliversDatum)
 
 TEST(Litmus, Figure3IsDrf0AndDeliversX)
 {
-    MultiProgram mp = figure3Scenario();
+    MultiProgram mp = corpus("figure3.litmus").program;
     Drf0ProgramReport rep = checkProgram(mp);
     EXPECT_TRUE(rep.obeysDrf0)
         << rep.witnessReport.toString(rep.witness);
@@ -76,9 +76,8 @@ TEST(Litmus, Figure3IsDrf0AndDeliversX)
 
 TEST(Litmus, LockCountersAreDrf0AndCountCorrectly)
 {
-    for (bool tttas : {false, true}) {
-        MultiProgram mp = tttas ? tttasLockCounter(3, 2)
-                                : tasLockCounter(3, 2);
+    for (LockKind kind : {LockKind::Tas, LockKind::Tttas}) {
+        MultiProgram mp = lockCounter(kind, 3, 2);
         Drf0ProgramReport rep = checkProgram(mp);
         EXPECT_TRUE(rep.obeysDrf0)
             << mp.name() << "\n"
@@ -86,13 +85,13 @@ TEST(Litmus, LockCountersAreDrf0AndCountCorrectly)
         // Round-robin idealized run: counter ends at procs * rounds.
         RunResult r = runWithSchedule(mp, {});
         ASSERT_TRUE(r.allHalted);
-        EXPECT_EQ(r.finalMemory.at(litmus::kCounter), 6u) << mp.name();
+        EXPECT_EQ(r.finalMemory.at(kLockCounterAddr), 6u) << mp.name();
     }
 }
 
 TEST(Litmus, BarrierIsDrf0AndPublishes)
 {
-    MultiProgram mp = syncBarrier(3);
+    MultiProgram mp = barrier(3);
     Drf0ProgramReport rep = checkProgram(mp);
     EXPECT_TRUE(rep.obeysDrf0)
         << rep.witnessReport.toString(rep.witness);

@@ -27,7 +27,7 @@
 #include "litmus/compiler.hh"
 #include "system/machine_spec.hh"
 #include "system/system.hh"
-#include "workload/litmus.hh"
+#include "workload/random_gen.hh"
 
 namespace wo {
 namespace {
@@ -123,16 +123,16 @@ const Golden kGoldens[] = {
 MultiProgram
 workloadByName(const std::string &name)
 {
+    using litmus_dsl::compileLitmusFile;
     if (name == "dekker")
-        return litmus_dsl::compileLitmusFile(std::string(WO_LITMUS_DIR) +
-                                             "/sb.litmus")
-            .program;
+        return compileLitmusFile(WO_LITMUS_DIR "/sb.litmus").program;
     if (name == "mp_sync")
-        return syncMessagePassing();
+        return compileLitmusFile(WO_LITMUS_DIR "/mp_sync.litmus").program;
     if (name == "tas2")
-        return tasLockCounter(2, 2);
+        return lockCounter(LockKind::Tas, 2, 2);
     if (name == "peterson")
-        return petersonCounter(true, 1);
+        return compileLitmusFile(WO_LITMUS_DIR "/peterson_sync.litmus")
+            .program;
     throw std::runtime_error("unknown golden workload " + name);
 }
 

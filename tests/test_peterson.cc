@@ -12,21 +12,48 @@
 #include "core/drf0_checker.hh"
 #include "core/idealized.hh"
 #include "core/sc_verifier.hh"
+#include "litmus/compiler.hh"
 #include "system/system.hh"
-#include "workload/litmus.hh"
 
 namespace wo {
 namespace {
 
+using litmus_dsl::CompiledLitmus;
+using litmus_dsl::compileLitmusFile;
+
+/** The classic algorithm: flags and turn are ordinary data accesses, so
+ * the program races. Each processor enters the critical section once. */
+CompiledLitmus
+unlabeled()
+{
+    return compileLitmusFile(WO_LITMUS_DIR "/peterson.litmus");
+}
+
+/** Every flag and turn access is a sync (Test/Unset): DRF0. */
+CompiledLitmus
+labeled()
+{
+    return compileLitmusFile(WO_LITMUS_DIR "/peterson_sync.litmus");
+}
+
+/** The counter both versions end with when no increment is lost. */
+constexpr Word kExpectedCount = 2;
+
+Word
+finalCount(const CompiledLitmus &c, const RunResult &r)
+{
+    return r.finalMemory.at(c.addrOf.at("counter"));
+}
+
 TEST(Peterson, UnlabeledVersionIsRacy)
 {
-    Drf0ProgramReport rep = checkProgram(petersonCounter(false, 1));
+    Drf0ProgramReport rep = checkProgram(unlabeled().program);
     EXPECT_FALSE(rep.obeysDrf0);
 }
 
 TEST(Peterson, LabeledVersionIsDrf0)
 {
-    Drf0ProgramReport rep = checkProgram(petersonCounter(true, 1));
+    Drf0ProgramReport rep = checkProgram(labeled().program);
     EXPECT_TRUE(rep.obeysDrf0)
         << rep.witnessReport.toString(rep.witness);
 }
@@ -36,27 +63,26 @@ TEST(Peterson, IdealizedMachineNeverLosesIncrements)
     // On sequentially consistent memory even the unlabeled algorithm is
     // correct: enumerate all interleavings, every halted outcome shows
     // the exact count. (Bounded spin depth keeps this finite.)
-    OutcomeSet set = enumerateOutcomes(petersonCounter(false, 1));
+    const CompiledLitmus c = unlabeled();
+    OutcomeSet set = enumerateOutcomes(c.program);
     ASSERT_FALSE(set.outcomes.empty());
     for (const auto &r : set.outcomes) {
         if (r.allHalted) {
-            EXPECT_EQ(r.finalMemory.at(litmus::kPetersonCounter),
-                      petersonExpectedCount(1))
-                << r.toString();
+            EXPECT_EQ(finalCount(c, r), kExpectedCount) << r.toString();
         }
     }
 }
 
 TEST(Peterson, ScHardwareKeepsUnlabeledVersionExact)
 {
+    const CompiledLitmus c = unlabeled();
     for (std::uint64_t seed = 1; seed <= 10; ++seed) {
         SystemConfig cfg;
         cfg.policy = PolicyKind::Sc;
         cfg.net.seed = seed;
-        System sys(petersonCounter(false, 2), cfg);
+        System sys(c.program, cfg);
         ASSERT_TRUE(sys.run()) << "seed " << seed;
-        EXPECT_EQ(sys.result().finalMemory.at(litmus::kPetersonCounter),
-                  petersonExpectedCount(2))
+        EXPECT_EQ(finalCount(c, sys.result()), kExpectedCount)
             << "seed " << seed;
     }
 }
@@ -66,6 +92,7 @@ TEST(Peterson, WriteBufferMachineLosesIncrements)
     // The paper's motivating failure: reads passing buffered writes let
     // both processors believe the other is outside, so both enter and
     // one increment is lost.
+    const CompiledLitmus c = unlabeled();
     int losses = 0;
     for (std::uint64_t seed = 1; seed <= 20; ++seed) {
         SystemConfig cfg;
@@ -74,12 +101,11 @@ TEST(Peterson, WriteBufferMachineLosesIncrements)
         cfg.interconnect = InterconnectKind::Bus;
         cfg.cached = true;
         cfg.net.seed = seed;
-        System sys(petersonCounter(false, 2), cfg);
+        System sys(c.program, cfg);
         ASSERT_TRUE(sys.run());
-        Word count =
-            sys.result().finalMemory.at(litmus::kPetersonCounter);
-        EXPECT_LE(count, petersonExpectedCount(2));
-        if (count < petersonExpectedCount(2)) {
+        Word count = finalCount(c, sys.result());
+        EXPECT_LE(count, kExpectedCount);
+        if (count < kExpectedCount) {
             ++losses;
             // And the SC verifier agrees something non-SC happened.
             EXPECT_EQ(verifySc(sys.trace()).verdict, ScVerdict::NotSc);
@@ -90,18 +116,17 @@ TEST(Peterson, WriteBufferMachineLosesIncrements)
 
 TEST(Peterson, LabeledVersionExactOnEveryConformingImplementation)
 {
+    const CompiledLitmus c = labeled();
     for (PolicyKind pk : {PolicyKind::Sc, PolicyKind::Def1,
                           PolicyKind::Def2Drf0, PolicyKind::Def2Drf1}) {
         for (std::uint64_t seed = 1; seed <= 5; ++seed) {
             SystemConfig cfg;
             cfg.policy = pk;
             cfg.net.seed = seed;
-            System sys(petersonCounter(true, 2), cfg);
+            System sys(c.program, cfg);
             ASSERT_TRUE(sys.run())
                 << toString(pk) << " seed " << seed;
-            EXPECT_EQ(
-                sys.result().finalMemory.at(litmus::kPetersonCounter),
-                petersonExpectedCount(2))
+            EXPECT_EQ(finalCount(c, sys.result()), kExpectedCount)
                 << toString(pk) << " seed " << seed;
             EXPECT_TRUE(verifySc(sys.trace()).sc()) << toString(pk);
         }

@@ -20,7 +20,7 @@
 #include "litmus/expect.hh"
 #include "system/machine_spec.hh"
 #include "system/system.hh"
-#include "workload/litmus.hh"
+#include "workload/random_gen.hh"
 
 namespace wo {
 namespace {
@@ -223,11 +223,11 @@ TEST(Protocols, StallFamilyTotalSumsItsReasonsByConstruction)
 
 TEST(Protocols, AllProtocolsAgreeOnDrf0CriticalSectionOutcome)
 {
-    // tasLockCounter is DRF0: whatever the interleaving, the lock must
+    // The TAS lock counter is DRF0: whatever the interleaving, the lock must
     // serialize the increments, so every protocol must finish with the
     // counter at procs*rounds. (Register contents legitimately differ —
     // protocol timing changes who wins each acquisition.)
-    MultiProgram prog = tasLockCounter(3, 2);
+    MultiProgram prog = lockCounter(LockKind::Tas, 3, 2);
     for (const char *m :
          {"net-cold", "net-mesi", "net-moesi", "net-mesif"}) {
         SCOPED_TRACE(m);

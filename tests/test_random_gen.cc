@@ -1,11 +1,19 @@
 /**
  * @file
- * Unit tests for the random workload generators.
+ * Unit tests for the program generators: the seeded random workloads,
+ * and the lock counter and barrier pinned to the corpus files they
+ * generalize.
  */
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <vector>
+
 #include "core/drf0_checker.hh"
+#include "core/sc_verifier.hh"
+#include "litmus/compiler.hh"
+#include "system/system.hh"
 #include "workload/random_gen.hh"
 
 namespace wo {
@@ -114,6 +122,129 @@ TEST(RandomGen, LockAddressesDisjointFromData)
                 EXPECT_TRUE(is_lock) << insn.toString();
             else
                 EXPECT_FALSE(is_lock) << insn.toString();
+        }
+    }
+}
+
+/**
+ * Structural equality modulo a bijective address renaming, which the
+ * comparison discovers as it walks the instruction streams. Declared
+ * initial values must agree through the same bijection.
+ */
+void
+expectIsomorphic(const MultiProgram &dsl, const MultiProgram &gen)
+{
+    ASSERT_EQ(dsl.numProcs(), gen.numProcs());
+    std::map<Addr, Addr> fwd, rev;
+    auto mapAddr = [&](Addr a, Addr b) {
+        auto f = fwd.find(a);
+        auto r = rev.find(b);
+        if (f == fwd.end() && r == rev.end()) {
+            fwd[a] = b;
+            rev[b] = a;
+            return true;
+        }
+        return f != fwd.end() && f->second == b && r != rev.end() &&
+               r->second == a;
+    };
+    for (int p = 0; p < dsl.numProcs(); ++p) {
+        const Program &dp = dsl.program(p);
+        const Program &gp = gen.program(p);
+        ASSERT_EQ(dp.size(), gp.size()) << "P" << p;
+        for (int i = 0; i < dp.size(); ++i) {
+            const Instruction &di = dp.at(i);
+            const Instruction &gi = gp.at(i);
+            EXPECT_EQ(di.op, gi.op) << "P" << p << " insn " << i;
+            EXPECT_EQ(di.dst, gi.dst) << "P" << p << " insn " << i;
+            EXPECT_EQ(di.src, gi.src) << "P" << p << " insn " << i;
+            EXPECT_EQ(di.imm, gi.imm) << "P" << p << " insn " << i;
+            EXPECT_EQ(di.target, gi.target) << "P" << p << " insn " << i;
+            if (di.isMemOp()) {
+                EXPECT_TRUE(mapAddr(di.addr, gi.addr))
+                    << "P" << p << " insn " << i << ": address map "
+                    << di.addr << " vs " << gi.addr
+                    << " breaks the bijection";
+            }
+        }
+    }
+    for (const auto &[addr, value] : dsl.initials()) {
+        auto it = fwd.find(addr);
+        if (it != fwd.end()) {
+            EXPECT_EQ(value, gen.initialValue(it->second)) << addr;
+        }
+    }
+    for (const auto &[addr, value] : gen.initials()) {
+        auto it = rev.find(addr);
+        if (it != rev.end()) {
+            EXPECT_EQ(value, dsl.initialValue(it->second)) << addr;
+        }
+    }
+}
+
+/** A generator call and the corpus file it equals at that size. */
+struct CorpusTwin
+{
+    const char *file;
+    MultiProgram gen;
+    bool addrExact; ///< the DSL interns the generator's very addresses
+};
+
+std::vector<CorpusTwin>
+corpusTwins()
+{
+    return {{WO_LITMUS_DIR "/tas_counter.litmus",
+             lockCounter(LockKind::Tas, 2, 1), true},
+            {WO_LITMUS_DIR "/tttas_counter.litmus",
+             lockCounter(LockKind::Tttas, 2, 1), true},
+            {WO_LITMUS_DIR "/barrier.litmus", barrier(2), false}};
+}
+
+TEST(RandomGen, GeneratorsAtCorpusSizeAreTheirFiles)
+{
+    for (const CorpusTwin &t : corpusTwins()) {
+        SCOPED_TRACE(t.file);
+        litmus_dsl::CompiledLitmus c = litmus_dsl::compileLitmusFile(t.file);
+        EXPECT_EQ(c.program.name(), t.gen.name());
+        expectIsomorphic(c.program, t.gen);
+    }
+}
+
+TEST(RandomGen, GeneratorsShareTheirFilesDrf0Verdicts)
+{
+    for (const CorpusTwin &t : corpusTwins()) {
+        SCOPED_TRACE(t.file);
+        EXPECT_EQ(checkProgram(litmus_dsl::compileLitmusFile(t.file).program)
+                      .obeysDrf0,
+                  checkProgram(t.gen).obeysDrf0);
+    }
+}
+
+TEST(RandomGen, AddressExactTwinsShareScVerdictsOnRealRuns)
+{
+    for (const CorpusTwin &t : corpusTwins()) {
+        if (!t.addrExact)
+            continue;
+        SCOPED_TRACE(t.file);
+        litmus_dsl::CompiledLitmus c = litmus_dsl::compileLitmusFile(t.file);
+        for (PolicyKind policy : {PolicyKind::Sc, PolicyKind::Relaxed}) {
+            for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+                SystemConfig cfg;
+                cfg.policy = policy;
+                cfg.cached = false;
+                cfg.interconnect = InterconnectKind::Network;
+                cfg.numMemModules = 2;
+                cfg.net.seed = seed;
+                cfg.net.jitter = 20;
+                System sysDsl(c.program, cfg);
+                System sysGen(t.gen, cfg);
+                ASSERT_TRUE(sysDsl.run());
+                ASSERT_TRUE(sysGen.run());
+                EXPECT_EQ(sysDsl.result(), sysGen.result())
+                    << toString(policy) << " seed " << seed;
+                EXPECT_EQ(verifySc(sysDsl.trace()).verdict,
+                          verifySc(sysGen.trace()).verdict)
+                    << toString(policy) << " seed " << seed;
+            }
         }
     }
 }

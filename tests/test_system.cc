@@ -9,12 +9,15 @@
 #include "core/idealized.hh"
 #include "core/sc_verifier.hh"
 #include "cpu/program_builder.hh"
+#include "litmus/compiler.hh"
 #include "system/system.hh"
 
 namespace wo {
 namespace {
 
-const Addr X = 0, Y = 1, S = 2;
+using litmus_dsl::compileLitmusFile;
+
+const Addr X = 0, Y = 1;
 
 MultiProgram
 singleProc()
@@ -28,48 +31,6 @@ singleProc()
         .load(2, Y)
         .halt();
     mp.addProgram(b.build());
-    return mp;
-}
-
-MultiProgram
-dekker()
-{
-    MultiProgram mp("dekker");
-    ProgramBuilder p0, p1;
-    p0.store(X, 1).load(0, Y).halt();
-    p1.store(Y, 1).load(0, X).halt();
-    mp.addProgram(p0.build());
-    mp.addProgram(p1.build());
-    return mp;
-}
-
-/** DRF0 message passing: producer writes data then Unsets a flag;
- * consumer spins with Test then reads data. */
-MultiProgram
-syncMessagePassing()
-{
-    MultiProgram mp("sync-mp");
-    ProgramBuilder p0, p1;
-    p0.store(X, 42).unset(S, 1).halt();
-    p1.label("spin").test(0, S).beq(0, 0, "spin").load(1, X).halt();
-    mp.addProgram(p0.build());
-    mp.addProgram(p1.build());
-    return mp;
-}
-
-/** The Figure 3 scenario: P0: W(x), work, Unset(s); P1: TAS(s) until
- * acquired, work, R(x). */
-MultiProgram
-figure3()
-{
-    MultiProgram mp("fig3");
-    ProgramBuilder p0, p1;
-    p0.store(X, 1).nop(3).unset(S, 1).nop(3).halt();
-    p1.label("spin").tas(0, S, 0).beq(0, 0, "spin").nop(3).load(1, X)
-        .halt();
-    mp.addProgram(p0.build());
-    mp.addProgram(p1.build());
-    // s==1 means "set" (released); TAS grabs it by writing 0.
     return mp;
 }
 
@@ -126,13 +87,15 @@ TEST(SystemSmoke, RelaxedWriteBufferSingleProcForwards)
 
 TEST(SystemConfigValidation, RejectsIllegalCombos)
 {
+    const MultiProgram dekker =
+        compileLitmusFile(WO_LITMUS_DIR "/sb.litmus").program;
     SystemConfig uncached_def2 = cfgFor(PolicyKind::Def2Drf0);
     uncached_def2.cached = false;
-    EXPECT_THROW(System(dekker(), uncached_def2), std::invalid_argument);
+    EXPECT_THROW(System(dekker, uncached_def2), std::invalid_argument);
 
     SystemConfig sc_wb = cfgFor(PolicyKind::Sc);
     sc_wb.writeBuffer = true;
-    EXPECT_THROW(System(dekker(), sc_wb), std::invalid_argument);
+    EXPECT_THROW(System(dekker, sc_wb), std::invalid_argument);
 }
 
 TEST(SystemSc, DekkerNeverBothZeroAcrossSeedsAndConfigs)
@@ -142,13 +105,15 @@ TEST(SystemSc, DekkerNeverBothZeroAcrossSeedsAndConfigs)
         InterconnectKind ic;
         bool cached;
     };
+    const MultiProgram dekker =
+        compileLitmusFile(WO_LITMUS_DIR "/sb.litmus").program;
     for (Combo c : {Combo{InterconnectKind::Bus, false},
                     Combo{InterconnectKind::Network, false},
                     Combo{InterconnectKind::Bus, true},
                     Combo{InterconnectKind::Network, true}}) {
         for (std::uint64_t seed = 1; seed <= 10; ++seed) {
-            System sys(dekker(), cfgFor(PolicyKind::Sc, c.ic, c.cached,
-                                        seed));
+            System sys(dekker, cfgFor(PolicyKind::Sc, c.ic, c.cached,
+                                      seed));
             ASSERT_TRUE(sys.run());
             RunResult r = sys.result();
             bool both_zero =
@@ -163,12 +128,14 @@ TEST(SystemRelaxed, WriteBufferBreaksDekkerOnBus)
 {
     // Figure 1, case 1/3: reads passing buffered writes let both
     // processors read 0.
+    const MultiProgram dekker =
+        compileLitmusFile(WO_LITMUS_DIR "/sb.litmus").program;
     int violations = 0;
     for (std::uint64_t seed = 1; seed <= 20; ++seed) {
         SystemConfig cfg =
             cfgFor(PolicyKind::Relaxed, InterconnectKind::Bus, false, seed);
         cfg.writeBuffer = true;
-        System sys(dekker(), cfg);
+        System sys(dekker, cfg);
         ASSERT_TRUE(sys.run());
         RunResult r = sys.result();
         if (r.registers[0][0] == 0 && r.registers[1][0] == 0) {
@@ -181,10 +148,12 @@ TEST(SystemRelaxed, WriteBufferBreaksDekkerOnBus)
 
 TEST(SystemDrf0, SyncMessagePassingDeliversData)
 {
+    const MultiProgram mp =
+        compileLitmusFile(WO_LITMUS_DIR "/mp_sync.litmus").program;
     for (PolicyKind pk : {PolicyKind::Sc, PolicyKind::Def1,
                           PolicyKind::Def2Drf0, PolicyKind::Def2Drf1}) {
         for (std::uint64_t seed = 1; seed <= 10; ++seed) {
-            System sys(syncMessagePassing(),
+            System sys(mp,
                        cfgFor(pk, InterconnectKind::Network, true, seed));
             ASSERT_TRUE(sys.run()) << toString(pk) << " seed " << seed;
             RunResult r = sys.result();
@@ -201,13 +170,14 @@ TEST(SystemDrf0, SyncMessagePassingDeliversData)
 
 TEST(SystemDrf0, Figure3ScenarioAllWeakPolicies)
 {
+    const MultiProgram mp =
+        compileLitmusFile(WO_LITMUS_DIR "/figure3.litmus").program;
     for (PolicyKind pk : {PolicyKind::Sc, PolicyKind::Def1,
                           PolicyKind::Def2Drf0, PolicyKind::Def2Drf1}) {
         for (std::uint64_t seed = 1; seed <= 10; ++seed) {
             SystemConfig cfg =
                 cfgFor(pk, InterconnectKind::Network, true, seed);
             cfg.warmCaches = true; // x shared in both caches: invalidations
-            MultiProgram mp = figure3();
             System sys(mp, cfg);
             ASSERT_TRUE(sys.run()) << toString(pk) << " seed " << seed;
             RunResult r = sys.result();
@@ -221,7 +191,8 @@ TEST(SystemDrf0, Figure3ScenarioAllWeakPolicies)
 
 TEST(SystemDrf0, OutcomeWithinIdealizedSet)
 {
-    MultiProgram mp = syncMessagePassing();
+    MultiProgram mp =
+        compileLitmusFile(WO_LITMUS_DIR "/mp_sync.litmus").program;
     SystemConfig cfg = cfgFor(PolicyKind::Def2Drf0);
     System sys(mp, cfg);
     ASSERT_TRUE(sys.run());
@@ -289,7 +260,8 @@ TEST(SystemStats, StallAccountingMovesWithPolicy)
 {
     // Under Def1 the producer stalls at the Unset until its data write is
     // globally performed; under Def2 it does not (Figure 3's headline).
-    MultiProgram mp = figure3();
+    MultiProgram mp =
+        compileLitmusFile(WO_LITMUS_DIR "/figure3.litmus").program;
     SystemConfig base = cfgFor(PolicyKind::Def1);
     base.warmCaches = true;
     base.cache.invApplyDelay = 200; // make the write slow to perform

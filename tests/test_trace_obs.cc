@@ -31,7 +31,7 @@
 #include "obs/trace_sink.hh"
 #include "system/machine_spec.hh"
 #include "system/system.hh"
-#include "workload/litmus.hh"
+#include "workload/random_gen.hh"
 
 namespace wo {
 namespace {
@@ -289,7 +289,7 @@ TEST(TraceObs, DuplicateRunsProduceByteIdenticalTraces)
 TEST(TraceObs, EveryProcessorHasIssueGpAndStallEvents)
 {
     TraceBuffer buf;
-    MultiProgram prog = tasLockCounter(2, 4);
+    MultiProgram prog = lockCounter(LockKind::Tas, 2, 4);
     System sys(prog, tracedConfig(PolicyKind::Sc, &buf));
     ASSERT_TRUE(sys.run());
 
@@ -391,7 +391,7 @@ TEST(TraceObs, StallReasonCyclesSumToTotal)
 {
     for (PolicyKind policy : {PolicyKind::Sc, PolicyKind::Def2Drf0}) {
         TraceBuffer buf;
-        MultiProgram prog = tasLockCounter(2, 4);
+        MultiProgram prog = lockCounter(LockKind::Tas, 2, 4);
         System sys(prog, tracedConfig(policy, &buf));
         ASSERT_TRUE(sys.run()) << toString(policy);
 
@@ -422,7 +422,7 @@ TEST(TraceObs, StallReasonCyclesSumToTotal)
 TEST(TraceObs, StallEventsBalanceAndCarryReasons)
 {
     TraceBuffer buf;
-    MultiProgram prog = tasLockCounter(2, 4);
+    MultiProgram prog = lockCounter(LockKind::Tas, 2, 4);
     System sys(prog, tracedConfig(PolicyKind::Sc, &buf));
     ASSERT_TRUE(sys.run());
 

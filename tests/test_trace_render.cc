@@ -6,9 +6,9 @@
 #include <gtest/gtest.h>
 
 #include "core/trace_render.hh"
+#include "litmus/compiler.hh"
 #include "system/system.hh"
 #include "workload/figures.hh"
-#include "workload/litmus.hh"
 
 namespace wo {
 namespace {
@@ -67,9 +67,12 @@ TEST(TraceRender, GapsAreElided)
 
 TEST(TraceRender, HardwareTraceRenders)
 {
+    const MultiProgram mp =
+        litmus_dsl::compileLitmusFile(WO_LITMUS_DIR "/mp_sync.litmus")
+            .program;
     SystemConfig cfg;
     cfg.policy = PolicyKind::Def2Drf0;
-    System sys(syncMessagePassing(), cfg);
+    System sys(mp, cfg);
     ASSERT_TRUE(sys.run());
     std::string s = renderColumns(sys.trace());
     EXPECT_NE(s.find("W(x0)=42"), std::string::npos) << s;
