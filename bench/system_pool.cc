@@ -111,7 +111,7 @@ jobFan(const std::vector<litmus_dsl::CompiledLitmus> &tests,
     for (const auto &test : tests) {
         for (const MachineSpec *m : machines) {
             for (PolicyKind pk : policies) {
-                if (!m->base.cached && makePolicy(pk)->requiresCache())
+                if (!m->base.cached && policyOf(pk).requiresCache)
                     continue;
                 for (int s = 0; s < seeds; ++s) {
                     jobs.push_back(

@@ -2,7 +2,7 @@
  * @file
  * Tracing-overhead micro-harness: measures simulator throughput with
  * tracing disabled (no sink attached — the shipping default) against
- * tracing fully enabled (a TraceBuffer with the all-components mask)
+ * tracing fully enabled (a TraceSink with the all-components mask)
  * and against coverage recording (a CoverageMap installed, no sink),
  * over the same deterministic lock-contention workloads.
  *
@@ -165,7 +165,7 @@ main(int argc, char **argv)
         auto t0 = std::chrono::steady_clock::now();
         for (int i = 0; i < runs; ++i) {
             for (const MultiProgram *mp : {&tas, &tttas}) {
-                TraceBuffer buf;
+                TraceSink buf;
                 SystemConfig cfg = machineOrThrow("net-cold").config(
                     PolicyKind::Def2Drf0, 1 + i);
                 cfg.traceSink = &buf;

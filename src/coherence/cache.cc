@@ -16,8 +16,8 @@ Cache::Cache(EventQueue &eq, Interconnect &net, StatSet &stats, NodeId node,
              std::string name)
     : eq_(eq), net_(net), stats_(stats), node_(node), dir_base_(dir_base),
       num_dirs_(num_dirs), cfg_(cfg),
-      syncReadsAsWrites_(policy.syncReadsAsWrites()),
-      useReserveBits_(policy.useReserveBits()),
+      syncReadsAsWrites_(policy.syncReadsAsWrites),
+      useReserveBits_(policy.useReserveBits),
       proto_(&CoherenceProtocol::get(protocol)), name_(std::move(name))
 {
     stat_.hits = stats_.handle(name_ + ".hits");

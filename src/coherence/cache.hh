@@ -43,7 +43,7 @@
 
 namespace wo {
 
-class ConsistencyPolicy;
+struct ConsistencyPolicy;
 class TraceSink;
 
 /** Configuration of one cache. */
@@ -98,7 +98,7 @@ class Cache : public MemPort
      * @param dir_base  node id of directory bank 0
      * @param num_dirs  number of directory banks (addr mod num_dirs)
      * @param protocol  coherence protocol (selects the transition table)
-     * @param policy    consistency policy whose cache hints select the
+     * @param policy    consistency-policy row whose hints select the
      *                  reserve-bit mechanism (condition 5) and whether a
      *                  read-only synchronization (Test) counts as a write
      *                  at the coherence level (the DRF0 example

@@ -1,15 +1,16 @@
 #include "consistency/policy.hh"
 
-#include <stdexcept>
-#include <utility>
-
-#include "consistency/def1_policy.hh"
-#include "consistency/def2_drf0_policy.hh"
-#include "consistency/def2_drf1_policy.hh"
-#include "consistency/relaxed_policy.hh"
-#include "consistency/sc_policy.hh"
-
 namespace wo {
+
+static_assert(
+    [] {
+        for (int i = 0; i < kNumPolicyKinds; ++i) {
+            if (static_cast<int>(kPolicies[i].kind) != i)
+                return false;
+        }
+        return true;
+    }(),
+    "kPolicies rows must follow PolicyKind order");
 
 const char *
 toString(StallReason r)
@@ -28,35 +29,15 @@ toString(StallReason r)
 std::string
 toString(PolicyKind k)
 {
-    switch (k) {
-      case PolicyKind::Sc: return "SC";
-      case PolicyKind::Def1: return "WO-Def1";
-      case PolicyKind::Def2Drf0: return "WO-Def2-DRF0";
-      case PolicyKind::Def2Drf1: return "WO-Def2-DRF1";
-      case PolicyKind::Relaxed: return "Relaxed";
-    }
-    return "?";
+    return policyOf(k).name;
 }
-
-namespace {
-
-/** Command-line names, read in both directions. */
-constexpr std::pair<PolicyKind, const char *> kCliNames[] = {
-    {PolicyKind::Sc, "sc"},
-    {PolicyKind::Def1, "def1"},
-    {PolicyKind::Def2Drf0, "def2drf0"},
-    {PolicyKind::Def2Drf1, "def2drf1"},
-    {PolicyKind::Relaxed, "relaxed"},
-};
-
-} // namespace
 
 std::optional<PolicyKind>
 parsePolicyKind(const std::string &name)
 {
-    for (const auto &[kind, cli] : kCliNames) {
-        if (name == cli)
-            return kind;
+    for (const ConsistencyPolicy &p : kPolicies) {
+        if (name == p.cli)
+            return p.kind;
     }
     return std::nullopt;
 }
@@ -64,29 +45,7 @@ parsePolicyKind(const std::string &name)
 const char *
 cliName(PolicyKind k)
 {
-    for (const auto &[kind, cli] : kCliNames) {
-        if (kind == k)
-            return cli;
-    }
-    return "?";
-}
-
-std::unique_ptr<ConsistencyPolicy>
-makePolicy(PolicyKind kind)
-{
-    switch (kind) {
-      case PolicyKind::Sc:
-        return std::make_unique<ScPolicy>();
-      case PolicyKind::Def1:
-        return std::make_unique<Def1Policy>();
-      case PolicyKind::Def2Drf0:
-        return std::make_unique<Def2Drf0Policy>();
-      case PolicyKind::Def2Drf1:
-        return std::make_unique<Def2Drf1Policy>();
-      case PolicyKind::Relaxed:
-        return std::make_unique<RelaxedPolicy>();
-    }
-    throw std::invalid_argument("unknown policy kind");
+    return policyOf(k).cli;
 }
 
 } // namespace wo

@@ -1,7 +1,6 @@
 #include "cpu/processor.hh"
 
 #include <algorithm>
-#include <cassert>
 #include <stdexcept>
 
 #include "obs/trace_sink.hh"
@@ -35,6 +34,11 @@ Processor::Processor(EventQueue &eq, StatSet &stats, ProcId id,
       name_("proc" + std::to_string(id)),
       lat_gp_(stats, name_, LatencyKind::IssueGp)
 {
+    if (writeBuffer_ && !policy_.allowWriteBuffer) {
+        throw std::invalid_argument(
+            "write buffer is illegal under policy " +
+            std::string(policy_.name));
+    }
     stat_.instructions = stats_.handle(name_ + ".instructions");
     stat_.wbInserts = stats_.handle(name_ + ".wb_inserts");
     stat_.wbForwards = stats_.handle(name_ + ".wb_forwards");
@@ -43,8 +47,6 @@ Processor::Processor(EventQueue &eq, StatSet &stats, ProcId id,
     int nregs = std::max(program.maxRegister() + 1, 1);
     regs_.assign(nregs, 0);
     reg_busy_.assign(nregs, false);
-    assert((!writeBuffer_ || policy_.allowWriteBuffer()) &&
-           "write buffer is illegal under this consistency policy");
     port_.setPortClient(this);
 }
 
@@ -255,11 +257,9 @@ ProcState
 Processor::snapshot() const
 {
     ProcState st;
-    st.outstanding = outstanding_;
     st.notGloballyPerformed = not_gp_;
     st.syncsNotCommitted = syncs_not_committed_;
     st.syncsNotGloballyPerformed = syncs_not_gp_;
-    st.writeBufferDepth = static_cast<int>(write_buffer_.size());
     return st;
 }
 
@@ -445,9 +445,9 @@ Processor::issueMemOp(const Instruction &insn, StallReason *why)
         *why = StallReason::BufferFull;
         return false;
     }
-    if (!policy_.mayIssue(kind, snapshot())) {
+    if (std::optional<StallReason> r = policy_.block(kind, snapshot())) {
         stats_.inc(stat_.policyStalls);
-        *why = policy_.refusalReason(kind, snapshot());
+        *why = *r;
         return false;
     }
 

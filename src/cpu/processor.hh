@@ -1,7 +1,7 @@
 /**
  * @file
  * The simulated processor: executes one Program, issuing memory accesses
- * through a MemPort under the control of a ConsistencyPolicy.
+ * through a MemPort under the control of a ConsistencyPolicy row.
  *
  * Intra-processor dependencies (condition 1 of Section 5.1) are always
  * preserved: register data dependencies via a scoreboard, and
@@ -53,9 +53,10 @@ class Processor : public CacheClient
     /** Cycle time: one instruction dispatched per cycle. */
     static constexpr Tick kCycle = 1;
 
-    /** @p writeBuffer enables the store buffer (reads pass pending
-     * writes); only legal when @p policy allows it. Every System
-     * processor runs the default @p cfg; unit tests vary it. */
+    /** @p policy is a policyOf() row. @p writeBuffer enables the store
+     * buffer (reads pass pending writes); std::invalid_argument unless
+     * @p policy allows it. Every System processor runs the default
+     * @p cfg; unit tests vary it. */
     Processor(EventQueue &eq, StatSet &stats, ProcId id,
               const Program &program, MemPort &port,
               const ConsistencyPolicy &policy, ExecutionTrace *trace,

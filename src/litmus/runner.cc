@@ -61,25 +61,6 @@ struct Worker
     StatSet retired;
 };
 
-bool
-scPromised(PolicyKind policy, bool drf0)
-{
-    switch (policy) {
-      case PolicyKind::Sc:
-        return true;
-      case PolicyKind::Def1:
-      case PolicyKind::Def2Drf0:
-      case PolicyKind::Def2Drf1:
-        // Weakly ordered hardware promises SC results exactly for
-        // DRF0 software (the paper's Definition 2 contract; Definition
-        // 1 is strictly stronger).
-        return drf0;
-      case PolicyKind::Relaxed:
-        return false;
-    }
-    return false;
-}
-
 /** What every job of one test reads, planned before the fan. */
 struct TestPlan
 {
@@ -219,7 +200,7 @@ judgeTest(const CompiledLitmus &test, const TestPlan &plan,
             ++cell.histogram[o.key];
         }
 
-        bool promised = scPromised(cell.policy, tr.drf0);
+        bool promised = policyOf(cell.policy).promisesSc(tr.drf0);
         if (test.clause.kind == ClauseKind::Forbidden) {
             cell.enforced = promised || test.clause.always;
             if (cell.enforced && cell.hits > 0) {

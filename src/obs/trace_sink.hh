@@ -1,11 +1,11 @@
 /**
  * @file
- * Trace sinks: where structured TraceEvents go when tracing is on.
+ * The trace sink: where structured TraceEvents go when tracing is on.
  *
- * TraceBuffer collects events in memory (with a component filter) for
- * later export; wo-trace attaches one to the single run it replays. One
- * buffer belongs to one System, so no sink is ever shared between
- * threads.
+ * A TraceSink collects events in memory, keeping those whose component
+ * passes its filter mask, for later export; wo-trace attaches one to
+ * the single run it replays. One sink belongs to one System, so no sink
+ * is ever shared between threads.
  */
 
 #ifndef WO_OBS_TRACE_SINK_HH
@@ -17,26 +17,17 @@
 
 namespace wo {
 
-/** Abstract destination for trace events. */
+/** In-memory event collector with a component filter mask. */
 class TraceSink
 {
   public:
-    virtual ~TraceSink() = default;
-
-    /** Consume one event. Called only on the enabled path. */
-    virtual void record(const TraceEvent &ev) = 0;
-};
-
-/** In-memory event collector with a component filter mask. */
-class TraceBuffer : public TraceSink
-{
-  public:
-    explicit TraceBuffer(std::uint32_t comp_mask = kAllTraceComps)
+    explicit TraceSink(std::uint32_t comp_mask = kAllTraceComps)
         : mask_(comp_mask)
     {}
 
+    /** Consume one event. Called only on the enabled path. */
     void
-    record(const TraceEvent &ev) override
+    record(const TraceEvent &ev)
     {
         if (mask_ & traceCompBit(ev.comp))
             events_.push_back(ev);

@@ -13,8 +13,7 @@ MachineSpec::config(PolicyKind policy, std::uint64_t netSeed) const
     SystemConfig cfg = base;
     cfg.policy = policy;
     cfg.net.seed = netSeed;
-    cfg.writeBuffer =
-        base.writeBuffer && makePolicy(policy)->allowWriteBuffer();
+    cfg.writeBuffer = base.writeBuffer && policyOf(policy).allowWriteBuffer;
     return cfg;
 }
 

@@ -10,15 +10,16 @@ namespace wo {
 void
 System::checkConfig(const MultiProgram &program, const SystemConfig &cfg)
 {
-    std::unique_ptr<ConsistencyPolicy> policy = makePolicy(cfg.policy);
-    if (policy->requiresCache() && !cfg.cached) {
+    const ConsistencyPolicy &policy = policyOf(cfg.policy);
+    if (policy.requiresCache && !cfg.cached) {
         throw std::invalid_argument(
-            policy->name() +
+            std::string(policy.name) +
             " needs a cache-coherent system (reserve bits live in caches)");
     }
-    if (cfg.writeBuffer && !policy->allowWriteBuffer()) {
+    if (cfg.writeBuffer && !policy.allowWriteBuffer) {
         throw std::invalid_argument(
-            "write buffers are illegal under policy " + policy->name());
+            std::string("write buffers are illegal under policy ") +
+            policy.name);
     }
     if (cfg.numDirs < 1 || cfg.numMemModules < 1)
         throw std::invalid_argument("need at least one memory/dir bank");
@@ -34,7 +35,6 @@ System::System(const MultiProgram &program, const SystemConfig &cfg)
     : program_(program), touched_(program_.touchedAddrs()), cfg_(cfg)
 {
     checkConfig(program_, cfg_);
-    policy_ = makePolicy(cfg_.policy);
     int nprocs = program_.numProcs();
 
     if (cfg_.interconnect == InterconnectKind::Bus) {
@@ -68,7 +68,7 @@ System::System(const MultiProgram &program, const SystemConfig &cfg)
             int l1_num_dirs = cfg_.cacheLevels == 2 ? 1 : cfg_.numDirs;
             caches_.push_back(std::make_unique<Cache>(
                 eq_, *net_, stats_, p, l1_dir_base, l1_num_dirs,
-                cfg_.protocol, *policy_, cfg_.cache,
+                cfg_.protocol, policyOf(cfg_.policy), cfg_.cache,
                 "cache" + std::to_string(p)));
         }
     } else {
@@ -88,8 +88,8 @@ System::System(const MultiProgram &program, const SystemConfig &cfg)
                             ? static_cast<MemPort &>(*caches_[p])
                             : static_cast<MemPort &>(*uncached_ports_[p]);
         procs_.push_back(std::make_unique<Processor>(
-            eq_, stats_, p, program_.program(p), port, *policy_, &trace_,
-            cfg_.writeBuffer));
+            eq_, stats_, p, program_.program(p), port, policyOf(cfg_.policy),
+            &trace_, cfg_.writeBuffer));
     }
 
     // Shares the between-runs install path: initial-value pokes,
@@ -358,12 +358,6 @@ System::cache(ProcId p)
     return cfg_.cached ? caches_.at(p).get() : nullptr;
 }
 
-MidCache *
-System::midCache(ProcId p)
-{
-    return cfg_.cacheLevels == 2 ? mids_.at(p).get() : nullptr;
-}
-
 Word
 System::finalValue(Addr a) const
 {
@@ -539,7 +533,7 @@ System::description() const
     std::ostringstream oss;
     oss << (cfg_.interconnect == InterconnectKind::Bus ? "bus" : "network")
         << "/" << (cfg_.cached ? "cached" : "uncached") << "/"
-        << policy_->name();
+        << toString(cfg_.policy);
     if (cfg_.writeBuffer)
         oss << "+wb";
     return oss.str();

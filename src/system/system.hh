@@ -209,10 +209,6 @@ class System
     /** The cache of processor @p p (nullptr in cache-less systems). */
     Cache *cache(ProcId p);
 
-    /** The private L2 of processor @p p (nullptr unless cacheLevels
-     * is 2). */
-    MidCache *midCache(ProcId p);
-
     /** The event queue (advanced diagnostics / tests). */
     EventQueue &eventQueue() { return eq_; }
 
@@ -266,7 +262,6 @@ class System
     StatSet stats_;
     ExecutionTrace trace_;
     std::unique_ptr<Interconnect> net_;
-    std::unique_ptr<ConsistencyPolicy> policy_;
     std::vector<std::unique_ptr<Cache>> caches_;
     std::vector<std::unique_ptr<MidCache>> mids_;
     std::vector<std::unique_ptr<UncachedPort>> uncached_ports_;

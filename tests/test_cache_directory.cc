@@ -70,7 +70,6 @@ class Rig
      * implementation, reserve bits on and Test treated as a write). */
     explicit Rig(int ncaches, CacheConfig ccfg = {},
                  PolicyKind kind = PolicyKind::Def2Drf0)
-        : policy(makePolicy(kind))
     {
         GeneralNetwork::Config ncfg;
         ncfg.base = 3;
@@ -81,7 +80,7 @@ class Rig
         for (int i = 0; i < ncaches; ++i) {
             caches.push_back(std::make_unique<Cache>(
                 eq, *net, stats, i, ncaches, 1, ProtocolKind::Msi,
-                *policy, ccfg, "cache" + std::to_string(i)));
+                policyOf(kind), ccfg, "cache" + std::to_string(i)));
             clients.push_back(std::make_unique<ScriptClient>());
             caches[i]->setPortClient(clients[i].get());
         }
@@ -113,7 +112,6 @@ class Rig
         return o;
     }
 
-    std::unique_ptr<ConsistencyPolicy> policy;
     EventQueue eq;
     StatSet stats;
     std::unique_ptr<GeneralNetwork> net;
@@ -521,7 +519,7 @@ TEST(ProtocolOrder, NodeSetIteratesAscendingPastOneWord)
 
 /** Destinations of the directory's invalidate-sent events, in order. */
 std::vector<NodeId>
-invTargets(const TraceBuffer &buf)
+invTargets(const TraceSink &buf)
 {
     std::vector<NodeId> out;
     for (const TraceEvent &ev : buf.events()) {
@@ -536,7 +534,7 @@ TEST(ProtocolOrder, WriteMissInvalidatesSharersInAscendingNodeOrder)
     // Sharers join in the order 3, 1, 2; the invalidations still go out
     // in ascending node order.
     Rig rig(4);
-    TraceBuffer buf;
+    TraceSink buf;
     rig.dir->setTraceSink(&buf);
     rig.dir->poke(5, 1);
     rig.caches[3]->access(rig.op(1, AccessKind::DataRead, 5));
@@ -555,7 +553,7 @@ TEST(ProtocolOrder, UpgradeInvalidatesOtherSharersInAscendingNodeOrder)
 {
     // Cache 2 upgrades a line that caches 3, 0 and 1 share with it.
     Rig rig(4);
-    TraceBuffer buf;
+    TraceSink buf;
     rig.dir->setTraceSink(&buf);
     rig.dir->poke(5, 1);
     rig.caches[3]->access(rig.op(1, AccessKind::DataRead, 5));

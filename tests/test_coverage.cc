@@ -429,7 +429,7 @@ TEST(CoverageSystem, RowsAgreeWithTheStatsMirror)
         b.halt();
         mp.addProgram(b.build());
     }
-    TraceBuffer buf;
+    TraceSink buf;
     CoverageMap map;
     SystemConfig cfg =
         machineOrThrow("bus-cap").config(PolicyKind::Def2Drf0, 3);

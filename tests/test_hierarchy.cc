@@ -192,9 +192,9 @@ struct L2Rig
         l2 = std::make_unique<MidCache>(eq, *net, stats, 1, 0, 2, 1,
                                         ProtocolKind::Msi, l2cfg,
                                         "l2cache0");
-        l1 = std::make_unique<Cache>(eq, *net, stats, 0, 1, 1,
-                                     ProtocolKind::Msi, *policy,
-                                     CacheConfig{}, "cache0");
+        l1 = std::make_unique<Cache>(
+            eq, *net, stats, 0, 1, 1, ProtocolKind::Msi,
+            policyOf(PolicyKind::Def2Drf0), CacheConfig{}, "cache0");
         l1->setPortClient(&client);
     }
 
@@ -221,8 +221,6 @@ struct L2Rig
             eq.step();
     }
 
-    std::unique_ptr<ConsistencyPolicy> policy =
-        makePolicy(PolicyKind::Def2Drf0);
     EventQueue eq;
     StatSet stats;
     std::unique_ptr<GeneralNetwork> net;

@@ -203,8 +203,8 @@ TEST(MachineSpec, ConfigChangesOnlyPolicySeedAndWriteBuffer)
                 SystemConfig want = m.base;
                 want.policy = pk;
                 want.net.seed = seed;
-                want.writeBuffer = m.base.writeBuffer &&
-                                   makePolicy(pk)->allowWriteBuffer();
+                want.writeBuffer =
+                    m.base.writeBuffer && policyOf(pk).allowWriteBuffer;
                 EXPECT_TRUE(m.config(pk, seed) == want)
                     << m.name << " under " << toString(pk) << ", seed "
                     << seed;

@@ -1,6 +1,6 @@
 /**
  * @file
- * Unit tests for the consistency-policy issue gates and hints.
+ * Unit tests for the consistency-policy table: issue gates and hints.
  */
 
 #include <gtest/gtest.h>
@@ -11,83 +11,109 @@ namespace wo {
 namespace {
 
 ProcState
-st(int outstanding, int not_gp, int sync_nc, int sync_ngp)
+st(int not_gp, int sync_nc, int sync_ngp)
 {
     ProcState s;
-    s.outstanding = outstanding;
     s.notGloballyPerformed = not_gp;
     s.syncsNotCommitted = sync_nc;
     s.syncsNotGloballyPerformed = sync_ngp;
     return s;
 }
 
-TEST(Policies, FactoryProducesAllKinds)
+/** May @p k issue an access of kind @p a given @p s? */
+bool
+issues(PolicyKind k, AccessKind a, const ProcState &s)
+{
+    return !policyOf(k).block(a, s).has_value();
+}
+
+TEST(Policies, TableHasOneRowPerKind)
 {
     for (PolicyKind k : {PolicyKind::Sc, PolicyKind::Def1,
                          PolicyKind::Def2Drf0, PolicyKind::Def2Drf1,
                          PolicyKind::Relaxed}) {
-        auto p = makePolicy(k);
-        ASSERT_NE(p, nullptr);
-        EXPECT_EQ(p->name(), toString(k));
+        const ConsistencyPolicy &p = policyOf(k);
+        EXPECT_EQ(p.kind, k);
+        EXPECT_EQ(toString(k), p.name);
+        EXPECT_EQ(parsePolicyKind(cliName(k)), k) << p.cli;
     }
+    EXPECT_EQ(parsePolicyKind("SC"), std::nullopt);
+    EXPECT_EQ(parsePolicyKind(""), std::nullopt);
 }
 
 TEST(Policies, ScGatesOnAnythingOutstanding)
 {
-    auto p = makePolicy(PolicyKind::Sc);
-    EXPECT_TRUE(p->mayIssue(AccessKind::DataRead, st(0, 0, 0, 0)));
-    EXPECT_FALSE(p->mayIssue(AccessKind::DataRead, st(0, 1, 0, 0)));
-    EXPECT_FALSE(p->mayIssue(AccessKind::SyncRmw, st(1, 1, 0, 0)));
-    EXPECT_FALSE(p->requiresCache());
-    EXPECT_FALSE(p->allowWriteBuffer());
+    const PolicyKind k = PolicyKind::Sc;
+    EXPECT_TRUE(issues(k, AccessKind::DataRead, st(0, 0, 0)));
+    EXPECT_FALSE(issues(k, AccessKind::DataRead, st(1, 0, 0)));
+    EXPECT_FALSE(issues(k, AccessKind::SyncRmw, st(1, 0, 0)));
+    EXPECT_EQ(policyOf(k).block(AccessKind::DataRead, st(1, 0, 0)),
+              StallReason::CounterNonzero);
+    EXPECT_FALSE(policyOf(k).requiresCache);
+    EXPECT_FALSE(policyOf(k).allowWriteBuffer);
 }
 
 TEST(Policies, Def1GatesSyncsOnAllGpAndDataOnSyncGp)
 {
-    auto p = makePolicy(PolicyKind::Def1);
+    const PolicyKind k = PolicyKind::Def1;
     // Data ops overlap freely while only data is pending.
-    EXPECT_TRUE(p->mayIssue(AccessKind::DataWrite, st(3, 3, 0, 0)));
+    EXPECT_TRUE(issues(k, AccessKind::DataWrite, st(3, 0, 0)));
     // ... but not past a non-GP sync (condition 3).
-    EXPECT_FALSE(p->mayIssue(AccessKind::DataWrite, st(1, 1, 0, 1)));
+    EXPECT_FALSE(issues(k, AccessKind::DataWrite, st(1, 0, 1)));
     // Syncs wait for everything (condition 2).
-    EXPECT_FALSE(p->mayIssue(AccessKind::SyncWrite, st(1, 1, 0, 0)));
-    EXPECT_TRUE(p->mayIssue(AccessKind::SyncWrite, st(0, 0, 0, 0)));
+    EXPECT_FALSE(issues(k, AccessKind::SyncWrite, st(1, 0, 0)));
+    EXPECT_TRUE(issues(k, AccessKind::SyncWrite, st(0, 0, 0)));
     // A committed-but-not-GP sync still blocks both.
-    EXPECT_FALSE(p->mayIssue(AccessKind::SyncRmw, st(0, 1, 0, 1)));
+    EXPECT_FALSE(issues(k, AccessKind::SyncRmw, st(1, 0, 1)));
+    EXPECT_EQ(policyOf(k).block(AccessKind::SyncRmw, st(1, 0, 1)),
+              StallReason::CounterNonzero);
 }
 
 TEST(Policies, Def2GatesOnlyOnUncommittedSyncs)
 {
     for (PolicyKind k : {PolicyKind::Def2Drf0, PolicyKind::Def2Drf1}) {
-        auto p = makePolicy(k);
         // Pending data never blocks issue (condition 4 only).
-        EXPECT_TRUE(p->mayIssue(AccessKind::DataWrite, st(5, 5, 0, 0)));
-        EXPECT_TRUE(p->mayIssue(AccessKind::SyncRmw, st(5, 5, 0, 0)));
+        EXPECT_TRUE(issues(k, AccessKind::DataWrite, st(5, 0, 0)));
+        EXPECT_TRUE(issues(k, AccessKind::SyncRmw, st(5, 0, 0)));
         // A non-GP but committed sync does not block...
-        EXPECT_TRUE(p->mayIssue(AccessKind::DataRead, st(0, 1, 0, 1)));
-        // ... an uncommitted sync blocks everything.
-        EXPECT_FALSE(p->mayIssue(AccessKind::DataRead, st(1, 1, 1, 1)));
-        EXPECT_FALSE(p->mayIssue(AccessKind::SyncWrite, st(1, 1, 1, 1)));
-        EXPECT_TRUE(p->requiresCache());
-        EXPECT_TRUE(p->useReserveBits());
+        EXPECT_TRUE(issues(k, AccessKind::DataRead, st(1, 0, 1)));
+        // ... an uncommitted sync blocks everything, and the wait is
+        // attributed to the reserve-bit machinery.
+        EXPECT_FALSE(issues(k, AccessKind::DataRead, st(1, 1, 1)));
+        EXPECT_FALSE(issues(k, AccessKind::SyncWrite, st(1, 1, 1)));
+        EXPECT_EQ(policyOf(k).block(AccessKind::SyncWrite, st(1, 1, 1)),
+                  StallReason::ReserveBit);
+        EXPECT_TRUE(policyOf(k).requiresCache);
+        EXPECT_TRUE(policyOf(k).useReserveBits);
     }
 }
 
 TEST(Policies, Drf0AndDrf1DifferOnlyInSyncReadTreatment)
 {
-    auto drf0 = makePolicy(PolicyKind::Def2Drf0);
-    auto drf1 = makePolicy(PolicyKind::Def2Drf1);
-    EXPECT_TRUE(drf0->syncReadsAsWrites());
-    EXPECT_FALSE(drf1->syncReadsAsWrites());
+    EXPECT_TRUE(policyOf(PolicyKind::Def2Drf0).syncReadsAsWrites);
+    EXPECT_FALSE(policyOf(PolicyKind::Def2Drf1).syncReadsAsWrites);
+}
+
+TEST(Policies, ScPromiseFollowsTheDefinition2Contract)
+{
+    // SC promises SC results for every program, the weakly ordered
+    // policies exactly for DRF0 programs, Relaxed for none.
+    EXPECT_TRUE(policyOf(PolicyKind::Sc).promisesSc(false));
+    for (PolicyKind k : {PolicyKind::Def1, PolicyKind::Def2Drf0,
+                         PolicyKind::Def2Drf1}) {
+        EXPECT_TRUE(policyOf(k).promisesSc(true)) << toString(k);
+        EXPECT_FALSE(policyOf(k).promisesSc(false)) << toString(k);
+    }
+    EXPECT_FALSE(policyOf(PolicyKind::Relaxed).promisesSc(true));
 }
 
 TEST(Policies, RelaxedGatesNothing)
 {
-    auto p = makePolicy(PolicyKind::Relaxed);
-    EXPECT_TRUE(p->mayIssue(AccessKind::DataRead, st(9, 9, 3, 3)));
-    EXPECT_TRUE(p->mayIssue(AccessKind::SyncRmw, st(9, 9, 3, 3)));
-    EXPECT_TRUE(p->allowWriteBuffer());
-    EXPECT_FALSE(p->useReserveBits());
+    const PolicyKind k = PolicyKind::Relaxed;
+    EXPECT_TRUE(issues(k, AccessKind::DataRead, st(9, 3, 3)));
+    EXPECT_TRUE(issues(k, AccessKind::SyncRmw, st(9, 3, 3)));
+    EXPECT_TRUE(policyOf(k).allowWriteBuffer);
+    EXPECT_FALSE(policyOf(k).useReserveBits);
 }
 
 } // namespace

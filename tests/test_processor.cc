@@ -12,10 +12,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "consistency/def1_policy.hh"
-#include "consistency/def2_drf0_policy.hh"
-#include "consistency/relaxed_policy.hh"
-#include "consistency/sc_policy.hh"
 #include "cpu/processor.hh"
 #include "cpu/program_builder.hh"
 
@@ -75,11 +71,12 @@ class MockPort : public MemPort
 
 struct Harness
 {
-    Harness(Program prog, const ConsistencyPolicy &pol,
-            bool write_buffer = false, ProcessorConfig pcfg = {},
-            Tick commit_lat = 5, Tick gp_extra = 0)
+    Harness(Program prog, PolicyKind policy, bool write_buffer = false,
+            ProcessorConfig pcfg = {}, Tick commit_lat = 5,
+            Tick gp_extra = 0)
         : program(std::move(prog)), port(eq, commit_lat, gp_extra),
-          proc(eq, stats, 0, program, port, pol, &trace, write_buffer, pcfg)
+          proc(eq, stats, 0, program, port, policyOf(policy), &trace,
+               write_buffer, pcfg)
     {}
 
     bool
@@ -107,8 +104,7 @@ TEST(Processor, ExecutesArithmeticAndBranches)
         .addi(0, 0, static_cast<Word>(-1))
         .bne(0, 0, "loop")
         .halt();
-    ScPolicy pol;
-    Harness h(b.build(), pol);
+    Harness h(b.build(), PolicyKind::Sc);
     ASSERT_TRUE(h.run());
     EXPECT_EQ(h.proc.registers()[1], 6u);
 }
@@ -117,8 +113,7 @@ TEST(Processor, LoadValueReachesRegisterAndDependents)
 {
     ProgramBuilder b;
     b.load(0, 7).addi(1, 0, 1).storeReg(8, 1).halt();
-    ScPolicy pol;
-    Harness h(b.build(), pol);
+    Harness h(b.build(), PolicyKind::Sc);
     h.port.mem[7] = 41;
     ASSERT_TRUE(h.run());
     EXPECT_EQ(h.proc.registers()[0], 41u);
@@ -126,12 +121,12 @@ TEST(Processor, LoadValueReachesRegisterAndDependents)
     EXPECT_EQ(h.port.mem[8], 42u);
 }
 
-TEST(Processor, ScPolicySerializesMemoryOps)
+TEST(Processor, ScSerializesMemoryOps)
 {
     ProgramBuilder b;
     b.store(1, 1).store(2, 2).store(3, 3).halt();
-    ScPolicy pol;
-    Harness h(b.build(), pol, false, {}, 5, 10); // GP lags commit by 10
+    // GP lags commit by 10.
+    Harness h(b.build(), PolicyKind::Sc, false, {}, 5, 10);
     ASSERT_TRUE(h.run());
     // With SC, each store issues only after the previous is GP:
     // issue times must be >= 15 apart.
@@ -149,8 +144,7 @@ TEST(Processor, RelaxedOverlapsMemoryOps)
 {
     ProgramBuilder b;
     b.store(1, 1).store(2, 2).store(3, 3).halt();
-    RelaxedPolicy pol;
-    Harness h(b.build(), pol, false, {}, 5, 10);
+    Harness h(b.build(), PolicyKind::Relaxed, false, {}, 5, 10);
     ASSERT_TRUE(h.run());
     // Back-to-back issue: commits land 1 cycle apart.
     const auto &acc = h.trace.accesses();
@@ -163,8 +157,7 @@ TEST(Processor, SameAddressAccessesStayOrdered)
     // Even relaxed processors preserve same-address order (condition 1).
     ProgramBuilder b;
     b.store(5, 1).load(0, 5).store(5, 2).halt();
-    RelaxedPolicy pol;
-    Harness h(b.build(), pol, false, {}, 5, 10);
+    Harness h(b.build(), PolicyKind::Relaxed, false, {}, 5, 10);
     ASSERT_TRUE(h.run());
     EXPECT_EQ(h.proc.registers()[0], 1u);
     EXPECT_EQ(h.port.mem[5], 2u);
@@ -177,8 +170,7 @@ TEST(Processor, Def1StallsSyncUntilAllGp)
 {
     ProgramBuilder b;
     b.store(1, 1).unset(9, 1).store(2, 2).halt();
-    Def1Policy pol;
-    Harness h(b.build(), pol, false, {}, 5, 50);
+    Harness h(b.build(), PolicyKind::Def1, false, {}, 5, 50);
     ASSERT_TRUE(h.run());
     const auto &acc = h.trace.accesses();
     ASSERT_EQ(acc.size(), 3u);
@@ -192,8 +184,7 @@ TEST(Processor, Def2WaitsOnlyForSyncCommit)
 {
     ProgramBuilder b;
     b.store(1, 1).unset(9, 1).store(2, 2).halt();
-    Def2Drf0Policy pol;
-    Harness h(b.build(), pol, false, {}, 5, 50);
+    Harness h(b.build(), PolicyKind::Def2Drf0, false, {}, 5, 50);
     ASSERT_TRUE(h.run());
     const auto &acc = h.trace.accesses();
     ASSERT_EQ(acc.size(), 3u);
@@ -208,10 +199,9 @@ TEST(Processor, WriteBufferForwardsToReads)
 {
     ProgramBuilder b;
     b.store(5, 9).load(0, 5).halt();
-    RelaxedPolicy pol;
     ProcessorConfig pcfg;
     pcfg.wbDrainDelay = 50;
-    Harness h(b.build(), pol, true, pcfg, 5, 0);
+    Harness h(b.build(), PolicyKind::Relaxed, true, pcfg, 5, 0);
     ASSERT_TRUE(h.run());
     EXPECT_EQ(h.proc.registers()[0], 9u);
     EXPECT_GT(h.stats.get("proc0.wb_forwards"), 0u);
@@ -221,10 +211,9 @@ TEST(Processor, WriteBufferLetsReadsPassWrites)
 {
     ProgramBuilder b;
     b.store(5, 9).load(0, 6).halt();
-    RelaxedPolicy pol;
     ProcessorConfig pcfg;
     pcfg.wbDrainDelay = 50;
-    Harness h(b.build(), pol, true, pcfg, 5, 0);
+    Harness h(b.build(), PolicyKind::Relaxed, true, pcfg, 5, 0);
     ASSERT_TRUE(h.run());
     // The read reached the port before the buffered write drained.
     ASSERT_EQ(h.port.requests.size(), 2u);
@@ -236,10 +225,9 @@ TEST(Processor, SyncDrainsWriteBuffer)
 {
     ProgramBuilder b;
     b.store(5, 9).unset(9, 1).halt();
-    RelaxedPolicy pol;
     ProcessorConfig pcfg;
     pcfg.wbDrainDelay = 50;
-    Harness h(b.build(), pol, true, pcfg, 5, 0);
+    Harness h(b.build(), PolicyKind::Relaxed, true, pcfg, 5, 0);
     ASSERT_TRUE(h.run());
     ASSERT_EQ(h.port.requests.size(), 2u);
     // The sync reached the port only after the buffered write drained.
@@ -251,8 +239,7 @@ TEST(Processor, TraceRecordsKindsAndValues)
 {
     ProgramBuilder b;
     b.store(5, 9).load(0, 5).tas(1, 9).halt();
-    ScPolicy pol;
-    Harness h(b.build(), pol);
+    Harness h(b.build(), PolicyKind::Sc);
     ASSERT_TRUE(h.run());
     const auto &acc = h.trace.accesses();
     ASSERT_EQ(acc.size(), 3u);
@@ -273,10 +260,8 @@ TEST(Processor, StallCyclesAccumulateUnderSc)
 {
     ProgramBuilder b;
     b.store(1, 1).store(2, 2).halt();
-    ScPolicy sc;
-    RelaxedPolicy rel;
-    Harness slow(b.build(), sc, false, {}, 5, 100);
-    Harness fast(b.build(), rel, false, {}, 5, 100);
+    Harness slow(b.build(), PolicyKind::Sc, false, {}, 5, 100);
+    Harness fast(b.build(), PolicyKind::Relaxed, false, {}, 5, 100);
     ASSERT_TRUE(slow.run());
     ASSERT_TRUE(fast.run());
     EXPECT_GT(slow.proc.stallCycles(), fast.proc.stallCycles() + 50);
@@ -303,8 +288,7 @@ TEST(Processor, NotificationForUnknownOpIdThrowsNamingIt)
     // by id, so an unchecked lookup would read out of bounds.
     ProgramBuilder b;
     b.store(5, 9).halt();
-    ScPolicy pol;
-    Harness h(b.build(), pol);
+    Harness h(b.build(), PolicyKind::Sc);
     expectLogicError([&] { h.proc.opCommitted(3, 0); },
                      "commit for unknown op id 3");
     expectLogicError([&] { h.proc.opGloballyPerformed(3); },
@@ -324,8 +308,7 @@ TEST(Processor, DuplicateCommitThrowsNamingIt)
     // decrement the outstanding count twice.
     ProgramBuilder b;
     b.store(5, 9).halt();
-    ScPolicy pol;
-    Harness h(b.build(), pol);
+    Harness h(b.build(), PolicyKind::Sc);
     h.proc.start();
     h.eq.run(1); // op 1 issued; the port answers at tick 5
     h.proc.opCommitted(1, 0);
@@ -339,8 +322,7 @@ TEST(Processor, DuplicateGpThrowsNamingIt)
     // count twice; the op stays live until its commit arrives.
     ProgramBuilder b;
     b.store(5, 9).halt();
-    ScPolicy pol;
-    Harness h(b.build(), pol);
+    Harness h(b.build(), PolicyKind::Sc);
     h.proc.start();
     h.eq.run(1);
     h.proc.opGloballyPerformed(1);
@@ -354,10 +336,9 @@ TEST(Processor, BufferedWriteCommitForNonHeadThrows)
     // other buffered write is a protocol bug, not a reordering.
     ProgramBuilder b;
     b.store(5, 9).store(6, 8).halt();
-    RelaxedPolicy pol;
     ProcessorConfig pcfg;
     pcfg.wbDrainDelay = 50;
-    Harness h(b.build(), pol, true, pcfg);
+    Harness h(b.build(), PolicyKind::Relaxed, true, pcfg);
     h.proc.start();
     h.eq.run(10); // both stores buffered, neither drained
     expectLogicError([&] { h.proc.opCommitted(2, 0); },
@@ -374,10 +355,9 @@ TEST(Processor, OpWindowGrowsBehindALongLivedOp)
     for (int i = 0; i < 40; ++i)
         b.store(100 + i, static_cast<Word>(i + 1)).load(0, 200 + i);
     b.load(1, 139).halt();
-    RelaxedPolicy pol;
     ProcessorConfig pcfg;
     pcfg.wbDrainDelay = 50;
-    Harness h(b.build(), pol, true, pcfg, 5, 0);
+    Harness h(b.build(), PolicyKind::Relaxed, true, pcfg, 5, 0);
     ASSERT_TRUE(h.run());
     EXPECT_EQ(h.proc.registers()[1], 40u);
     EXPECT_EQ(h.trace.accesses().size(), 81u);
@@ -391,8 +371,7 @@ TEST(Processor, BufferedWriteWhoseGpOvertakesItsDrainCommitRetires)
     // arrives too; retiring it at the GP made the commit an unknown id.
     ProgramBuilder b;
     b.store(5, 9).store(6, 8).load(0, 5).halt();
-    RelaxedPolicy pol;
-    Harness h(b.build(), pol, true);
+    Harness h(b.build(), PolicyKind::Relaxed, true);
     h.port.gpFirst = true;
     ASSERT_TRUE(h.run());
     EXPECT_EQ(h.proc.registers()[0], 9u);
@@ -400,11 +379,24 @@ TEST(Processor, BufferedWriteWhoseGpOvertakesItsDrainCommitRetires)
     EXPECT_EQ(h.port.mem[6], 8u);
 }
 
+TEST(Processor, WriteBufferUnderNonRelaxedPolicyThrows)
+{
+    // Checked in every build type: a store buffer lets reads pass
+    // writes, which only the Relaxed policy allows.
+    ProgramBuilder b;
+    b.store(5, 9).halt();
+    for (PolicyKind k : {PolicyKind::Sc, PolicyKind::Def1,
+                         PolicyKind::Def2Drf0, PolicyKind::Def2Drf1}) {
+        EXPECT_THROW(Harness(b.build(), k, true), std::invalid_argument)
+            << toString(k);
+    }
+    EXPECT_NO_THROW(Harness(b.build(), PolicyKind::Relaxed, true));
+}
+
 TEST(Processor, EmptyProgramHaltsImmediately)
 {
     Program p;
-    ScPolicy pol;
-    Harness h(p, pol);
+    Harness h(p, PolicyKind::Sc);
     h.proc.start();
     EXPECT_TRUE(h.proc.halted());
 }

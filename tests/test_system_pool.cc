@@ -395,7 +395,7 @@ TEST(SystemPool, PooledRunsMatchFreshRunsAcrossLitmusCorpus)
                 for (int seed = 0; seed < 3; ++seed) {
                     SystemConfig cfg =
                         m->config(pk, campaignJobSeed(7, seed));
-                    if (!cfg.cached && makePolicy(pk)->requiresCache()) {
+                    if (!cfg.cached && policyOf(pk).requiresCache) {
                         // Illegal pair: the pool must refuse it too.
                         EXPECT_THROW(pool.acquire(key, test.program, cfg),
                                      std::invalid_argument);

@@ -243,7 +243,7 @@ TEST(TraceObs, TracedRunResultMatchesUntracedRun)
     System plain(prog, machineOrThrow("net-cold").config(PolicyKind::Sc, 1));
     ASSERT_TRUE(plain.run());
 
-    TraceBuffer buf;
+    TraceSink buf;
     System traced(prog, tracedConfig(PolicyKind::Sc, &buf));
     ASSERT_TRUE(traced.run());
 
@@ -259,7 +259,7 @@ TEST(TraceObs, TracedRunResultMatchesUntracedRun)
 
 TEST(TraceObs, ChromeTraceIsValidJson)
 {
-    TraceBuffer buf;
+    TraceSink buf;
     System sys(dekker(), tracedConfig(PolicyKind::Sc, &buf));
     ASSERT_TRUE(sys.run());
 
@@ -274,7 +274,7 @@ TEST(TraceObs, DuplicateRunsProduceByteIdenticalTraces)
 {
     std::string first;
     for (int i = 0; i < 2; ++i) {
-        TraceBuffer buf;
+        TraceSink buf;
         System sys(dekker(), tracedConfig(PolicyKind::Def2Drf0, &buf));
         ASSERT_TRUE(sys.run());
         std::ostringstream os;
@@ -288,7 +288,7 @@ TEST(TraceObs, DuplicateRunsProduceByteIdenticalTraces)
 
 TEST(TraceObs, EveryProcessorHasIssueGpAndStallEvents)
 {
-    TraceBuffer buf;
+    TraceSink buf;
     MultiProgram prog = lockCounter(LockKind::Tas, 2, 4);
     System sys(prog, tracedConfig(PolicyKind::Sc, &buf));
     ASSERT_TRUE(sys.run());
@@ -320,7 +320,7 @@ TEST(TraceObs, EveryProcessorHasIssueGpAndStallEvents)
 
 TEST(TraceObs, TextRenderingMentionsEveryKindPresent)
 {
-    TraceBuffer buf;
+    TraceSink buf;
     System sys(dekker(), tracedConfig(PolicyKind::Sc, &buf));
     ASSERT_TRUE(sys.run());
     std::ostringstream os;
@@ -390,7 +390,7 @@ TEST(LatencyHistogram, RecordsMirrorIntoStatSet)
 TEST(TraceObs, StallReasonCyclesSumToTotal)
 {
     for (PolicyKind policy : {PolicyKind::Sc, PolicyKind::Def2Drf0}) {
-        TraceBuffer buf;
+        TraceSink buf;
         MultiProgram prog = lockCounter(LockKind::Tas, 2, 4);
         System sys(prog, tracedConfig(policy, &buf));
         ASSERT_TRUE(sys.run()) << toString(policy);
@@ -421,7 +421,7 @@ TEST(TraceObs, StallReasonCyclesSumToTotal)
 
 TEST(TraceObs, StallEventsBalanceAndCarryReasons)
 {
-    TraceBuffer buf;
+    TraceSink buf;
     MultiProgram prog = lockCounter(LockKind::Tas, 2, 4);
     System sys(prog, tracedConfig(PolicyKind::Sc, &buf));
     ASSERT_TRUE(sys.run());
@@ -463,7 +463,7 @@ TEST(TraceObs, ParseTraceFilter)
 
 TEST(TraceObs, BufferMaskFiltersComponents)
 {
-    TraceBuffer buf(traceCompBit(TraceComp::Proc));
+    TraceSink buf(traceCompBit(TraceComp::Proc));
     System sys(dekker(), tracedConfig(PolicyKind::Sc, &buf));
     ASSERT_TRUE(sys.run());
     EXPECT_GT(buf.events().size(), 0u);

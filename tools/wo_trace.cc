@@ -139,7 +139,7 @@ main(int argc, char **argv)
         return 2;
     }
 
-    TraceBuffer buf(mask);
+    TraceSink buf(mask);
     cfg.traceSink = &buf;
 
     bool finished = false;
