@@ -10,8 +10,6 @@
  *     service latency against the reserving processor's overlap.
  */
 
-#include <benchmark/benchmark.h>
-
 #include <string>
 
 #include "bench_util.hh"
@@ -128,28 +126,13 @@ printMissBoundTable()
                  "as the bound loosens.\n";
 }
 
-void
-BM_CrossLockEpoch(benchmark::State &state)
-{
-    for (auto _ : state) {
-        SystemConfig cfg =
-            machineOrThrow("net").config(PolicyKind::Def2Drf0);
-        cfg.cache.invApplyDelay = 300;
-        System sys(crossLockProgram(), cfg);
-        sys.run();
-        benchmark::DoNotOptimize(sys.finishTick());
-    }
-}
-BENCHMARK(BM_CrossLockEpoch);
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
+    wo::benchutil::consumeBenchFlags(argc, argv);
     printDisciplineTable();
     printMissBoundTable();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

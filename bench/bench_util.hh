@@ -1,8 +1,8 @@
 /**
  * @file
  * Shared helpers for the benchmark/reproduction binaries: aligned table
- * printing for the paper-style reports each bench emits before its
- * google-benchmark timings, and common command-line flag handling.
+ * printing for the paper-style reports each bench emits, and common
+ * command-line flag handling.
  */
 
 #ifndef WO_BENCH_BENCH_UTIL_HH
@@ -10,19 +10,17 @@
 
 #include <cstdint>
 #include <cstdlib>
-#include <fstream>
 #include <iomanip>
 #include <iostream>
 #include <string>
 #include <vector>
 
-#include "sim/stats.hh"
 #include "system/machine_spec.hh"
 #include "workload/campaign.hh"
 
 namespace wo::benchutil {
 
-/** Flags shared by every bench binary. */
+/** Flags shared by the table printers. */
 struct BenchOptions
 {
     int threads = 0;            ///< campaign workers; 0 = WO_THREADS/auto
@@ -30,25 +28,18 @@ struct BenchOptions
 
     /** Machines selected with --machines=<list>; empty = bench default. */
     std::vector<const MachineSpec *> machines;
-
-    /** --quick: shrink sweeps/repetitions for CI smoke runs. */
-    bool quick = false;
-
-    /** --json=FILE: where to dump the bench StatSet; empty = no dump
-     * (benches with a committed BENCH_*.json default it themselves). */
-    std::string jsonFile;
 };
 
 /**
- * Strip the flags every bench understands (--threads=N / --threads N,
- * honouring WO_THREADS, --seed=S / --seed S, --machines=LIST of
- * machine-registry names, --quick, and --json=FILE) from argv before it
- * is handed to google-benchmark, which rejects flags it does not know.
- * Exits with status 2 on a malformed --threads/--seed value or an
- * unknown machine name.
+ * Parse the flags every table printer understands: --threads=N /
+ * --threads N (honouring WO_THREADS), --seed=S / --seed S and
+ * --machines=LIST of machine-registry names. Exits with status 2 and a
+ * one-line diagnostic on a malformed --threads/--seed value, an unknown
+ * machine name, or any other argument, so a mistyped flag never runs
+ * the defaults silently.
  */
 inline BenchOptions
-consumeBenchFlags(int &argc, char **argv)
+consumeBenchFlags(int argc, char **argv)
 {
     BenchOptions opts;
     try {
@@ -58,7 +49,6 @@ consumeBenchFlags(int &argc, char **argv)
         std::cerr << argv[0] << ": " << e.what() << "\n";
         std::exit(2);
     }
-    int out = 1;
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
         if (arg.rfind("--machines=", 0) == 0) {
@@ -68,31 +58,13 @@ consumeBenchFlags(int &argc, char **argv)
                 std::cerr << argv[0] << ": " << e.what() << "\n";
                 std::exit(2);
             }
-        } else if (arg == "--quick") {
-            opts.quick = true;
-        } else if (arg.rfind("--json=", 0) == 0) {
-            opts.jsonFile = arg.substr(7);
         } else {
-            argv[out++] = argv[i];
+            std::cerr << argv[0] << ": unknown argument '" << arg
+                      << "'\n";
+            std::exit(2);
         }
     }
-    argc = out;
     return opts;
-}
-
-/** Dump @p stats as JSON to @p file; complains but does not abort on
- * I/O failure (a bench's tables already printed). */
-inline void
-dumpJsonFile(const StatSet &stats, const std::string &file)
-{
-    std::ofstream out(file);
-    if (!out) {
-        std::cerr << "cannot write " << file << "\n";
-        return;
-    }
-    stats.dumpJson(out);
-    out << "\n";
-    std::cout << "\njson written to " << file << "\n";
 }
 
 /**

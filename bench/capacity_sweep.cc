@@ -6,8 +6,6 @@
  * reserve machinery in the worst possible way.
  */
 
-#include <benchmark/benchmark.h>
-
 #include <string>
 
 #include "bench_util.hh"
@@ -118,31 +116,10 @@ printCapacityTable(const MachineSpec &m, bool named)
     }
     t.print();
     std::cout << "\nExpected shape: every geometry completes and appears "
-                 "SC; shrinking the cache\nraises misses/writebacks and "
-                 "finish time monotonically.\n";
+                 "SC; shrinking the cache\nraises misses and writebacks "
+                 "monotonically, while finish time stays flat\ndown to "
+                 "4x2 and rises below it.\n";
 }
-
-void
-BM_CapacityRun(benchmark::State &state)
-{
-    int sets = static_cast<int>(state.range(0));
-    std::uint64_t seed = 1;
-    for (auto _ : state) {
-        RandomWorkloadConfig w;
-        w.numProcs = 4;
-        w.seed = seed;
-        SystemConfig cfg = machineOrThrow("net-cold")
-                               .config(PolicyKind::Def2Drf0, seed++);
-        cfg.cache.numSets = sets;
-        cfg.cache.ways = 2;
-        System sys(randomDrf0Program(w), cfg);
-        sys.run();
-        benchmark::DoNotOptimize(sys.finishTick());
-    }
-    state.SetLabel(sets == 0 ? "unbounded" : std::to_string(sets) +
-                                                 " sets");
-}
-BENCHMARK(BM_CapacityRun)->Arg(1)->Arg(4)->Arg(0);
 
 } // namespace
 
@@ -153,7 +130,5 @@ main(int argc, char **argv)
     for (const wo::MachineSpec *m :
          wo::benchutil::machinesOr(g_opts, "net-cold"))
         printCapacityTable(*m, !g_opts.machines.empty());
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

@@ -25,12 +25,12 @@
  * each cell's finish-tick delta against the same-level MSI baseline
  * (negative = faster than MSI).
  *
- * Default JSON file: BENCH_coherence_matrix.json (the committed
- * artifact); --quick shrinks seeds/reps for CI smoke runs with the
- * identical schema.
+ * --json=FILE dumps the same numbers as JSON; --quick shrinks
+ * seeds/reps for CI smoke runs with the identical schema.
  */
 
 #include <chrono>
+#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -41,13 +41,16 @@
 #include "sim/stats.hh"
 #include "system/machine_spec.hh"
 #include "system/system.hh"
+#include "workload/campaign.hh"
 #include "workload/random_gen.hh"
 
 namespace {
 
 using namespace wo;
 
-benchutil::BenchOptions g_opts;
+bool g_quick = false;        ///< --quick
+std::uint64_t g_baseSeed = 1; ///< --seed=S
+std::string g_jsonFile;       ///< --json=FILE; empty = no dump
 
 /** Each processor accumulates into its own pair of lines: no sharing,
  * every store after the first is a hit-or-upgrade. */
@@ -131,8 +134,8 @@ cellConfig(const Cell &cell, std::uint64_t seed)
 int
 run()
 {
-    const int seeds = g_opts.quick ? 2 : 10;
-    const int reps = g_opts.quick ? 1 : 3;
+    const int seeds = g_quick ? 2 : 10;
+    const int reps = g_quick ? 1 : 3;
 
     std::vector<Workload> workloads;
     workloads.push_back({"private", privateAccumulate(4, 6)});
@@ -149,7 +152,7 @@ run()
     }
 
     StatSet out;
-    out.set("quick", g_opts.quick ? 1 : 0);
+    out.set("quick", g_quick ? 1 : 0);
     out.set("seeds", seeds);
     out.set("jobs_per_cell",
             static_cast<std::uint64_t>(workloads.size()) * seeds);
@@ -173,13 +176,13 @@ run()
         for (const Workload &w : workloads) {
             for (int s = 0; s < seeds; ++s) {
                 SystemConfig cfg =
-                    cellConfig(cell, g_opts.baseSeed + s);
+                    cellConfig(cell, g_baseSeed + s);
                 System sys(w.prog, cfg);
                 if (!sys.run()) {
                     std::cerr << "FAIL: " << w.name << " did not finish "
                               << "under " << toString(cell.proto) << "/L"
                               << cell.levels << " seed "
-                              << g_opts.baseSeed + s << "\n";
+                              << g_baseSeed + s << "\n";
                     return 1;
                 }
                 auto problems = sys.auditCoherence();
@@ -209,7 +212,7 @@ run()
             for (const Workload &w : workloads) {
                 for (int s = 0; s < seeds; ++s) {
                     System sys(w.prog,
-                               cellConfig(cell, g_opts.baseSeed + s));
+                               cellConfig(cell, g_baseSeed + s));
                     sys.run();
                 }
             }
@@ -260,9 +263,16 @@ run()
     }
     table.print();
 
-    benchutil::dumpJsonFile(
-        out, g_opts.jsonFile.empty() ? "BENCH_coherence_matrix.json"
-                                     : g_opts.jsonFile);
+    if (g_jsonFile.empty())
+        return 0;
+    std::ofstream json(g_jsonFile);
+    if (!json) {
+        std::cerr << "coherence_matrix: cannot write " << g_jsonFile << "\n";
+        return 2;
+    }
+    out.dumpJson(json);
+    json << "\n";
+    std::cout << "\njson written to " << g_jsonFile << "\n";
     return 0;
 }
 
@@ -271,11 +281,23 @@ run()
 int
 main(int argc, char **argv)
 {
-    g_opts = benchutil::consumeBenchFlags(argc, argv);
-    if (argc > 1) {
-        std::cerr << "usage: coherence_matrix [--quick] [--json=FILE] "
-                     "[--seed=S]\n";
+    try {
+        g_baseSeed = consumeSeedFlag(argc, argv);
+    } catch (const std::exception &e) {
+        std::cerr << "coherence_matrix: " << e.what() << "\n";
         return 2;
+    }
+    for (int i = 1; i < argc; ++i) {
+        std::string arg = argv[i];
+        if (arg == "--quick") {
+            g_quick = true;
+        } else if (arg.rfind("--json=", 0) == 0) {
+            g_jsonFile = arg.substr(7);
+        } else {
+            std::cerr << "usage: coherence_matrix [--quick] [--json=FILE] "
+                         "[--seed=S]\n";
+            return 2;
+        }
     }
     return run();
 }

@@ -8,8 +8,6 @@
  * machine, given racy code, must not.
  */
 
-#include <benchmark/benchmark.h>
-
 #include <string>
 
 #include "bench_util.hh"
@@ -112,26 +110,6 @@ printContractTable(const MachineSpec &m, bool named)
                  "relaxed machine on racy code.\n";
 }
 
-void
-BM_RunPlusVerify(benchmark::State &state)
-{
-    PolicyKind pk = static_cast<PolicyKind>(state.range(0));
-    std::uint64_t seed = 1;
-    for (auto _ : state) {
-        MultiProgram mp = randomDrf0Program(workloadCfg(seed));
-        SystemConfig cfg =
-            machineOrThrow("net-cold").config(pk, seed++);
-        System sys(mp, cfg);
-        sys.run();
-        ScReport r = verifySc(sys.trace());
-        benchmark::DoNotOptimize(r.verdict);
-    }
-    state.SetLabel(toString(pk));
-}
-BENCHMARK(BM_RunPlusVerify)
-    ->Arg(static_cast<int>(PolicyKind::Def1))
-    ->Arg(static_cast<int>(PolicyKind::Def2Drf0));
-
 } // namespace
 
 int
@@ -141,7 +119,5 @@ main(int argc, char **argv)
     for (const wo::MachineSpec *m :
          wo::benchutil::machinesOr(g_opts, "net-cold"))
         printContractTable(*m, !g_opts.machines.empty());
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

@@ -9,8 +9,6 @@
  * occurred, and cross-checks every flagged run with the SC verifier.
  */
 
-#include <benchmark/benchmark.h>
-
 #include <sstream>
 
 #include "bench_util.hh"
@@ -117,21 +115,6 @@ printFig1Table()
                  "shows zero everywhere.\n";
 }
 
-void
-BM_DekkerRun(benchmark::State &state)
-{
-    const auto &fc = fig1Configs()[state.range(0)];
-    std::uint64_t seed = 1;
-    for (auto _ : state) {
-        System sys(dekker().program,
-                   buildConfig(fc, PolicyKind::Relaxed, seed++));
-        sys.run();
-        benchmark::DoNotOptimize(sys.result());
-    }
-    state.SetLabel(fc.label);
-}
-BENCHMARK(BM_DekkerRun)->DenseRange(0, 3);
-
 } // namespace
 
 int
@@ -139,7 +122,5 @@ main(int argc, char **argv)
 {
     g_opts = wo::benchutil::consumeBenchFlags(argc, argv);
     printFig1Table();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

@@ -15,8 +15,6 @@
  * bit) until W(x) is globally performed.
  */
 
-#include <benchmark/benchmark.h>
-
 #include <string>
 
 #include "bench_util.hh"
@@ -90,33 +88,12 @@ printFig3Table()
         "times grow with the delay while P0's freedom is the Def2 win.\n";
 }
 
-void
-BM_Fig3(benchmark::State &state)
-{
-    PolicyKind pk =
-        state.range(0) == 0 ? PolicyKind::Def1 : PolicyKind::Def2Drf0;
-    Tick delay = static_cast<Tick>(state.range(1));
-    std::uint64_t seed = 1;
-    for (auto _ : state) {
-        Fig3Point p = runFig3(pk, delay, seed++);
-        benchmark::DoNotOptimize(p.finish);
-    }
-    state.SetLabel(std::string(pk == PolicyKind::Def1 ? "Def1" : "Def2") +
-                   "/delay=" + std::to_string(delay));
-}
-BENCHMARK(BM_Fig3)
-    ->Args({0, 0})
-    ->Args({0, 200})
-    ->Args({1, 0})
-    ->Args({1, 200});
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
+    wo::benchutil::consumeBenchFlags(argc, argv);
     printFig3Table();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

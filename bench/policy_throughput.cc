@@ -11,9 +11,6 @@
  * a synchronization operation).
  */
 
-#include <benchmark/benchmark.h>
-
-#include <chrono>
 #include <string>
 
 #include "bench_util.hh"
@@ -31,8 +28,6 @@ wo::benchutil::BenchOptions g_opts; // resolved in main() from --threads/--seed
  * the workers' SystemPools persist across avgTicks() calls. Jobs derive
  * everything from the job index, so the hoist is output-neutral. */
 Campaign *g_campaign = nullptr;
-
-std::uint64_t g_jobs = 0; ///< campaign jobs run by the table sweeps
 
 RandomWorkloadConfig
 workloadCfg(int sections, int ops, std::uint64_t seed)
@@ -60,7 +55,6 @@ avgTicks(const MachineSpec &m, PolicyKind pk, int sections, int ops,
         std::uint64_t ticks = 0;
         int completed = 0;
     };
-    g_jobs += static_cast<std::uint64_t>(runs);
     Run sum = g_campaign->reduce<Run, Run>(
         runs,
         [&](const CampaignJob &jb) {
@@ -94,15 +88,10 @@ void
 printThroughputTables(const MachineSpec &m, bool named)
 {
     const std::string suffix = named ? " [machine=" + m.name + "]" : "";
-    const int runs = g_opts.quick ? 4 : 12;
+    const int runs = 12;
     const std::vector<PolicyKind> policies = {
         PolicyKind::Sc, PolicyKind::Def1, PolicyKind::Def2Drf0,
         PolicyKind::Def2Drf1};
-    const std::vector<int> section_points =
-        g_opts.quick ? std::vector<int>{1, 4} : std::vector<int>{1, 2, 4, 8};
-    const std::vector<Tick> latency_points =
-        g_opts.quick ? std::vector<Tick>{6, 24}
-                     : std::vector<Tick>{2, 6, 12, 24, 48};
 
     benchutil::banner(
         "Execution time vs synchronization frequency (net latency 6, " +
@@ -111,7 +100,7 @@ printThroughputTables(const MachineSpec &m, bool named)
     {
         benchutil::Table t({"critical sections/proc", "SC", "WO-Def1",
                             "WO-Def2-DRF0", "WO-Def2-DRF1"});
-        for (int sections : section_points) {
+        for (int sections : {1, 2, 4, 8}) {
             std::vector<std::string> row = {std::to_string(sections)};
             for (PolicyKind pk : policies)
                 row.push_back(std::to_string(
@@ -127,7 +116,7 @@ printThroughputTables(const MachineSpec &m, bool named)
     {
         benchutil::Table t({"net base latency", "SC", "WO-Def1",
                             "WO-Def2-DRF0", "WO-Def2-DRF1"});
-        for (Tick lat : latency_points) {
+        for (Tick lat : {2, 6, 12, 24, 48}) {
             std::vector<std::string> row = {std::to_string(lat)};
             for (PolicyKind pk : policies)
                 row.push_back(std::to_string(
@@ -144,31 +133,6 @@ printThroughputTables(const MachineSpec &m, bool named)
         "pays a full pipeline drain per synchronization operation).\n";
 }
 
-void
-BM_Workload(benchmark::State &state)
-{
-    PolicyKind pk = static_cast<PolicyKind>(state.range(0));
-    std::uint64_t seed = 1;
-    std::uint64_t ticks = 0, n = 0;
-    for (auto _ : state) {
-        MultiProgram mp = randomDrf0Program(workloadCfg(4, 3, seed));
-        SystemConfig cfg =
-            machineOrThrow("net-cold").config(pk, seed++);
-        System sys(mp, cfg);
-        sys.run();
-        ticks += sys.finishTick();
-        ++n;
-    }
-    state.counters["sim_ticks"] = benchmark::Counter(
-        static_cast<double>(ticks) / static_cast<double>(n ? n : 1));
-    state.SetLabel(toString(pk));
-}
-BENCHMARK(BM_Workload)
-    ->Arg(static_cast<int>(PolicyKind::Sc))
-    ->Arg(static_cast<int>(PolicyKind::Def1))
-    ->Arg(static_cast<int>(PolicyKind::Def2Drf0))
-    ->Arg(static_cast<int>(PolicyKind::Def2Drf1));
-
 } // namespace
 
 int
@@ -177,26 +141,8 @@ main(int argc, char **argv)
     g_opts = wo::benchutil::consumeBenchFlags(argc, argv);
     wo::Campaign campaign({g_opts.threads, g_opts.baseSeed});
     g_campaign = &campaign;
-    auto t0 = std::chrono::steady_clock::now();
     for (const wo::MachineSpec *m :
          wo::benchutil::machinesOr(g_opts, "net-cold"))
         printThroughputTables(*m, !g_opts.machines.empty());
-    auto t1 = std::chrono::steady_clock::now();
-    std::uint64_t wall_ns = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
-            .count());
-    if (!g_opts.jsonFile.empty()) {
-        wo::StatSet stats;
-        stats.set("quick", g_opts.quick ? 1 : 0);
-        stats.set("threads",
-                  static_cast<std::uint64_t>(campaign.numThreads()));
-        stats.set("tables.jobs", g_jobs);
-        stats.set("tables.wall_ns", wall_ns);
-        stats.set("tables.jobs_per_sec",
-                  wall_ns ? g_jobs * 1000000000ull / wall_ns : 0);
-        wo::benchutil::dumpJsonFile(stats, g_opts.jsonFile);
-    }
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

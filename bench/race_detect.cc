@@ -8,7 +8,7 @@
  * Per-trace checking on synthetic traces of 100..10k accesses, race-free
  * and racy, checkTraceBitset() vs checkTrace() — the O(n^2/64) -> O(n*P)
  * comparison — printed as a table and recorded in a StatSet that is
- * dumped as JSON (default file: BENCH_race_detect.json).
+ * dumped as JSON to FILE when --json=FILE is given.
  *
  * The program-level DRF0 check (checkProgram's state search) is timed
  * per corpus test in EXPERIMENTS.md; end-to-end corpus time, DRF0 stage
@@ -163,7 +163,7 @@ int
 main(int argc, char **argv)
 {
     bool quick = false;
-    std::string json_file = "BENCH_race_detect.json";
+    std::string json_file;
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
         if (arg == "--quick") {
@@ -179,6 +179,8 @@ main(int argc, char **argv)
     StatSet stats;
     stats.set("quick", quick ? 1 : 0);
     benchTraceChecks(stats, quick);
+    if (json_file.empty())
+        return 0;
 
     std::ofstream out(json_file);
     if (!out) {

@@ -10,8 +10,6 @@
  * serialization without giving up the DRF0 guarantee.
  */
 
-#include <benchmark/benchmark.h>
-
 #include <string>
 
 #include "bench_util.hh"
@@ -96,32 +94,6 @@ printSec6Table(const MachineSpec &m, bool named)
         "exclusion holds on every conforming implementation).\n";
 }
 
-void
-BM_SpinCounter(benchmark::State &state)
-{
-    PolicyKind pk = static_cast<PolicyKind>(state.range(0));
-    const int procs = 4, rounds = 2;
-    MultiProgram mp = lockCounter(LockKind::Tttas, procs, rounds);
-    std::uint64_t seed = 1;
-    std::uint64_t total_ticks = 0, runs = 0;
-    for (auto _ : state) {
-        SpinResult r =
-            runSpin(machineOrThrow("net-cold"), mp, pk, seed++);
-        total_ticks += r.finish;
-        ++runs;
-        benchmark::DoNotOptimize(r.counter);
-    }
-    state.counters["sim_ticks"] =
-        benchmark::Counter(static_cast<double>(total_ticks) /
-                           static_cast<double>(runs ? runs : 1));
-    state.SetLabel(toString(pk));
-}
-BENCHMARK(BM_SpinCounter)
-    ->Arg(static_cast<int>(PolicyKind::Sc))
-    ->Arg(static_cast<int>(PolicyKind::Def1))
-    ->Arg(static_cast<int>(PolicyKind::Def2Drf0))
-    ->Arg(static_cast<int>(PolicyKind::Def2Drf1));
-
 } // namespace
 
 int
@@ -131,7 +103,5 @@ main(int argc, char **argv)
     for (const wo::MachineSpec *m :
          wo::benchutil::machinesOr(g_opts, "net-cold"))
         printSec6Table(*m, !g_opts.machines.empty());
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

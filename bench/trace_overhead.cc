@@ -17,16 +17,16 @@
  * (one dense-array increment per recording site): --gate=PCT exits
  * nonzero when coverage overhead exceeds PCT (the CI gate is 3).
  *
- * The measurement loop matches the PR-4 event-kernel gate: 600 runs
- * (240 with --quick) of lockCounter(Tas, 4, 4) + lockCounter(Tttas, 4, 4) on
+ * One pass runs lockCounter(Tas, 4, 4) + lockCounter(Tttas, 4, 4) on
  * net-cold under Def2Drf0, seeds 1..runs, accumulating executed-event
  * counts. Off and coverage passes run as interleaved back-to-back
- * pairs; the reported coverage cost is the median pairwise overhead
- * over fifteen rounds, which cancels external load that varies on the
- * timescale of a whole pass. The table rows show each mode's fastest
- * pass. Results print as a table and dump as JSON (default file:
- * BENCH_trace_overhead.json); --quick shrinks repetitions for CI smoke
- * runs with an identical JSON schema.
+ * pairs; the reported coverage cost is the median pairwise overhead,
+ * which cancels external load that varies on the timescale of a whole
+ * pass. The default takes 15 pairs of 600-run passes; --quick (the CI
+ * gate) takes 60 pairs of 60-run passes, less work in total and many
+ * more pairs for the median, which a shared host's noise needs. The
+ * table rows show each mode's fastest pass. Results print as a table,
+ * and --json=FILE dumps them as JSON with an identical schema.
  */
 
 #include <algorithm>
@@ -102,16 +102,25 @@ int
 main(int argc, char **argv)
 {
     int runs = 600;
-    std::string json_file = "BENCH_trace_overhead.json";
+    int reps = 15;
+    std::string json_file;
     double gate_pct = -1.0;
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
         if (arg == "--quick") {
-            runs = 240;
+            runs = 60;
+            reps = 60;
         } else if (arg.rfind("--json=", 0) == 0) {
             json_file = arg.substr(7);
         } else if (arg.rfind("--gate=", 0) == 0) {
-            gate_pct = std::atof(arg.c_str() + 7);
+            // Parsed whole: "3x" or "abc" would otherwise gate at 3 or 0.
+            char *end = nullptr;
+            gate_pct = std::strtod(arg.c_str() + 7, &end);
+            if (arg.size() == 7 || *end != '\0' || !(gate_pct >= 0)) {
+                std::cerr << "trace_overhead: bad --gate value '"
+                          << arg.substr(7) << "'\n";
+                return 2;
+            }
         } else {
             std::cerr << "usage: trace_overhead [--quick] [--json=FILE] "
                          "[--gate=PCT]\n";
@@ -129,7 +138,6 @@ main(int argc, char **argv)
     // hash on the stall path) shifts every pair. The coverage map is
     // campaign-style: one map accumulating across every run (the
     // wo-litmus --coverage-report shape).
-    const int reps = 15;
     Sample off, cov;
     CoverageMap cov_map;
     std::vector<double> pair_pct;
@@ -202,29 +210,32 @@ main(int argc, char **argv)
     std::printf("  enabled-path cost: %.1f%%\n", overhead_pct);
     std::printf("  coverage cost:     %.1f%%\n", coverage_pct);
 
-    std::ofstream out(json_file);
-    if (!out) {
-        std::cerr << "trace_overhead: cannot write " << json_file << "\n";
-        return 2;
+    if (!json_file.empty()) {
+        std::ofstream out(json_file);
+        if (!out) {
+            std::cerr << "trace_overhead: cannot write " << json_file
+                      << "\n";
+            return 2;
+        }
+        out << "{\n"
+            << "  \"bench\": \"trace_overhead\",\n"
+            << "  \"runs\": " << runs << ",\n"
+            << "  \"off\": {\"events\": " << off.events
+            << ", \"events_per_sec\": "
+            << static_cast<std::uint64_t>(off.eventsPerSec()) << "},\n"
+            << "  \"coverage\": {\"events\": " << cov.events
+            << ", \"events_per_sec\": "
+            << static_cast<std::uint64_t>(cov.eventsPerSec()) << "},\n"
+            << "  \"on\": {\"events\": " << on.events
+            << ", \"events_per_sec\": "
+            << static_cast<std::uint64_t>(on.eventsPerSec()) << "},\n"
+            << "  \"enabled_overhead_pct\": "
+            << static_cast<std::int64_t>(overhead_pct * 10) / 10.0 << ",\n"
+            << "  \"coverage_overhead_pct\": "
+            << static_cast<std::int64_t>(coverage_pct * 10) / 10.0 << "\n"
+            << "}\n";
+        std::printf("json written to %s\n", json_file.c_str());
     }
-    out << "{\n"
-        << "  \"bench\": \"trace_overhead\",\n"
-        << "  \"runs\": " << runs << ",\n"
-        << "  \"off\": {\"events\": " << off.events
-        << ", \"events_per_sec\": "
-        << static_cast<std::uint64_t>(off.eventsPerSec()) << "},\n"
-        << "  \"coverage\": {\"events\": " << cov.events
-        << ", \"events_per_sec\": "
-        << static_cast<std::uint64_t>(cov.eventsPerSec()) << "},\n"
-        << "  \"on\": {\"events\": " << on.events
-        << ", \"events_per_sec\": "
-        << static_cast<std::uint64_t>(on.eventsPerSec()) << "},\n"
-        << "  \"enabled_overhead_pct\": "
-        << static_cast<std::int64_t>(overhead_pct * 10) / 10.0 << ",\n"
-        << "  \"coverage_overhead_pct\": "
-        << static_cast<std::int64_t>(coverage_pct * 10) / 10.0 << "\n"
-        << "}\n";
-    std::printf("json written to %s\n", json_file.c_str());
 
     if (gate_pct >= 0 && coverage_pct > gate_pct) {
         std::fprintf(stderr,

@@ -18,10 +18,9 @@
  * poloc ∪ rf ∪ co ∪ fr — sound because every shipped model contains
  * those relations (SC-per-location is a generator invariant). The
  * naive mode enumerates value-blind rf sources and unconstrained co
- * permutations, validating only at completion; it exists as the
- * baseline the bench harness measures pruning effectiveness against
- * and must compute identical allowed sets (the differential tests
- * check this).
+ * permutations, validating only at completion; it exists as a test
+ * oracle and must compute identical allowed sets (the differential
+ * tests check this).
  */
 
 #ifndef WO_AXIOM_ENUMERATE_HH
@@ -47,7 +46,7 @@ struct AxiomLimits
     /** Max complete (rf, co) assignments considered. */
     std::uint64_t maxCandidates = 5000000;
 
-    /** False selects the naive baseline mode (bench only). */
+    /** False selects the naive baseline mode (test oracle). */
     bool pruning = true;
 };
 

@@ -539,6 +539,14 @@ void
 printReport(std::ostream &os, const CorpusReport &report, bool histograms,
             bool coverage)
 {
+    // Machine names pad to one column width for the whole report: the
+    // default fan's 9, or one past the longest name on a wider fleet.
+    int nameWidth = 9;
+    for (const TestReport &tr : report.tests) {
+        for (const CellReport &cell : tr.cells)
+            nameWidth = std::max(nameWidth,
+                                 static_cast<int>(cell.variant.size()) + 1);
+    }
     for (const TestReport &tr : report.tests) {
         os << "== " << tr.name << "  (" << tr.file << ")\n";
         os << "   clause : " << tr.clause << "\n";
@@ -553,7 +561,7 @@ printReport(std::ostream &os, const CorpusReport &report, bool histograms,
             os << "\n";
         }
         os << "   " << std::left << std::setw(14) << "policy"
-           << std::setw(9) << "variant" << std::right << std::setw(6)
+           << std::setw(nameWidth) << "variant" << std::right << std::setw(6)
            << "runs" << std::setw(6) << "done" << std::setw(6) << "hits"
            << "  " << std::left << std::setw(15) << "sc:ok/not/unk"
            << "verdict\n";
@@ -568,7 +576,8 @@ printReport(std::ostream &os, const CorpusReport &report, bool histograms,
             if (!cell.note.empty())
                 verdict += " (" + cell.note + ")";
             os << "   " << std::left << std::setw(14)
-               << toString(cell.policy) << std::setw(9) << cell.variant
+               << toString(cell.policy) << std::setw(nameWidth)
+               << cell.variant
                << std::right << std::setw(6) << cell.runs << std::setw(6)
                << cell.finished << std::setw(6) << cell.hits << "  "
                << std::left << std::setw(15) << sc << verdict << "\n";
@@ -599,7 +608,8 @@ printReport(std::ostream &os, const CorpusReport &report, bool histograms,
             os << "\n";
             for (const CellReport *cell : cells) {
                 OutcomeSplit here = splitOutcomes(tr, {cell});
-                os << "     " << std::left << std::setw(9) << cell->variant
+                os << "     " << std::left << std::setw(nameWidth)
+                   << cell->variant
                    << std::right << here.observed.size() << "/"
                    << (here.observed.size() + here.unobserved.size());
                 // Flag only the gaps a sibling machine closed: an

@@ -1,6 +1,8 @@
 #include "obs/coverage_report.hh"
 
 #include <algorithm>
+#include <cctype>
+#include <climits>
 #include <fstream>
 #include <iomanip>
 #include <ostream>
@@ -39,15 +41,19 @@ splitTabs(const std::string &line)
     }
 }
 
+/** A count is decimal digits only: std::stoull alone would take a
+ * sign ("-3" wraps to 18446744073709551613) and leading blanks. */
 std::uint64_t
 parseCount(const std::string &s, int lineno)
 {
+    bool digits = !s.empty() && std::all_of(s.begin(), s.end(),
+                                            [](unsigned char c) {
+                                                return std::isdigit(c);
+                                            });
     try {
-        std::size_t end = 0;
-        std::uint64_t v = std::stoull(s, &end);
-        if (end == s.size() && !s.empty())
-            return v;
-    } catch (const std::exception &) {
+        if (digits)
+            return std::stoull(s);
+    } catch (const std::out_of_range &) {
     }
     throw std::runtime_error("wocover: line " + std::to_string(lineno) +
                              ": bad count '" + s + "'");
@@ -60,13 +66,14 @@ badLine(int lineno, const std::string &why)
                              ": " + why);
 }
 
-/** The report stores transitions by protocol name; false for
- * protocols this binary does not know. */
+/** Whether @p name is what toString() prints for one of the @p N
+ * values of enum @p E. The report stores transitions by name. */
+template <typename E, int N>
 bool
-isKnownProtocol(const std::string &name)
+isName(const std::string &name)
 {
-    for (int k = 0; k < kNumProtocolKinds; ++k) {
-        if (name == toString(static_cast<ProtocolKind>(k)))
+    for (int i = 0; i < N; ++i) {
+        if (name == toString(static_cast<E>(i)))
             return true;
     }
     return false;
@@ -219,11 +226,19 @@ StandingCoverage::read(std::istream &is)
         } else if (tag == "machine") {
             if (f.size() != 4)
                 badLine(lineno, "machine needs 3 fields");
-            rep.addMachine(f[1], f[2],
-                           static_cast<int>(parseCount(f[3], lineno)));
+            std::uint64_t levels = parseCount(f[3], lineno);
+            if (levels > INT_MAX)
+                badLine(lineno, "bad cache levels '" + f[3] + "'");
+            rep.addMachine(f[1], f[2], static_cast<int>(levels));
         } else if (tag == "trans") {
             if (f.size() != 5)
                 badLine(lineno, "trans needs 4 fields");
+            // Unknown protocols are tolerated (the heatmap lists them);
+            // states and events are one fixed set for every protocol.
+            if (!isName<LineState, kNumLineStates>(f[2]))
+                badLine(lineno, "unknown line state '" + f[2] + "'");
+            if (!isName<LineEvent, kNumLineEvents>(f[3]))
+                badLine(lineno, "unknown line event '" + f[3] + "'");
             rep.transitions[{f[1], f[2], f[3]}] +=
                 parseCount(f[4], lineno);
         } else if (tag == "stall") {
@@ -262,7 +277,7 @@ renderHeatmap(std::ostream &os, const StandingCoverage &rep)
 {
     std::set<std::string> unknown;
     for (const auto &[k, n] : rep.transitions) {
-        if (!isKnownProtocol(k[0]))
+        if (!isName<ProtocolKind, kNumProtocolKinds>(k[0]))
             unknown.insert(k[0]);
     }
 

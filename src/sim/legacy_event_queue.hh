@@ -4,13 +4,9 @@
  *
  * This is the std::priority_queue<std::function> implementation the
  * pooled EventQueue replaced. It is NOT used by the simulator; it exists
- * so that
- *
- *  - tests/test_event_queue.cc can assert the pooled kernel fires the
- *    exact same (tick, id) sequence for randomized self-scheduling
- *    workloads (golden event-order determinism), and
- *  - bench/event_kernel.cc can record the before/after dispatch
- *    throughput of the replacement.
+ * so that tests/test_event_queue.cc can assert the pooled kernel fires
+ * the exact same (tick, id) sequence for randomized self-scheduling
+ * workloads (golden event-order determinism).
  *
  * Semantics: identical to EventQueue — events fire in (tick, insertion
  * seq) order; past-tick scheduling throws std::logic_error.

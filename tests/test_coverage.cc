@@ -328,6 +328,26 @@ TEST(StandingCoverage, ReadRejectsMalformedDocuments)
                  std::runtime_error);
     EXPECT_THROW(parse("wocover\t1\nstall\tk\tnot-a-number\n"),
                  std::runtime_error);
+    // Counts are digits only: no sign, no blanks, no overflow.
+    EXPECT_THROW(parse("wocover\t1\nmeta\truns\t-3\n"), std::runtime_error);
+    EXPECT_THROW(parse("wocover\t1\nmeta\truns\t+3\n"), std::runtime_error);
+    EXPECT_THROW(parse("wocover\t1\nmeta\truns\t 3\n"), std::runtime_error);
+    EXPECT_THROW(parse("wocover\t1\nstall\tk\t18446744073709551616\n"),
+                 std::runtime_error);
+    EXPECT_THROW(parse("wocover\t1\nmachine\tm\tmsi\t4294967298\n"),
+                 std::runtime_error);
+    EXPECT_EQ(parse("wocover\t1\nstall\tk\t18446744073709551615\n")
+                  .stalls.at("k"),
+              18446744073709551615ull);
+    // Transition states and events come from one fixed set; an unknown
+    // protocol is kept for the heatmap to list.
+    EXPECT_THROW(parse("wocover\t1\ntrans\tmsi\tQ\tLoad\t1\n"),
+                 std::runtime_error);
+    EXPECT_THROW(parse("wocover\t1\ntrans\tmsi\tS\tLoadd\t1\n"),
+                 std::runtime_error);
+    EXPECT_EQ(parse("wocover\t1\ntrans\tmsix\tS\tLoad\t1\n")
+                  .transitions.at({"msix", "S", "Load"}),
+              1u);
 }
 
 TEST(StandingCoverage, MergeSumsCountsAndRuns)

@@ -608,6 +608,63 @@ TEST(LitmusRunner, CoverageBreaksDownPerMachine)
     EXPECT_NE(doc.find("outcome\tsb\t"), std::string::npos);
 }
 
+TEST(LitmusRunner, LongMachineNamesWidenTheNameColumns)
+{
+    std::vector<CompiledLitmus> corpus;
+    corpus.push_back(compileLitmus(parseLitmus(
+        "name sb\ninit { x = 0; y = 0; }\n"
+        "P0 | P1 ;\n"
+        "store x, 1 | store y, 1 ;\n"
+        "load r0, y | load r0, x ;\n"
+        "halt | halt ;\n"
+        "exists (P0:r0 == 0 && P1:r0 == 0)\n",
+        "sb.litmus")));
+    RunnerOptions opt;
+    opt.seeds = 2;
+    opt.coverage = true;
+    opt.policies = {PolicyKind::Sc};
+    const std::vector<std::string> names = {"bus", "net-l2-moesi",
+                                            "net-banked"};
+    CorpusReport rep =
+        runCorpus(corpus, opt, parseMachineList("bus,net-l2-moesi,net-banked"));
+    std::ostringstream os;
+    printReport(os, rep, /*histograms=*/false, /*coverage=*/true);
+    std::vector<std::string> lines;
+    std::istringstream in(os.str());
+    for (std::string l; std::getline(in, l);)
+        lines.push_back(l);
+    auto lineStarting = [&](const std::string &prefix) {
+        for (const std::string &l : lines) {
+            if (l.rfind(prefix, 0) == 0)
+                return l;
+        }
+        ADD_FAILURE() << "no line starts with '" << prefix << "'";
+        return std::string();
+    };
+
+    // The cell table: every machine's runs count ends where the header's
+    // "runs" does, whatever the name's length.
+    const std::string header = lineStarting("   policy");
+    const std::size_t runsEnd = header.find("runs") + 4;
+    const std::size_t nameAt = 3 + 14; // indent + policy column
+    for (const std::string &name : names) {
+        const std::string row = lineStarting("   SC            " + name + " ");
+        ASSERT_GT(row.size(), runsEnd) << name;
+        EXPECT_EQ(row.find(' ', row.find_first_not_of(' ', nameAt +
+                                                             name.size())),
+                  runsEnd)
+            << row;
+    }
+    // The per-machine coverage lines: every count starts one column past
+    // the longest name, never run into it.
+    const std::size_t countAt = 5 + std::string("net-l2-moesi").size() + 1;
+    for (const std::string &name : names) {
+        const std::string row = lineStarting("     " + name + " ");
+        EXPECT_EQ(row.find_first_not_of(' ', 5 + name.size()), countAt)
+            << row;
+    }
+}
+
 TEST(LitmusRunner, JsonReportEscapesControlCharacters)
 {
     // A file path is user input: control characters in it must come out

@@ -11,7 +11,7 @@
  * counters. Any diff here means the default protocol's timing or
  * decision paths moved, which would silently invalidate every
  * previously published number (litmus reports, campaign tables,
- * BENCH_* baselines).
+ * the paper-table goldens).
  *
  * If a change is INTENTIONALLY allowed to move these numbers, recapture
  * the goldens and say so loudly in the commit; never "fix" a row to

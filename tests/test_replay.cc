@@ -225,48 +225,84 @@ TEST(ReplayEngineTest, WindowedMatchesWholeTraceOracle)
 {
     // The tentpole differential: a windowed O(window)-memory run must
     // produce the verdict and race set of the resident whole-trace
-    // bitset oracle.
-    for (bool racy : {false, true}) {
-        TraceGenConfig cfg;
-        cfg.threads = 3;
-        cfg.rounds = 40;
-        cfg.injectRace = racy;
-        TempTrace f(racy ? "diff_racy" : "diff_rf");
-        ASSERT_TRUE(writeWorkloadTrace("spinlock", f.path(), cfg));
+    // bitset oracle, on every generated workload.
+    for (const char *wl : {"spinlock", "barrier", "prodcons"}) {
+        for (bool racy : {false, true}) {
+            TraceGenConfig cfg;
+            cfg.threads = 3;
+            cfg.rounds = 40;
+            cfg.injectRace = racy;
+            TempTrace f(std::string(racy ? "diff_racy_" : "diff_rf_") +
+                        wl);
+            ASSERT_TRUE(writeWorkloadTrace(wl, f.path(), cfg));
 
-        // Whole-trace run: window 0 keeps every access resident.
-        ReplayTraceReader r0;
-        ASSERT_TRUE(r0.open(f.path()));
-        ReplayOptions full;
-        full.window = 0;
-        full.mode = RaceDetectMode::AllRaces;
-        ReplayEngine oracleEngine(r0, full);
-        ReplayResult fullRes = oracleEngine.run();
-        ASSERT_TRUE(fullRes.ok) << fullRes.error;
-        EXPECT_EQ(fullRes.eventsRetired, 0);
+            // Whole-trace run: window 0 keeps every access resident.
+            ReplayTraceReader r0;
+            ASSERT_TRUE(r0.open(f.path()));
+            ReplayOptions full;
+            full.window = 0;
+            full.mode = RaceDetectMode::AllRaces;
+            ReplayEngine oracleEngine(r0, full);
+            ReplayResult fullRes = oracleEngine.run();
+            ASSERT_TRUE(fullRes.ok) << fullRes.error;
+            EXPECT_EQ(fullRes.eventsRetired, 0);
 
-        Drf0TraceReport oracle = checkTraceBitset(oracleEngine.trace());
-        std::vector<Race> oracleRaces = oracle.races;
-        std::sort(oracleRaces.begin(), oracleRaces.end());
-        EXPECT_EQ(fullRes.raceFree, oracle.raceFree);
-        EXPECT_EQ(fullRes.races, oracleRaces);
+            Drf0TraceReport oracle =
+                checkTraceBitset(oracleEngine.trace());
+            std::vector<Race> oracleRaces = oracle.races;
+            std::sort(oracleRaces.begin(), oracleRaces.end());
+            EXPECT_EQ(fullRes.raceFree, oracle.raceFree);
+            EXPECT_EQ(fullRes.races, oracleRaces);
 
-        for (int window : {32, 256}) {
-            ReplayTraceReader r1;
-            ASSERT_TRUE(r1.open(f.path()));
-            ReplayOptions opt = full;
-            opt.window = window;
-            ReplayEngine engine(r1, opt);
-            ReplayResult res = engine.run();
-            ASSERT_TRUE(res.ok) << res.error;
-            EXPECT_EQ(res.raceFree, oracle.raceFree) << window;
-            EXPECT_EQ(res.races, oracleRaces) << window;
-            EXPECT_EQ(res.accesses, fullRes.accesses) << window;
-            EXPECT_EQ(res.finalMemory, fullRes.finalMemory) << window;
-            EXPECT_LT(res.windowHighWater, fullRes.windowHighWater)
-                << window;
+            for (int window : {32, 256}) {
+                ReplayTraceReader r1;
+                ASSERT_TRUE(r1.open(f.path()));
+                ReplayOptions opt = full;
+                opt.window = window;
+                ReplayEngine engine(r1, opt);
+                ReplayResult res = engine.run();
+                ASSERT_TRUE(res.ok) << res.error;
+                const std::string at =
+                    std::string(wl) + " window " + std::to_string(window);
+                EXPECT_EQ(res.raceFree, oracle.raceFree) << at;
+                EXPECT_EQ(res.races, oracleRaces) << at;
+                EXPECT_EQ(res.accesses, fullRes.accesses) << at;
+                EXPECT_EQ(res.finalMemory, fullRes.finalMemory) << at;
+                EXPECT_LT(res.windowHighWater, fullRes.windowHighWater)
+                    << at;
+            }
         }
     }
+}
+
+TEST(ReplayEngineTest, ResidentHighWaterStaysFlatAsTraceGrows)
+{
+    // O(window) memory: a trace ten times longer, replayed under the
+    // same window, keeps the same resident high-water mark and retires
+    // the difference. The window sits well below the shorter trace, so
+    // both runs retire.
+    const int window = 256;
+    ReplayResult runs[2];
+    for (int i = 0; i < 2; ++i) {
+        TraceGenConfig cfg;
+        cfg.threads = 4;
+        cfg.rounds = i == 0 ? 200 : 2000;
+        TempTrace f(i == 0 ? "flat_short" : "flat_long");
+        ASSERT_TRUE(writeWorkloadTrace("spinlock", f.path(), cfg));
+        ReplayTraceReader r;
+        ASSERT_TRUE(r.open(f.path()));
+        ReplayOptions opt;
+        opt.window = window;
+        runs[i] = ReplayEngine(r, opt).run();
+        ASSERT_TRUE(runs[i].ok) << runs[i].error;
+        EXPECT_TRUE(runs[i].raceFree);
+        EXPECT_GT(runs[i].eventsRetired, 0);
+    }
+    const ReplayResult &shortRun = runs[0], &longRun = runs[1];
+    EXPECT_GT(longRun.accesses, 9 * shortRun.accesses);
+    EXPECT_EQ(longRun.windowHighWater, shortRun.windowHighWater);
+    EXPECT_LE(longRun.windowHighWater, 2 * window);
+    EXPECT_GT(longRun.eventsRetired, 9 * shortRun.eventsRetired);
 }
 
 TEST(SystemReplayTest, SpinlockOnBusAndNet)
