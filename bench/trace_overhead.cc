@@ -25,8 +25,11 @@
  * pass. The default takes 15 pairs of 600-run passes; --quick (the CI
  * gate) takes 60 pairs of 60-run passes, less work in total and many
  * more pairs for the median, which a shared host's noise needs. The
- * table rows show each mode's fastest pass. Results print as a table,
- * and --json=FILE dumps them as JSON with an identical schema.
+ * traced pass is informational, not gated: its cost is the best of 3
+ * passes of a fixed 240 runs under either preset, so the number CI
+ * archives does not move with the gate's pass length. The table rows
+ * show each mode's fastest pass. Results print as a table, and
+ * --json=FILE dumps them as JSON with an identical schema.
  */
 
 #include <algorithm>
@@ -47,6 +50,9 @@
 namespace {
 
 using namespace wo;
+
+/** Runs per traced pass, whatever the preset. */
+constexpr int kTracedRuns = 240;
 
 struct Sample
 {
@@ -171,7 +177,7 @@ main(int argc, char **argv)
             sys.run();
         }
         auto t0 = std::chrono::steady_clock::now();
-        for (int i = 0; i < runs; ++i) {
+        for (int i = 0; i < kTracedRuns; ++i) {
             for (const MultiProgram *mp : {&tas, &tttas}) {
                 TraceSink buf;
                 SystemConfig cfg = machineOrThrow("net-cold").config(
@@ -193,9 +199,9 @@ main(int argc, char **argv)
             ? (off.eventsPerSec() / on.eventsPerSec() - 1.0) * 100.0
             : 0.0;
 
-    std::printf("trace_overhead (%d runs x 2 workloads, net-cold, "
-                "def2drf0)\n",
-                runs);
+    std::printf("trace_overhead (%d runs x 2 workloads, %d traced, "
+                "net-cold, def2drf0)\n",
+                runs, kTracedRuns);
     std::printf("  %-14s %12s %10s %16s\n", "mode", "events", "sec",
                 "events/sec");
     std::printf("  %-14s %12llu %10.4f %16.0f\n", "tracing off",
@@ -220,6 +226,7 @@ main(int argc, char **argv)
         out << "{\n"
             << "  \"bench\": \"trace_overhead\",\n"
             << "  \"runs\": " << runs << ",\n"
+            << "  \"traced_runs\": " << kTracedRuns << ",\n"
             << "  \"off\": {\"events\": " << off.events
             << ", \"events_per_sec\": "
             << static_cast<std::uint64_t>(off.eventsPerSec()) << "},\n"

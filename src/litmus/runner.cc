@@ -25,7 +25,7 @@ struct JobOut
     bool ran = false;
     bool finished = false;
     bool hit = false;
-    int scStatus = -1; ///< -1 unverified, 0 ok, 1 violation, 2 unknown
+    int scStatus = -1; ///< -1 unfinished, 0 ok, 1 violation, 2 unknown
     std::string key;
 };
 
@@ -133,13 +133,11 @@ simulate(const CompiledLitmus &test, const TestPlan &plan,
     if (out.finished) {
         out.hit = plan.clause.holds(sys);
         plan.clause.appendKey(sys, out.key);
-        if (options.verify) {
-            ScReport sc = w.verifier.check(
-                sys.trace(), {options.maxVerifyStates}, /*keepWitness=*/false);
-            out.scStatus = sc.verdict == ScVerdict::Sc      ? 0
-                           : sc.verdict == ScVerdict::NotSc ? 1
-                                                            : 2;
-        }
+        ScReport sc = w.verifier.check(
+            sys.trace(), {options.maxVerifyStates}, /*keepWitness=*/false);
+        out.scStatus = sc.verdict == ScVerdict::Sc      ? 0
+                       : sc.verdict == ScVerdict::NotSc ? 1
+                                                        : 2;
         total.accumulate(sys.stats());
     }
     return out;
@@ -217,7 +215,7 @@ judgeTest(const CompiledLitmus &test, const TestPlan &plan,
                 cell.note = "permitted";
             }
         }
-        if (options.verify && promised && cell.scViolations > 0) {
+        if (promised && cell.scViolations > 0) {
             cell.pass = false;
             cell.note = cell.note.empty()
                             ? "non-SC execution"

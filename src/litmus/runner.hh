@@ -74,7 +74,6 @@ struct RunnerOptions
     int seeds = 20;              ///< seeds per (policy, variant)
     int threads = 0;             ///< 0: WO_THREADS / hardware
     std::uint64_t baseSeed = 1;  ///< campaign seed-stream base
-    bool verify = true;          ///< SC-verify every recorded trace
     std::uint64_t maxVerifyStates = 1000000;
     /// Kept only for bench/e2e's replica; deleted in ROADMAP item 6 step 2.
     static constexpr int drf0Schedules = 200;

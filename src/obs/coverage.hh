@@ -43,9 +43,9 @@
  * depend on which worker ran which job, and neither does any report
  * rendered from them, at any thread count.
  *
- * Reset semantics: the map is owned by the campaign, not the System. A
- * pooled System reset between jobs keeps accumulating into whatever map
- * the new job's config names (coverage survives System::reset);
+ * Reuse semantics: the map is owned by the campaign, not the System. A
+ * pooled System reused between jobs keeps accumulating into whatever
+ * map the new job's config names (coverage survives System::reuseFor);
  * dropping the pool drops nothing, because no coverage lives in the
  * System at all. A System must not outlive the map it points at: the
  * runner declares each worker's map before that worker's pool.

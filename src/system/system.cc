@@ -116,38 +116,11 @@ System::structurallyCompatible(const SystemConfig &cfg) const
 }
 
 bool
-System::compatibleWith(const MultiProgram &program,
-                       const SystemConfig &cfg) const
-{
-    return program.numProcs() == static_cast<int>(procs_.size()) &&
-           structurallyCompatible(cfg);
-}
-
-bool
 System::reuseFor(const MultiProgram &program, const SystemConfig &cfg)
 {
-    if (!compatibleWith(program, cfg))
+    if (program.numProcs() != static_cast<int>(procs_.size()) ||
+        !structurallyCompatible(cfg))
         return false;
-    resetCompatible(cfg);
-    loadProgram(program);
-    return true;
-}
-
-void
-System::reset(const SystemConfig &cfg)
-{
-    if (!structurallyCompatible(cfg)) {
-        throw std::invalid_argument(
-            "System::reset: config is structurally incompatible with the "
-            "built topology (only net.seed, maxTicks, traceSink and "
-            "coverage may vary between runs)");
-    }
-    resetCompatible(cfg);
-}
-
-void
-System::resetCompatible(const SystemConfig &cfg)
-{
     // Deliberate drain: a run that hit its livelock tick limit leaves
     // events pending, and abandoning them is exactly what reuse wants.
     eq_.reset(/*drain=*/true);
@@ -168,27 +141,13 @@ System::resetCompatible(const SystemConfig &cfg)
     cfg_.maxTicks = cfg.maxTicks;
     setTraceSink(cfg.traceSink);
     cfg_.coverage = cfg.coverage;
-    loaded_ = false;
-}
-
-void
-System::reset()
-{
-    SystemConfig cfg = cfg_;
-    reset(cfg);
-    loadProgram(program_);
+    loadProgram(program);
+    return true;
 }
 
 void
 System::loadProgram(const MultiProgram &program)
 {
-    if (program.numProcs() != static_cast<int>(procs_.size())) {
-        throw std::invalid_argument(
-            "System::loadProgram: workload has " +
-            std::to_string(program.numProcs()) +
-            " processors but the system was built with " +
-            std::to_string(procs_.size()));
-    }
     if (&program != &program_ && program != program_) {
         program_ = program;
         program_.touchedAddrs(touched_);
@@ -226,7 +185,6 @@ System::loadProgram(const MultiProgram &program)
 
     for (ProcId p = 0; p < nprocs; ++p)
         procs_[p]->reset(program_.program(p));
-    loaded_ = true;
 }
 
 void
@@ -281,10 +239,6 @@ bool
 System::runStreaming(Tick chunkTicks,
                      const std::function<void(System &)> &onChunk)
 {
-    if (!loaded_)
-        throw std::logic_error(
-            "System::run: no program loaded since reset (call "
-            "loadProgram first)");
     // Everything this run exercises — protocol transitions, stall
     // reasons, latency buckets — lands in the configured CoverageMap;
     // the scope restores the previous thread-local map on exit.

@@ -87,7 +87,7 @@ struct SystemConfig
      * Recording is passive (never touches stats or simulator state),
      * so reports stay byte-identical either way. Like traceSink, the
      * pointer is exempt from structural compatibility: the map is the
-     * campaign's, survives System::reset between pooled jobs, and owes
+     * campaign's, survives System::reuseFor between pooled jobs, and owes
      * the System nothing when the pool drops it.
      */
     CoverageMap *coverage = nullptr;
@@ -142,40 +142,20 @@ class System
     ExecutionTrace &mutableTrace() { return trace_; }
 
     /**
-     * Restore construction-time state for reuse under @p cfg, which must
-     * be structurally compatible with the built topology (every field
-     * equal except net.seed, maxTicks, traceSink and coverage — the four
-     * that can vary between jobs of one campaign cell). Throws
-     * std::invalid_argument otherwise. All component state, statistics
-     * and the trace are cleared; pooled event slabs are retained. A
-     * program must be (re)installed with loadProgram() before run().
-     */
-    void reset(const SystemConfig &cfg);
-
-    /** Reset and reload the current program and config: the next run()
-     * replays the same job bit-identically. */
-    void reset();
-
-    /**
-     * Install @p program as the next workload: initial memory values are
-     * poked exactly as construction does (including warm-cache
-     * pre-loading) and every processor is rebound and reset. The program
-     * must have the same processor count as the one the system was built
-     * with; throws std::invalid_argument otherwise. The system keeps a
-     * copy of the program and of its touched addresses, and re-copies
+     * Make this System run @p program under @p cfg as if freshly
+     * constructed, if it can: @p program must have the processor count
+     * the system was built with, and @p cfg must be structurally
+     * compatible with the built topology (every field equal except
+     * net.seed, maxTicks, traceSink and coverage, the four that vary
+     * between jobs of one campaign cell). Returns false, changing
+     * nothing, otherwise. On success every component's state, the
+     * statistics and the trace are cleared (pooled event slabs are
+     * kept), and the program is installed as construction does. The
+     * system keeps a copy of the program and of its touched addresses
      * and re-derives them only when @p program differs from the one it
-     * holds, so reloading the same program copies nothing.
+     * holds, so reusing it for the same program copies nothing.
+     * SystemPool's reuse path.
      */
-    void loadProgram(const MultiProgram &program);
-
-    /** True if reset(cfg) + loadProgram(program) would succeed — the
-     * pool's can-I-reuse-this-instance test. */
-    bool compatibleWith(const MultiProgram &program,
-                        const SystemConfig &cfg) const;
-
-    /** reset(@p cfg) + loadProgram(@p program) if compatibleWith() them,
-     * testing compatibility once; returns false (and changes nothing)
-     * otherwise. SystemPool's reuse path. */
     bool reuseFor(const MultiProgram &program, const SystemConfig &cfg);
 
     /** Observable outcome (registers padded to the workload's register
@@ -237,8 +217,13 @@ class System
      * coverage. */
     bool structurallyCompatible(const SystemConfig &cfg) const;
 
-    /** reset(cfg) once @p cfg is known to be structurally compatible. */
-    void resetCompatible(const SystemConfig &cfg);
+    /**
+     * Install @p program (same processor count) as the next workload:
+     * initial memory values are poked exactly as construction does
+     * (including warm-cache pre-loading) and every processor is rebound
+     * and reset.
+     */
+    void loadProgram(const MultiProgram &program);
 
     /** Give every per-address table (directory lines, cache lines and
      * MSHRs, memory words) exactly the addresses of touched_ it serves;
@@ -246,7 +231,7 @@ class System
     void bindAddrs();
 
     /** Rewire the structured trace sink on every component (nullptr
-     * detaches); construction and reset(cfg) apply cfg.traceSink
+     * detaches); construction and reuseFor apply cfg.traceSink
      * through this. */
     void setTraceSink(TraceSink *sink);
 
@@ -256,8 +241,6 @@ class System
     /** bindAddrs()'s per-bank share of touched_ (reused). */
     std::vector<Addr> bank_addrs_;
     SystemConfig cfg_;
-    /** False between reset(cfg) and the next loadProgram(). */
-    bool loaded_ = true;
     EventQueue eq_;
     StatSet stats_;
     ExecutionTrace trace_;

@@ -142,7 +142,7 @@ class Drf0Memo
  *
  * acquire() hands back the cached instance — reset under the job's
  * config and reloaded with the job's program — when it is compatible
- * (same topology and processor count; see System::compatibleWith).
+ * (same topology and processor count; see System::reuseFor).
  * Anything else replaces the cell's entry with a fresh construction, so
  * a miss never costs more than not pooling at all.
  *

@@ -314,7 +314,7 @@ TEST(Explain, UnreachableOutcomeMatchesNothing)
 
 TEST(Enumerate, NaiveModeComputesIdenticalAllowedSets)
 {
-    for (const std::string &file :
+    for (const char *file :
          {"sb.litmus", "corr.litmus", "lb.litmus", "corw.litmus",
           "sb_fence.litmus"}) {
         CompiledLitmus t =

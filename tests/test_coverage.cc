@@ -4,7 +4,7 @@
  * thread-local CoverageScope, heatmap/gap completeness against the
  * protocol transition tables, standing-report round-trips and diffs,
  * and the runner-level invariants (pool on == off, threads 1 == 4,
- * coverage survives a pooled System::reset).
+ * coverage survives a pooled System::reuseFor).
  */
 
 #include <gtest/gtest.h>
@@ -415,9 +415,9 @@ TEST(CoverageSystem, MapSurvivesPooledStyleResetAndDoubles)
     std::string once = render(map);
     ASSERT_NE(once.find("trans\t"), std::string::npos);
 
-    // A pooled-style reset replays the job bit-identically and keeps
+    // Pooled-style reuse replays the job bit-identically and keeps
     // recording into the same campaign-owned map: exactly doubled.
-    sys.reset();
+    ASSERT_TRUE(sys.reuseFor(mp, cfg));
     ASSERT_TRUE(sys.run());
 
     // Doubling the single-run report must reproduce the two-run map.

@@ -1,9 +1,9 @@
 /**
  * @file
- * The System lifecycle contract behind the campaign pool: reset() +
- * loadProgram() must make a reused instance observably indistinguishable
- * from a freshly constructed one — same verdicts, same final state, same
- * stats, same reports — for every machine, policy, and workload shape.
+ * The System lifecycle contract behind the campaign pool: reuseFor()
+ * must make a reused instance observably indistinguishable from a
+ * freshly constructed one — same verdicts, same final state, same stats,
+ * same reports — for every machine, policy, and workload shape.
  *
  * Structured as three layers:
  *  - lifecycle unit tests (replay identity, seed changes, program swaps,
@@ -85,8 +85,8 @@ workload(std::uint64_t seed, int procs = 2)
 
 TEST(SystemLifecycle, ResetReplaysBitIdentically)
 {
-    // reset() (no args) + run() must replay the same job: same finish
-    // tick, registers, memory, trace and stats.
+    // Reuse for the same program and config + run() must replay the
+    // same job: same finish tick, registers, memory, trace and stats.
     for (const char *machine : {"bus", "net", "net-u"}) {
         const MachineSpec &m = machineOrThrow(machine);
         PolicyKind pk = m.base.cached ? PolicyKind::Def2Drf0 : PolicyKind::Sc;
@@ -95,7 +95,7 @@ TEST(SystemLifecycle, ResetReplaysBitIdentically)
 
         System sys(prog, cfg);
         std::string first = snapshot(sys, sys.run());
-        sys.reset();
+        ASSERT_TRUE(sys.reuseFor(prog, cfg));
         std::string replay = snapshot(sys, sys.run());
         EXPECT_EQ(first, replay) << "machine " << machine;
     }
@@ -112,14 +112,12 @@ TEST(SystemLifecycle, ResetWithNewSeedMatchesFreshConstruction)
 
     System sys(prog, cfg1);
     sys.run();
-    sys.reset(cfg2);
-    sys.loadProgram(prog);
+    ASSERT_TRUE(sys.reuseFor(prog, cfg2));
     std::string reused = snapshot(sys, sys.run());
     EXPECT_EQ(reused, freshRun(prog, cfg2));
 
     // And back again: no residue from the second seed either.
-    sys.reset(cfg1);
-    sys.loadProgram(prog);
+    ASSERT_TRUE(sys.reuseFor(prog, cfg1));
     std::string again = snapshot(sys, sys.run());
     EXPECT_EQ(again, freshRun(prog, cfg1));
 }
@@ -136,14 +134,13 @@ TEST(SystemLifecycle, LoadProgramSwapMatchesFreshConstruction)
 
     System sys(a, cfg);
     sys.run();
-    sys.reset(cfg);
-    sys.loadProgram(b);
+    ASSERT_TRUE(sys.reuseFor(b, cfg));
     EXPECT_EQ(snapshot(sys, sys.run()), freshRun(b, cfg));
 }
 
 TEST(SystemLifecycle, WarmCachesAreReplayedByLoadProgram)
 {
-    // The "net" machine pre-loads every touched line Shared; reset must
+    // The "net" machine pre-loads every touched line Shared; reuse must
     // rebuild that steady state for the next program, not leak the old
     // program's lines.
     const MachineSpec &m = machineOrThrow("net");
@@ -154,65 +151,48 @@ TEST(SystemLifecycle, WarmCachesAreReplayedByLoadProgram)
 
     System sys(a, cfg);
     sys.run();
-    sys.reset(cfg);
-    sys.loadProgram(b);
+    ASSERT_TRUE(sys.reuseFor(b, cfg));
     EXPECT_EQ(snapshot(sys, sys.run()), freshRun(b, cfg));
-}
-
-TEST(SystemLifecycle, RunWithoutLoadProgramThrows)
-{
-    const MachineSpec &m = machineOrThrow("bus");
-    SystemConfig cfg = m.config(PolicyKind::Sc, 1);
-    MultiProgram prog = randomDrf0Program(workload(4));
-    System sys(prog, cfg);
-    sys.reset(cfg);
-    EXPECT_THROW(sys.run(), std::logic_error);
-    sys.loadProgram(prog);
-    EXPECT_TRUE(sys.run());
 }
 
 TEST(SystemLifecycle, IncompatibleResetThrows)
 {
+    // An incompatible config is refused and changes nothing: the old
+    // job still runs on the instance exactly as on a fresh one.
     MultiProgram prog = randomDrf0Program(workload(4));
     SystemConfig bus = machineOrThrow("bus").config(PolicyKind::Sc, 1);
     SystemConfig net = machineOrThrow("net").config(PolicyKind::Sc, 1);
     System sys(prog, bus);
-    EXPECT_THROW(sys.reset(net), std::invalid_argument);
-    EXPECT_FALSE(sys.compatibleWith(prog, net));
+    EXPECT_FALSE(sys.reuseFor(prog, net));
+    EXPECT_EQ(snapshot(sys, sys.run()), freshRun(prog, bus));
 
     // Policy changes rebuild too (policy objects are not resettable).
     SystemConfig bus2 = machineOrThrow("bus").config(PolicyKind::Def1, 1);
-    EXPECT_THROW(sys.reset(bus2), std::invalid_argument);
+    EXPECT_FALSE(sys.reuseFor(prog, bus2));
 
     // So does any sub-config field.
     SystemConfig busEpoch = bus;
     busEpoch.cache.epochReserveClearing = !bus.cache.epochReserveClearing;
-    EXPECT_THROW(sys.reset(busEpoch), std::invalid_argument);
-    EXPECT_FALSE(sys.compatibleWith(prog, busEpoch));
+    EXPECT_FALSE(sys.reuseFor(prog, busEpoch));
 
     // But seed / tick-limit changes are the compatible kind.
     SystemConfig bus3 = bus;
     bus3.net.seed = 999;
     bus3.maxTicks = bus.maxTicks * 2;
-    EXPECT_TRUE(sys.compatibleWith(prog, bus3));
-    EXPECT_NO_THROW(sys.reset(bus3));
-    sys.loadProgram(prog);
+    EXPECT_TRUE(sys.reuseFor(prog, bus3));
     EXPECT_TRUE(sys.run());
 }
 
 TEST(SystemLifecycle, ProcessorCountMismatchThrows)
 {
+    // A program with another processor count is refused and leaves the
+    // built program in place: the old job still runs as on a fresh one.
     MultiProgram two = randomDrf0Program(workload(4, 2));
     MultiProgram four = randomDrf0Program(workload(4, 4));
     SystemConfig cfg = machineOrThrow("bus").config(PolicyKind::Sc, 1);
     System sys(two, cfg);
-    sys.reset(cfg);
-    EXPECT_THROW(sys.loadProgram(four), std::invalid_argument);
-    EXPECT_FALSE(sys.compatibleWith(four, cfg));
-    // The failed load leaves the system unloaded, not half-loaded.
-    EXPECT_THROW(sys.run(), std::logic_error);
-    sys.loadProgram(two);
-    EXPECT_TRUE(sys.run());
+    EXPECT_FALSE(sys.reuseFor(four, cfg));
+    EXPECT_EQ(snapshot(sys, sys.run()), freshRun(two, cfg));
 }
 
 /** Two-processor store-buffering shape on @p x and @p y, with @p y

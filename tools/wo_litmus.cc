@@ -22,7 +22,6 @@
  *   --machines=a,b   machine-registry subset to run on       [bus,net,net-u]
  *   --list-machines  print the machine registry and exit
  *   --json[=FILE]    write a JSON report (to FILE, else stdout)
- *   --no-verify      skip per-run SC verification
  *   --no-axiom-check skip the differential axiomatic stage, which by
  *                    default fails any cell whose observed outcome the
  *                    policy's bounding axiomatic model forbids (witness
@@ -68,8 +67,7 @@ usage(std::ostream &os)
           "                 [--policies=sc,def1,def2drf0,def2drf1,"
           "relaxed]\n"
           "                 [--machines=LIST] [--list-machines]\n"
-          "                 [--json[=FILE]] [--no-verify] "
-          "[--no-histograms] [--list]\n"
+          "                 [--json[=FILE]] [--no-histograms] [--list]\n"
           "                 [--no-axiom-check] [--coverage-report[=FILE]]\n"
           "                 <file-or-dir>...\n";
     return 2;
@@ -145,8 +143,6 @@ main(int argc, char **argv)
         } else if (arg.rfind("--json=", 0) == 0) {
             json = true;
             json_file = arg.substr(7);
-        } else if (arg == "--no-verify") {
-            options.verify = false;
         } else if (arg == "--no-axiom-check") {
             options.axiomCheck = false;
         } else if (arg == "--coverage-report") {
