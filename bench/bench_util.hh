@@ -8,7 +8,7 @@
 #ifndef WO_BENCH_BENCH_UTIL_HH
 #define WO_BENCH_BENCH_UTIL_HH
 
-#include <cstdint>
+#include <atomic>
 #include <cstdlib>
 #include <iomanip>
 #include <iostream>
@@ -23,8 +23,7 @@ namespace wo::benchutil {
 /** Flags shared by the table printers. */
 struct BenchOptions
 {
-    int threads = 0;            ///< campaign workers; 0 = WO_THREADS/auto
-    std::uint64_t baseSeed = 1; ///< campaign seed-stream base
+    Campaign campaign; ///< --threads=N workers, else WO_THREADS/auto
 
     /** Machines selected with --machines=<list>; empty = bench default. */
     std::vector<const MachineSpec *> machines;
@@ -32,19 +31,17 @@ struct BenchOptions
 
 /**
  * Parse the flags every table printer understands: --threads=N /
- * --threads N (honouring WO_THREADS), --seed=S / --seed S and
- * --machines=LIST of machine-registry names. Exits with status 2 and a
- * one-line diagnostic on a malformed --threads/--seed value, an unknown
- * machine name, or any other argument, so a mistyped flag never runs
- * the defaults silently.
+ * --threads N (honouring WO_THREADS) and --machines=LIST of
+ * machine-registry names. Exits with status 2 and a one-line diagnostic
+ * on a malformed --threads value, an unknown machine name, or any other
+ * argument, so a mistyped flag never runs the defaults silently.
  */
 inline BenchOptions
 consumeBenchFlags(int argc, char **argv)
 {
     BenchOptions opts;
     try {
-        opts.threads = consumeThreadsFlag(argc, argv);
-        opts.baseSeed = consumeSeedFlag(argc, argv);
+        opts.campaign = Campaign(consumeThreadsFlag(argc, argv));
     } catch (const std::exception &e) {
         std::cerr << argv[0] << ": " << e.what() << "\n";
         std::exit(2);
@@ -127,6 +124,17 @@ class Table
     std::vector<std::string> header_;
     std::vector<std::vector<std::string>> rows_;
 };
+
+/** main()'s return value: bug() sets it to 1. */
+inline std::atomic<int> g_exitStatus{0};
+
+/** Print "BUG: @p what" on stderr and fail the run (from any thread). */
+inline void
+bug(const std::string &what)
+{
+    std::cerr << "BUG: " + what + "\n"; // one write: jobs may interleave
+    g_exitStatus = 1;
+}
 
 /** Section banner. */
 inline void

@@ -18,7 +18,7 @@ namespace {
 
 using namespace wo;
 
-wo::benchutil::BenchOptions g_opts; // resolved in main() from --threads/--seed
+wo::benchutil::BenchOptions g_opts; // resolved in main() from flags
 
 struct CapPoint
 {
@@ -36,7 +36,6 @@ runPoint(const MachineSpec &m, int num_sets, int ways, PolicyKind pk,
 {
     // One campaign job per seed; the order-stable reduce makes the
     // sums identical to the old serial loop at any thread count.
-    Campaign campaign({g_opts.threads, g_opts.baseSeed});
     auto job = [&](const CampaignJob &jb) {
         int s = jb.index + 1;
         RandomWorkloadConfig w;
@@ -68,7 +67,7 @@ runPoint(const MachineSpec &m, int num_sets, int ways, PolicyKind pk,
     };
     CapPoint init;
     init.runs = runs;
-    return campaign.reduce<CapPoint, CapPoint>(
+    return g_opts.campaign.reduce<CapPoint, CapPoint>(
         runs, job, init, [](CapPoint &acc, const CapPoint &one) {
             acc.finish += one.finish;
             acc.writebacks += one.writebacks;

@@ -22,7 +22,7 @@ namespace {
 
 using namespace wo;
 
-wo::benchutil::BenchOptions g_opts; // resolved in main() from --threads/--seed
+wo::benchutil::BenchOptions g_opts; // resolved in main() from flags
 
 RandomWorkloadConfig
 workloadCfg(std::uint64_t seed)
@@ -47,7 +47,6 @@ printContractTable(const MachineSpec &m, bool named)
         (named ? " [machine=" + m.name + "]" : ""));
     benchutil::Table t(
         {"policy", "runs appearing SC", "avg finish ticks"});
-    Campaign campaign({g_opts.threads, g_opts.baseSeed});
     for (PolicyKind pk : {PolicyKind::Sc, PolicyKind::Def1,
                           PolicyKind::Def2Drf0, PolicyKind::Def2Drf1}) {
         // Each seed is one campaign job: simulate, then verify the
@@ -57,7 +56,7 @@ printContractTable(const MachineSpec &m, bool named)
             std::uint64_t ticks = 0;
             int sc = 0;
         };
-        Run sum = campaign.reduce<Run, Run>(
+        Run sum = g_opts.campaign.reduce<Run, Run>(
             runs,
             [&](const CampaignJob &jb) {
                 int s = jb.index + 1;
@@ -86,7 +85,7 @@ printContractTable(const MachineSpec &m, bool named)
     const litmus_dsl::CompiledLitmus sb = litmus_dsl::compileLitmusFile(
         std::string(WO_LITMUS_DIR) + "/sb.litmus");
     const int neg_runs = 100;
-    int violations = campaign.reduce<int, int>(
+    int violations = g_opts.campaign.reduce<int, int>(
         neg_runs,
         [&](const CampaignJob &jb) {
             SystemConfig cfg = machineOrThrow("net-u").config(

@@ -22,7 +22,7 @@ namespace {
 
 using namespace wo;
 
-wo::benchutil::BenchOptions g_opts; // resolved in main() from --threads/--seed
+wo::benchutil::BenchOptions g_opts; // resolved in main() from flags
 
 /** The Dekker litmus (sb.litmus); its clause is the both-zero outcome. */
 const litmus_dsl::CompiledLitmus &
@@ -66,14 +66,12 @@ buildConfig(const Fig1Config &fc, PolicyKind pk, std::uint64_t seed)
 }
 
 int
-countViolations(const Fig1Config &fc, PolicyKind pk, int runs,
-                bool verify_sc)
+countViolations(const Fig1Config &fc, PolicyKind pk, int runs)
 {
     // One seed per campaign job; each flagged run is cross-checked by
     // the SC verifier inside its own job, so the verification work
     // parallelizes along with the simulations.
-    Campaign campaign({g_opts.threads, g_opts.baseSeed});
-    return campaign.reduce<int, int>(
+    return g_opts.campaign.reduce<int, int>(
         runs,
         [&](const CampaignJob &jb) {
             int s = jb.index + 1;
@@ -84,9 +82,8 @@ countViolations(const Fig1Config &fc, PolicyKind pk, int runs,
             if (!litmus_dsl::evalCond(sb.clause.cond, sys.result(),
                                       sb.addrOf))
                 return 0;
-            if (verify_sc && verifySc(sys.trace()).sc()) {
-                std::cerr << "BUG: flagged outcome verified SC!\n";
-            }
+            if (verifySc(sys.trace()).sc())
+                benchutil::bug("flagged outcome verified SC!");
             return 1;
         },
         0, [](int &acc, const int &one) { acc += one; });
@@ -102,8 +99,8 @@ printFig1Table()
     benchutil::Table t({"configuration", "relaxed mechanism",
                         "relaxed violations", "SC-policy violations"});
     for (const auto &fc : fig1Configs()) {
-        int relaxed = countViolations(fc, PolicyKind::Relaxed, runs, true);
-        int sc = countViolations(fc, PolicyKind::Sc, runs, true);
+        int relaxed = countViolations(fc, PolicyKind::Relaxed, runs);
+        int sc = countViolations(fc, PolicyKind::Sc, runs);
         std::ostringstream r, s;
         r << relaxed << "/" << runs;
         s << sc << "/" << runs;
@@ -122,5 +119,5 @@ main(int argc, char **argv)
 {
     g_opts = wo::benchutil::consumeBenchFlags(argc, argv);
     printFig1Table();
-    return 0;
+    return wo::benchutil::g_exitStatus;
 }

@@ -47,8 +47,7 @@ runFig3(PolicyKind pk, Tick write_gp_delay, std::uint64_t seed = 1)
     System sys(figure3, cfg);
     Fig3Point pt{};
     if (!sys.run()) {
-        std::cerr << "fig3 run failed to complete under "
-                  << toString(pk) << "\n";
+        benchutil::bug("fig3 run failed to complete under " + toString(pk));
         return pt;
     }
     pt.p0_stall = sys.processor(0).stallCycles();
@@ -71,7 +70,7 @@ printFig3Table()
         Fig3Point d1 = runFig3(PolicyKind::Def1, d);
         Fig3Point d2 = runFig3(PolicyKind::Def2Drf0, d);
         if (!d1.sc || !d2.sc)
-            std::cerr << "BUG: fig3 execution not SC!\n";
+            benchutil::bug("fig3 execution not SC!");
         t.addRow({std::to_string(d), std::to_string(d1.p0_stall),
                   std::to_string(d2.p0_stall), std::to_string(d1.p1_stall),
                   std::to_string(d2.p1_stall), std::to_string(d1.finish),
@@ -95,5 +94,5 @@ main(int argc, char **argv)
 {
     wo::benchutil::consumeBenchFlags(argc, argv);
     printFig3Table();
-    return 0;
+    return wo::benchutil::g_exitStatus;
 }

@@ -22,12 +22,12 @@ namespace {
 
 using namespace wo;
 
-wo::benchutil::BenchOptions g_opts; // resolved in main() from --threads/--seed
+wo::benchutil::BenchOptions g_opts; // resolved in main() from flags
 
-/** One campaign (and its worker threads) for the whole table sweep, so
- * the workers' SystemPools persist across avgTicks() calls. Jobs derive
- * everything from the job index, so the hoist is output-neutral. */
-Campaign *g_campaign = nullptr;
+/** One SystemPool per campaign participant (indexed by
+ * CampaignJob::worker), kept across avgTicks() calls. Jobs derive
+ * everything from the job index, so the pooling is output-neutral. */
+std::vector<SystemPool> g_pools;
 
 RandomWorkloadConfig
 workloadCfg(int sections, int ops, std::uint64_t seed)
@@ -55,7 +55,7 @@ avgTicks(const MachineSpec &m, PolicyKind pk, int sections, int ops,
         std::uint64_t ticks = 0;
         int completed = 0;
     };
-    Run sum = g_campaign->reduce<Run, Run>(
+    Run sum = g_opts.campaign.reduce<Run, Run>(
         runs,
         [&](const CampaignJob &jb) {
             int s = jb.index + 1;
@@ -68,8 +68,8 @@ avgTicks(const MachineSpec &m, PolicyKind pk, int sections, int ops,
             // Pooled: the worker's cached System for this cell is
             // reset instead of rebuilt (identical replay; net.base
             // changes between sweep points force one rebuild each).
-            System &sys = workerSystemPool().acquire(
-                m.name + "/" + toString(pk), mp, cfg);
+            System &sys = g_pools[static_cast<std::size_t>(jb.worker)]
+                              .acquire(m.name + "/" + toString(pk), mp, cfg);
             Run one;
             if (!sys.run())
                 return one;
@@ -139,8 +139,7 @@ int
 main(int argc, char **argv)
 {
     g_opts = wo::benchutil::consumeBenchFlags(argc, argv);
-    wo::Campaign campaign({g_opts.threads, g_opts.baseSeed});
-    g_campaign = &campaign;
+    g_pools.resize(static_cast<std::size_t>(g_opts.campaign.numThreads()) + 1);
     for (const wo::MachineSpec *m :
          wo::benchutil::machinesOr(g_opts, "net-cold"))
         printThroughputTables(*m, !g_opts.machines.empty());

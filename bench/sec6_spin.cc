@@ -79,8 +79,7 @@ printSec6Table(const MachineSpec &m, bool named)
                 continue;
             }
             if (r.counter != static_cast<std::uint64_t>(procs * rounds))
-                std::cerr << "BUG: lost increments under "
-                          << toString(pk) << "\n";
+                benchutil::bug("lost increments under " + toString(pk));
             t.addRow({w.label, toString(pk), std::to_string(r.finish),
                       std::to_string(r.counter), r.sc ? "yes" : "NO"});
         }
@@ -103,5 +102,5 @@ main(int argc, char **argv)
     for (const wo::MachineSpec *m :
          wo::benchutil::machinesOr(g_opts, "net-cold"))
         printSec6Table(*m, !g_opts.machines.empty());
-    return 0;
+    return wo::benchutil::g_exitStatus;
 }

@@ -437,7 +437,7 @@ runCorpus(const std::vector<CompiledLitmus> &tests,
         report.machines.push_back(std::move(mi));
     }
 
-    Campaign campaign({options.threads, options.baseSeed});
+    Campaign campaign(options.threads);
 
     // Flatten policy x machine into cells; each job is a (cell, seed).
     std::vector<CellPlan> cells;

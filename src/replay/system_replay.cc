@@ -1,11 +1,12 @@
 #include "replay/system_replay.hh"
 
+#include <algorithm>
 #include <map>
 #include <stdexcept>
+#include <string>
 
 #include "cpu/program_builder.hh"
 #include "system/machine_spec.hh"
-#include "workload/campaign.hh"
 
 namespace wo {
 
@@ -142,9 +143,7 @@ replayOnSystem(ReplayTraceReader &reader, const SystemReplayOptions &opt)
         }
     };
 
-    std::string key = "replay/" + opt.machine + "/" +
-                      std::to_string(static_cast<int>(opt.policy));
-    System &sys = workerSystemPool().acquire(key, program, cfg);
+    System sys(program, cfg);
     bool completed = sys.runStreaming(opt.chunkTicks, drain);
     checker.finish(sys.trace());
     res.ok = completed;

@@ -16,8 +16,8 @@
  * (System::runStreaming); between chunks a StreamingDrf0Checker drains
  * the finalized prefix of the simulator's trace and the window is retired
  * with popFront(), so resident trace memory is O(window) while the
- * verdict matches the whole-trace oracle. Systems come from the calling
- * worker's SystemPool, so repeated replays cost a reset, not a rebuild.
+ * verdict matches the whole-trace oracle. Each replay is one long run on
+ * a System of its own.
  */
 
 #ifndef WO_REPLAY_SYSTEM_REPLAY_HH

@@ -28,8 +28,8 @@ appendRaceWrite(ReplayTraceWriter &w)
     w.append({ReplayOp::Write, kRaceAddr, 1});
 }
 
-} // namespace
-
+/** threads x rounds of lock-protected critical sections over a shared
+ * counter array. */
 bool
 writeSpinlockTrace(const std::string &path, const TraceGenConfig &cfg)
 {
@@ -54,6 +54,8 @@ writeSpinlockTrace(const std::string &path, const TraceGenConfig &cfg)
     return w.close();
 }
 
+/** Bulk-synchronous rounds: thread 0 publishes a per-round cell, everyone
+ * meets at a barrier, all threads read it, second barrier, repeat. */
 bool
 writeBarrierTrace(const std::string &path, const TraceGenConfig &cfg)
 {
@@ -87,6 +89,8 @@ writeBarrierTrace(const std::string &path, const TraceGenConfig &cfg)
     return w.close();
 }
 
+/** Flag hand-off pipeline: producer threads write item cells then raise a
+ * per-item flag; consumer threads wait on the flag and read the cells. */
 bool
 writeProducerConsumerTrace(const std::string &path, const TraceGenConfig &cfg)
 {
@@ -131,6 +135,8 @@ writeProducerConsumerTrace(const std::string &path, const TraceGenConfig &cfg)
     }
     return w.close();
 }
+
+} // namespace
 
 bool
 writeWorkloadTrace(const std::string &workload, const std::string &path,

@@ -37,20 +37,14 @@ struct TraceGenConfig
     bool injectRace = false;
 };
 
-/** threads x rounds of lock-protected critical sections over a shared
- * counter array. */
-bool writeSpinlockTrace(const std::string &path, const TraceGenConfig &cfg);
-
-/** Bulk-synchronous rounds: thread 0 publishes a per-round cell, everyone
- * meets at a barrier, all threads read it, second barrier, repeat. */
-bool writeBarrierTrace(const std::string &path, const TraceGenConfig &cfg);
-
-/** Flag hand-off pipeline: producer threads write item cells then raise a
- * per-item flag; consumer threads wait on the flag and read the cells. */
-bool writeProducerConsumerTrace(const std::string &path,
-                                const TraceGenConfig &cfg);
-
-/** Dispatch by name: "spinlock", "barrier", "prodcons". */
+/**
+ * Write the named workload's trace to @p path: "spinlock" (lock-protected
+ * critical sections over a shared counter array), "barrier"
+ * (bulk-synchronous rounds: thread 0 publishes a cell, everyone meets at
+ * a barrier and reads it) or "prodcons" (producers write item cells and
+ * raise a per-item flag; consumers wait on it and read). Returns false
+ * for any other name or a failed write.
+ */
 bool writeWorkloadTrace(const std::string &workload, const std::string &path,
                         const TraceGenConfig &cfg);
 

@@ -1,7 +1,10 @@
 #include "workload/campaign.hh"
 
+#include <algorithm>
+#include <atomic>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <string>
 #include <thread>
 
@@ -75,11 +78,46 @@ SystemPool::acquire(const std::string &key, const MultiProgram &program,
     return ref;
 }
 
-SystemPool &
-workerSystemPool()
+void
+Campaign::forEach(int numJobs,
+                  const std::function<void(const CampaignJob &)> &fn) const
 {
-    thread_local SystemPool pool;
-    return pool;
+    if (numJobs <= 0)
+        return;
+    // Every participant claims job indices from one counter until it
+    // passes numJobs or a job has thrown.
+    const auto n = static_cast<std::size_t>(numJobs);
+    std::atomic<std::size_t> next{0};
+    std::atomic<bool> failed{false};
+    std::mutex mu;
+    std::exception_ptr error;
+    auto work = [&](int worker) {
+        CampaignJob job;
+        job.worker = worker;
+        for (;;) {
+            const std::size_t i = next.fetch_add(1);
+            if (i >= n || failed.load(std::memory_order_relaxed))
+                return;
+            job.index = static_cast<int>(i);
+            try {
+                fn(job);
+            } catch (...) {
+                std::lock_guard<std::mutex> lock(mu);
+                if (!error)
+                    error = std::current_exception();
+                failed.store(true, std::memory_order_relaxed);
+            }
+        }
+    };
+    {
+        std::vector<std::jthread> helpers;
+        const int spawn = std::min(numThreads_, numJobs - 1);
+        for (int h = 0; h < spawn; ++h)
+            helpers.emplace_back(work, h);
+        work(numThreads_);
+    } // joins the helpers
+    if (error)
+        std::rethrow_exception(error);
 }
 
 Drf0ProgramReport

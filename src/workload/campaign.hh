@@ -5,11 +5,11 @@
  *
  * A campaign is a fan of numbered jobs — seed sweeps, config sweeps,
  * litmus enumerations, per-execution SC verifications, DRF0 checks. Each
- * job receives its index and a deterministic RNG seed derived from
- * (baseSeed, index) only, never from shared state or scheduling order;
- * results land in a vector slot per job and are merged in index order.
- * Running with N threads therefore produces exactly the bytes a
- * numThreads=1 run produces.
+ * job derives everything it does from its index (a seed from
+ * campaignJobSeed(base, index) where it needs one), never from shared
+ * state or scheduling order; results land in a vector slot per job and
+ * are merged in index order. Running with N threads therefore produces
+ * exactly the bytes a numThreads=1 run produces.
  */
 
 #ifndef WO_WORKLOAD_CAMPAIGN_HH
@@ -27,7 +27,6 @@
 #include <vector>
 
 #include "core/drf0_checker.hh"
-#include "parallel/thread_pool.hh"
 #include "system/system.hh"
 
 namespace wo {
@@ -38,19 +37,17 @@ struct CampaignJob
     /** Job number in [0, numJobs). */
     int index = 0;
 
-    /** This job's private RNG seed: a splitmix64 mix of (baseSeed,
-     * index). Equal for equal inputs on every platform and thread
-     * count. */
-    std::uint64_t seed = 0;
-
-    /** Participant running this job, in [0, Campaign::numThreads()].
-     * No two jobs of one map() call run on the same worker at once, so
-     * per-worker state indexed by it needs no lock. Which jobs land on
-     * which worker depends on scheduling: results must not. */
+    /** Participant running this job, in [0, Campaign::numThreads()]:
+     * helper threads are 0..numThreads()-1, the calling thread is
+     * numThreads(). No two jobs of one forEach() call run on the same
+     * worker at once, so per-worker state indexed by it needs no lock.
+     * Which jobs land on which worker depends on scheduling: results
+     * must not. */
     int worker = 0;
 };
 
-/** Deterministic per-job seed stream: seed = f(baseSeed, jobIndex). */
+/** Deterministic per-job seed: a splitmix64 mix of (baseSeed, jobIndex),
+ * equal for equal inputs on every platform and thread count. */
 std::uint64_t campaignJobSeed(std::uint64_t baseSeed, int jobIndex);
 
 /**
@@ -147,10 +144,10 @@ class Drf0Memo
  * a miss never costs more than not pooling at all.
  *
  * A pool is single-threaded by design: campaign workers each use their
- * own, one per CampaignJob::worker or the thread's workerSystemPool().
- * Determinism is unaffected — a reset System replays a job
- * bit-identically to a freshly built one — so pooled parallel campaigns
- * still match serial fresh-construction runs.
+ * own, kept in a vector indexed by CampaignJob::worker. Determinism is
+ * unaffected — a reset System replays a job bit-identically to a freshly
+ * built one — so pooled parallel campaigns still match serial
+ * fresh-construction runs.
  */
 class SystemPool
 {
@@ -188,27 +185,9 @@ class SystemPool
 };
 
 /**
- * The calling thread's private SystemPool (thread_local, created on
- * first use). Campaign job lambdas run on pool worker threads that live
- * as long as the Campaign, so instances cached here survive from job to
- * job and across map() calls without any cross-thread sharing.
- */
-SystemPool &workerSystemPool();
-
-/** How a campaign runs. */
-struct CampaignConfig
-{
-    /** Worker threads; 0 resolves via campaignThreads(). */
-    int numThreads = 0;
-
-    /** Base of the per-job seed stream. */
-    std::uint64_t baseSeed = 1;
-};
-
-/**
- * A reusable fan-out engine over one private thread pool. A job is the
+ * A fan-out engine: a resolved thread count and forEach(). A job is the
  * unit of parallelism: each one (a run, an SC verification, a DRF0
- * check) executes serially on one worker.
+ * check) executes serially on one participant.
  *
  * forEach() is the primitive: run fn over numJobs jobs, each writing
  * only its own result slot, for fans whose jobs are not all of one
@@ -219,32 +198,29 @@ struct CampaignConfig
 class Campaign
 {
   public:
-    explicit Campaign(CampaignConfig cfg = {})
-        : cfg_(cfg), pool_(campaignThreads(cfg.numThreads))
+    /** @p numThreads helper threads per call; 0 resolves via
+     * campaignThreads(). */
+    explicit Campaign(int numThreads = 0)
+        : numThreads_(campaignThreads(numThreads))
     {}
 
-    int numThreads() const { return pool_.numThreads(); }
-    std::uint64_t baseSeed() const { return cfg_.baseSeed; }
+    int numThreads() const { return numThreads_; }
 
-    /** Run fn(job) for each job; returns when every job has. */
-    void
-    forEach(int numJobs, const std::function<void(const CampaignJob &)> &fn)
-    {
-        parallelFor(pool_, static_cast<std::size_t>(numJobs),
-                    [&](std::size_t i, int worker) {
-                        CampaignJob job;
-                        job.index = static_cast<int>(i);
-                        job.seed = campaignJobSeed(cfg_.baseSeed,
-                                                   job.index);
-                        job.worker = worker;
-                        fn(job);
-                    });
-    }
+    /**
+     * Run fn(job) for each job; returns when every job has. The calling
+     * thread claims jobs alongside min(numThreads(), numJobs - 1) helper
+     * threads started for this call and joined before it returns.
+     * Rethrows the first exception a job raised; jobs not yet claimed
+     * then do not run.
+     */
+    void forEach(int numJobs,
+                 const std::function<void(const CampaignJob &)> &fn) const;
 
     /** Run fn(job) for each job, results in job-index order. */
     template <class Result>
     std::vector<Result>
-    map(int numJobs, const std::function<Result(const CampaignJob &)> &fn)
+    map(int numJobs,
+        const std::function<Result(const CampaignJob &)> &fn) const
     {
         std::vector<Result> out(static_cast<std::size_t>(numJobs));
         forEach(numJobs, [&](const CampaignJob &job) {
@@ -258,7 +234,7 @@ class Campaign
     Acc
     reduce(int numJobs,
            const std::function<Result(const CampaignJob &)> &fn, Acc acc,
-           const std::function<void(Acc &, const Result &)> &merge)
+           const std::function<void(Acc &, const Result &)> &merge) const
     {
         for (const Result &r : map<Result>(numJobs, fn))
             merge(acc, r);
@@ -266,8 +242,7 @@ class Campaign
     }
 
   private:
-    CampaignConfig cfg_;
-    ThreadPool pool_;
+    int numThreads_;
 };
 
 } // namespace wo

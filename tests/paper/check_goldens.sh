@@ -14,8 +14,9 @@
 # Every table is deterministic. The campaign-driven ones must also be
 # identical at any thread count, so each printer runs at the default
 # thread count and again at --threads=1. A change meant to move a table
-# rewrites the goldens with --update. Finally a misspelt flag must be
-# refused with exit 2, not ignored.
+# rewrites the goldens with --update. A printer whose self-check fails
+# exits 1, which stops this script. Finally a misspelt flag (--thread)
+# and a removed one (--seed) must be refused with exit 2, not ignored.
 #
 #   tests/paper/check_goldens.sh BENCH_DIR            # diff, exit 1 on change
 #   tests/paper/check_goldens.sh BENCH_DIR --update   # rewrite the goldens
@@ -47,10 +48,14 @@ for name in fig1_sc_violations fig2_drf0_check fig3_stall_analysis \
     fi
 done
 
-rc=0
-"$dir/fig3_stall_analysis" --thread=4 > /dev/null 2>&1 || rc=$?
-if [ "$rc" -ne 2 ]; then
-    echo "check_goldens: fig3_stall_analysis --thread=4 exited $rc, not 2" >&2
-    status=1
-fi
+refuse() {
+    rc=0
+    "$dir/$1" "$2" > /dev/null 2>&1 || rc=$?
+    if [ "$rc" -ne 2 ]; then
+        echo "check_goldens: $1 $2 exited $rc, not 2" >&2
+        status=1
+    fi
+}
+refuse fig3_stall_analysis --thread=4
+refuse contract_check --seed=7
 exit $status

@@ -55,8 +55,9 @@ TEST(Litmus, SyncMessagePassingIdealizedDeliversDatum)
 {
     OutcomeSet set = enumerateOutcomes(corpus("mp_sync.litmus").program);
     for (const auto &r : set.outcomes) {
-        if (r.allHalted)
+        if (r.allHalted) {
             EXPECT_EQ(r.registers[1][1], 42u);
+        }
     }
     EXPECT_FALSE(set.outcomes.empty());
 }
@@ -69,8 +70,9 @@ TEST(Litmus, Figure3IsDrf0AndDeliversX)
         << rep.witnessReport.toString(rep.witness);
     OutcomeSet set = enumerateOutcomes(mp);
     for (const auto &r : set.outcomes) {
-        if (r.allHalted)
+        if (r.allHalted) {
             EXPECT_EQ(r.registers[1][1], 1u);
+        }
     }
 }
 

@@ -450,7 +450,7 @@ TEST(LitmusRunner, FailureLinesNameAWoTraceRepro)
     const std::vector<const MachineSpec *> machines = defaultMachines();
 
     // Each test's report is the one a corpus of that test alone gives,
-    // at any thread count: the analysis jobs run on pool threads beside
+    // at any thread count: the analysis jobs run on worker threads beside
     // the other tests' simulations without changing a byte.
     CorpusReport rep;
     for (int threads : {1, 4}) {

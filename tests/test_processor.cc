@@ -134,8 +134,9 @@ TEST(Processor, ScSerializesMemoryOps)
     // Trace commit ticks are the mock's commit times (issue + 5).
     Tick prev = 0;
     for (const auto &a : h.trace.accesses()) {
-        if (prev != 0)
+        if (prev != 0) {
             EXPECT_GE(a.commitTick, prev + 15);
+        }
         prev = a.commitTick;
     }
 }

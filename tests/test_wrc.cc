@@ -55,8 +55,9 @@ TEST(Wrc, IdealizedAlwaysPropagatesCausality)
 {
     OutcomeSet set = enumerateOutcomes(wrc(false));
     for (const auto &r : set.outcomes) {
-        if (r.allHalted)
+        if (r.allHalted) {
             EXPECT_EQ(r.registers[2][1], 1u) << r.toString();
+        }
     }
     EXPECT_FALSE(set.outcomes.empty());
 }
