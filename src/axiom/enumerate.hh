@@ -21,6 +21,22 @@
  * permutations, validating only at completion; it exists as a test
  * oracle and must compute identical allowed sets (the differential
  * tests check this).
+ *
+ * Before any events are built, the pruned mode prefilters path
+ * combinations. Each path is indexed once by the (address, value)
+ * pairs it writes and the pairs its reads need from other processors —
+ * every read except those it sources by itself (the initial value with
+ * no po-earlier own write to the address, or the value of its own
+ * po-latest earlier write). A combination where some path needs a pair
+ * no other chosen path writes has a read with no rf source, so it has
+ * no candidate, and it is counted as prefiltered without being built.
+ * This is exactly the per-read rule the rf step applies, so the
+ * candidates and counters do not change. The walk over combinations
+ * is depth-first in odometer order: when a prefix of choices already
+ * needs a pair that neither the other chosen paths nor any path of a
+ * later processor writes, the whole subtree below it is counted at
+ * once, and the kMaxCombos cap trips at the same count as a
+ * one-by-one walk would.
  */
 
 #ifndef WO_AXIOM_ENUMERATE_HH

@@ -1,105 +1,63 @@
 #include "axiom/model.hh"
 
-#include "axiom/relation.hh"
-
 namespace wo {
 namespace axiom {
 
 namespace {
 
-ModelVerdict
-verdictOf(const Candidate &c, const RelGraph &g, bool need_cycle,
-          const AddrNamer &name)
+void
+buildGraph(const Candidate &c, Axiom ax, RelGraph &g)
 {
-    ModelVerdict v;
-    v.allowed = g.acyclic();
-    if (!v.allowed && need_cycle)
-        v.cycle = renderCycle(c, g.findCycle(), name);
-    return v;
-}
-
-RelGraph
-scGraph(const Candidate &c)
-{
-    RelGraph g(static_cast<int>(c.events.size()));
-    addPo(c, g);
+    g.reset(static_cast<int>(c.events.size()));
+    if (ax == Axiom::Sc) {
+        addPo(c, g);
+    } else {
+        addPoLoc(c, g);
+        addFenceOrder(c, g);
+    }
     addRf(c, g);
     addCo(c, g);
     addFr(c, g);
-    return g;
 }
-
-RelGraph
-wbGraph(const Candidate &c)
-{
-    RelGraph g(static_cast<int>(c.events.size()));
-    addPoLoc(c, g);
-    addFenceOrder(c, g);
-    addRf(c, g);
-    addCo(c, g);
-    addFr(c, g);
-    return g;
-}
-
-class ScModel : public AxiomaticModel
-{
-  public:
-    std::string name() const override { return "sc"; }
-    std::string summary() const override
-    {
-        return "sequential consistency: acyclic(po | rf | co | fr)";
-    }
-    ModelVerdict check(const Candidate &c, const ModelContext &,
-                       bool need_cycle,
-                       const AddrNamer &name) const override
-    {
-        return verdictOf(c, scGraph(c), need_cycle, name);
-    }
-};
-
-class WbModel : public AxiomaticModel
-{
-  public:
-    std::string name() const override { return "wb"; }
-    std::string summary() const override
-    {
-        return "relaxed-hardware envelope: acyclic(poloc | fence | rf | "
-               "co | fr) — coherence, atomicity and fences only";
-    }
-    ModelVerdict check(const Candidate &c, const ModelContext &,
-                       bool need_cycle,
-                       const AddrNamer &name) const override
-    {
-        return verdictOf(c, wbGraph(c), need_cycle, name);
-    }
-};
-
-class Drf0ScModel : public AxiomaticModel
-{
-  public:
-    std::string name() const override { return "drf0sc"; }
-    std::string summary() const override
-    {
-        return "weak ordering w.r.t. DRF0: sc when the program is "
-               "data-race-free, wb otherwise";
-    }
-    ModelVerdict check(const Candidate &c, const ModelContext &ctx,
-                       bool need_cycle,
-                       const AddrNamer &name) const override
-    {
-        return verdictOf(c, ctx.programDrf0 ? scGraph(c) : wbGraph(c),
-                         need_cycle, name);
-    }
-};
 
 } // namespace
+
+ModelVerdict
+ModelChecker::check(const Candidate &c, const AxiomaticModel &model,
+                    const ModelContext &ctx, bool need_cycle,
+                    const AddrNamer &name)
+{
+    Axiom ax = model.axiom(ctx);
+    signed char &known = verdicts_[static_cast<int>(ax)];
+    ModelVerdict v;
+    if (known != kUnknown && (known || !need_cycle)) {
+        v.allowed = known;
+        return v;
+    }
+    buildGraph(c, ax, graph_);
+    v.allowed = graph_.acyclic();
+    known = v.allowed;
+    if (!v.allowed && need_cycle)
+        v.cycle = renderCycle(c, graph_.findCycle(), name);
+    return v;
+}
 
 const std::vector<const AxiomaticModel *> &
 axiomModels()
 {
-    static const ScModel sc;
-    static const WbModel wb;
-    static const Drf0ScModel drf0sc;
+    static const AxiomaticModel sc(
+        "sc", "sequential consistency: acyclic(po | rf | co | fr)",
+        Axiom::Sc, Axiom::Sc);
+    static const AxiomaticModel wb(
+        "wb",
+        "relaxed-hardware envelope: acyclic(poloc | fence | rf | co | "
+        "fr) — coherence, atomicity and fences only",
+        Axiom::Wb, Axiom::Wb);
+    static const AxiomaticModel drf0sc(
+        "drf0sc",
+        "weak ordering w.r.t. DRF0: sc when the program is "
+        "data-race-free, wb otherwise",
+        Axiom::Wb, Axiom::Sc);
     static const std::vector<const AxiomaticModel *> all = {&sc, &wb,
                                                             &drf0sc};
     return all;

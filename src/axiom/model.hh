@@ -1,9 +1,11 @@
 /**
  * @file
- * Pluggable axiomatic memory models.
+ * Axiomatic memory models.
  *
  * A model is an acyclicity constraint over a union of relations of a
- * candidate execution (see axiom/relation.hh). Three models ship:
+ * candidate execution (see axiom/relation.hh), possibly chosen by the
+ * program's DRF0 status. Two relation unions (Axiom::Sc and Axiom::Wb)
+ * cover the three models that ship:
  *
  *  - "sc": acyclic(po ∪ rf ∪ co ∪ fr). Lamport sequential consistency
  *    — there is a single interleaving of all events consistent with
@@ -31,9 +33,11 @@
 #define WO_AXIOM_MODEL_HH
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "axiom/event.hh"
+#include "axiom/relation.hh"
 #include "consistency/policy.hh"
 
 namespace wo {
@@ -57,21 +61,65 @@ struct ModelVerdict
     std::string cycle;
 };
 
-/** One axiomatic memory model. Implementations are stateless. */
+/** The relation unions the shipped models require to be acyclic. */
+enum class Axiom
+{
+    Sc, ///< po | rf | co | fr
+    Wb, ///< poloc | fence | rf | co | fr
+};
+
+/** One axiomatic memory model: the axiom it imposes on candidates of a
+ * DRF0 program and the one it imposes on a racy program's. */
 class AxiomaticModel
 {
   public:
-    virtual ~AxiomaticModel() = default;
+    AxiomaticModel(std::string name, std::string summary, Axiom racy,
+                   Axiom drf0)
+        : name_(std::move(name)), summary_(std::move(summary)),
+          racy_(racy), drf0_(drf0)
+    {}
 
-    virtual std::string name() const = 0;
-    virtual std::string summary() const = 0;
+    const std::string &name() const { return name_; }
+    const std::string &summary() const { return summary_; }
 
-    /** Accept or reject @p c; when @p need_cycle, a rejection carries
-     * the witness cycle rendered with @p name. */
-    virtual ModelVerdict check(const Candidate &c, const ModelContext &ctx,
-                               bool need_cycle = false,
-                               const AddrNamer &name =
-                                   defaultAddrName) const = 0;
+    /** The axiom deciding candidates of a program with facts @p ctx. */
+    Axiom axiom(const ModelContext &ctx) const
+    {
+        return ctx.programDrf0 ? drf0_ : racy_;
+    }
+
+  private:
+    std::string name_;
+    std::string summary_;
+    Axiom racy_;
+    Axiom drf0_;
+};
+
+/**
+ * Checks candidates against models with one reused relation graph, and
+ * decides each axiom at most once per candidate: models that impose
+ * the same axiom (drf0sc and sc on a DRF0 program) share the verdict.
+ * One checker serves one enumeration on one thread.
+ */
+class ModelChecker
+{
+  public:
+    /** Forget the cached verdicts: the next check is of a new
+     * candidate. */
+    void newCandidate() { verdicts_[0] = verdicts_[1] = kUnknown; }
+
+    /** Accept or reject @p c (the candidate last announced by
+     * newCandidate()) under @p model; when @p need_cycle, a rejection
+     * carries the witness cycle rendered with @p name. */
+    ModelVerdict check(const Candidate &c, const AxiomaticModel &model,
+                       const ModelContext &ctx, bool need_cycle = false,
+                       const AddrNamer &name = defaultAddrName);
+
+  private:
+    static constexpr signed char kUnknown = -1;
+
+    RelGraph graph_;
+    signed char verdicts_[2] = {kUnknown, kUnknown}; ///< by Axiom
 };
 
 /** The built-in models, in registry order: sc, wb, drf0sc. */

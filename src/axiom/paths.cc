@@ -47,9 +47,11 @@ struct ProcEnum
      * count), used for the groundedness round bound. */
     int maxWrites = 0;
 
-    /** (pc, regs) states on the current path -> event count at the
-     * first visit (stutter pruning). */
-    std::map<std::vector<Word>, int> onPath;
+    /** The (pc, regs) states on the current path, a stack of rows of
+     * regs.size() + 1 words, and the event count at each one's visit
+     * (stutter pruning). */
+    std::vector<Word> onPathKeys;
+    std::vector<int> onPathEvents;
 
     ProcEnum(const Program &pr, int num_regs,
              const std::map<Addr, std::set<Word>> &v)
@@ -58,13 +60,18 @@ struct ProcEnum
         regs.assign(num_regs, 0);
     }
 
-    std::vector<Word> stateKey(int pc) const
+    /** Event count at the current path's visit to (@p pc, regs), or
+     * -1 when the path has not been there. */
+    int firstVisit(int pc) const
     {
-        std::vector<Word> key;
-        key.reserve(regs.size() + 1);
-        key.push_back(static_cast<Word>(pc));
-        key.insert(key.end(), regs.begin(), regs.end());
-        return key;
+        std::size_t stride = regs.size() + 1;
+        for (std::size_t r = 0; r < onPathEvents.size(); ++r) {
+            const Word *key = &onPathKeys[r * stride];
+            if (key[0] == static_cast<Word>(pc) &&
+                std::equal(regs.begin(), regs.end(), key + 1))
+                return onPathEvents[r];
+        }
+        return -1;
     }
 
     void emit()
@@ -108,13 +115,15 @@ struct ProcEnum
         // register-sourced write (which could deposit new values), the
         // continuation's outcomes are all reachable from the first
         // visit, so this path is redundant.
-        auto key = stateKey(pc);
-        auto [it, inserted] =
-            onPath.emplace(std::move(key), static_cast<int>(events.size()));
-        if (!inserted) {
+        int first = firstVisit(pc);
+        bool inserted = first < 0;
+        if (inserted) {
+            onPathKeys.push_back(static_cast<Word>(pc));
+            onPathKeys.insert(onPathKeys.end(), regs.begin(), regs.end());
+            onPathEvents.push_back(static_cast<int>(events.size()));
+        } else {
             bool fresh_writes = false;
-            for (int i = it->second; i < static_cast<int>(events.size());
-                 ++i) {
+            for (int i = first; i < static_cast<int>(events.size()); ++i) {
                 if (events[i].regSourcedWrite)
                     fresh_writes = true;
             }
@@ -225,8 +234,10 @@ struct ProcEnum
             break;
         }
 
-        if (inserted)
-            onPath.erase(it);
+        if (inserted) {
+            onPathKeys.resize(onPathKeys.size() - regs.size() - 1);
+            onPathEvents.pop_back();
+        }
     }
 };
 

@@ -21,13 +21,25 @@ toString(RelKind k)
     return "?";
 }
 
+void
+RelGraph::reset(int num_events)
+{
+    if (static_cast<int>(out_.size()) < num_events)
+        out_.resize(num_events);
+    for (int i = 0; i < num_events; ++i)
+        out_[i].clear();
+    numEvents_ = num_events;
+}
+
 bool
 RelGraph::acyclic() const
 {
     int n = numEvents();
     // 0 = unvisited, 1 = on stack, 2 = done.
-    std::vector<int> color(n, 0);
-    std::vector<std::pair<int, std::size_t>> stack;
+    std::vector<char> &color = color_;
+    std::vector<std::pair<int, std::size_t>> &stack = stack_;
+    color.assign(n, 0);
+    stack.clear();
     for (int root = 0; root < n; ++root) {
         if (color[root] != 0)
             continue;
@@ -104,16 +116,20 @@ addPo(const Candidate &c, RelGraph &g)
 void
 addPoLoc(const Candidate &c, RelGraph &g)
 {
+    // Each access's po-predecessor at its location, found by scanning
+    // back: paths hold a few dozen events at most.
     for (const auto &proc : c.byProc) {
-        std::map<Addr, int> last;
-        for (int id : proc) {
-            const AxEvent &e = c.events[id];
+        for (std::size_t i = 1; i < proc.size(); ++i) {
+            const AxEvent &e = c.events[proc[i]];
             if (e.fence)
                 continue;
-            auto it = last.find(e.addr);
-            if (it != last.end())
-                g.addEdge(it->second, id, RelKind::PoLoc);
-            last[e.addr] = id;
+            for (std::size_t j = i; j-- > 0;) {
+                const AxEvent &prev = c.events[proc[j]];
+                if (!prev.fence && prev.addr == e.addr) {
+                    g.addEdge(proc[j], proc[i], RelKind::PoLoc);
+                    break;
+                }
+            }
         }
     }
 }

@@ -14,6 +14,10 @@
  * The hypothetical initial write is not a node; rf-from-initial adds
  * no edge, and fr-from-initial points the read at the co-first program
  * write of its location.
+ *
+ * A RelGraph keeps its storage across reset(), so an enumeration that
+ * checks thousands of graphs allocates for the first few only. A graph
+ * (and so its acyclic() scratch) belongs to one thread at a time.
  */
 
 #ifndef WO_AXIOM_RELATION_HH
@@ -45,14 +49,19 @@ struct RelEdge
 class RelGraph
 {
   public:
-    explicit RelGraph(int num_events) : out_(num_events) {}
+    RelGraph() = default;
+    explicit RelGraph(int num_events) { reset(num_events); }
+
+    /** Drop every edge and resize to @p num_events nodes, keeping the
+     * edge lists' storage for reuse. */
+    void reset(int num_events);
 
     void addEdge(int from, int to, RelKind kind)
     {
         out_[from].push_back(RelEdge{from, to, kind});
     }
 
-    int numEvents() const { return static_cast<int>(out_.size()); }
+    int numEvents() const { return numEvents_; }
     const std::vector<RelEdge> &outEdges(int id) const { return out_[id]; }
 
     bool acyclic() const;
@@ -63,7 +72,14 @@ class RelGraph
     std::vector<RelEdge> findCycle() const;
 
   private:
+    /** Edge lists of nodes [0, numEvents_); lists past it are spare
+     * storage from a larger earlier graph. */
     std::vector<std::vector<RelEdge>> out_;
+    int numEvents_ = 0;
+
+    /** acyclic()'s depth-first search state, kept between calls. */
+    mutable std::vector<char> color_;
+    mutable std::vector<std::pair<int, std::size_t>> stack_;
 };
 
 /** Full program order: consecutive events (fences included) per proc. */

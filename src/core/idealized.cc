@@ -197,21 +197,26 @@ std::vector<std::uint64_t>
 IdealizedMachine::stateKey() const
 {
     std::vector<std::uint64_t> key;
-    key.reserve(pcs_.size() * 2 + memory_.size() + 1);
+    appendStateKey(key);
+    return key;
+}
+
+void
+IdealizedMachine::appendStateKey(std::vector<std::uint64_t> &out) const
+{
     std::uint64_t halt_bits = 0;
     for (std::size_t p = 0; p < halted_.size(); ++p) {
         if (halted_[p])
             halt_bits |= 1ull << p;
     }
-    key.push_back(halt_bits);
+    out.push_back(halt_bits);
     for (std::size_t p = 0; p < pcs_.size(); ++p) {
-        key.push_back(static_cast<std::uint64_t>(pcs_[p]));
+        out.push_back(static_cast<std::uint64_t>(pcs_[p]));
         for (Word w : regs_[p])
-            key.push_back(w);
+            out.push_back(w);
     }
     for (const auto &[a, v] : memory_)
-        key.push_back(v);
-    return key;
+        out.push_back(v);
 }
 
 OutcomeSet

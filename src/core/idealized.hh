@@ -75,6 +75,9 @@ class IdealizedMachine
     /** Compact serialization of the state, for memoization. */
     std::vector<std::uint64_t> stateKey() const;
 
+    /** Append stateKey()'s words to @p out. */
+    void appendStateKey(std::vector<std::uint64_t> &out) const;
+
   private:
     struct UndoRecord
     {

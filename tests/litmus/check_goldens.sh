@@ -8,7 +8,10 @@
 #   fleet.json           every registered machine x 2 seeds on sb,
 #                        mp_sync and tas_counter, with --json (each
 #                        machine's merged stats and finish ticks);
-#   machines.txt         --list-machines.
+#   machines.txt         --list-machines;
+#   axiom_stats.txt      wo-axiom --stats --drf0=auto over the corpus:
+#                        the allowed sets and the enumerator's work
+#                        counters (checked with --axiom WO_AXIOM).
 #
 # The byte-identical report is the simulator's behavioural contract: a
 # refactor must leave every file unchanged, and a change meant to move a
@@ -17,8 +20,14 @@
 #
 #   tests/litmus/check_goldens.sh WO_LITMUS            # diff, exit 1 on change
 #   tests/litmus/check_goldens.sh WO_LITMUS --update   # rewrite the goldens
+#   tests/litmus/check_goldens.sh --axiom WO_AXIOM [--update]
 set -eu
 
+axiom=
+if [ "$1" = --axiom ]; then
+    axiom=$2
+    shift
+fi
 bin=$1
 update=${2:-}
 here=$(cd "$(dirname "$0")" && pwd)
@@ -36,6 +45,12 @@ compare() {
         status=1
     fi
 }
+
+if [ -n "$axiom" ]; then
+    "$axiom" --stats --drf0=auto tests/litmus > "$tmp/axiom_stats.txt"
+    compare axiom_stats.txt
+    exit $status
+fi
 
 "$bin" --json tests/litmus > "$tmp/corpus.json"
 compare corpus.json

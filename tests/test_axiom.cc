@@ -16,6 +16,7 @@
 
 #include "axiom/enumerate.hh"
 #include "axiom/relation.hh"
+#include "cpu/program_builder.hh"
 #include "litmus/compiler.hh"
 #include "litmus/expect.hh"
 #include "litmus/runner.hh"
@@ -310,6 +311,71 @@ TEST(Explain, UnreachableOutcomeMatchesNothing)
         [](const RunResult &r) { return r.registers[0][0] == 7; });
     EXPECT_FALSE(ex.matched);
     EXPECT_TRUE(ex.complete);
+}
+
+/** Allowed sets of @p mp in pruned mode, checked against the naive
+ * mode's. */
+AxiomResult
+prunedAgreesWithNaive(const MultiProgram &mp)
+{
+    ModelContext ctx;
+    AxiomLimits naive;
+    naive.pruning = false;
+    AxiomResult p = enumerateAllowed(mp, axiomModels(), ctx);
+    AxiomResult n = enumerateAllowed(mp, axiomModels(), ctx, naive);
+    EXPECT_TRUE(p.complete && n.complete);
+    EXPECT_EQ(p.allowed, n.allowed);
+    return p;
+}
+
+TEST(Enumerate, ReadSourcedOnlyByALaterProcessorsPath)
+{
+    // P0 reads x; only P2 writes x, and only on its path that saw P1's
+    // y = 1. P0's path reading 1 must survive until P2's path is
+    // chosen, and be dropped exactly where P2 skipped the write.
+    const Addr x = 0, y = 1;
+    MultiProgram mp("later-source");
+    mp.addProgram(ProgramBuilder().load(0, x).halt().build());
+    mp.addProgram(ProgramBuilder().store(y, 1).halt().build());
+    mp.addProgram(ProgramBuilder()
+                      .load(0, y)
+                      .beq(0, 0, "done")
+                      .store(x, 1)
+                      .label("done")
+                      .halt()
+                      .build());
+    AxiomResult res = prunedAgreesWithNaive(mp);
+    EXPECT_EQ(res.stats.combos, 4u);            // 2 x 1 x 2 paths
+    EXPECT_EQ(res.stats.combosPrefiltered, 1u); // P0 x=1, P2 no write
+    bool read_one = false;
+    for (const RunResult &r : res.allowed.at("sc")) {
+        if (r.registers[0][0] == 1) {
+            read_one = true;
+            EXPECT_EQ(r.registers[2][0], 1);
+        }
+    }
+    EXPECT_TRUE(read_one);
+}
+
+TEST(Enumerate, ReadSourcedOnlyByItsOwnPoLatestWrite)
+{
+    // P0 writes x twice, then reads it. Only its po-latest write (2)
+    // can source that read: nobody else writes 1, and the initial 0 is
+    // hidden behind P0's own writes.
+    const Addr x = 0;
+    MultiProgram mp("own-source");
+    mp.addProgram(
+        ProgramBuilder().store(x, 1).store(x, 2).load(0, x).halt().build());
+    mp.addProgram(ProgramBuilder().load(0, x).halt().build());
+    AxiomResult res = prunedAgreesWithNaive(mp);
+    EXPECT_EQ(res.stats.combos, 9u); // each read sees 0, 1 or 2
+    EXPECT_EQ(res.stats.combosPrefiltered, 6u); // P0 reading 0 or 1
+    std::set<Word> p1_reads;
+    for (const RunResult &r : res.allowed.at("sc")) {
+        EXPECT_EQ(r.registers[0][0], 2);
+        p1_reads.insert(r.registers[1][0]);
+    }
+    EXPECT_EQ(p1_reads, (std::set<Word>{0, 1, 2}));
 }
 
 TEST(Enumerate, NaiveModeComputesIdenticalAllowedSets)

@@ -62,6 +62,18 @@ tinyCfg(std::uint64_t seed)
     return cfg;
 }
 
+/** tinyCfg at three processors, where a read may be sourced by either
+ * of two other processors. The naive mode does not finish these within
+ * its 5,000,000-candidate cap, so the sc oracle and a recount of the
+ * unsourceable path combinations pin them instead. */
+RandomWorkloadConfig
+tiny3Cfg(std::uint64_t seed)
+{
+    RandomWorkloadConfig cfg = tinyCfg(seed);
+    cfg.numProcs = 3;
+    return cfg;
+}
+
 /** The random fleet: >= 200 programs, half lock-disciplined (DRF0 by
  * construction), half with deliberate unguarded races. */
 std::vector<MultiProgram>
@@ -72,6 +84,20 @@ randomFleet()
         fleet.push_back(randomDrf0Program(tinyCfg(seed)));
     for (std::uint64_t seed = 1; seed <= 100; ++seed)
         fleet.push_back(randomRacyProgram(tinyCfg(1000 + seed), 1));
+    return fleet;
+}
+
+/** Three-processor fleet: 10 lock-disciplined and 10 racy programs.
+ * The pruned enumerator drops 177 of the former's 376 path
+ * combinations as unsourceable, and 2,225 of the latter's 3,092. */
+std::vector<MultiProgram>
+random3Fleet()
+{
+    std::vector<MultiProgram> fleet;
+    for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+        fleet.push_back(randomDrf0Program(tiny3Cfg(seed)));
+        fleet.push_back(randomRacyProgram(tiny3Cfg(1000 + seed), 1));
+    }
     return fleet;
 }
 
@@ -136,6 +162,84 @@ TEST(AxiomDifferential, RandomProgramsScEqualsIdealizedEnumeration)
         ++checked;
     }
     EXPECT_GE(checked, 200);
+}
+
+/**
+ * Path combinations of @p mp with a read that has no rf source, counted
+ * one by one by the pruned mode's rule: a read takes a value-matching
+ * write of another processor, the initial value when no po-earlier own
+ * write to its address exists, or its own po-latest earlier write.
+ */
+std::uint64_t
+unsourceableCombos(const MultiProgram &mp)
+{
+    axiom::PathSet ps = axiom::enumeratePaths(mp);
+    const int n = mp.numProcs();
+    std::vector<std::size_t> choice(n, 0);
+    std::uint64_t count = 0;
+    for (;;) {
+        bool sourceable = true;
+        for (ProcId p = 0; p < n && sourceable; ++p) {
+            const auto &events = ps.perProc[p][choice[p]].events;
+            for (std::size_t i = 0; i < events.size() && sourceable; ++i) {
+                const axiom::AxEvent &r = events[i];
+                if (!r.reads())
+                    continue;
+                const axiom::AxEvent *own = nullptr;
+                for (std::size_t j = 0; j < i; ++j) {
+                    if (events[j].writes() && events[j].addr == r.addr)
+                        own = &events[j];
+                }
+                bool found = own ? own->valueWritten == r.valueRead
+                                 : mp.initialValue(r.addr) == r.valueRead;
+                for (ProcId q = 0; q < n && !found; ++q) {
+                    if (q == p)
+                        continue;
+                    for (const axiom::AxEvent &w :
+                         ps.perProc[q][choice[q]].events) {
+                        found = found || (w.writes() && w.addr == r.addr &&
+                                          w.valueWritten == r.valueRead);
+                    }
+                }
+                sourceable = found;
+            }
+        }
+        count += !sourceable;
+        int p = n - 1;
+        for (; p >= 0; --p) {
+            if (++choice[p] < ps.perProc[p].size())
+                break;
+            choice[p] = 0;
+        }
+        if (p < 0)
+            return count;
+    }
+}
+
+TEST(AxiomDifferential, ThreeProcessorProgramsScEqualsIdealizedEnumeration)
+{
+    std::uint64_t combos = 0, prefiltered = 0;
+    int checked = 0;
+    for (const MultiProgram &mp : random3Fleet()) {
+        axiom::ModelContext ctx;
+        axiom::AxiomResult ax =
+            axiom::enumerateAllowed(mp, axiom::axiomModels(), ctx);
+        ASSERT_TRUE(ax.complete) << "program idx " << checked;
+        EXPECT_EQ(ax.stats.combosPrefiltered, unsourceableCombos(mp))
+            << "program idx " << checked;
+        combos += ax.stats.combos;
+        prefiltered += ax.stats.combosPrefiltered;
+
+        OutcomeSet oracle = enumerateOutcomes(mp);
+        ASSERT_FALSE(oracle.bounded) << "program idx " << checked;
+        ASSERT_EQ(ax.allowed.at("sc"), oracle.outcomes)
+            << "program idx " << checked << "\n"
+            << mp.toString();
+        ++checked;
+    }
+    EXPECT_EQ(checked, 20);
+    EXPECT_EQ(combos, 3468u);
+    EXPECT_EQ(prefiltered, 2402u);
 }
 
 TEST(AxiomDifferential, RandomProgramSimulatorOutcomesWithinAllowed)
