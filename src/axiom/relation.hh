@@ -62,7 +62,6 @@ class RelGraph
     }
 
     int numEvents() const { return numEvents_; }
-    const std::vector<RelEdge> &outEdges(int id) const { return out_[id]; }
 
     bool acyclic() const;
 

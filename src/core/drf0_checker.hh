@@ -85,9 +85,9 @@ Drf0TraceReport checkTraceBitset(const ExecutionTrace &trace);
  * address, at least one of them a write, not both syncs. (Any race can
  * be moved until its accesses are adjacent: every access not
  * happens-before the second one can be scheduled after it.) The check is
- * an iterative depth-first search over IdealizedMachine::stateKey()
- * states with a visited set, so spin loops end when they revisit a
- * state. Only @p limits.maxStates applies: reaching it with no race
+ * an iterative depth-first search over the idealized machine's states
+ * (IdealizedMachine::appendStateKey) with a StateSet of visited ones, so
+ * spin loops end when they revisit a state. Only @p limits.maxStates applies: reaching it with no race
  * found makes the verdict bounded.
  */
 Drf0ProgramReport checkProgram(const MultiProgram &program,

@@ -1,6 +1,7 @@
 #include "core/happens_before.hh"
 
 #include <algorithm>
+#include <map>
 #include <queue>
 
 namespace wo {
@@ -11,19 +12,36 @@ HappensBefore::HappensBefore(const ExecutionTrace &trace)
     words_ = (n_ + 63) / 64;
     reach_.assign(n_, BitRow(words_, 0));
 
+    // The po and so chains, over the resident accesses: per processor
+    // in program order (poIndex, ties by id), per sync location in commit
+    // order (commitTick, ties by id). Ids ascend in trace order, so a
+    // stable sort by the first key gives both orders.
+    std::vector<std::vector<int>> byProc(
+        static_cast<std::size_t>(trace.numProcs()));
+    std::map<Addr, std::vector<int>> syncs;
+    for (const Access &a : trace.accesses()) {
+        if (a.proc >= 0)
+            byProc[static_cast<std::size_t>(a.proc)].push_back(a.id);
+        if (a.sync())
+            syncs[a.addr].push_back(a.id);
+    }
+
     // Direct po edges: consecutive accesses of each processor. The
     // transitive closure below recovers the full program order.
-    int nprocs = trace.numProcs();
-    for (ProcId p = 0; p < nprocs; ++p) {
-        const std::vector<int> &ids = trace.accessesOf(p);
+    for (std::vector<int> &ids : byProc) {
+        std::stable_sort(ids.begin(), ids.end(), [&](int x, int y) {
+            return trace.at(x).poIndex < trace.at(y).poIndex;
+        });
         for (std::size_t k = 1; k < ids.size(); ++k)
             edges_.emplace_back(ids[k - 1], ids[k]);
     }
 
     // Direct so edges: consecutive synchronization operations per location
-    // in commit order.
-    for (Addr a : trace.syncAddrs()) {
-        const std::vector<int> &ids = trace.syncsAt(a);
+    // in commit order, locations ascending.
+    for (auto &[addr, ids] : syncs) {
+        std::stable_sort(ids.begin(), ids.end(), [&](int x, int y) {
+            return trace.at(x).commitTick < trace.at(y).commitTick;
+        });
         for (std::size_t k = 1; k < ids.size(); ++k)
             edges_.emplace_back(ids[k - 1], ids[k]);
     }

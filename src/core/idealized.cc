@@ -4,6 +4,8 @@
 #include <functional>
 #include <stdexcept>
 
+#include "core/state_set.hh"
+
 namespace wo {
 
 IdealizedMachine::IdealizedMachine(const MultiProgram &program)
@@ -193,14 +195,6 @@ IdealizedMachine::result() const
     return r;
 }
 
-std::vector<std::uint64_t>
-IdealizedMachine::stateKey() const
-{
-    std::vector<std::uint64_t> key;
-    appendStateKey(key);
-    return key;
-}
-
 void
 IdealizedMachine::appendStateKey(std::vector<std::uint64_t> &out) const
 {
@@ -224,12 +218,16 @@ enumerateOutcomes(const MultiProgram &program, const EnumLimits &limits)
 {
     IdealizedMachine m(program);
     OutcomeSet out;
-    std::set<std::vector<std::uint64_t>> visited;
+    std::vector<std::uint64_t> key;
+    m.appendStateKey(key);
+    StateSet visited(key.size());
 
     std::function<void(int)> dfs = [&](int depth) {
         if (out.bounded && visited.size() >= limits.maxStates)
             return;
-        if (!visited.insert(m.stateKey()).second)
+        key.clear();
+        m.appendStateKey(key);
+        if (!visited.insert(key))
             return;
         ++out.statesVisited;
         if (visited.size() >= limits.maxStates) {

@@ -72,10 +72,10 @@ class IdealizedMachine
     /** Snapshot the observable outcome of the current state. */
     RunResult result() const;
 
-    /** Compact serialization of the state, for memoization. */
-    std::vector<std::uint64_t> stateKey() const;
-
-    /** Append stateKey()'s words to @p out. */
+    /** Append a compact serialization of the state, for memoization, to
+     * @p out: the halt bits, each processor's pc and registers, and the
+     * value of each of the program's touched addresses. Its length is
+     * fixed by the program. */
     void appendStateKey(std::vector<std::uint64_t> &out) const;
 
   private:

@@ -4,105 +4,12 @@
 #include <sstream>
 #include <utility>
 
+#include "core/state_set.hh"
+#include "sim/rng.hh"
+
 namespace wo {
 
 namespace {
-
-/** splitmix64's finalizer: every input bit reaches every output bit. */
-inline std::uint64_t
-mix64(std::uint64_t x)
-{
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-}
-
-/** FNV-1a style hash over a span of key words. */
-inline std::uint64_t
-hashKeySpan(const std::uint64_t *v, std::size_t len)
-{
-    // Salt with the span length and each element's position so keys
-    // that are permutations of each other (frequent among frontier
-    // states: same values at swapped indices) do not collide into the
-    // same probe runs.
-    std::uint64_t h = 1469598103934665603ull ^
-                      (0x9e3779b97f4a7c15ull * (len + 1));
-    std::uint64_t pos = 0;
-    for (std::size_t i = 0; i < len; ++i) {
-        h ^= v[i] + 0x9e3779b97f4a7c15ull * ++pos;
-        h *= 1099511628211ull;
-    }
-    return h;
-}
-
-/**
- * Open addressing with linear probing at load factor <= 1/2, emptied in
- * O(1) by bumping an epoch: a slot whose stamp is not the current epoch
- * is free. Capacity survives clear(), so a warm table allocates nothing.
- * Slot must have a `stamp` member; an all-zero stamp is never current.
- */
-template <class Slot>
-class EpochSlots
-{
-  public:
-    void
-    clear()
-    {
-        count_ = 0;
-        if (++epoch_ == 0) { // wrapped: stale stamps would look live
-            for (Slot &s : slots_)
-                s.stamp = 0;
-            epoch_ = 1;
-        }
-    }
-
-    bool live(const Slot &s) const { return s.stamp == epoch_; }
-
-    /** Probe from @p hash until @p match(slot) or a free slot. */
-    template <class Match>
-    std::size_t
-    probe(std::uint64_t hash, Match match) const
-    {
-        const std::size_t mask = slots_.size() - 1;
-        std::size_t i = static_cast<std::size_t>(hash) & mask;
-        while (live(slots_[i]) && !match(slots_[i]))
-            i = (i + 1) & mask;
-        return i;
-    }
-
-    /** Make room for one more entry; @p hashOf rehashes live slots. */
-    template <class HashOf>
-    void
-    reserveOne(HashOf hashOf)
-    {
-        if (2 * (count_ + 1) <= slots_.size())
-            return;
-        std::vector<Slot> old = std::move(slots_);
-        slots_.assign(std::max<std::size_t>(16, 2 * old.size()), Slot{});
-        auto noMatch = [](const Slot &) { return false; };
-        for (const Slot &s : old) {
-            if (live(s))
-                slots_[probe(hashOf(s), noMatch)] = s;
-        }
-    }
-
-    /** Fill free slot @p i (from probe()). */
-    void
-    put(std::size_t i, Slot s)
-    {
-        s.stamp = epoch_;
-        slots_[i] = s;
-        ++count_;
-    }
-
-    const Slot &operator[](std::size_t i) const { return slots_[i]; }
-    std::size_t size() const { return count_; }
-
-  private:
-    std::vector<Slot> slots_;
-    std::uint32_t epoch_ = 1;
-    std::size_t count_ = 0;
-};
 
 /** Key -> dense int id; Hash maps a Key to 64 well-mixed bits. */
 template <class Key, std::uint64_t (*Hash)(const Key &)>
@@ -173,54 +80,6 @@ hashLocValue(const LocValue &k)
     return mix64(k.value ^ mix64(static_cast<std::uint64_t>(k.addrId)));
 }
 
-/**
- * A set of fixed-length keys stored back to back in one arena, so
- * visiting a new search state appends to reused storage and membership
- * tests touch contiguous memory.
- */
-class VisitedSet
-{
-  public:
-    /** Forget every key; keys are @p keyLen words from now on. */
-    void
-    reset(std::size_t keyLen)
-    {
-        len_ = keyLen;
-        arena_.clear();
-        slots_.clear();
-    }
-
-    /** Insert the len-word key at @p key; false if already present. */
-    bool
-    insert(const std::uint64_t *key)
-    {
-        slots_.reserveOne([](const Slot &s) { return s.hash; });
-        const std::uint64_t h = hashKeySpan(key, len_);
-        std::size_t i = slots_.probe(h, [&](const Slot &s) {
-            return s.hash == h &&
-                   std::equal(key, key + len_,
-                              arena_.data() + s.index * len_);
-        });
-        if (slots_.live(slots_[i]))
-            return false;
-        slots_.put(i, {h, static_cast<std::uint32_t>(slots_.size()), 0});
-        arena_.insert(arena_.end(), key, key + len_);
-        return true;
-    }
-
-  private:
-    struct Slot
-    {
-        std::uint64_t hash = 0;
-        std::uint32_t index = 0; ///< key number in arena_
-        std::uint32_t stamp = 0;
-    };
-
-    std::size_t len_ = 0;
-    std::vector<std::uint64_t> arena_;
-    EpochSlots<Slot> slots_;
-};
-
 } // namespace
 
 /**
@@ -282,8 +141,8 @@ class ScVerifier::Workspace
         // dense vector indexed by address id), note single touchers,
         // give every distinct (location, written value) pair a
         // pending-write counter, and list each processor's ids in
-        // program order (by poIndex, ties by id, as
-        // ExecutionTrace::accessesOf lists them).
+        // program order (by poIndex, ties by id, as HappensBefore
+        // chains them).
         bool inOrder = true;
         for (const Access &a : trace.accesses()) {
             auto [aid, fresh] =
@@ -346,7 +205,7 @@ class ScVerifier::Workspace
      * location's value is a function of its owner's index, so including
      * it would only bloat the key.
      */
-    const std::uint64_t *
+    std::span<const std::uint64_t>
     key()
     {
         std::uint64_t *k = keyScratch_.data();
@@ -354,7 +213,7 @@ class ScVerifier::Workspace
             *k++ = i;
         for (int aid : sharedAddrs_)
             *k++ = mem_[static_cast<std::size_t>(aid)];
-        return keyScratch_.data();
+        return keyScratch_;
     }
 
     /** @p p's next access (idx_[p] < seqs_[p].size()). */
@@ -579,7 +438,7 @@ class ScVerifier::Workspace
     int remaining_ = 0;
     std::uint64_t states_ = 0;
     bool capped_ = false;
-    VisitedSet visited_;
+    StateSet visited_;
 };
 
 ScVerifier::ScVerifier() : ws_(std::make_unique<Workspace>()) {}

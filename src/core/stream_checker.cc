@@ -1,6 +1,8 @@
 #include "core/stream_checker.hh"
 
 #include <algorithm>
+#include <limits>
+#include <map>
 #include <stdexcept>
 #include <string>
 #include <tuple>
@@ -26,15 +28,24 @@ isFinal(const Access &a)
 bool
 traceOrderIsLinearExtension(const ExecutionTrace &trace)
 {
-    for (ProcId p = 0; p < trace.numProcs(); ++p) {
-        const std::vector<int> &ids = trace.accessesOf(p);
-        if (!std::is_sorted(ids.begin(), ids.end()))
-            return false;
-    }
-    for (Addr s : trace.syncAddrs()) {
-        const std::vector<int> &ids = trace.syncsAt(s);
-        if (!std::is_sorted(ids.begin(), ids.end()))
-            return false;
+    // In trace order, poIndex never falls within a processor and
+    // commitTick never falls within a sync location.
+    std::vector<int> lastPo(static_cast<std::size_t>(trace.numProcs()),
+                            std::numeric_limits<int>::min());
+    std::map<Addr, Tick> lastCommit;
+    for (const Access &a : trace.accesses()) {
+        if (a.proc >= 0) {
+            int &po = lastPo[static_cast<std::size_t>(a.proc)];
+            if (a.poIndex < po)
+                return false;
+            po = a.poIndex;
+        }
+        if (a.sync()) {
+            Tick &commit = lastCommit[a.addr];
+            if (a.commitTick < commit)
+                return false;
+            commit = a.commitTick;
+        }
     }
     return true;
 }

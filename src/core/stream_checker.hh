@@ -86,7 +86,7 @@ class StreamingDrf0Checker
     /**
      * Consume everything still resident and unfed (end of run: all ticks
      * final). Accesses that never committed sort after every committed
-     * one, matching the trace's syncsAt order. Throws
+     * one, matching HappensBefore's commit-order chains. Throws
      * std::invalid_argument if the leftover (po U so) edges are cyclic.
      */
     void finish(const ExecutionTrace &trace);

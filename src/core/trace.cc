@@ -1,27 +1,10 @@
 #include "core/trace.hh"
 
 #include <algorithm>
-#include <set>
 #include <sstream>
 #include <stdexcept>
 
 namespace wo {
-
-namespace {
-const std::vector<int> kNoIds;
-
-/** Erase every id below @p firstLive from an ascending id list. Returns
- * true if anything was removed. */
-bool
-prunePrefix(std::vector<int> &ids, int firstLive)
-{
-    auto cut = std::lower_bound(ids.begin(), ids.end(), firstLive);
-    if (cut == ids.begin())
-        return false;
-    ids.erase(ids.begin(), cut);
-    return true;
-}
-} // namespace
 
 int
 ExecutionTrace::add(Access a)
@@ -49,51 +32,26 @@ ExecutionTrace::throwNotResident(int id) const
 }
 
 void
-ExecutionTrace::catchUp() const
-{
-    if (byProc_.size() < static_cast<std::size_t>(nprocs_))
-        byProc_.resize(static_cast<std::size_t>(nprocs_));
-    for (; indexed_ < size(); ++indexed_) {
-        const Access &a = live(indexed_);
-        if (a.proc >= 0) {
-            IndexList &pi = byProc_[static_cast<std::size_t>(a.proc)];
-            pi.ids.push_back(a.id);
-            pi.dirty = true;
-        }
-        if (a.sync()) {
-            IndexList &si = syncs_[a.addr];
-            si.ids.push_back(a.id);
-            si.dirty = true;
-        }
-    }
-}
-
-void
 ExecutionTrace::popLast()
 {
     if (resident() == 0)
         throw std::logic_error("ExecutionTrace::popLast on an empty window");
-    catchUp();
-    const Access &a = accesses_.back();
-    if (a.proc >= 0) {
-        IndexList &pi = byProc_[static_cast<std::size_t>(a.proc)];
-        pi.ids.pop_back();
-        pi.dirty = true;
-    }
-    if (a.sync()) {
-        auto it = syncs_.find(a.addr);
-        it->second.ids.pop_back();
-        if (it->second.ids.empty())
-            syncs_.erase(it);
-        else
-            it->second.dirty = true;
-    }
+    const ProcId popped = accesses_.back().proc;
     accesses_.pop_back();
-    --indexed_;
-    // Keep numProcs() == highest present processor + 1.
-    while (!byProc_.empty() && byProc_.back().ids.empty())
-        byProc_.pop_back();
-    nprocs_ = static_cast<int>(byProc_.size());
+    // Keep numProcs() == highest resident processor + 1. Only popping
+    // the top processor's access, or a retirement since clear(), can
+    // leave the top processor absent. Newest-first, the scan usually
+    // meets the top processor within a few accesses.
+    if (popped != nprocs_ - 1 && base_ == 0)
+        return;
+    const int top = nprocs_ - 1;
+    int highest = -1;
+    for (auto it = accesses_.rbegin(); it != accesses_.rend() - dead_; ++it) {
+        highest = std::max(highest, it->proc);
+        if (highest == top)
+            break;
+    }
+    nprocs_ = highest + 1;
 }
 
 void
@@ -113,22 +71,6 @@ ExecutionTrace::popFront(int n)
         accesses_.erase(accesses_.begin(), accesses_.begin() + dead_);
         dead_ = 0;
     }
-    // Accesses retired before any query indexed them are never indexed.
-    indexed_ = std::max(indexed_, base_);
-    // The append-order id lists are ascending, so retirement is a prefix
-    // erase; the sorted views are rebuilt lazily on next query.
-    for (IndexList &pi : byProc_) {
-        if (prunePrefix(pi.ids, base_))
-            pi.dirty = true;
-    }
-    for (auto it = syncs_.begin(); it != syncs_.end();) {
-        if (prunePrefix(it->second.ids, base_))
-            it->second.dirty = true;
-        if (it->second.ids.empty())
-            it = syncs_.erase(it);
-        else
-            ++it;
-    }
 }
 
 void
@@ -136,80 +78,10 @@ ExecutionTrace::clear()
 {
     accesses_.clear();
     initials_.clear();
-    byProc_.clear();
-    syncs_.clear();
-    indexed_ = 0;
     base_ = 0;
     dead_ = 0;
     nprocs_ = 0;
     high_water_ = 0;
-}
-
-const std::vector<int> &
-ExecutionTrace::accessesOf(ProcId proc) const
-{
-    if (proc < 0 || proc >= nprocs_)
-        return kNoIds;
-    catchUp();
-    IndexList &pi = byProc_[static_cast<std::size_t>(proc)];
-    if (pi.dirty) {
-        pi.sorted = pi.ids;
-        auto lt = [this](int x, int y) {
-            const Access &ax = live(x);
-            const Access &ay = live(y);
-            if (ax.poIndex != ay.poIndex)
-                return ax.poIndex < ay.poIndex;
-            return x < y;
-        };
-        if (!std::is_sorted(pi.sorted.begin(), pi.sorted.end(), lt))
-            std::sort(pi.sorted.begin(), pi.sorted.end(), lt);
-        pi.dirty = false;
-    }
-    return pi.sorted;
-}
-
-const std::vector<int> &
-ExecutionTrace::syncsAt(Addr addr) const
-{
-    catchUp();
-    auto it = syncs_.find(addr);
-    if (it == syncs_.end())
-        return kNoIds;
-    IndexList &si = it->second;
-    if (si.dirty) {
-        si.sorted = si.ids;
-        auto lt = [this](int x, int y) {
-            const Access &ax = live(x);
-            const Access &ay = live(y);
-            if (ax.commitTick != ay.commitTick)
-                return ax.commitTick < ay.commitTick;
-            return x < y;
-        };
-        if (!std::is_sorted(si.sorted.begin(), si.sorted.end(), lt))
-            std::sort(si.sorted.begin(), si.sorted.end(), lt);
-        si.dirty = false;
-    }
-    return si.sorted;
-}
-
-std::vector<Addr>
-ExecutionTrace::addrs() const
-{
-    std::set<Addr> s;
-    for (const Access &a : accesses())
-        s.insert(a.addr);
-    return {s.begin(), s.end()};
-}
-
-std::vector<Addr>
-ExecutionTrace::syncAddrs() const
-{
-    catchUp();
-    std::vector<Addr> out;
-    out.reserve(syncs_.size());
-    for (const auto &[addr, ids] : syncs_)
-        out.push_back(addr);
-    return out;
 }
 
 void

@@ -27,15 +27,12 @@ namespace wo {
  * initial value, ordered before all program accesses — exactly the paper's
  * hypothetical initializing write + synchronization preamble.
  *
- * Per-processor and per-sync-location id indices are built lazily: add()
- * only appends the access, and the first accessesOf()/syncsAt()/
- * syncAddrs() query after it indexes every access recorded since the
- * previous query (an "indexed through" watermark). Whole-trace readers
- * (the SC verifier, HappensBefore) thus still get cached const
- * references, while the streaming pipelines, which never query, pay
- * nothing per access. numProcs() is kept eagerly and costs O(1). Because
- * a query may write the indices, two threads must not query one trace at
- * the same time.
+ * The trace keeps no index over its accesses: add() only appends, so
+ * the streaming pipelines pay nothing per access beyond the copy. A
+ * reader that needs per-processor or per-location order (the SC
+ * verifier, HappensBefore, StreamingDrf0Checker::finish) builds it from
+ * accesses() itself. numProcs() is kept eagerly and costs O(1). No const
+ * member writes anything, so several threads may read one const trace.
  *
  * Windowed retention: popFront() retires the oldest accesses so only a
  * sliding window stays resident. Trace ids are stable — they keep naming
@@ -102,33 +99,18 @@ class ExecutionTrace
 
     /** Retire the @p n oldest resident accesses. Their ids remain
      * assigned (size() does not shrink) but they can no longer be
-     * inspected; per-proc and per-sync index caches are pruned.
+     * inspected.
      * Throws std::logic_error unless 0 <= n <= resident(). */
     void popFront(int n);
 
-    /** Drop every access, index, initial value and retention counter,
+    /** Drop every access, initial value and retention counter,
      * keeping allocated capacity where the containers allow (System
      * reuse). */
     void clear();
 
-    /** Number of processors appearing in the trace. */
+    /** One past the highest processor added since the last clear();
+     * after popLast(), one past the highest processor still resident. */
     int numProcs() const { return nprocs_; }
-
-    /** Trace ids of @p proc's resident accesses, sorted by program order.
-     * The reference is valid until the next add()/popLast()/popFront(). */
-    const std::vector<int> &accessesOf(ProcId proc) const;
-
-    /** Trace ids of resident synchronization accesses to @p addr, sorted
-     * by commit time (ties broken by trace order). The reference is valid
-     * until the next add()/popLast()/popFront(). */
-    const std::vector<int> &syncsAt(Addr addr) const;
-
-    /** Distinct addresses appearing in the resident window. */
-    std::vector<Addr> addrs() const;
-
-    /** Distinct addresses with at least one resident synchronization
-     * access, ascending. */
-    std::vector<Addr> syncAddrs() const;
 
     /** Set the initial value of a location. */
     void setInitial(Addr addr, Word value);
@@ -146,14 +128,6 @@ class ExecutionTrace
     std::string toString() const;
 
   private:
-    /** Lazily extended id list plus its lazily sorted view. */
-    struct IndexList
-    {
-        std::vector<int> ids; ///< append order
-        std::vector<int> sorted;
-        bool dirty = true;
-    };
-
     /** Storage index of resident id @p id; throws if not resident. */
     std::size_t slot(int id) const
     {
@@ -165,24 +139,12 @@ class ExecutionTrace
 
     [[noreturn]] void throwNotResident(int id) const;
 
-    /** Resident access @p id, unchecked. */
-    const Access &live(int id) const
-    {
-        return accesses_[static_cast<std::size_t>(dead_ + id - base_)];
-    }
-
-    /** Index every access added since the watermark. */
-    void catchUp() const;
-
     /** accesses_ holds dead_ retired accesses, then the resident ones. */
     std::vector<Access> accesses_;
     std::vector<std::pair<Addr, Word>> initials_; ///< sorted by address
-    mutable std::vector<IndexList> byProc_;
-    mutable std::map<Addr, IndexList> syncs_;
-    mutable int indexed_ = 0; ///< ids below this are in the indices
     int base_ = 0;            ///< first resident id == number retired
     int dead_ = 0;            ///< retired accesses not yet compacted away
-    int nprocs_ = 0;          ///< highest present processor + 1
+    int nprocs_ = 0;          ///< see numProcs()
     int high_water_ = 0;      ///< max resident() ever reached
 };
 

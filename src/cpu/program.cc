@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <sstream>
 
+#include "sim/rng.hh"
+
 namespace wo {
 
 int
@@ -126,10 +128,7 @@ MultiProgram::contentHash() const
     // state, so permuted programs hash differently.
     std::uint64_t h = 0x9e3779b97f4a7c15ull;
     auto mix = [&h](std::uint64_t v) {
-        h += v + 0x9e3779b97f4a7c15ull;
-        h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ull;
-        h = (h ^ (h >> 27)) * 0x94d049bb133111ebull;
-        h ^= h >> 31;
+        h = mix64(h + v + 0x9e3779b97f4a7c15ull);
     };
     mix(static_cast<std::uint64_t>(programs_.size()));
     for (const Program &p : programs_) {

@@ -15,6 +15,15 @@
 
 namespace wo {
 
+/** splitmix64's finalizer: every input bit reaches every output bit. */
+inline std::uint64_t
+mix64(std::uint64_t z)
+{
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+    return z ^ (z >> 31);
+}
+
 /** A deterministic 64-bit PRNG (splitmix64). */
 class Rng
 {
@@ -27,10 +36,7 @@ class Rng
     std::uint64_t
     next()
     {
-        std::uint64_t z = (state_ += 0x9e3779b97f4a7c15ull);
-        z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-        z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-        return z ^ (z >> 31);
+        return mix64(state_ += 0x9e3779b97f4a7c15ull);
     }
 
     /** Uniform value in [0, bound). @p bound must be nonzero. */

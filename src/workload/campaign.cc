@@ -8,6 +8,8 @@
 #include <string>
 #include <thread>
 
+#include "sim/rng.hh"
+
 namespace wo {
 
 std::uint64_t
@@ -15,15 +17,9 @@ campaignJobSeed(std::uint64_t baseSeed, int jobIndex)
 {
     // splitmix64 finalizer over (baseSeed, index). Two rounds keep
     // adjacent indices' streams statistically independent.
-    std::uint64_t z = baseSeed +
-                      0x9e3779b97f4a7c15ull *
-                          (static_cast<std::uint64_t>(jobIndex) + 1);
-    for (int round = 0; round < 2; ++round) {
-        z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-        z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-        z ^= z >> 31;
-    }
-    return z;
+    return mix64(mix64(baseSeed +
+                        0x9e3779b97f4a7c15ull *
+                            (static_cast<std::uint64_t>(jobIndex) + 1)));
 }
 
 int

@@ -6,10 +6,22 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <map>
+#include <stdexcept>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "core/drf0_checker.hh"
+#include "core/state_set.hh"
 #include "cpu/program_builder.hh"
 #include "idealized_paths.hh"
+#include "litmus/compiler.hh"
+#include "system/machine_spec.hh"
+#include "system/system.hh"
+#include "workload/campaign.hh"
 
 namespace wo {
 namespace {
@@ -256,6 +268,123 @@ TEST(Drf0Program, StateCapMakesVerdictBounded)
     EXPECT_TRUE(r.obeysDrf0);
     EXPECT_TRUE(r.bounded);
     EXPECT_EQ(r.states, 3u);
+}
+
+/** True unless trace order lists each processor's accesses in program
+ * order and each location's syncs in commit order, i.e. unless
+ * StreamingDrf0Checker::finish has to sort the trace topologically. */
+bool
+outOfTraceOrder(const ExecutionTrace &t)
+{
+    std::map<ProcId, int> lastPo;
+    std::map<Addr, Tick> lastCommit;
+    for (const Access &a : t.accesses()) {
+        int &po = lastPo[a.proc];
+        if (a.poIndex < po)
+            return true;
+        po = a.poIndex;
+        if (!a.sync())
+            continue;
+        Tick &commit = lastCommit[a.addr];
+        if (a.commitTick < commit)
+            return true;
+        commit = a.commitTick;
+    }
+    return false;
+}
+
+/** @p t's accesses and initial values, re-added to a trace no reader
+ * has seen. */
+ExecutionTrace
+freshCopy(const ExecutionTrace &t)
+{
+    ExecutionTrace out;
+    for (const Access &a : t.accesses())
+        out.add(a);
+    for (const auto &[addr, value] : t.initials())
+        out.setInitial(addr, value);
+    return out;
+}
+
+TEST(Drf0Trace, ConcurrentReadersOfOneConstTraceMatchSerial)
+{
+    // A racy idealized witness, and a simulator trace whose syncs commit
+    // out of trace order. Several threads query one const trace with
+    // both checkers at once; every answer must equal the serial one.
+    std::vector<ExecutionTrace> traces;
+    MultiProgram dekker("dekker");
+    ProgramBuilder p1, p2;
+    p1.store(0, 1).load(0, 1).halt();
+    p2.store(1, 1).load(0, 0).halt();
+    dekker.addProgram(p1.build());
+    dekker.addProgram(p2.build());
+    Drf0ProgramReport racy = checkProgram(dekker);
+    ASSERT_FALSE(racy.witnessReport.raceFree);
+    traces.push_back(racy.witness);
+
+    const auto lock = litmus_dsl::compileLitmusFile(
+        std::string(WO_LITMUS_DIR) + "/tas_counter.litmus");
+    for (std::uint64_t seed = 1; seed <= 50 && traces.size() < 2; ++seed) {
+        System sys(lock.program,
+                   machineOrThrow("net").config(PolicyKind::Def2Drf0, seed));
+        if (sys.run() && outOfTraceOrder(sys.trace()))
+            traces.push_back(sys.trace());
+    }
+    ASSERT_EQ(traces.size(), 2u) << "no simulator trace out of order";
+
+    for (const ExecutionTrace &t : traces) {
+        const Drf0TraceReport serial = checkTrace(t);
+        const Drf0TraceReport serialBitset = checkTraceBitset(t);
+        EXPECT_EQ(serialBitset.races, serial.races);
+        const ExecutionTrace shared = freshCopy(t);
+        constexpr int kJobs = 16;
+        std::vector<Drf0TraceReport> got(kJobs);
+        std::atomic<int> started{0};
+        Campaign(4).forEach(kJobs, [&](const CampaignJob &job) {
+            // Hold the first job until a second one has started, so two
+            // threads query the unread trace at once.
+            started.fetch_add(1);
+            const auto deadline =
+                std::chrono::steady_clock::now() + std::chrono::seconds(2);
+            while (started.load() < 2 &&
+                   std::chrono::steady_clock::now() < deadline)
+                std::this_thread::yield();
+            got[static_cast<std::size_t>(job.index)] =
+                job.index % 2 ? checkTraceBitset(shared) : checkTrace(shared);
+        });
+        for (int i = 0; i < kJobs; ++i)
+            EXPECT_EQ(got[static_cast<std::size_t>(i)].races, serial.races)
+                << "job " << i;
+    }
+}
+
+TEST(StateSet, KeepsEveryKeyAcrossGrowthAndReset)
+{
+    // Enough keys to open several blocks and rehash the table many
+    // times: every key inserted stays findable, a reset set refills
+    // from empty in its kept blocks, and a key of another length is
+    // rejected.
+    for (std::size_t len : {3u, 300u}) {
+        StateSet set(len);
+        for (int round = 0; round < 2; ++round) {
+            std::vector<std::uint64_t> key;
+            for (std::uint64_t k = 0; k < 2000; ++k) {
+                key.assign(len, k);
+                key[len - 1] = k * 7;
+                ASSERT_TRUE(set.insert(key)) << k;
+            }
+            EXPECT_EQ(set.size(), 2000u);
+            for (std::uint64_t k = 0; k < 2000; ++k) {
+                key.assign(len, k);
+                key[len - 1] = k * 7;
+                ASSERT_FALSE(set.insert(key)) << k;
+            }
+            set.reset(len);
+            EXPECT_EQ(set.size(), 0u);
+        }
+        std::vector<std::uint64_t> shorter(len - 1, 0);
+        EXPECT_THROW(set.insert(shorter), std::logic_error);
+    }
 }
 
 } // namespace

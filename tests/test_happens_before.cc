@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "core/happens_before.hh"
 
 namespace wo {
@@ -109,6 +112,43 @@ TEST(HappensBefore, SyncOrderUsesCommitTimeNotTraceOrder)
     HappensBefore hb(t);
     EXPECT_TRUE(hb.ordered(early, late));
     EXPECT_FALSE(hb.ordered(late, early));
+}
+
+TEST(HappensBefore, ProgramOrderFollowsPoIndexNotTraceOrder)
+{
+    // A processor's accesses recorded against program order: po chains
+    // them by poIndex, whatever their trace ids.
+    ExecutionTrace t;
+    int third = t.add(mk(0, 2, AccessKind::DataRead, 0, 9));
+    int first = t.add(mk(0, 0, AccessKind::DataRead, 1, 3));
+    t.add(mk(1, 0, AccessKind::DataRead, 0, 1));
+    int second = t.add(mk(0, 1, AccessKind::DataRead, 2, 6));
+    HappensBefore hb(t);
+    EXPECT_EQ(hb.edges(), (std::vector<std::pair<int, int>>{
+                              {first, second}, {second, third}}));
+    EXPECT_TRUE(hb.ordered(first, third));
+    EXPECT_FALSE(hb.ordered(third, first));
+}
+
+TEST(HappensBefore, TiedCommitTicksFollowTraceOrder)
+{
+    // so chains a location's syncs by commit tick, and equal ticks by
+    // trace id; a data write to the location is not in the chain.
+    ExecutionTrace t;
+    int late = t.add(mk(0, 0, AccessKind::SyncWrite, 4, 50));
+    int early = t.add(mk(1, 0, AccessKind::SyncWrite, 4, 10));
+    int tieA = t.add(mk(2, 0, AccessKind::SyncWrite, 4, 20));
+    int tieB = t.add(mk(3, 0, AccessKind::SyncWrite, 4, 20));
+    int data = t.add(mk(0, 1, AccessKind::DataWrite, 4, 5));
+    HappensBefore hb(t);
+    EXPECT_EQ(hb.edges(), (std::vector<std::pair<int, int>>{
+                              {late, data},
+                              {early, tieA},
+                              {tieA, tieB},
+                              {tieB, late}}));
+    EXPECT_TRUE(hb.ordered(tieA, tieB));
+    EXPECT_FALSE(hb.ordered(tieB, tieA));
+    EXPECT_TRUE(hb.ordered(early, data));
 }
 
 TEST(HappensBefore, IrreflexiveAndAcyclic)

@@ -345,7 +345,10 @@ TEST(ScVerifier, WriteValuesDifferingAbove32BitsStayDistinct)
 std::size_t
 numAddrs(const ExecutionTrace &t)
 {
-    return t.addrs().size();
+    std::set<Addr> addrs;
+    for (const Access &a : t.accesses())
+        addrs.insert(a.addr);
+    return addrs.size();
 }
 
 TEST(ScVerifier, ReusedVerifierMatchesFreshAcrossCorpusTraces)

@@ -71,36 +71,6 @@ TEST(TraceUnit, IdsAreSequential)
     EXPECT_EQ(t.add(mk(0, 1, AccessKind::DataRead, 0, 1)), 1);
 }
 
-TEST(TraceUnit, AccessesOfSortsByProgramOrder)
-{
-    ExecutionTrace t;
-    t.add(mk(0, 2, AccessKind::DataRead, 0, 9));
-    t.add(mk(0, 0, AccessKind::DataRead, 0, 3));
-    t.add(mk(1, 0, AccessKind::DataRead, 0, 1));
-    t.add(mk(0, 1, AccessKind::DataRead, 0, 6));
-    std::vector<int> ids = t.accessesOf(0);
-    ASSERT_EQ(ids.size(), 3u);
-    EXPECT_EQ(t.at(ids[0]).poIndex, 0);
-    EXPECT_EQ(t.at(ids[1]).poIndex, 1);
-    EXPECT_EQ(t.at(ids[2]).poIndex, 2);
-}
-
-TEST(TraceUnit, SyncsAtSortsByCommitWithStableTies)
-{
-    ExecutionTrace t;
-    int late = t.add(mk(0, 0, AccessKind::SyncWrite, 4, 50));
-    int early = t.add(mk(1, 0, AccessKind::SyncWrite, 4, 10));
-    int tie_a = t.add(mk(2, 0, AccessKind::SyncWrite, 4, 20));
-    int tie_b = t.add(mk(3, 0, AccessKind::SyncWrite, 4, 20));
-    t.add(mk(0, 1, AccessKind::DataWrite, 4, 5)); // not a sync
-    std::vector<int> ids = t.syncsAt(4);
-    ASSERT_EQ(ids.size(), 4u);
-    EXPECT_EQ(ids[0], early);
-    EXPECT_EQ(ids[1], tie_a);
-    EXPECT_EQ(ids[2], tie_b);
-    EXPECT_EQ(ids[3], late);
-}
-
 TEST(TraceUnit, InitialsDefaultZero)
 {
     ExecutionTrace t;
